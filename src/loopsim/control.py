@@ -10,6 +10,7 @@ capacity-checked; an event trace records the whole run deterministically.
 from __future__ import annotations
 
 import copy
+import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -44,13 +45,13 @@ class InstanceState(Enum):
 class FcapsCounters:
     """Element-management counters: fault (step failures), config (lifecycle
     operations), accounting (ticks executed), performance (proposals
-    applied), security (reserved, no security events are modeled)."""
+    applied). No security events are modeled, so there is no security
+    counter."""
 
     fault: int = 0
     config: int = 0
     accounting: int = 0
     performance: int = 0
-    security: int = 0
 
 
 @dataclass
@@ -278,12 +279,11 @@ class EventTrace:
         self.events.append(TraceEvent(*args, **kwargs))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time_ms,tier,chain,event,summary,verdict\n")
-            for e in self.events:
-                summary = e.summary.replace(",", ";")
-                verdict = e.verdict.replace(",", ";")
-                fh.write(f"{e.t_ms},{e.tier},{e.chain},{e.kind},{summary},{verdict}\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("time_ms", "tier", "chain", "event", "summary", "verdict"))
+            writer.writerows((e.t_ms, e.tier, e.chain, e.kind, e.summary, e.verdict)
+                             for e in self.events)
 
     def applied_knob_deltas(self) -> dict[tuple[str, str], list[float]]:
         """Per-knob sequence of applied deltas, in trace order."""
@@ -689,9 +689,9 @@ class Orchestrator:
 
     def export_fcaps_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("instance,state,fault,config,accounting,performance,security\n")
+            fh.write("instance,state,fault,config,accounting,performance\n")
             for iid in sorted(self.instances):
                 i = self.instances[iid]
                 f = i.fcaps
                 fh.write(f"{iid},{i.state.value},{f.fault},{f.config},"
-                         f"{f.accounting},{f.performance},{f.security}\n")
+                         f"{f.accounting},{f.performance}\n")

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, SimError
 
 MODEL_FORMAT = "loopsim-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # The telemetry compressor: widths and activations of the five dense layers.
 # Encoder is layers 1-3 (code width 75), decoder layers 4-5; the sigmoid
@@ -54,12 +54,8 @@ def _elu_deriv(preact: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # The tanh form never overflows: exact 0.5 at 0, 0 and 1 at -inf and +inf.
+    return 0.5 * (1.0 + np.tanh(x / 2.0))
 
 
 def _sigmoid_deriv(preact: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -74,13 +70,38 @@ _ACTIVATIONS = {
 
 
 # ---------------------------------------------------------------------------
+# Flat parameter vectors
+# ---------------------------------------------------------------------------
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of a flat vector, one per shape."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ConfigError(f"expected a flat vector of {sum(sizes)} parameters, "
+                          f"got shape {flat.shape}")
+    out = []
+    start = 0
+    for shape, size in zip(shapes, sizes):
+        out.append(flat[start:start + size].reshape(shape))
+        start += size
+    return out
+
+
+def _param_vector(params, shapes) -> np.ndarray:
+    """The model's contiguous float64 parameter vector (zeros when None)."""
+    if params is None:
+        return np.zeros(sum(math.prod(shape) for shape in shapes))
+    return np.ascontiguousarray(params, dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # Dense networks
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # out x in
-    bias: np.ndarray  # out
+    weights: np.ndarray  # out x in, a view into the net's params
+    bias: np.ndarray  # out, a view into the net's params
     activation: str
 
     def __post_init__(self):
@@ -90,22 +111,46 @@ class DenseLayer:
 
 @dataclass
 class DenseNet:
-    """A stack of dense layers; encoder_layers marks the code boundary."""
+    """A stack of dense layers; encoder_layers marks the code boundary.
 
-    layers: list[DenseLayer]
+    params holds every layer's weights then bias, in layer order; each
+    layer's arrays are views into it."""
+
+    STORED = ("widths", "activations", "encoder_layers", "params")
+
+    widths: tuple[int, ...]
+    activations: tuple[str, ...]
     encoder_layers: int
+    params: np.ndarray | None = None
+    layers: list[DenseLayer] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.widths = tuple(int(w) for w in self.widths)
+        self.activations = tuple(self.activations)
+        if len(self.activations) != len(self.widths) - 1:
+            raise ConfigError("need one activation per layer")
+        self.params = _param_vector(self.params, self.shapes())
+        views = _views(self.params, self.shapes())
+        self.layers = [DenseLayer(views[2 * i], views[2 * i + 1], act)
+                       for i, act in enumerate(self.activations)]
+
+    def shapes(self) -> list[tuple[int, ...]]:
+        out = []
+        for fan_in, fan_out in zip(self.widths, self.widths[1:]):
+            out.extend(((fan_out, fan_in), (fan_out,)))
+        return out
 
     @property
     def input_width(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.widths[0]
 
     @property
     def output_width(self) -> int:
-        return self.layers[-1].weights.shape[0]
+        return self.widths[-1]
 
     @property
     def code_width(self) -> int:
-        return self.layers[self.encoder_layers - 1].weights.shape[0]
+        return self.widths[self.encoder_layers]
 
     def dims(self) -> list[tuple[int, int]]:
         return [layer.weights.shape for layer in self.layers]
@@ -120,18 +165,12 @@ def net_init(widths, activations, seed: int) -> DenseNet:
     """Dense stack with uniform fan-based init (+-sqrt(6/(fan_in+fan_out)))
     and zero biases. The code boundary sits at the narrowest inner width."""
     widths = tuple(int(w) for w in widths)
-    if len(activations) != len(widths) - 1:
-        raise ConfigError("need one activation per layer")
+    encoder_layers = 1 + int(np.argmin(widths[1:-1]))
+    net = DenseNet(widths, activations, encoder_layers)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    layers = [
-        DenseLayer(weights=_glorot_uniform(rng, widths[i + 1], widths[i]),
-                   bias=np.zeros(widths[i + 1]),
-                   activation=act)
-        for i, act in enumerate(activations)
-    ]
-    inner = widths[1:-1]
-    encoder_layers = 1 + int(np.argmin(inner))
-    return DenseNet(layers=layers, encoder_layers=encoder_layers)
+    for layer in net.layers:
+        layer.weights[:] = _glorot_uniform(rng, *layer.weights.shape)
+    return net
 
 
 def ae_init(seed: int) -> DenseNet:
@@ -185,9 +224,12 @@ def decode(net: DenseNet, code) -> np.ndarray:
 
 
 def mse_loss_and_grads(net: DenseNet, x: np.ndarray, target: np.ndarray):
-    """Mean-squared-error loss over all elements and its gradients, by
-    reverse-mode differentiation through every layer. Overflow is left to
-    produce non-finite values (the trainers report those as divergence)."""
+    """Mean-squared-error loss over all elements and its gradient, a vector
+    laid out like net.params, by reverse-mode differentiation through every
+    layer. Overflow is left to produce non-finite values (the trainers
+    report those as divergence)."""
+    grad = np.empty_like(net.params)
+    grad_views = _views(grad, net.shapes())
     with np.errstate(over="ignore", invalid="ignore"):
         acts = [x]
         preacts = []
@@ -201,18 +243,18 @@ def mse_loss_and_grads(net: DenseNet, x: np.ndarray, target: np.ndarray):
         diff = h - target
         loss = float(np.mean(diff * diff))
         grad_out = 2.0 * diff / diff.size
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)  # type: ignore
         for i in range(len(net.layers) - 1, -1, -1):
             layer = net.layers[i]
             _, deriv = _ACTIVATIONS[layer.activation]
             gz = grad_out * deriv(preacts[i], acts[i + 1])
-            grads[i] = (gz.T @ acts[i], gz.sum(axis=0))
+            grad_views[2 * i][:] = gz.T @ acts[i]
+            grad_views[2 * i + 1][:] = gz.sum(axis=0)
             grad_out = gz @ layer.weights
-    return loss, grads
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
-# Optimizers and the shared training config
+# Optimizers and the shared training loop
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -235,68 +277,63 @@ class TrainConfig:
 
 class _Optimizer:
     """Applies sgd or adam (beta1=0.9, beta2=0.999, eps=1e-8) updates to a
-    flat list of parameter arrays, in place."""
+    flat parameter vector, in place."""
 
-    def __init__(self, params: list[np.ndarray], config: TrainConfig):
+    def __init__(self, params: np.ndarray, config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
         self.kind = config.optimizer
         if self.kind == "adam":
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
             self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         if self.kind == "sgd":
-            for p, g in zip(self.params, grads):
-                p -= self.lr * g
+            self.params -= self.lr * grad
             return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         correction = math.sqrt(1.0 - b2 ** self.t) / (1.0 - b1 ** self.t)
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * correction * m / (np.sqrt(v) + eps)
+        self.m *= b1
+        self.m += (1 - b1) * grad
+        self.v *= b2
+        self.v += (1 - b2) * grad * grad
+        self.params -= self.lr * correction * self.m / (np.sqrt(self.v) + eps)
 
 
-def _minibatches(n: int, batch_size: int, shuffle: bool, rng: np.random.Generator):
-    order = rng.permutation(n) if shuffle else np.arange(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
-def ae_train(net: DenseNet, data01: np.ndarray, config: TrainConfig):
-    """Train the reconstruction objective in place; returns (net, loss_history).
-
-    loss_history has one entry per epoch: the sample-weighted mean of the
-    pre-update batch losses, i.e. total squared error over the epoch divided
-    by total elements.
-    """
-    data01 = np.asarray(data01, dtype=float)
-    if data01.ndim != 2 or data01.shape[1] != net.input_width:
-        raise ConfigError("training data width does not match the model")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    params: list[np.ndarray] = []
-    for layer in net.layers:
-        params.extend((layer.weights, layer.bias))
+def _fit(params: np.ndarray, loss_and_grads, x: np.ndarray, y: np.ndarray,
+         config: TrainConfig, rng: np.random.Generator) -> list[float]:
+    """Minibatch training of params in place. Returns one loss per epoch: the
+    sample-weighted mean of the pre-update batch losses, i.e. total squared
+    error over the epoch divided by total target elements."""
     opt = _Optimizer(params, config)
     history: list[float] = []
     for epoch in range(config.epochs):
         sse = 0.0
         count = 0
-        for idx in _minibatches(len(data01), config.batch_size, config.shuffle, rng):
-            batch = data01[idx]
-            loss, grads = mse_loss_and_grads(net, batch, batch)
+        order = rng.permutation(len(x)) if config.shuffle else np.arange(len(x))
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            target = y[idx]
+            loss, grad = loss_and_grads(x[idx], target)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            flat = [g for pair in grads for g in pair]
-            opt.step(flat)
-            sse += loss * batch.size
-            count += batch.size
+            opt.step(grad)
+            sse += loss * target.size
+            count += target.size
         history.append(sse / count)
+    return history
+
+
+def ae_train(net: DenseNet, data01: np.ndarray, config: TrainConfig):
+    """Train the reconstruction objective in place; returns (net, loss_history)."""
+    data01 = np.asarray(data01, dtype=float)
+    if data01.ndim != 2 or data01.shape[1] != net.input_width:
+        raise ConfigError("training data width does not match the model")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    history = _fit(net.params, lambda x, y: mse_loss_and_grads(net, x, y),
+                   data01, data01, config, rng)
     return net, history
 
 
@@ -346,6 +383,8 @@ def relative_error_distribution(real, recon, threshold: float,
 
 @dataclass(frozen=True)
 class LinearModel:
+    STORED = ("slope", "intercept", "fit_mse")
+
     slope: float
     intercept: float
     fit_mse: float
@@ -378,114 +417,109 @@ def lin_predict(model: LinearModel, x):
 # LSTM forecaster
 # ---------------------------------------------------------------------------
 
-_GATES = ("input", "forget", "output", "cell")
-
-
 @dataclass
 class RecurrentModel:
     """Single-layer LSTM over a scalar series with a direct multi-step
     readout: the window feeds the recurrence, the final hidden state maps
     linearly to the full horizon. Input scaling (min-max of the training
-    series) is stored with the model."""
+    series) is stored with the model.
+
+    params holds w, b, w_out and b_out in that order; each is a view into
+    it. The gates are stacked in w and b as input, forget, output, cell,
+    H rows each, and act on [x_t, h]."""
+
+    STORED = ("hidden_size", "window", "horizon", "in_lo", "in_hi", "params")
 
     hidden_size: int
     window: int
     horizon: int
-    w: dict[str, np.ndarray]  # gate -> (hidden, 1 + hidden), acts on [x_t, h]
-    b: dict[str, np.ndarray]  # gate -> (hidden,)
-    w_out: np.ndarray  # (horizon, hidden)
-    b_out: np.ndarray  # (horizon,)
+    params: np.ndarray | None = None
     in_lo: float = 0.0
     in_hi: float = 1.0
     train_loss: list[float] = field(default_factory=list)
+    w: np.ndarray = field(init=False, repr=False)  # (4 * hidden, 1 + hidden)
+    b: np.ndarray = field(init=False, repr=False)  # (4 * hidden,)
+    w_out: np.ndarray = field(init=False, repr=False)  # (horizon, hidden)
+    b_out: np.ndarray = field(init=False, repr=False)  # (horizon,)
 
-    def _params(self) -> list[np.ndarray]:
-        out = []
-        for g in _GATES:
-            out.extend((self.w[g], self.b[g]))
-        out.extend((self.w_out, self.b_out))
-        return out
+    def __post_init__(self):
+        if self.horizon < 1 or self.window < 1 or self.hidden_size < 1:
+            raise ConfigError("hidden size, window and horizon must be >= 1")
+        self.params = _param_vector(self.params, self.shapes())
+        self.w, self.b, self.w_out, self.b_out = _views(self.params, self.shapes())
+
+    def shapes(self) -> list[tuple[int, ...]]:
+        hid = self.hidden_size
+        return [(4 * hid, 1 + hid), (4 * hid,), (self.horizon, hid), (self.horizon,)]
 
 
 def rnn_init(hidden_size: int, window: int, horizon: int, seed: int) -> RecurrentModel:
-    if horizon < 1 or window < 1 or hidden_size < 1:
-        raise ConfigError("hidden size, window and horizon must be >= 1")
+    model = RecurrentModel(hidden_size, window, horizon)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    w = {g: _glorot_uniform(rng, hidden_size, 1 + hidden_size) for g in _GATES}
-    b = {g: np.zeros(hidden_size) for g in _GATES}
-    b["forget"] = np.ones(hidden_size)  # start remembering
-    return RecurrentModel(
-        hidden_size=hidden_size, window=window, horizon=horizon,
-        w=w, b=b,
-        w_out=_glorot_uniform(rng, horizon, hidden_size),
-        b_out=np.zeros(horizon),
-    )
+    model.w[:] = np.concatenate(
+        [_glorot_uniform(rng, hidden_size, 1 + hidden_size) for _ in range(4)])
+    model.b[hidden_size:2 * hidden_size] = 1.0  # forget gate: start remembering
+    model.w_out[:] = _glorot_uniform(rng, horizon, hidden_size)
+    return model
 
 
 def _rnn_forward(model: RecurrentModel, x: np.ndarray):
-    """x: (batch, window) normalized. Returns (y, cache) with y (batch, horizon)."""
-    batch = x.shape[0]
-    h = np.zeros((batch, model.hidden_size))
-    c = np.zeros((batch, model.hidden_size))
-    cache = []
-    for t in range(x.shape[1]):
-        u = np.concatenate([x[:, t:t + 1], h], axis=1)
-        gi = sigmoid(u @ model.w["input"].T + model.b["input"])
-        gf = sigmoid(u @ model.w["forget"].T + model.b["forget"])
-        go = sigmoid(u @ model.w["output"].T + model.b["output"])
-        gc = np.tanh(u @ model.w["cell"].T + model.b["cell"])
-        c_prev = c
-        c = gf * c_prev + gi * gc
-        tc = np.tanh(c)
-        h = go * tc
-        cache.append((u, gi, gf, go, gc, c_prev, tc))
+    """x: (batch, window) normalized. Returns (y, cache) with y (batch, horizon).
+
+    The cache holds, per timestep, the gate input u = [x_t, h], the gate
+    activations (sigmoid for input/forget/output, tanh for cell) and the
+    cell state; c[t + 1] is the state after step t."""
+    batch, steps = x.shape
+    hid = model.hidden_size
+    u = np.empty((steps, batch, 1 + hid))
+    u[:, :, 0] = x.T
+    gates = np.empty((steps, batch, 4 * hid))
+    c = np.zeros((steps + 1, batch, hid))
+    h = np.zeros((batch, hid))
+    for t in range(steps):
+        u[t, :, 1:] = h
+        z = u[t] @ model.w.T + model.b
+        g = gates[t]
+        g[:, :3 * hid] = sigmoid(z[:, :3 * hid])
+        g[:, 3 * hid:] = np.tanh(z[:, 3 * hid:])
+        c[t + 1] = g[:, hid:2 * hid] * c[t] + g[:, :hid] * g[:, 3 * hid:]
+        h = g[:, 2 * hid:3 * hid] * np.tanh(c[t + 1])
     y = h @ model.w_out.T + model.b_out
-    return y, (cache, h)
+    return y, (u, gates, c, h)
 
 
 def rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray):
-    """MSE over the horizon outputs with full backpropagation through the
-    unrolled window (truncation length = window length)."""
+    """MSE over the horizon outputs and its gradient, a vector laid out like
+    model.params, with full backpropagation through the unrolled window
+    (truncation length = window length)."""
+    hid = model.hidden_size
+    grad = np.empty_like(model.params)
+    g_w, g_b, g_wout, g_bout = _views(grad, model.shapes())
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rnn_loss_and_grads(model, x, target)
-
-
-def _rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray):
-    y, (cache, h_last) = _rnn_forward(model, x)
-    diff = y - target
-    loss = float(np.mean(diff * diff))
-    dy = 2.0 * diff / diff.size
-    gw = {g: np.zeros_like(model.w[g]) for g in _GATES}
-    gb = {g: np.zeros_like(model.b[g]) for g in _GATES}
-    g_wout = dy.T @ h_last
-    g_bout = dy.sum(axis=0)
-    dh = dy @ model.w_out
-    dc = np.zeros((x.shape[0], model.hidden_size))
-    for t in range(x.shape[1] - 1, -1, -1):
-        u, gi, gf, go, gc, c_prev, tc = cache[t]
-        do = dh * tc
-        dc = dc + dh * go * (1.0 - tc * tc)
-        di = dc * gc
-        dg = dc * gi
-        df = dc * c_prev
-        dz = {
-            "input": di * gi * (1.0 - gi),
-            "forget": df * gf * (1.0 - gf),
-            "output": do * go * (1.0 - go),
-            "cell": dg * (1.0 - gc * gc),
-        }
-        du = np.zeros_like(u)
-        for g in _GATES:
-            gw[g] += dz[g].T @ u
-            gb[g] += dz[g].sum(axis=0)
-            du += dz[g] @ model.w[g]
-        dh = du[:, 1:]
-        dc = dc * gf
-    grads = []
-    for g in _GATES:
-        grads.extend((gw[g], gb[g]))
-    grads.extend((g_wout, g_bout))
-    return loss, grads
+        y, (u, gates, c, h_last) = _rnn_forward(model, x)
+        diff = y - target
+        loss = float(np.mean(diff * diff))
+        dy = 2.0 * diff / diff.size
+        g_wout[:] = dy.T @ h_last
+        g_bout[:] = dy.sum(axis=0)
+        w_h = np.ascontiguousarray(model.w[:, 1:])
+        dz = np.empty_like(gates)
+        dh = dy @ model.w_out
+        dc = np.zeros_like(dh)
+        for t in range(x.shape[1] - 1, -1, -1):
+            g = gates[t]
+            sig, gi, gf, go, gc = (g[:, :3 * hid], g[:, :hid], g[:, hid:2 * hid],
+                                   g[:, 2 * hid:3 * hid], g[:, 3 * hid:])
+            tc = np.tanh(c[t + 1])
+            do = dh * tc
+            dc = dc + dh * go * (1.0 - tc * tc)
+            dz[t, :, :3 * hid] = np.concatenate((dc * gc, dc * c[t], do), axis=1) * sig * (1.0 - sig)
+            dz[t, :, 3 * hid:] = dc * gi * (1.0 - gc * gc)
+            dh = dz[t] @ w_h
+            dc = dc * gf
+        g_w[:] = dz.reshape(-1, 4 * hid).T @ u.reshape(-1, 1 + hid)
+        g_b[:] = dz.sum(axis=(0, 1))
+    return loss, grad
 
 
 def make_windows(series: np.ndarray, window: int, horizon: int):
@@ -511,21 +545,10 @@ def rnn_train(series, window: int, horizon: int, config: TrainConfig,
     lo, hi = float(series.min()), float(series.max())
     model.in_lo, model.in_hi = lo, hi
     span = (hi - lo) or 1.0
-    norm = (series - lo) / span
-    x, y = make_windows(norm, window, horizon)
+    x, y = make_windows((series - lo) / span, window, horizon)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 1))))
-    opt = _Optimizer(model._params(), config)
-    for epoch in range(config.epochs):
-        sse = 0.0
-        count = 0
-        for idx in _minibatches(len(x), config.batch_size, config.shuffle, rng):
-            loss, grads = rnn_loss_and_grads(model, x[idx], y[idx])
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            opt.step(grads)
-            sse += loss * y[idx].size
-            count += y[idx].size
-        model.train_loss.append(sse / count)
+    model.train_loss = _fit(model.params, lambda xb, yb: rnn_loss_and_grads(model, xb, yb),
+                            x, y, config, rng)
     return model
 
 
@@ -544,45 +567,21 @@ def rnn_predict(model: RecurrentModel, window_values) -> np.ndarray:
 # Model serialization
 # ---------------------------------------------------------------------------
 
+_MODEL_KINDS = {"dense": DenseNet, "lstm": RecurrentModel, "linear": LinearModel}
+
+
 def save_model(model, path, train_config: TrainConfig | None = None) -> None:
-    """Versioned JSON container: dims, activations, row-major weights and the
-    training config used."""
-    cfg = None
-    if train_config is not None:
-        cfg = {"learning_rate": train_config.learning_rate, "epochs": train_config.epochs,
-               "batch_size": train_config.batch_size, "seed": train_config.seed,
-               "optimizer": train_config.optimizer, "shuffle": train_config.shuffle}
-    if isinstance(model, DenseNet):
-        doc = {
-            "format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": "dense",
-            "encoder_layers": model.encoder_layers,
-            "layers": [
-                {"activation": l.activation, "out": l.weights.shape[0],
-                 "in": l.weights.shape[1], "weights": l.weights.tolist(),
-                 "bias": l.bias.tolist()}
-                for l in model.layers
-            ],
-            "train_config": cfg,
-        }
-    elif isinstance(model, RecurrentModel):
-        doc = {
-            "format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": "lstm",
-            "hidden_size": model.hidden_size, "window": model.window,
-            "horizon": model.horizon,
-            "w": {g: model.w[g].tolist() for g in _GATES},
-            "b": {g: model.b[g].tolist() for g in _GATES},
-            "w_out": model.w_out.tolist(), "b_out": model.b_out.tolist(),
-            "in_lo": model.in_lo, "in_hi": model.in_hi,
-            "train_config": cfg,
-        }
-    elif isinstance(model, LinearModel):
-        doc = {
-            "format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": "linear",
-            "slope": model.slope, "intercept": model.intercept, "fit_mse": model.fit_mse,
-            "train_config": cfg,
-        }
-    else:
+    """Versioned JSON container: the model kind, its STORED fields (shape
+    fields, then the flat params vector in layout order) and the training
+    config used."""
+    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind,
+           "train_config": None if train_config is None else asdict(train_config)}
+    for name in model.STORED:
+        value = getattr(model, name)
+        doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -595,26 +594,10 @@ def load_model(path):
         raise ConfigError(f"{path}: not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise ConfigError(f"{path}: unsupported model version {doc.get('version')}")
-    kind = doc.get("kind")
-    if kind == "dense":
-        layers = [
-            DenseLayer(weights=np.asarray(l["weights"], dtype=float),
-                       bias=np.asarray(l["bias"], dtype=float),
-                       activation=l["activation"])
-            for l in doc["layers"]
-        ]
-        return DenseNet(layers=layers, encoder_layers=int(doc["encoder_layers"]))
-    if kind == "lstm":
-        return RecurrentModel(
-            hidden_size=int(doc["hidden_size"]), window=int(doc["window"]),
-            horizon=int(doc["horizon"]),
-            w={g: np.asarray(doc["w"][g], dtype=float) for g in _GATES},
-            b={g: np.asarray(doc["b"][g], dtype=float) for g in _GATES},
-            w_out=np.asarray(doc["w_out"], dtype=float),
-            b_out=np.asarray(doc["b_out"], dtype=float),
-            in_lo=float(doc["in_lo"]), in_hi=float(doc["in_hi"]),
-        )
-    if kind == "linear":
-        return LinearModel(slope=float(doc["slope"]), intercept=float(doc["intercept"]),
-                           fit_mse=float(doc["fit_mse"]))
-    raise ConfigError(f"{path}: unknown model kind {kind!r}")
+    cls = _MODEL_KINDS.get(doc.get("kind"))
+    if cls is None:
+        raise ConfigError(f"{path}: unknown model kind {doc.get('kind')!r}")
+    fields = {name: doc[name] for name in cls.STORED}
+    if "params" in fields:
+        fields["params"] = np.asarray(fields["params"], dtype=float)
+    return cls(**fields)

@@ -15,7 +15,6 @@ from loopsim.engines import (TrainConfig, linfit, mse_loss_and_grads, net_init,
                              rnn_init, rnn_loss_and_grads)
 from loopsim.scenarios import load_scenario_config, run_scenario
 
-from test_chain import run_agreement
 from test_engines import fd_gradient, flatten_params, max_rel_diff, rnn_params
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -78,21 +77,20 @@ def test_criterion_3_gradient_checks():
         net = net_init((8, 5, 3, 5, 8), ("elu", "linear", "elu", "sigmoid"), seed)
         rng = np.random.Generator(np.random.PCG64(1000 + seed))
         x = rng.uniform(0, 1, size=(4, 8))
-        _, grads = mse_loss_and_grads(net, x, x)
+        _, grad = mse_loss_and_grads(net, x, x)
         numeric = fd_gradient(lambda: mse_loss_and_grads(net, x, x)[0],
                               flatten_params(net))
-        worst_dense = max(worst_dense,
-                          max_rel_diff([g for p in grads for g in p], numeric))
+        worst_dense = max(worst_dense, max_rel_diff([grad], numeric))
     worst_rnn = 0.0
     for seed in range(10):
         model = rnn_init(hidden_size=4, window=6, horizon=1, seed=seed)
         rng = np.random.Generator(np.random.PCG64(2000 + seed))
         x = rng.uniform(0, 1, size=(3, 6))
         y = rng.uniform(0, 1, size=(3, 1))
-        _, grads = rnn_loss_and_grads(model, x, y)
+        _, grad = rnn_loss_and_grads(model, x, y)
         numeric = fd_gradient(lambda: rnn_loss_and_grads(model, x, y)[0],
                               rnn_params(model))
-        worst_rnn = max(worst_rnn, max_rel_diff(grads, numeric))
+        worst_rnn = max(worst_rnn, max_rel_diff([grad], numeric))
     ok = worst_dense < 1e-4 and worst_rnn < 1e-3
     criterion(3, "gradient checks",
               ok, f"max rel diff vs central differences: dense {worst_dense:.2e} "
@@ -118,8 +116,8 @@ def test_criterion_5_predictor_utility(adaptive_runs):
                   f"10-minute horizon in {report.wall_clock_s:.1f}s")
 
 
-def test_criterion_6_embedding_oracle_agreement():
-    agree, disagreements, ratios = run_agreement(range(200))
+def test_criterion_6_embedding_oracle_agreement(embed_agreement):
+    agree, disagreements, ratios = embed_agreement
     within = sum(1 for r in ratios if r <= 1.5)
     share = within / len(ratios)
     outliers = [round(r, 2) for r in ratios if r > 1.5]

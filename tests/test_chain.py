@@ -358,8 +358,8 @@ def run_agreement(seeds):
     return agree, disagreements, ratios
 
 
-def test_embed_agrees_with_bruteforce_on_200_seeded_instances():
-    agree, disagreements, ratios = run_agreement(range(200))
+def test_embed_agrees_with_bruteforce_on_200_seeded_instances(embed_agreement):
+    agree, disagreements, ratios = embed_agreement
     assert agree == 200, f"feasibility disagreements on seeds: {disagreements}"
     assert len(ratios) > 40, "instance family should contain plenty of feasible cases"
     within = sum(1 for r in ratios if r <= 1.5)

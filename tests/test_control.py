@@ -1,5 +1,7 @@
 """Orchestrator: lifecycle, ticking, conflicts, arbitration, sandbox, runs."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -538,8 +540,8 @@ def test_fcaps_export(tmp_path):
     path = tmp_path / "fcaps.csv"
     orch.export_fcaps_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("instance,state,")
-    assert lines[1].startswith("watcher,running,0,1,5,0,0")
+    assert lines[0] == "instance,state,fault,config,accounting,performance"
+    assert lines[1] == "watcher,running,0,1,5,0"
 
 
 def test_tier_scheduler_rejects_slow_children():
@@ -556,3 +558,18 @@ def test_trace_csv_roundtrip_shape(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "time_ms,tier,chain,event,summary,verdict"
     assert len(lines) == len(orch.trace.events) + 1
+
+
+def test_trace_csv_fields_read_back_exactly(tmp_path):
+    orch = make_orchestrator(sandbox=False)
+    orch.instantiate(analysis_chain())
+    orch.run(duration_ms=3000)
+    orch.trace.add(3000, "edge", "watcher", "reject", 'says "no", then stops', "a,b")
+    assert any("," in e.summary for e in orch.trace.events[:-1])
+    path = tmp_path / "trace.csv"
+    orch.trace.to_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["time_ms", "tier", "chain", "event", "summary", "verdict"]
+    assert rows[1:] == [[str(e.t_ms), e.tier, e.chain, e.kind, e.summary, e.verdict]
+                        for e in orch.trace.events]

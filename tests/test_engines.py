@@ -12,6 +12,7 @@ from loopsim.engines import (DegenerateFitError, LinearModel, TrainConfig,
                              make_windows, mse_loss_and_grads, net_init,
                              relative_error_distribution, rnn_init, rnn_loss_and_grads,
                              rnn_predict, rnn_train, save_model, sigmoid)
+from loopsim.errors import ConfigError
 
 SMALL_WIDTHS = (8, 5, 3, 5, 8)
 SMALL_ACTS = ("elu", "linear", "elu", "sigmoid")
@@ -69,6 +70,17 @@ def test_zero_weight_model_outputs_half():
         layer.bias[:] = 0.0
     out = ae_forward(net, np.zeros(111))
     assert np.all(out == 0.5)
+
+
+def test_sigmoid_matches_logistic_without_warnings():
+    x = np.linspace(-750.0, 750.0, 300001)
+    with np.errstate(over="ignore"):
+        reference = 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(all="raise"):
+        out = sigmoid(x)
+        edges = sigmoid(np.array([-np.inf, 0.0, np.inf]))
+    assert np.max(np.abs(out - reference)) <= 2.3e-16
+    assert edges.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_forward_output_in_open_unit_interval():
@@ -195,10 +207,7 @@ def test_rnn_divergence_reports_epoch():
 
 
 def flatten_params(net):
-    out = []
-    for layer in net.layers:
-        out.extend((layer.weights, layer.bias))
-    return out
+    return [net.params]
 
 
 def fd_gradient(loss_fn, params, h=1e-5):
@@ -234,10 +243,9 @@ def test_dense_gradients_match_finite_differences(seed):
     net = net_init(SMALL_WIDTHS, SMALL_ACTS, seed=seed)
     rng = np.random.Generator(np.random.PCG64(100 + seed))
     x = rng.uniform(0, 1, size=(4, 8))
-    _, grads = mse_loss_and_grads(net, x, x)
-    flat = [g for pair in grads for g in pair]
+    _, grad = mse_loss_and_grads(net, x, x)
     numeric = fd_gradient(lambda: mse_loss_and_grads(net, x, x)[0], flatten_params(net))
-    assert max_rel_diff(flat, numeric) < 1e-4
+    assert max_rel_diff([grad], numeric) < 1e-4
 
 
 def test_training_monotonicity_sgd():
@@ -390,7 +398,23 @@ def test_rnn_sinusoid_beats_persistence_horizon_one():
 
 
 def rnn_params(model):
-    return model._params()
+    return [model.params]
+
+
+def test_rnn_init_matches_per_gate_glorot_draws():
+    hidden, horizon = 5, 3
+    model = rnn_init(hidden, window=7, horizon=horizon, seed=11)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11)))
+    gate_limit = math.sqrt(6.0 / (1 + 2 * hidden))
+    gates = [rng.uniform(-gate_limit, gate_limit, size=(hidden, 1 + hidden))
+             for _ in ("input", "forget", "output", "cell")]
+    out_limit = math.sqrt(6.0 / (hidden + horizon))
+    w_out = rng.uniform(-out_limit, out_limit, size=(horizon, hidden))
+    bias = np.concatenate([np.zeros(hidden), np.ones(hidden), np.zeros(2 * hidden)])
+    expected = np.concatenate([np.vstack(gates).ravel(), bias, w_out.ravel(),
+                               np.zeros(horizon)])
+    assert model.params.tobytes() == expected.tobytes()
+    assert model.w[hidden:2 * hidden].tobytes() == gates[1].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -399,9 +423,9 @@ def test_rnn_gradients_match_finite_differences(seed):
     rng = np.random.Generator(np.random.PCG64(200 + seed))
     x = rng.uniform(0, 1, size=(3, 6))
     y = rng.uniform(0, 1, size=(3, 1))
-    _, grads = rnn_loss_and_grads(model, x, y)
+    _, grad = rnn_loss_and_grads(model, x, y)
     numeric = fd_gradient(lambda: rnn_loss_and_grads(model, x, y)[0], rnn_params(model))
-    assert max_rel_diff(grads, numeric) < 1e-3
+    assert max_rel_diff([grad], numeric) < 1e-3
 
 
 def test_rnn_insufficient_data():
@@ -448,6 +472,30 @@ def test_linear_model_roundtrip(tmp_path):
     path = tmp_path / "lin.json"
     save_model(model, path)
     assert load_model(path) == model
+
+
+@pytest.mark.parametrize("make", [lambda: net_init(SMALL_WIDTHS, SMALL_ACTS, seed=4),
+                                  lambda: rnn_init(4, 6, 2, seed=4)],
+                         ids=["dense", "lstm"])
+def test_model_roundtrip_is_bitwise(tmp_path, make):
+    model = make()
+    rng = np.random.Generator(np.random.PCG64(9))
+    model.params[:] = rng.normal(0, 1, size=model.params.size) / 3.0
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert type(back) is type(model)
+    assert back.params.tobytes() == model.params.tobytes()
+    for name in model.STORED:
+        if name != "params":
+            assert getattr(back, name) == getattr(model, name)
+
+
+def test_version_1_model_file_refused(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text('{"format": "loopsim-model", "version": 1, "kind": "lstm"}')
+    with pytest.raises(ConfigError, match="version 1"):
+        load_model(path)
 
 
 def test_unversioned_file_rejected(tmp_path):
