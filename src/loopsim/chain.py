@@ -246,18 +246,6 @@ def _edge_requirements(chain: LoopChain):
     return {(a, b): chain.step(b).qos for a, b in chain.edges}
 
 
-class _PathCache:
-    def __init__(self, state: Topology):
-        self.state = state
-        self.cache: dict[tuple[str, str], PathMetrics] = {}
-
-    def get(self, src: str, dst: str) -> PathMetrics:
-        key = (src, dst)
-        if key not in self.cache:
-            self.cache[key] = sdi.path_metrics(self.state, src, dst)
-        return self.cache[key]
-
-
 def _path_feasible(pm: PathMetrics, qos: QosRequirements, link_pending: dict,
                    local_pending: dict, state: Topology) -> str | None:
     """Check one inbound path against QoS, counting bandwidth already claimed
@@ -315,7 +303,6 @@ def embed(chain: LoopChain, state: Topology, owner: str | None = None,
         backtrack_budget = len(order) * max(1, len(state.compute_nodes())) ** 2
     owner = owner or chain.id
     edge_qos = _edge_requirements(chain)
-    paths = _PathCache(state)
     candidates = state.compute_nodes()
 
     assignment: dict[str, str] = {}
@@ -352,7 +339,7 @@ def embed(chain: LoopChain, state: Topology, owner: str | None = None,
             violated = None
             local_pending: dict[tuple[str, str], int] = {}
             for p in preds:
-                pm = paths.get(assignment[p], node_id)
+                pm = sdi.path_metrics(state, assignment[p], node_id)
                 violated = _path_feasible(pm, edge_qos[(p, step_name)], link_pending,
                                           local_pending, state)
                 if violated:
@@ -376,7 +363,7 @@ def embed(chain: LoopChain, state: Topology, owner: str | None = None,
                 continue
             qos = edge_qos[(p, step_name)]
             if qos.min_bandwidth > 0:
-                pm = paths.get(assignment[p], node_id)
+                pm = sdi.path_metrics(state, assignment[p], node_id)
                 for a, b in zip(pm.path, pm.path[1:]):
                     key = tuple(sorted((a, b)))
                     link_pending[key] = link_pending.get(key, 0) + qos.min_bandwidth
@@ -390,7 +377,7 @@ def embed(chain: LoopChain, state: Topology, owner: str | None = None,
                 continue
             qos = edge_qos[(p, step_name)]
             if qos.min_bandwidth > 0:
-                pm = paths.get(assignment[p], node_id)
+                pm = sdi.path_metrics(state, assignment[p], node_id)
                 for a, b in zip(pm.path, pm.path[1:]):
                     key = tuple(sorted((a, b)))
                     link_pending[key] = link_pending[key] - qos.min_bandwidth
@@ -434,24 +421,23 @@ def embed(chain: LoopChain, state: Topology, owner: str | None = None,
     assignment = best
 
     # Commit: validated against residuals above, so none of these can fail.
+    # Edge metrics are read before any bandwidth is reserved, as the search
+    # saw them.
+    achieved = {(a, b): sdi.path_metrics(state, assignment[a], assignment[b])
+                for a, b in sorted(chain.edges)}
     alloc_ids: list[str] = []
     for step_name in order:
         step = chain.step(step_name)
         if not step.qos.demand.is_zero():
             alloc_ids.append(sdi.allocate(state, assignment[step_name], step.qos.demand, owner).id)
-    edge_paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    achieved: dict[tuple[str, str], PathMetrics] = {}
-    total = 0.0
-    for a, b in sorted(chain.edges):
-        pm = paths.get(assignment[a], assignment[b])
-        edge_paths[(a, b)] = pm.path
-        achieved[(a, b)] = pm
-        total += pm.latency_ms
-        qos = edge_qos[(a, b)]
+    for edge, pm in achieved.items():
+        qos = edge_qos[edge]
         if qos.min_bandwidth > 0:
             for x, y in zip(pm.path, pm.path[1:]):
                 alloc_ids.append(
                     sdi.reserve_bandwidth(state, x, y, qos.min_bandwidth, owner).id)
+    edge_paths = {edge: pm.path for edge, pm in achieved.items()}
+    total = sum((pm.latency_ms for pm in achieved.values()), 0.0)
     return Embedding(chain_id=chain.id, assignment=dict(assignment), paths=edge_paths,
                      qos_achieved=achieved, total_latency_ms=total,
                      allocation_ids=tuple(alloc_ids))
@@ -474,7 +460,6 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
         raise InstanceTooLargeError(
             f"{len(candidates)}^{len(order)} assignments exceed the {limit} limit")
     edge_qos = _edge_requirements(chain)
-    paths = _PathCache(state)
 
     best: tuple[float, tuple[str, ...]] | None = None
     best_detail = None
@@ -503,7 +488,7 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
         link_demand: dict[tuple[str, str], int] = {}
         total = 0.0
         for a, b in chain.edges:
-            pm = paths.get(assignment[a], assignment[b])
+            pm = sdi.path_metrics(state, assignment[a], assignment[b])
             qos = edge_qos[(a, b)]
             if pm.latency_ms > qos.max_latency_ms:
                 ok = False
@@ -525,7 +510,7 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
             edge_paths = {}
             achieved = {}
             for a, b in sorted(chain.edges):
-                pm = paths.get(assignment[a], assignment[b])
+                pm = sdi.path_metrics(state, assignment[a], assignment[b])
                 edge_paths[(a, b)] = pm.path
                 achieved[(a, b)] = pm
             best_detail = (dict(assignment), edge_paths, achieved)

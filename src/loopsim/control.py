@@ -9,7 +9,6 @@ capacity-checked; an event trace records the whole run deterministically.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass, field, replace
@@ -17,8 +16,8 @@ from enum import Enum
 
 from .errors import ConfigError, SimError
 from . import sdi
-from .chain import (ActionProposal, ChainValidationError, Embedding, LoopChain, StepKind,
-                    _topological_order, embed, validate_chain)
+from .chain import (ActionProposal, ChainValidationError, Embedding, LoopChain, LoopStep,
+                    StepKind, _topological_order, embed, validate_chain)
 from .sdi import TIER_DEPTH, CapacityError, ResourceVector, Tier, Topology
 
 
@@ -70,6 +69,9 @@ class LoopInstance:
     state: InstanceState
     tick_period_ms: int
     tier: Tier
+    # The chain's steps in tick order, each with its predecessors' names
+    # (see _schedule); recomputed whenever `chain` is replaced.
+    schedule: tuple[tuple[LoopStep, tuple[str, ...]], ...]
     services: dict = field(default_factory=dict)
     knowledge: list = field(default_factory=list)
     action_log: list[ActionLogEntry] = field(default_factory=list)
@@ -299,6 +301,13 @@ class EventTrace:
 # Orchestrator
 # ---------------------------------------------------------------------------
 
+def _schedule(chain: LoopChain) -> tuple[tuple[LoopStep, tuple[str, ...]], ...]:
+    """Steps in topological order (declaration order if the graph has no
+    order), each paired with the names of its predecessors."""
+    names = _topological_order(chain) or [s.name for s in chain.steps]
+    return tuple((chain.step(n), tuple(chain.predecessors(n))) for n in names)
+
+
 @dataclass
 class StepContext:
     """What a step function sees: the shared clock, read access to the live
@@ -359,14 +368,14 @@ class Orchestrator:
         if not report.ok:
             raise ChainValidationError(f"chain {chain.id}: " + "; ".join(report.errors))
         embedding = embed(chain, self.state, owner=chain.id)
-        order = _topological_order(chain)
-        first_node = embedding.assignment[order[0]] if order else None
+        schedule = _schedule(chain)
+        first_node = embedding.assignment[schedule[0][0].name] if schedule else None
         tier = self.state.nodes[first_node].tier if first_node else Tier.CORE
         period = chain.tick_period_ms or self.scheduler.period_for(tier)
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
             state=InstanceState.INSTANTIATED, tick_period_ms=period, tier=tier,
-            services=dict(services or {}),
+            schedule=schedule, services=dict(services or {}),
         )
         instance.fcaps.config += 1
         instance.state = InstanceState.RUNNING
@@ -447,6 +456,7 @@ class Orchestrator:
             sdi.release(self.state, aid)
         embedding = embed(scaled, self.state, owner=chain.id)
         instance.chain = scaled
+        instance.schedule = _schedule(scaled)
         instance.embedding = embedding
         instance.state = InstanceState.RUNNING
         instance.fcaps.config += 1
@@ -470,8 +480,8 @@ class Orchestrator:
     def tick(self, instance_id: str, t_ms: int) -> list[ActionProposal]:
         """Run Monitor -> Analyze -> Plan (skipping Execute: applying actions
         is the orchestrator's decision) and feed the Knowledge step. A step
-        fault aborts the tick, bumps the fault counter and yields no
-        proposals."""
+        fault aborts the tick, bumps the fault counter, traces the exception
+        type and message, and yields no proposals."""
         instance = self._get(instance_id)
         if instance.state != InstanceState.RUNNING:
             raise LifecycleError(
@@ -480,18 +490,16 @@ class Orchestrator:
             raise TickAlignmentError(
                 f"t={t_ms}ms is not aligned to the {instance.tick_period_ms}ms tick period")
         chain = instance.chain
-        order = _topological_order(chain) or [s.name for s in chain.steps]
         outputs: dict[str, object] = {}
         proposals: list[ActionProposal] = []
         instance.fcaps.accounting += 1
-        for name in order:
-            step = chain.step(name)
+        for step, predecessors in instance.schedule:
             if step.kind == StepKind.EXECUTE:
                 continue
             fn = self.registry.resolve(step.function_ref)
             ctx = StepContext(
                 t_ms=t_ms, state=self.state, instance=instance,
-                inputs={p: outputs.get(p) for p in chain.predecessors(name)},
+                inputs={p: outputs.get(p) for p in predecessors},
                 params=step.params, services=instance.services,
             )
             try:
@@ -499,9 +507,10 @@ class Orchestrator:
             except Exception as exc:
                 instance.fcaps.fault += 1
                 self.trace.add(t_ms, instance.tier.value, chain.id, "fault",
-                               f"step {name} failed: {exc}", "fault")
+                               f"step {step.name} failed: {type(exc).__name__}: {exc}",
+                               "fault")
                 return []
-            outputs[name] = result
+            outputs[step.name] = result
             if step.kind == StepKind.PLAN and result:
                 for p in result:
                     if p.issued_by == "" or p.timestamp != t_ms:
@@ -532,15 +541,26 @@ class Orchestrator:
     def assert_capacity_invariant(self) -> None:
         """Recompute reservations from the allocation table and fail loudly if
         any node or link is oversubscribed."""
-        used_node: dict[str, ResourceVector] = {}
+        used_node: dict[str, list[int]] = {}  # [cpu, mem, storage, bandwidth]
         used_link: dict[tuple[str, str], int] = {}
         for alloc in self.state.allocations.values():
+            r = alloc.resources
             if alloc.node is not None:
-                used_node[alloc.node] = used_node.get(alloc.node, ResourceVector()) + alloc.resources
+                used = used_node.get(alloc.node)
+                if used is None:
+                    used_node[alloc.node] = [r.cpu, r.mem, r.storage, r.bandwidth]
+                else:
+                    used[0] += r.cpu
+                    used[1] += r.mem
+                    used[2] += r.storage
+                    used[3] += r.bandwidth
             else:
-                used_link[alloc.link] = used_link.get(alloc.link, 0) + alloc.resources.bandwidth
-        for node_id, used in used_node.items():
-            if not self.state.nodes[node_id].capacity.covers(used):
+                used_link[alloc.link] = used_link.get(alloc.link, 0) + r.bandwidth
+        for node_id, (cpu, mem, storage, bandwidth) in used_node.items():
+            node = self.state.nodes[node_id]
+            if (cpu > node.cpu_capacity or mem > node.mem_capacity
+                    or storage > node.storage_capacity or bandwidth > 0):
+                used = ResourceVector(cpu, mem, storage, bandwidth)
                 raise SafetyViolationError(f"node {node_id} oversubscribed: {used}")
         for key, used in used_link.items():
             if used > self.state.links[key].bandwidth:
@@ -598,14 +618,15 @@ class Orchestrator:
             conflict_window_ms=self.conflict_window_ms,
         )
         replica.clock_ms = self.clock_ms
+        # The replica only ticks, arbitrates and applies knobs: it never
+        # updates, scales or terminates an instance, and steps only read their
+        # services, so chain, embedding and services are shared.
         for iid, instance in self.instances.items():
             clone = LoopInstance(
-                id=instance.id, chain=copy.deepcopy(instance.chain),
-                embedding=copy.deepcopy(instance.embedding), state=instance.state,
-                tick_period_ms=instance.tick_period_ms, tier=instance.tier,
-                services=copy.deepcopy(instance.services),
-                knowledge=list(instance.knowledge),
-                fcaps=replace(instance.fcaps),
+                id=instance.id, chain=instance.chain, embedding=instance.embedding,
+                state=instance.state, tick_period_ms=instance.tick_period_ms,
+                tier=instance.tier, schedule=instance.schedule, services=instance.services,
+                knowledge=list(instance.knowledge), fcaps=replace(instance.fcaps),
             )
             replica.instances[iid] = clone
         return replica

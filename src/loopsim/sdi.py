@@ -2,8 +2,8 @@
 
 Multi-tier topology of compute nodes, forwarding-only switches and links,
 with integer resource accounting (millicores / MiB / Mb/s), latency-optimal
-path metrics, named knobs backed by reservations, and cloneable state for
-sandbox dry-runs.
+path metrics, named knobs backed by reservations, and cheaply cloneable state
+for sandbox dry-runs.
 
 Resource quantities are integers in fixed units so that conservation
 (residual + sum of allocations == capacity) holds exactly, with no float
@@ -13,7 +13,6 @@ path computation uniform.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -89,10 +88,18 @@ class ResourceVector:
                 raise ConfigError(f"resource {name} must be >= 0, got {v}")
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(*(getattr(self, c) + getattr(other, c) for c in RESOURCE_COMPONENTS))
+        return _vector(self.cpu + other.cpu, self.mem + other.mem,
+                       self.storage + other.storage, self.bandwidth + other.bandwidth)
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(*(getattr(self, c) - getattr(other, c) for c in RESOURCE_COMPONENTS))
+        cpu = self.cpu - other.cpu
+        mem = self.mem - other.mem
+        storage = self.storage - other.storage
+        bandwidth = self.bandwidth - other.bandwidth
+        if cpu < 0 or mem < 0 or storage < 0 or bandwidth < 0:
+            # The validating constructor raises, naming the first short component.
+            return ResourceVector(cpu, mem, storage, bandwidth)
+        return _vector(cpu, mem, storage, bandwidth)
 
     def covers(self, other: "ResourceVector") -> bool:
         return all(getattr(self, c) >= getattr(other, c) for c in RESOURCE_COMPONENTS)
@@ -106,6 +113,18 @@ class ResourceVector:
 
     def is_zero(self) -> bool:
         return all(getattr(self, c) == 0 for c in RESOURCE_COMPONENTS)
+
+
+def _vector(cpu: int, mem: int, storage: int, bandwidth: int) -> ResourceVector:
+    """ResourceVector without the per-field validation, for results of
+    arithmetic on already valid vectors (non-negative ints in, non-negative
+    ints out). A frozen dataclass keeps its fields in the instance dict."""
+    rv = object.__new__(ResourceVector)
+    rv.__dict__.update(cpu=cpu, mem=mem, storage=storage, bandwidth=bandwidth)
+    return rv
+
+
+_ZERO = ResourceVector()
 
 
 @dataclass(frozen=True)
@@ -128,7 +147,7 @@ class ComputeNode:
 
     @property
     def capacity(self) -> ResourceVector:
-        return ResourceVector(self.cpu_capacity, self.mem_capacity, self.storage_capacity, 0)
+        return _vector(self.cpu_capacity, self.mem_capacity, self.storage_capacity, 0)
 
 
 @dataclass(frozen=True)
@@ -169,7 +188,9 @@ class Allocation:
 class Topology:
     """Topology plus mutable allocation/knob state. Single-writer: callers
     mutate one Topology from one logical owner at a time; clones are
-    independent."""
+    independent. Links are fixed once build_topology returns (only their
+    residual bandwidth changes), so a topology and its clones share one
+    route table."""
 
     nodes: dict[str, ComputeNode]
     links: dict[tuple[str, str], Link]
@@ -179,10 +200,12 @@ class Topology:
     _used_node: dict[str, ResourceVector] = field(default_factory=dict)
     _used_link: dict[tuple[str, str], int] = field(default_factory=dict)
     _next_alloc: int = 1
+    _routes: "_RouteTable" = field(default_factory=lambda: _RouteTable(), init=False,
+                                   repr=False, compare=False)
 
     def node_residual(self, node_id: str) -> ResourceVector:
         node = self._node(node_id)
-        return node.capacity - self._used_node.get(node_id, ResourceVector())
+        return node.capacity - self._used_node.get(node_id, _ZERO)
 
     def link_residual(self, key: tuple[str, str]) -> int:
         if key not in self.links:
@@ -354,7 +377,7 @@ def allocate(state: Topology, node_id: str, resources: ResourceVector, owner: st
                        resources=resources, node=node_id)
     state._next_alloc += 1
     state.allocations[alloc.id] = alloc
-    state._used_node[node_id] = state._used_node.get(node_id, ResourceVector()) + resources
+    state._used_node[node_id] = state._used_node.get(node_id, _ZERO) + resources
     return alloc
 
 
@@ -420,7 +443,7 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float,
     Resource-backed knobs (parameter ending in .cpu.millicores /
     .mem.mebibytes / .storage.mebibytes) keep an allocation of that size on
     the node; raising one past the residual capacity raises CapacityError
-    and leaves the knob unchanged. Returns the previous value.
+    and leaves the state untouched. Returns the previous value.
     """
     state._node(node_id)
     key = (node_id, parameter)
@@ -432,18 +455,19 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float,
         backing_owner = owner or f"knob:{node_id}:{parameter}"
         old_ids = sorted(a for a, alloc in state.allocations.items()
                          if alloc.owner == backing_owner and alloc.node == node_id)
+        amount = int(math.ceil(value))
+        # Check before releasing the old backing, so that a refused knob
+        # keeps its allocation ids as well as its value.
+        free = getattr(state.node_residual(node_id), component) + sum(
+            getattr(state.allocations[aid].resources, component) for aid in old_ids)
+        if amount > free:
+            raise CapacityError(
+                component,
+                f"node {node_id}: insufficient {component} (requested {amount}, free {free})")
         for aid in old_ids:
             release(state, aid)
-        try:
-            amount = int(math.ceil(value))
-            if amount > 0:
-                allocate(state, node_id, ResourceVector(**{component: amount}), backing_owner)
-        except CapacityError:
-            # Restore the previous backing before propagating.
-            prev_amount = int(math.ceil(previous))
-            if prev_amount > 0:
-                allocate(state, node_id, ResourceVector(**{component: prev_amount}), backing_owner)
-            raise
+        if amount > 0:
+            allocate(state, node_id, ResourceVector(**{component: amount}), backing_owner)
     state.knobs[key] = float(value)
     return previous
 
@@ -466,42 +490,74 @@ def _adjacency(state: Topology) -> dict[str, list[tuple[str, Link]]]:
     return adj
 
 
+# One route: latency, node path, the path's link keys, and its reliability
+# (the product over the links, multiplied in path order).
+_Route = tuple[float, tuple[str, ...], tuple[tuple[str, str], ...], float]
+
+
+class _RouteTable:
+    """Minimum-latency routes of one link set, keyed by source and then
+    destination. The adjacency list is built on first use and each source's
+    routes on its first lookup, so nodes added before the first path query
+    are routed too."""
+
+    def __init__(self):
+        self._adjacency: dict[str, list[tuple[str, Link]]] | None = None
+        self._by_source: dict[str, dict[str, _Route]] = {}
+
+    def route(self, state: Topology, src: str, dst: str) -> _Route:
+        routes = self._by_source.get(src)
+        if routes is None:
+            if self._adjacency is None:
+                self._adjacency = _adjacency(state)
+            routes = self._by_source[src] = self._from_source(state, src)
+        try:
+            return routes[dst]
+        except KeyError:
+            raise UnreachableError(f"no path from {src!r} to {dst!r}") from None
+
+    def _from_source(self, state: Topology, src: str) -> dict[str, _Route]:
+        """Dijkstra over (latency, node path) pairs: the first pop of a node
+        is its route, so equal-latency paths resolve to the lexicographically
+        smallest node-id sequence."""
+        adj = self._adjacency
+        paths: dict[str, tuple[float, tuple[str, ...]]] = {}
+        heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+        while heap:
+            latency, path = heapq.heappop(heap)
+            node = path[-1]
+            if node in paths:
+                continue
+            paths[node] = (latency, path)
+            for nbr, link in adj.get(node, ()):
+                if nbr not in paths:
+                    heapq.heappush(heap, (latency + link.latency, path + (nbr,)))
+        routes: dict[str, _Route] = {}
+        for node, (latency, path) in paths.items():
+            keys = tuple(tuple(sorted(hop)) for hop in zip(path, path[1:]))
+            reliability = 1.0
+            for key in keys:
+                reliability *= state.links[key].reliability
+            routes[node] = (latency, path, keys, reliability)
+        return routes
+
+
 def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
     """Metrics of the minimum-latency path from src to dst.
 
     Latency is the sum of link latencies, bandwidth the minimum residual over
     the links, reliability the product over the links (independent-series
     model). Equal-latency paths resolve to the lexicographically smallest
-    node-id sequence, which makes replays deterministic.
+    node-id sequence, which makes replays deterministic. The path comes from
+    the topology's route table; only the residual bandwidth is read from the
+    current allocations.
     """
     state._node(src)
     state._node(dst)
     if src == dst:
         return PathMetrics(0.0, math.inf, 1.0, (src,))
-    adj = _adjacency(state)
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
-    done: set[str] = set()
-    while heap:
-        latency, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
-            continue
-        done.add(node)
-        if node == dst:
-            return _metrics_along(state, path, latency)
-        for nbr, link in adj[node]:
-            if nbr not in done:
-                heapq.heappush(heap, (latency + link.latency, path + (nbr,)))
-    raise UnreachableError(f"no path from {src!r} to {dst!r}")
-
-
-def _metrics_along(state: Topology, path: tuple[str, ...], latency: float) -> PathMetrics:
-    bandwidth = math.inf
-    reliability = 1.0
-    for a, b in zip(path, path[1:]):
-        key = tuple(sorted((a, b)))
-        bandwidth = min(bandwidth, state.link_residual(key))
-        reliability *= state.links[key].reliability
+    latency, path, keys, reliability = state._routes.route(state, src, dst)
+    bandwidth = min(state.links[key].bandwidth - state._used_link.get(key, 0) for key in keys)
     return PathMetrics(latency, bandwidth, reliability, path)
 
 
@@ -510,8 +566,16 @@ def _metrics_along(state: Topology, path: tuple[str, ...], latency: float) -> Pa
 # ---------------------------------------------------------------------------
 
 def clone_state(state: Topology) -> Topology:
-    """Deep, mutation-isolated copy of the full state."""
-    return copy.deepcopy(state)
+    """Mutation-isolated copy of the full state. The mutable containers
+    (nodes, links, switches, allocations, knobs, usage tables) are copied;
+    the frozen node, link, allocation and resource values inside them and
+    the route table are shared."""
+    clone = Topology(nodes=dict(state.nodes), links=dict(state.links),
+                     switches=set(state.switches), allocations=dict(state.allocations),
+                     knobs=dict(state.knobs), _used_node=dict(state._used_node),
+                     _used_link=dict(state._used_link), _next_alloc=state._next_alloc)
+    clone._routes = state._routes
+    return clone
 
 
 def serialize_state(state: Topology) -> str:
@@ -581,8 +645,7 @@ def deserialize_state(text: str) -> Topology:
                 raise TopologyError(f"allocation {alloc_id} oversubscribes node {target}")
             alloc = Allocation(id=alloc_id, owner=str(entry["owner"]),
                                resources=resources, node=target)
-            topo._used_node[target] = \
-                topo._used_node.get(target, ResourceVector()) + resources
+            topo._used_node[target] = topo._used_node.get(target, _ZERO) + resources
         else:
             a, _, b = target.partition("--")
             key = tuple(sorted((a, b)))

@@ -1,8 +1,19 @@
-"""Fixtures shared across test modules."""
+"""Fixtures shared across test modules, and the hypothesis profiles.
+
+`HYPOTHESIS_PROFILE=ci` selects derandomized example generation (every run
+draws the same examples, so a test cannot flake) that prints the blob to
+reproduce any failure; without it the default profile applies.
+"""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 from test_chain import run_agreement
+
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

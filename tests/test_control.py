@@ -236,6 +236,18 @@ def test_tick_fault_counts_and_yields_nothing():
     assert orch.instances["watcher"].knowledge == []
 
 
+def test_tick_fault_traces_exception_type():
+    orch = make_orchestrator()
+    orch.registry.register("plan.broken", lambda ctx: ctx.params["node"])
+    chain = setpoint_chain("up", 1, 3000.0)
+    chain.steps[1] = LoopStep("push", StepKind.PLAN, "plan.broken", QosRequirements(cpu=50))
+    orch.instantiate(chain)
+    assert orch.tick("up", 0) == []
+    faults = [(e.summary, e.verdict) for e in orch.trace.events if e.kind == "fault"]
+    assert faults == [("step push failed: KeyError: 'node'", "fault")]
+    assert orch.instances["up"].fcaps.fault == 1
+
+
 def test_tick_alignment_enforced():
     orch = make_orchestrator()
     orch.instantiate(analysis_chain(period=1000))

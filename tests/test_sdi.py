@@ -337,6 +337,68 @@ def test_clone_preserves_allocation_sums():
     assert len(clone.allocations) == 5
 
 
+_MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["allocate", "release", "knob", "bandwidth"]),
+    st.sampled_from(["a", "b", "c"]),
+    st.integers(0, 3000)), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutate_original=st.booleans(), mutations=_MUTATIONS)
+def test_clone_of_clone_isolated_from_mutations_on_either_side(mutate_original, mutations):
+    topo = build_topology(small_spec())
+    allocate(topo, "a", ResourceVector(cpu=100, storage=10), "me")
+    reserve_bandwidth(topo, "a", "b", 30, "me")
+    set_knob(topo, "b", "vnf.cpu.millicores", 250.0)
+    before = serialize_state(topo)
+    first = clone_state(topo)
+    second = clone_state(first)
+    target, untouched = (topo, first) if mutate_original else (first, topo)
+    for op, node, amount in mutations:
+        try:
+            if op == "allocate":
+                allocate(target, node, ResourceVector(cpu=amount), "x")
+            elif op == "release" and target.allocations:
+                release(target, min(target.allocations))
+            elif op == "knob":
+                set_knob(target, node, "vnf.cpu.millicores", float(amount))
+            elif op == "bandwidth":
+                reserve_bandwidth(target, "b", "c", amount // 100, "x")
+        except CapacityError:
+            pass
+    assert serialize_state(second) == before
+    assert serialize_state(untouched) == before
+    fresh = sdi.deserialize_state(serialize_state(target))
+    for src in target.nodes:
+        for dst in target.nodes:
+            assert path_metrics(target, src, dst) == path_metrics(fresh, src, dst)
+
+
+# ---------------------------------------------------------------------------
+# ResourceVector arithmetic
+# ---------------------------------------------------------------------------
+
+_VECTORS = st.builds(ResourceVector, *[st.integers(0, 10 ** 6)] * 4)
+
+
+@given(a=_VECTORS, b=_VECTORS)
+def test_vector_arithmetic_matches_validated_constructor(a, b):
+    fields = sdi.RESOURCE_COMPONENTS
+    total = a + b
+    expected = ResourceVector(*(getattr(a, c) + getattr(b, c) for c in fields))
+    assert total == expected and hash(total) == hash(expected)
+    assert repr(total) == repr(expected)
+    diffs = [getattr(a, c) - getattr(b, c) for c in fields]
+    short = next((c for c, d in zip(fields, diffs) if d < 0), None)
+    if short is None:
+        difference = a - b
+        assert difference == ResourceVector(*diffs)
+        assert repr(difference) == repr(ResourceVector(*diffs))
+    else:
+        with pytest.raises(ConfigError, match=f"^resource {short} must be >= 0"):
+            a - b
+
+
 # ---------------------------------------------------------------------------
 # knobs
 # ---------------------------------------------------------------------------
@@ -356,6 +418,16 @@ def test_knob_over_capacity_keeps_previous_value():
         set_knob(topo, "c", "vnf.cpu.millicores", 5000.0)
     assert sdi.get_knob(topo, "c", "vnf.cpu.millicores") == 800.0
     assert topo.node_residual("c").cpu == 200
+
+
+def test_refused_knob_leaves_state_bitwise_identical():
+    topo = build_topology(small_spec())
+    set_knob(topo, "c", "vnf.cpu.millicores", 800.0)
+    allocate(topo, "c", ResourceVector(cpu=100), "other")
+    before = serialize_state(topo)
+    with pytest.raises(CapacityError, match=r"insufficient cpu \(requested 901, free 900\)"):
+        set_knob(topo, "c", "vnf.cpu.millicores", 900.5)
+    assert serialize_state(topo) == before
 
 
 def test_non_resource_knob_reserves_nothing():
