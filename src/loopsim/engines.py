@@ -441,6 +441,9 @@ class RecurrentModel:
     b: np.ndarray = field(init=False, repr=False)  # (4 * hidden,)
     w_out: np.ndarray = field(init=False, repr=False)  # (horizon, hidden)
     b_out: np.ndarray = field(init=False, repr=False)  # (horizon,)
+    # The kernel's working arrays, one _LstmWork per (window, batch) shape.
+    # Not serialized. Calls on one model must not run concurrently.
+    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1 or self.window < 1 or self.hidden_size < 1:
@@ -463,29 +466,62 @@ def rnn_init(hidden_size: int, window: int, horizon: int, seed: int) -> Recurren
     return model
 
 
-def _rnn_forward(model: RecurrentModel, x: np.ndarray):
-    """x: (batch, window) normalized. Returns (y, cache) with y (batch, horizon).
+class _LstmWork:
+    """The kernel's working arrays for one (window, batch) shape, feature
+    major so that each gate is one contiguous (H, batch) block.
 
-    The cache holds, per timestep, the gate input u = [x_t, h], the gate
-    activations (sigmoid for input/forget/output, tanh for cell) and the
-    cell state; c[t + 1] is the state after step t."""
+    u[t] = [x_t; h] (1 + H, batch) is the gate input of step t, and step t
+    writes its h into u[t + 1, 1:]; gates[t] (4H, batch) holds the gate
+    activations (sigmoid for input/forget/output, tanh for cell) until the
+    backward pass overwrites it with the pre-activation gradient; c[t + 1]
+    is the cell state after step t and tc[t] its tanh. u[0, 1:] and c[0]
+    stay zero. The rest is scratch for one step or for the final sums."""
+
+    def __init__(self, hid: int, steps: int, batch: int):
+        self.u = np.zeros((steps + 1, 1 + hid, batch))
+        self.gates = np.empty((steps, 4 * hid, batch))
+        self.c = np.zeros((steps + 1, hid, batch))
+        self.tc = np.empty((steps, hid, batch))
+        self.bias = np.empty((4 * hid, batch))
+        self.dh = np.empty((hid, batch))
+        self.dc = np.empty((2, hid, batch))
+        self.tmp = np.empty((2, hid, batch))
+        self.prod = np.empty((3 * hid, batch))
+        self.fac = np.empty((3 * hid, batch))
+        self.g_w = np.empty((steps, 4 * hid, 1 + hid))
+        self.ones = np.ones(batch)
+
+
+def _rnn_forward(model: RecurrentModel, x: np.ndarray):
+    """x: (batch, window) normalized. Returns (y, work) with y (batch, horizon)
+    and work the model's _LstmWork for this shape, filled for the backward
+    pass."""
     batch, steps = x.shape
     hid = model.hidden_size
-    u = np.empty((steps, batch, 1 + hid))
-    u[:, :, 0] = x.T
-    gates = np.empty((steps, batch, 4 * hid))
-    c = np.zeros((steps + 1, batch, hid))
-    h = np.zeros((batch, hid))
+    work = model._work.get((steps, batch))
+    if work is None:
+        work = model._work[(steps, batch)] = _LstmWork(hid, steps, batch)
+    u, c, tc, bias, tmp = work.u, work.c, work.tc, work.bias, work.tmp[0]
+    u[:steps, 0] = x.T
+    bias[:] = model.b[:, None]
     for t in range(steps):
-        u[t, :, 1:] = h
-        z = u[t] @ model.w.T + model.b
-        g = gates[t]
-        g[:, :3 * hid] = sigmoid(z[:, :3 * hid])
-        g[:, 3 * hid:] = np.tanh(z[:, 3 * hid:])
-        c[t + 1] = g[:, hid:2 * hid] * c[t] + g[:, :hid] * g[:, 3 * hid:]
-        h = g[:, 2 * hid:3 * hid] * np.tanh(c[t + 1])
-    y = h @ model.w_out.T + model.b_out
-    return y, (u, gates, c, h)
+        g = work.gates[t]
+        np.matmul(model.w, u[t], out=g)
+        g += bias
+        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) on the first 3H rows
+        sig = g[:3 * hid]
+        sig *= 0.5
+        np.tanh(g, out=g)
+        sig += 1.0
+        sig *= 0.5
+        c_next, tc_t = c[t + 1], tc[t]
+        np.multiply(g[hid:2 * hid], c[t], out=c_next)
+        np.multiply(g[:hid], g[3 * hid:], out=tmp)
+        c_next += tmp
+        np.tanh(c_next, out=tc_t)
+        np.multiply(g[2 * hid:3 * hid], tc_t, out=u[t + 1, 1:])
+    y = u[steps, 1:].T @ model.w_out.T + model.b_out
+    return y, work
 
 
 def rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray):
@@ -493,32 +529,56 @@ def rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray)
     model.params, with full backpropagation through the unrolled window
     (truncation length = window length)."""
     hid = model.hidden_size
+    steps = x.shape[1]
     grad = np.empty_like(model.params)
     g_w, g_b, g_wout, g_bout = _views(grad, model.shapes())
     with np.errstate(over="ignore", invalid="ignore"):
-        y, (u, gates, c, h_last) = _rnn_forward(model, x)
+        y, work = _rnn_forward(model, x)
+        u, c, tc, dh, prod, fac = work.u, work.c, work.tc, work.dh, work.prod, work.fac
+        tmp, sq = work.tmp
+        p_i, p_f, p_o = prod[:hid], prod[hid:2 * hid], prod[2 * hid:]
         diff = y - target
         loss = float(np.mean(diff * diff))
         dy = 2.0 * diff / diff.size
-        g_wout[:] = dy.T @ h_last
+        g_wout[:] = dy.T @ u[steps, 1:].T
         g_bout[:] = dy.sum(axis=0)
-        w_h = np.ascontiguousarray(model.w[:, 1:])
-        dz = np.empty_like(gates)
-        dh = dy @ model.w_out
-        dc = np.zeros_like(dh)
-        for t in range(x.shape[1] - 1, -1, -1):
-            g = gates[t]
-            sig, gi, gf, go, gc = (g[:, :3 * hid], g[:, :hid], g[:, hid:2 * hid],
-                                   g[:, 2 * hid:3 * hid], g[:, 3 * hid:])
-            tc = np.tanh(c[t + 1])
-            do = dh * tc
-            dc = dc + dh * go * (1.0 - tc * tc)
-            dz[t, :, :3 * hid] = np.concatenate((dc * gc, dc * c[t], do), axis=1) * sig * (1.0 - sig)
-            dz[t, :, 3 * hid:] = dc * gi * (1.0 - gc * gc)
-            dh = dz[t] @ w_h
-            dc = dc * gf
-        g_w[:] = dz.reshape(-1, 4 * hid).T @ u.reshape(-1, 1 + hid)
-        g_b[:] = dz.sum(axis=(0, 1))
+        w_h = np.ascontiguousarray(model.w[:, 1:].T)
+        np.matmul(model.w_out.T, dy.T, out=dh)
+        dc, dc_next = work.dc
+        dc.fill(0.0)
+        # Step t overwrites gates[t] with dz[t], the gradient of the gate
+        # pre-activations, once it has read the activations it needs:
+        #   dc += dh * o * (1 - tanh(c)^2)
+        #   dz_i = dc * g * i * (1 - i)     dz_f = dc * c_prev * f * (1 - f)
+        #   dz_o = dh * tanh(c) * o * (1 - o)     dz_g = dc * i * (1 - g^2)
+        # multiplied left to right, then dc *= f and dh = w[:, 1:]^T dz.
+        for t in range(steps - 1, -1, -1):
+            g = work.gates[t]
+            sig, gi, gf, go, gc = (g[:3 * hid], g[:hid], g[hid:2 * hid],
+                                   g[2 * hid:3 * hid], g[3 * hid:])
+            tc_t = tc[t]
+            np.subtract(1.0, sig, out=fac)
+            np.multiply(dh, go, out=tmp)
+            np.multiply(tc_t, tc_t, out=sq)
+            np.subtract(1.0, sq, out=sq)
+            tmp *= sq
+            dc += tmp
+            np.multiply(dc, gc, out=p_i)
+            np.multiply(dc, c[t], out=p_f)
+            np.multiply(dh, tc_t, out=p_o)
+            np.multiply(gc, gc, out=sq)
+            np.subtract(1.0, sq, out=sq)
+            np.multiply(dc, gi, out=gc)
+            gc *= sq
+            np.multiply(dc, gf, out=dc_next)
+            sig *= prod
+            sig *= fac
+            np.matmul(w_h, g, out=dh)
+            dc, dc_next = dc_next, dc
+        dz = work.gates
+        np.matmul(dz, u[:steps].transpose(0, 2, 1), out=work.g_w)
+        work.g_w.sum(axis=0, out=g_w)
+        g_b[:] = (dz @ work.ones).sum(axis=0)
     return loss, grad
 
 

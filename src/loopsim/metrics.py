@@ -376,11 +376,8 @@ def build_metric_catalog(topology: Topology, seed: int, latent_dim: int = 5) -> 
     )
 
 
-def scrape(state: Topology, workload_value: float, catalog: MetricCatalog,
-           t: float) -> MetricFrame:
-    """One frame of every catalog metric at time t. Pure: equal arguments
-    always return equal frames (noise is a seeded function of (catalog, t))."""
-    load = float(workload_value) / WORKLOAD_REF
+def _alloc_fraction(state: Topology, catalog: MetricCatalog) -> np.ndarray:
+    """Per metric, the CPU share allocated on the metric's node."""
     alloc_frac = np.zeros(catalog.width)
     frac_cache: dict[str, float] = {}
     for i, node_id in enumerate(catalog.scope_node):
@@ -392,7 +389,12 @@ def scrape(state: Topology, workload_value: float, catalog: MetricCatalog,
             else:
                 frac_cache[node_id] = 0.0
         alloc_frac[i] = frac_cache[node_id]
+    return alloc_frac
 
+
+def _frame_values(alloc_frac: np.ndarray, workload_value: float, catalog: MetricCatalog,
+                  t: float) -> np.ndarray:
+    load = float(workload_value) / WORKLOAD_REF
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((catalog.seed, 0x5C4A9E, int(round(t * 1000))))))
     z = rng.standard_normal(catalog.latent_dim)
@@ -406,14 +408,24 @@ def scrape(state: Topology, workload_value: float, catalog: MetricCatalog,
     values = np.maximum(values, 0.0)
     capped = ~np.isnan(catalog.cap)
     values[capped] = np.minimum(values[capped], catalog.cap[capped])
+    return values
+
+
+def scrape(state: Topology, workload_value: float, catalog: MetricCatalog,
+           t: float) -> MetricFrame:
+    """One frame of every catalog metric at time t. Pure: equal arguments
+    always return equal frames (noise is a seeded function of (catalog, t))."""
+    values = _frame_values(_alloc_fraction(state, catalog), workload_value, catalog, t)
     return MetricFrame(timestamp=float(t), values=values)
 
 
 def scrape_series(state: Topology, workload: TimeSeries, catalog: MetricCatalog) -> Dataset:
-    """Scrape one frame per workload sample into a dataset."""
+    """Scrape one frame per workload sample into a dataset. The state does
+    not change within the series, so its allocation fractions are read once."""
+    alloc_frac = _alloc_fraction(state, catalog)
     rows = np.empty((len(workload.values), catalog.width))
     for i, (t, w) in enumerate(zip(workload.t, workload.values)):
-        rows[i] = scrape(state, w, catalog, t).values
+        rows[i] = _frame_values(alloc_frac, w, catalog, t)
     return Dataset(names=catalog.names, t=workload.t.copy(), values=rows)
 
 

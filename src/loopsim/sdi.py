@@ -200,6 +200,10 @@ class Topology:
     _used_node: dict[str, ResourceVector] = field(default_factory=dict)
     _used_link: dict[tuple[str, str], int] = field(default_factory=dict)
     _next_alloc: int = 1
+    # (owner, node) -> ids of that owner's allocations on that node; tuples,
+    # so that clones can share them.
+    _owned: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict, repr=False,
+                                                           compare=False)
     _routes: "_RouteTable" = field(default_factory=lambda: _RouteTable(), init=False,
                                    repr=False, compare=False)
 
@@ -376,7 +380,7 @@ def allocate(state: Topology, node_id: str, resources: ResourceVector, owner: st
     alloc = Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
                        resources=resources, node=node_id)
     state._next_alloc += 1
-    state.allocations[alloc.id] = alloc
+    _record(state, alloc)
     state._used_node[node_id] = state._used_node.get(node_id, _ZERO) + resources
     return alloc
 
@@ -397,9 +401,18 @@ def reserve_bandwidth(state: Topology, a: str, b: str, mbps: int, owner: str) ->
     alloc = Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
                        resources=ResourceVector(bandwidth=mbps), link=key)
     state._next_alloc += 1
-    state.allocations[alloc.id] = alloc
+    _record(state, alloc)
     state._used_link[key] = state._used_link.get(key, 0) + mbps
     return alloc
+
+
+def _record(state: Topology, alloc: Allocation) -> None:
+    """Add an allocation to the allocation table and, if it is on a node, to
+    the owner index."""
+    state.allocations[alloc.id] = alloc
+    if alloc.node is not None:
+        key = (alloc.owner, alloc.node)
+        state._owned[key] = state._owned.get(key, ()) + (alloc.id,)
 
 
 def release(state: Topology, allocation_id: str) -> None:
@@ -408,6 +421,12 @@ def release(state: Topology, allocation_id: str) -> None:
     except KeyError:
         raise UnknownAllocationError(f"unknown allocation {allocation_id!r}") from None
     if alloc.node is not None:
+        key = (alloc.owner, alloc.node)
+        rest = tuple(a for a in state._owned[key] if a != allocation_id)
+        if rest:
+            state._owned[key] = rest
+        else:
+            del state._owned[key]
         state._used_node[alloc.node] = state._used_node[alloc.node] - alloc.resources
     else:
         state._used_link[alloc.link] = state._used_link[alloc.link] - alloc.resources.bandwidth
@@ -453,8 +472,7 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float,
         if value < 0:
             raise ConfigError(f"knob {parameter} must be >= 0")
         backing_owner = owner or f"knob:{node_id}:{parameter}"
-        old_ids = sorted(a for a, alloc in state.allocations.items()
-                         if alloc.owner == backing_owner and alloc.node == node_id)
+        old_ids = sorted(state._owned.get((backing_owner, node_id), ()))
         amount = int(math.ceil(value))
         # Check before releasing the old backing, so that a refused knob
         # keeps its allocation ids as well as its value.
@@ -567,13 +585,15 @@ def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
 
 def clone_state(state: Topology) -> Topology:
     """Mutation-isolated copy of the full state. The mutable containers
-    (nodes, links, switches, allocations, knobs, usage tables) are copied;
+    (nodes, links, switches, allocations, knobs, usage tables, owner index)
+    are copied;
     the frozen node, link, allocation and resource values inside them and
     the route table are shared."""
     clone = Topology(nodes=dict(state.nodes), links=dict(state.links),
                      switches=set(state.switches), allocations=dict(state.allocations),
                      knobs=dict(state.knobs), _used_node=dict(state._used_node),
-                     _used_link=dict(state._used_link), _next_alloc=state._next_alloc)
+                     _used_link=dict(state._used_link), _next_alloc=state._next_alloc,
+                     _owned=dict(state._owned))
     clone._routes = state._routes
     return clone
 
@@ -658,7 +678,7 @@ def deserialize_state(text: str) -> Topology:
             topo._used_link[key] = topo._used_link.get(key, 0) + resources.bandwidth
         if alloc_id in topo.allocations:
             raise TopologyError(f"duplicate allocation id {alloc_id!r}")
-        topo.allocations[alloc_id] = alloc
+        _record(topo, alloc)
         suffix = alloc_id.rsplit("-", 1)[-1]
         if suffix.isdigit():
             highest = max(highest, int(suffix))

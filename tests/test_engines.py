@@ -440,6 +440,73 @@ def test_rnn_predict_window_size_checked():
         rnn_predict(model, np.zeros(5))
 
 
+def textbook_lstm(model, x):
+    """Per-sample, per-gate LSTM from the cell equations (Greff et al.), with
+    each gate's weights sliced out of the stacked w and b; it shares no code
+    with the kernel."""
+    hid = model.hidden_size
+    rows = {gate: slice(k * hid, (k + 1) * hid)
+            for k, gate in enumerate(("input", "forget", "output", "cell"))}
+    out = []
+    for sample in x:
+        h = np.zeros(hid)
+        c = np.zeros(hid)
+        for x_t in sample:
+            u = np.concatenate(([x_t], h))
+            z = {gate: model.w[r] @ u + model.b[r] for gate, r in rows.items()}
+            i, f, o = (1.0 / (1.0 + np.exp(-z[gate])) for gate in ("input", "forget", "output"))
+            c = f * c + i * np.tanh(z["cell"])
+            h = o * np.tanh(c)
+        out.append(model.w_out @ h + model.b_out)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_rnn_forward_matches_textbook_lstm(batch):
+    model = rnn_init(hidden_size=5, window=9, horizon=3, seed=2)
+    rng = np.random.Generator(np.random.PCG64(30 + batch))
+    model.params[:] += rng.normal(0.0, 0.3, size=model.params.size)
+    x = rng.uniform(0, 1, size=(batch, 9))
+    y, _ = engines._rnn_forward(model, x)
+    assert y.shape == (batch, 3)
+    assert np.max(np.abs(y - textbook_lstm(model, x))) <= 1e-12
+
+
+def test_rnn_reused_buffers_leave_no_trace_between_calls():
+    model = rnn_init(hidden_size=6, window=8, horizon=3, seed=4)
+    other = rnn_init(hidden_size=3, window=8, horizon=3, seed=5)
+    rng = np.random.Generator(np.random.PCG64(41))
+    x = rng.uniform(0, 1, size=(5, 8))
+    y = rng.uniform(0, 1, size=(5, 3))
+    loss, grad = rnn_loss_and_grads(model, x, y)
+    grad_bytes = grad.tobytes()
+    params = model.params.tobytes()
+    for batch, window in [(7, 8), (1, 8), (5, 4), (5, 8), (2, 11)]:
+        xb = rng.uniform(0, 1, size=(batch, window))
+        yb = rng.uniform(0, 1, size=(batch, 3))
+        rnn_loss_and_grads(model, xb, yb)
+        rnn_loss_and_grads(other, xb, yb)
+    assert model.params.tobytes() == params
+    assert grad.tobytes() == grad_bytes  # a returned gradient is never a buffer
+    again_loss, again = rnn_loss_and_grads(model, x, y)
+    assert again_loss == loss and again.tobytes() == grad_bytes
+    fresh = engines.RecurrentModel(6, 8, 3, params=model.params.copy())
+    fresh_loss, fresh_grad = rnn_loss_and_grads(fresh, x, y)
+    assert fresh_loss == loss and fresh_grad.tobytes() == grad_bytes
+
+
+def test_rnn_predict_unchanged_by_training_calls():
+    model = rnn_init(hidden_size=4, window=6, horizon=2, seed=7)
+    model.in_lo, model.in_hi = 1.0, 5.0
+    rng = np.random.Generator(np.random.PCG64(43))
+    window = rng.uniform(1, 5, size=6)
+    before = rnn_predict(model, window).tobytes()
+    for batch in (9, 1):  # batch 1 shares the prediction's buffers
+        rnn_loss_and_grads(model, rng.uniform(0, 1, size=(batch, 6)),
+                           rng.uniform(0, 1, size=(batch, 2)))
+    assert rnn_predict(model, window).tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -465,6 +532,17 @@ def test_lstm_model_roundtrip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(1))
     window = rng.uniform(3, 9, size=6)
     assert rnn_predict(back, window).tobytes() == rnn_predict(model, window).tobytes()
+
+
+def test_lstm_buffers_never_reach_the_model_file(tmp_path):
+    model = rnn_init(4, 6, 2, seed=8)
+    save_model(model, tmp_path / "before.json")
+    rng = np.random.Generator(np.random.PCG64(44))
+    rnn_loss_and_grads(model, rng.uniform(0, 1, size=(3, 6)), rng.uniform(0, 1, size=(3, 2)))
+    rnn_predict(model, rng.uniform(0, 1, size=6))
+    save_model(model, tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    assert "_work" not in repr(model)
 
 
 def test_linear_model_roundtrip(tmp_path):

@@ -3,8 +3,9 @@
 A hypothesis state machine instantiates, scales, terminates and ticks
 set-point loops, turns knobs and runs sandbox dry-runs on a small generated
 topology. After every step it checks exact resource conservation, the
-capacity invariant, that clones route like a freshly built state, and that
-dry-runs and failed scales leave the live world untouched.
+capacity invariant, the owner index against the allocation table, that
+clones route like a freshly built state, and that dry-runs and failed scales
+leave the live world untouched.
 """
 
 import copy
@@ -176,6 +177,16 @@ class LifecycleMachine(RuleBasedStateMachine):
                        if a.link == key)
             assert held + state.link_residual(key) == link.bandwidth
             assert held == state._used_link.get(key, 0)
+
+    @invariant()
+    def owner_index_matches_allocations(self):
+        state = self.orch.state
+        rebuilt = {}
+        for alloc_id, alloc in state.allocations.items():
+            if alloc.node is not None:
+                rebuilt.setdefault((alloc.owner, alloc.node), []).append(alloc_id)
+        assert ({key: sorted(ids) for key, ids in state._owned.items()}
+                == {key: sorted(ids) for key, ids in rebuilt.items()})
 
     @invariant()
     def capacity_invariant(self):
