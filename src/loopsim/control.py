@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError, SimError
 from . import sdi
@@ -54,14 +55,6 @@ class FcapsCounters:
 
 
 @dataclass
-class ActionLogEntry:
-    proposal: ActionProposal
-    applied: bool
-    reason: str
-    t_ms: int
-
-
-@dataclass
 class LoopInstance:
     id: str
     chain: LoopChain
@@ -74,8 +67,8 @@ class LoopInstance:
     schedule: tuple[tuple[LoopStep, tuple[str, ...]], ...]
     services: dict = field(default_factory=dict)
     knowledge: list = field(default_factory=list)
-    action_log: list[ActionLogEntry] = field(default_factory=list)
     fcaps: FcapsCounters = field(default_factory=FcapsCounters)
+    actions_rejected: int = 0  # rejected or withheld; fcaps.performance counts applies
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,6 @@ class ConflictPair:
 @dataclass(frozen=True)
 class ConflictReport:
     pairs: tuple[ConflictPair, ...]
-    window_ms: int
 
     @property
     def empty(self) -> bool:
@@ -173,7 +165,7 @@ def detect_conflicts(proposals, window_ms: int, state: Topology) -> ConflictRepo
                     if math.ceil(a.value) + math.ceil(b.value) > capacity:
                         pairs.append(ConflictPair(
                             a, b, ConflictKind.SHARED_RESOURCE_OVERSUBSCRIPTION))
-    return ConflictReport(pairs=tuple(pairs), window_ms=window_ms)
+    return ConflictReport(pairs=tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -263,14 +255,19 @@ def count_reversals(deltas) -> int:
 # Event trace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One event of a run. Action events (apply, reject, withhold) carry the
+    proposal in place of a summary; the other kinds carry free text."""
+
     t_ms: int
     tier: str
     chain: str
-    kind: str  # tick | proposal | conflict | arbitration | sandbox | apply | reject | withhold
-    summary: str
+    kind: str
+    summary: str = ""
     verdict: str = ""
+    proposal: ActionProposal | None = None
+    delta: float | None = None  # apply: new value minus previous value
+    capacity: str | None = None  # reject: the component a capacity refusal ran short of
 
 
 @dataclass
@@ -281,19 +278,25 @@ class EventTrace:
         self.events.append(TraceEvent(*args, **kwargs))
 
     def to_csv(self, path) -> None:
+        """One row per event. An action event's summary is rendered here as
+        target|parameter|x: the applied delta of an apply, else the value."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("time_ms", "tier", "chain", "event", "summary", "verdict"))
-            writer.writerows((e.t_ms, e.tier, e.chain, e.kind, e.summary, e.verdict)
-                             for e in self.events)
+            for e in self.events:
+                summary = e.summary
+                if e.proposal is not None:
+                    p = e.proposal
+                    x = p.value if e.delta is None else e.delta
+                    summary = f"{p.target}|{p.parameter}|{x!r}"
+                writer.writerow((e.t_ms, e.tier, e.chain, e.kind, summary, e.verdict))
 
     def applied_knob_deltas(self) -> dict[tuple[str, str], list[float]]:
         """Per-knob sequence of applied deltas, in trace order."""
         out: dict[tuple[str, str], list[float]] = {}
         for e in self.events:
-            if e.kind == "apply" and e.verdict == "ok":
-                target, parameter, delta = e.summary.split("|")[0:3]
-                out.setdefault((target, parameter), []).append(float(delta))
+            if e.kind == "apply":
+                out.setdefault((e.proposal.target, e.proposal.parameter), []).append(e.delta)
         return out
 
 
@@ -341,8 +344,7 @@ class Orchestrator:
     def __init__(self, state: Topology, registry: FunctionRegistry | None = None,
                  scheduler: TierScheduler | None = None, *,
                  arbitration: bool = True, sandbox: bool = True,
-                 sandbox_horizon_ticks: int = 10, sandbox_threshold: int = 2,
-                 conflict_window_ms: int | None = None):
+                 sandbox_horizon_ticks: int = 10, sandbox_threshold: int = 2):
         if registry is None:
             from .steps import build_default_registry
             registry = build_default_registry()
@@ -353,7 +355,6 @@ class Orchestrator:
         self.sandbox_enabled = sandbox
         self.sandbox_horizon_ticks = sandbox_horizon_ticks
         self.sandbox_threshold = sandbox_threshold
-        self.conflict_window_ms = conflict_window_ms
         self.instances: dict[str, LoopInstance] = {}
         self.trace = EventTrace()
         self.clock_ms = 0
@@ -413,8 +414,8 @@ class Orchestrator:
             assignment=dict(instance.embedding.assignment),
             fcaps=replace(instance.fcaps),
             knowledge_entries=len(instance.knowledge),
-            actions_applied=sum(1 for e in instance.action_log if e.applied),
-            actions_rejected=sum(1 for e in instance.action_log if not e.applied),
+            actions_applied=instance.fcaps.performance,
+            actions_rejected=instance.actions_rejected,
         )
 
     def scale(self, instance_id: str, factor: float) -> LoopInstance:
@@ -523,17 +524,18 @@ class Orchestrator:
     def _priorities(self) -> dict[str, int]:
         return {i.chain.id: i.chain.priority for i in self.instances.values()}
 
-    def apply_proposal(self, proposal: ActionProposal) -> tuple[bool, str]:
-        """Apply one approved proposal to the live state. Returns (ok, note);
-        capacity misses reject the proposal rather than violating safety."""
+    def apply_proposal(self, proposal: ActionProposal) -> tuple[bool, float | None, str, str | None]:
+        """Apply one approved proposal to the live state. Returns (ok, delta,
+        verdict, capacity); a capacity miss rejects the proposal rather than
+        violating safety and names the component that ran short."""
         try:
             previous = sdi.set_knob(self.state, proposal.target, proposal.parameter,
                                     proposal.value)
         except CapacityError as exc:
-            return False, f"capacity:{exc.component}"
+            return False, None, f"capacity:{exc.component}", exc.component
         except SimError as exc:
-            return False, f"error:{exc}"
-        return True, repr(proposal.value - previous)
+            return False, None, f"error:{exc}", None
+        return True, proposal.value - previous, "ok", None
 
     def _running(self) -> list[LoopInstance]:
         return [i for i in self.instances.values() if i.state == InstanceState.RUNNING]
@@ -586,17 +588,16 @@ class Orchestrator:
         deltas: dict[tuple[str, str], list[float]] = {}
         violations = 0
         for p in sorted(proposals, key=lambda p: (p.timestamp, p.issued_by, p.target, p.parameter)):
-            ok, note = replica.apply_proposal(p)
+            ok, delta, _, _ = replica.apply_proposal(p)
             if ok:
-                deltas.setdefault((p.target, p.parameter), []).append(float(note))
+                deltas.setdefault((p.target, p.parameter), []).append(delta)
             else:
                 violations += 1
         start = ((self.clock_ms // fastest) + 1) * fastest
         replica.run(duration_ms=horizon_ticks * fastest, start_ms=start)
         for knob, seq in replica.trace.applied_knob_deltas().items():
             deltas.setdefault(knob, []).extend(seq)
-        violations += sum(1 for e in replica.trace.events
-                          if e.kind == "reject" and e.verdict.startswith("capacity"))
+        violations += sum(1 for e in replica.trace.events if e.capacity is not None)
         try:
             replica.assert_capacity_invariant()
         except SafetyViolationError:
@@ -615,7 +616,6 @@ class Orchestrator:
             sandbox=False,  # no nested dry-runs
             sandbox_horizon_ticks=self.sandbox_horizon_ticks,
             sandbox_threshold=self.sandbox_threshold,
-            conflict_window_ms=self.conflict_window_ms,
         )
         replica.clock_ms = self.clock_ms
         # The replica only ticks, arbitrates and applies knobs: it never
@@ -646,9 +646,7 @@ class Orchestrator:
             first = ((start_ms + period - 1) // period) * period
             for t in range(first, start_ms + duration_ms, period):
                 slots.setdefault(t, []).append(instance)
-        window = self.conflict_window_ms
-        if window is None:
-            window = min((i.tick_period_ms for i in self._running()), default=1000)
+        window = min((i.tick_period_ms for i in self._running()), default=1000)
         for t in sorted(slots):
             due = sorted(slots[t], key=lambda i: (-TIER_DEPTH[i.tier], i.chain.id))
             pool: list[ActionProposal] = []
@@ -676,7 +674,7 @@ class Orchestrator:
             for decision in outcome.decisions:
                 self.trace.add(t, "-", "-", "arbitration", decision, "")
             for proposal, reason in outcome.rejected:
-                self._log_action(proposal, False, reason, t)
+                self._log_action(proposal, t, "reject", reason)
             approved = list(outcome.approved)
         else:
             approved = pool
@@ -687,26 +685,23 @@ class Orchestrator:
                            f" violations={result.violation_count}", result.verdict)
             if result.verdict == "unstable":
                 for proposal in approved:
-                    self._log_action(proposal, False, "withheld: sandbox unstable", t,
-                                     kind="withhold")
+                    self._log_action(proposal, t, "withhold", "withheld: sandbox unstable")
                 return
         for proposal in approved:
-            ok, note = self.apply_proposal(proposal)
-            self._log_action(proposal, ok, note, t)
+            ok, delta, verdict, capacity = self.apply_proposal(proposal)
+            self._log_action(proposal, t, "apply" if ok else "reject", verdict, delta, capacity)
 
-    def _log_action(self, proposal: ActionProposal, applied: bool, note: str, t: int,
-                    kind: str | None = None) -> None:
+    def _log_action(self, proposal: ActionProposal, t: int, kind: str, verdict: str,
+                    delta: float | None = None, capacity: str | None = None) -> None:
         instance = self.instances.get(proposal.issued_by)
+        tier = "-"
         if instance is not None:
-            instance.action_log.append(ActionLogEntry(proposal, applied, note, t))
-            if applied:
+            tier = instance.tier.value
+            if kind == "apply":
                 instance.fcaps.performance += 1
-        tier = instance.tier.value if instance else "-"
-        if kind is None:
-            kind = "apply" if applied else "reject"
-        verdict = "ok" if applied else note
-        summary = f"{proposal.target}|{proposal.parameter}|{note if applied else repr(proposal.value)}"
-        self.trace.add(t, tier, proposal.issued_by, kind, summary, verdict)
+            else:
+                instance.actions_rejected += 1
+        self.trace.add(t, tier, proposal.issued_by, kind, "", verdict, proposal, delta, capacity)
 
     def export_fcaps_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -444,8 +444,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig) -> RunReport:
     orch.run(duration_ms=eval_minutes * 60_000)
 
     # Reconstruct the knob level per evaluated minute from the applied trace.
-    applies = [(e.t_ms, float(e.summary.split("|")[2]))
-               for e in orch.trace.events if e.kind == "apply" and e.verdict == "ok"]
+    applies = [(e.t_ms, e.delta) for e in orch.trace.events if e.kind == "apply"]
     level = 0.0
     cursor = 0
     applied_levels = []
@@ -614,8 +613,8 @@ def run_conflict_demo(cfg: ScenarioConfig) -> RunReport:
     applied_after = []
     if first_decision_ms is not None:
         for e in on.trace.events:
-            if e.kind == "apply" and e.verdict == "ok" and e.t_ms > first_decision_ms:
-                applied_after.append(float(e.summary.split("|")[2]))
+            if e.kind == "apply" and e.t_ms > first_decision_ms:
+                applied_after.append(e.delta)
     reversals_after = count_reversals(applied_after)
     conflicts_off = sum(1 for e in off.trace.events if e.kind == "conflict")
     conflicts_on = sum(1 for e in on.trace.events if e.kind == "conflict")

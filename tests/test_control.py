@@ -576,12 +576,64 @@ def test_trace_csv_fields_read_back_exactly(tmp_path):
     orch = make_orchestrator(sandbox=False)
     orch.instantiate(analysis_chain())
     orch.run(duration_ms=3000)
-    orch.trace.add(3000, "edge", "watcher", "reject", 'says "no", then stops', "a,b")
+    orch.trace.add(3000, "edge", "watcher", "reject", verdict='says "no", then stops',
+                   proposal=ActionProposal("n1", "a,b", 1.5, 1, "watcher", 3000))
     assert any("," in e.summary for e in orch.trace.events[:-1])
     path = tmp_path / "trace.csv"
     orch.trace.to_csv(path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["time_ms", "tier", "chain", "event", "summary", "verdict"]
-    assert rows[1:] == [[str(e.t_ms), e.tier, e.chain, e.kind, e.summary, e.verdict]
-                        for e in orch.trace.events]
+    assert rows[1:-1] == [[str(e.t_ms), e.tier, e.chain, e.kind, e.summary, e.verdict]
+                          for e in orch.trace.events[:-1]]
+    assert rows[-1] == ["3000", "edge", "watcher", "reject", "n1|a,b|1.5",
+                        'says "no", then stops']
+
+
+PINNED_TRACE = """\
+time_ms,tier,chain,event,summary,verdict
+0,edge,down,lifecycle,"instantiated on [('push', 'n1'), ('record', 'n1'), ('watch', 'n1')]",ok
+0,edge,big,lifecycle,"instantiated on [('push', 'n1'), ('record', 'n1'), ('watch', 'n1')]",ok
+0,edge,big,tick,1 proposal(s),ok
+0,edge,down,tick,1 proposal(s),ok
+0,-,big|down,conflict,same-knob-opposing on n1:vnf.cpu.millicores,
+0,-,-,arbitration,"conflict set {big, down}: winner down priority=1",
+0,edge,big,reject,n1|vnf.cpu.millicores|9000.0,conflict lost to down
+0,edge,down,apply,n1|vnf.cpu.millicores|-1000.0,ok
+1000,edge,down,lifecycle,terminated,ok
+1000,edge,down,lifecycle,"instantiated on [('push', 'n1'), ('record', 'n1'), ('watch', 'n1')]",ok
+1000,edge,big,tick,1 proposal(s),ok
+1000,edge,down,fault,step push failed: KeyError: 'node',fault
+1000,edge,down,tick,0 proposal(s),ok
+1000,edge,big,reject,n1|vnf.cpu.millicores|9000.0,capacity:cpu
+2000,edge,big,tick,1 proposal(s),ok
+2000,edge,down,fault,step push failed: KeyError: 'node',fault
+2000,edge,down,tick,0 proposal(s),ok
+2000,-,-,sandbox,max_reversals=0 violations=11,unstable
+2000,edge,big,withhold,n1|vnf.cpu.millicores|9000.0,withheld: sandbox unstable
+"""
+
+
+def test_trace_csv_text_of_a_two_loop_run_is_pinned(tmp_path):
+    """Every event kind in one trace: an arbitrated apply and conflict-lost
+    reject, then (sandbox off) a capacity reject of an oversized set-point
+    next to a faulting loop, then (sandbox on) its withhold."""
+    orch = make_orchestrator(arbitration=True, sandbox=False)
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
+    orch.registry.register("plan.broken", lambda ctx: ctx.params["node"])
+    orch.instantiate(setpoint_chain("down", 1, 1000.0))
+    orch.instantiate(setpoint_chain("big", 2, 9000.0))
+    orch.run(duration_ms=1000)
+    orch.terminate("down")
+    broken = setpoint_chain("down", 1, 1000.0)
+    broken.steps[1] = LoopStep("push", StepKind.PLAN, "plan.broken", QosRequirements(cpu=50))
+    orch.instantiate(broken)
+    orch.run(duration_ms=1000, start_ms=1000)
+    orch.sandbox_enabled = True
+    orch.run(duration_ms=1000, start_ms=2000)
+    path = tmp_path / "trace.csv"
+    orch.trace.to_csv(path)
+    assert path.read_text(encoding="utf-8") == PINNED_TRACE
+    big, down = orch.query("big"), orch.query("down")
+    assert (big.actions_applied, big.actions_rejected) == (0, 3)
+    assert (down.actions_applied, down.actions_rejected) == (0, 0)  # a new incarnation
