@@ -255,6 +255,19 @@ def count_reversals(deltas) -> int:
 # Event trace
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header, rows) -> int:
+    """The one CSV format of run artifacts: UTF-8, "\n" row ends, RFC 4180
+    quoting, and floats (numpy's too) as their shortest round-trip text.
+    Returns the number of data rows written."""
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return count
+
+
 class TraceEvent(NamedTuple):
     """One event of a run. Action events (apply, reject, withhold) carry the
     proposal in place of a summary; the other kinds carry free text."""
@@ -277,19 +290,20 @@ class EventTrace:
     def add(self, *args, **kwargs) -> None:
         self.events.append(TraceEvent(*args, **kwargs))
 
-    def to_csv(self, path) -> None:
-        """One row per event. An action event's summary is rendered here as
-        target|parameter|x: the applied delta of an apply, else the value."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("time_ms", "tier", "chain", "event", "summary", "verdict"))
-            for e in self.events:
-                summary = e.summary
-                if e.proposal is not None:
-                    p = e.proposal
-                    x = p.value if e.delta is None else e.delta
-                    summary = f"{p.target}|{p.parameter}|{x!r}"
-                writer.writerow((e.t_ms, e.tier, e.chain, e.kind, summary, e.verdict))
+    def to_csv(self, path) -> int:
+        """One row per event; returns the row count. An action event's summary
+        is rendered here as target|parameter|x: the applied delta of an
+        apply, else the value."""
+        def row(e: TraceEvent) -> tuple:
+            summary = e.summary
+            if e.proposal is not None:
+                p = e.proposal
+                x = p.value if e.delta is None else e.delta
+                summary = f"{p.target}|{p.parameter}|{x!r}"
+            return (e.t_ms, e.tier, e.chain, e.kind, summary, e.verdict)
+
+        return write_csv(path, ("time_ms", "tier", "chain", "event", "summary", "verdict"),
+                         map(row, self.events))
 
     def applied_knob_deltas(self) -> dict[tuple[str, str], list[float]]:
         """Per-knob sequence of applied deltas, in trace order."""
@@ -703,11 +717,10 @@ class Orchestrator:
                 instance.actions_rejected += 1
         self.trace.add(t, tier, proposal.issued_by, kind, "", verdict, proposal, delta, capacity)
 
-    def export_fcaps_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("instance,state,fault,config,accounting,performance\n")
-            for iid in sorted(self.instances):
-                i = self.instances[iid]
-                f = i.fcaps
-                fh.write(f"{iid},{i.state.value},{f.fault},{f.config},"
-                         f"{f.accounting},{f.performance}\n")
+    def export_fcaps_csv(self, path) -> int:
+        """One row of FCAPS counters per instance, by id; returns the row count."""
+        return write_csv(path, ("instance", "state", "fault", "config", "accounting",
+                                "performance"),
+                         ((iid, i.state.value, i.fcaps.fault, i.fcaps.config,
+                           i.fcaps.accounting, i.fcaps.performance)
+                          for iid, i in sorted(self.instances.items())))

@@ -145,15 +145,8 @@ class DenseNet:
         return self.widths[0]
 
     @property
-    def output_width(self) -> int:
-        return self.widths[-1]
-
-    @property
     def code_width(self) -> int:
         return self.widths[self.encoder_layers]
-
-    def dims(self) -> list[tuple[int, int]]:
-        return [layer.weights.shape for layer in self.layers]
 
 
 def _glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -406,11 +399,6 @@ def linfit(x, y) -> LinearModel:
     intercept = float(y.mean() - slope * xm)
     resid = y - (slope * x + intercept)
     return LinearModel(slope=slope, intercept=intercept, fit_mse=float(np.mean(resid ** 2)))
-
-
-def lin_predict(model: LinearModel, x):
-    x = np.asarray(x, dtype=float)
-    return model.slope * x + model.intercept
 
 
 # ---------------------------------------------------------------------------

@@ -462,10 +462,6 @@ def normalize_minmax(dataset: Dataset) -> tuple[Dataset, Scaler]:
     return replace(dataset, values=scaler.transform(dataset.values)), scaler
 
 
-def denormalize(dataset01: Dataset, scaler: Scaler) -> Dataset:
-    return replace(dataset01, values=scaler.inverse(dataset01.values))
-
-
 def split_chronological(dataset: Dataset, train_frac: float = 0.8) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive chronological split into training / validation."""
     if not 0.0 < train_frac < 1.0:
@@ -482,13 +478,15 @@ def split_chronological(dataset: Dataset, train_frac: float = 0.8) -> tuple[Data
 # CSV import/export
 # ---------------------------------------------------------------------------
 
-def export_csv(dataset: Dataset, path) -> None:
+def export_csv(dataset: Dataset, path) -> int:
     """First row: 'timestamp' then metric names; then one row per frame.
-    Floats are written with repr so that import round-trips exactly."""
+    Floats are written with repr so that import round-trips exactly.
+    Returns the number of frames written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(("timestamp",) + tuple(dataset.names)) + "\n")
         for t, row in zip(dataset.t, dataset.values):
             fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
+    return len(dataset.t)
 
 
 def import_csv(path, expected_width: int | None = None) -> Dataset:

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from . import engines, metrics, sdi
 from .chain import (ActionCatalog, CatalogEntry, LoopChain, LoopStep, QosRequirements,
                     StepKind, load_chain)
-from .control import Orchestrator, TierScheduler, count_reversals
+from .control import Orchestrator, TierScheduler, count_reversals, write_csv
 from .steps import TrafficFeed
 
 SCENARIOS = ("compress", "adaptive-vnf", "conflict-demo")
@@ -64,8 +64,7 @@ def load_scenario_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: scenario config must be a mapping")
     if "seed" not in doc:
@@ -143,9 +142,10 @@ def _train_config(cfg: ScenarioConfig, seed: int, **defaults) -> engines.TrainCo
     )
 
 
-def _csv_rows(path: Path) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        return max(0, sum(1 for _ in fh) - 1)
+def _artifact(out: Path, name: str, write, *args) -> dict:
+    """Write out/name with write(path, *args), which returns the number of
+    data rows; returns the file's manifest entry."""
+    return {"path": name, "rows": write(out / name, *args)}
 
 
 def _write_report(report: RunReport, out: Path) -> None:
@@ -210,12 +210,10 @@ def _compress_chain(cfg: ScenarioConfig) -> LoopChain:
     )
 
 
-def run_compress(cfg: ScenarioConfig) -> RunReport:
+def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     """Scrape a correlated dataset from the modeled testbed, train the
     compressor, measure reconstruction fidelity on the validation split, then
     serve the model inside a monitor->compress->archive loop."""
-    t0 = time.perf_counter()
-    out = _out_dir(cfg)
     seed_wl, seed_cat, seed_model, seed_train, _, _ = _seeds(cfg.seed)
     state = _build_state(cfg)
     catalog = metrics.build_metric_catalog(state, seed_cat)
@@ -265,63 +263,43 @@ def run_compress(cfg: ScenarioConfig) -> RunReport:
                 codes.append(value)
                 break
 
-    files: dict[str, dict] = {}
-
-    def _register(name: str, path: Path):
-        files[name] = {"path": path.name, "rows": _csv_rows(path)}
-
-    metrics.export_csv(dataset, out / "dataset.csv")
-    _register("dataset", out / "dataset.csv")
     recon_ds = metrics.Dataset(dataset.names, val.t, recon, split="validation")
-    metrics.export_csv(recon_ds, out / "reconstruction_val.csv")
-    _register("reconstruction", out / "reconstruction_val.csv")
-    with open(out / "loss_history.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_mse\n")
-        for i, loss in enumerate(losses):
-            fh.write(f"{i},{loss!r}\n")
-    _register("loss_history", out / "loss_history.csv")
-    with open(out / "error_histogram.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_lo,bin_hi,count\n")
-        for lo, hi, count in zip(dist.bin_edges, dist.bin_edges[1:], dist.histogram):
-            fh.write(f"{lo!r},{hi!r},{int(count)}\n")
-    _register("error_histogram", out / "error_histogram.csv")
-    with open(out / "codes.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"code_{i}" for i in range(net.code_width)) + "\n")
-        for code in codes:
-            fh.write(",".join(repr(float(v)) for v in code) + "\n")
-    _register("codes", out / "codes.csv")
+    files = {
+        "dataset": _artifact(out, "dataset.csv", lambda path: metrics.export_csv(dataset, path)),
+        "reconstruction": _artifact(out, "reconstruction_val.csv",
+                                    lambda path: metrics.export_csv(recon_ds, path)),
+        "loss_history": _artifact(out, "loss_history.csv", write_csv, ("epoch", "train_mse"),
+                                  enumerate(losses)),
+        "error_histogram": _artifact(out, "error_histogram.csv", write_csv,
+                                     ("bin_lo", "bin_hi", "count"),
+                                     zip(dist.bin_edges, dist.bin_edges[1:], dist.histogram)),
+        "codes": _artifact(out, "codes.csv", write_csv,
+                           [f"code_{i}" for i in range(net.code_width)], codes),
+        "model": {"path": "compressor.json", "rows": len(net.layers)},
+        "trace": _artifact(out, "trace.csv", orch.trace.to_csv),
+        "fcaps": _artifact(out, "fcaps.csv", orch.export_fcaps_csv),
+    }
     engines.save_model(net, out / "compressor.json", train_cfg)
-    files["model"] = {"path": "compressor.json", "rows": len(net.layers)}
-    orch.trace.to_csv(out / "trace.csv")
-    _register("trace", out / "trace.csv")
-    orch.export_fcaps_csv(out / "fcaps.csv")
-    _register("fcaps", out / "fcaps.csv")
 
     fraction_target = float(cfg.params.get("min_fraction_below", 0.80))
-    report = RunReport(
-        scenario=cfg.scenario, seed=cfg.seed,
-        metrics={
-            "fraction_eta_below_threshold": dist.fraction_below,
-            "eta_threshold": threshold,
-            "eta_excluded_samples": dist.excluded,
-            "validation_mse_normalized": val_mse,
-            "final_train_mse": losses[-1],
-            "compression_ratio": ratio,
-            "storage_reduction": 1.0 - ratio,
-            "code_width": net.code_width,
-            "input_width": net.input_width,
-            "loop_codes_emitted": len(codes),
-            "cpu_metric": cpu_metric,
-        },
-        checks={
-            "fraction_below_threshold": dist.fraction_below >= fraction_target,
-            "compression_ratio_exact": ratio == net.code_width / net.input_width,
-        },
-        files=files,
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _write_report(report, out)
-    return report
+    run_metrics = {
+        "fraction_eta_below_threshold": dist.fraction_below,
+        "eta_threshold": threshold,
+        "eta_excluded_samples": dist.excluded,
+        "validation_mse_normalized": val_mse,
+        "final_train_mse": losses[-1],
+        "compression_ratio": ratio,
+        "storage_reduction": 1.0 - ratio,
+        "code_width": net.code_width,
+        "input_width": net.input_width,
+        "loop_codes_emitted": len(codes),
+        "cpu_metric": cpu_metric,
+    }
+    checks = {
+        "fraction_below_threshold": dist.fraction_below >= fraction_target,
+        "compression_ratio_exact": ratio == net.code_width / net.input_width,
+    }
+    return run_metrics, checks, files
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +338,18 @@ def _adaptive_chain(cfg: ScenarioConfig, region: str, firewall: str, window: int
     )
 
 
-def run_adaptive_vnf(cfg: ScenarioConfig) -> RunReport:
+def _knob_levels(applies, minutes: int) -> np.ndarray:
+    """Knob level at the start of each minute, rebuilt from the apply events:
+    the running sum, in trace order, of the deltas applied up to then."""
+    levels = np.cumsum([0.0] + [e.delta for e in applies])
+    return levels[np.searchsorted([e.t_ms for e in applies], np.arange(minutes) * 60_000,
+                                  side="right")]
+
+
+def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     """Three phases: fit the planted traffic->CPU law, train the traffic
     forecaster, then run the loop that resizes the firewall's CPU knob ten
     minutes ahead of predicted traffic."""
-    t0 = time.perf_counter()
-    out = _out_dir(cfg)
     seed_wl, _, seed_model, seed_train, seed_noise, _ = _seeds(cfg.seed)
     state = _build_state(cfg)
     region = str(cfg.params.get("region", "waterloo"))
@@ -443,22 +427,8 @@ def run_adaptive_vnf(cfg: ScenarioConfig) -> RunReport:
     eval_minutes = len(series) - cut
     orch.run(duration_ms=eval_minutes * 60_000)
 
-    # Reconstruct the knob level per evaluated minute from the applied trace.
-    applies = [(e.t_ms, e.delta) for e in orch.trace.events if e.kind == "apply"]
-    level = 0.0
-    cursor = 0
-    applied_levels = []
-    for t_ms, delta in applies:
-        level += delta
-        applied_levels.append((t_ms, level))
-    level_series = np.zeros(eval_minutes)
-    current = 0.0
-    for m in range(eval_minutes):
-        t_ms = m * 60_000
-        while cursor < len(applied_levels) and applied_levels[cursor][0] <= t_ms:
-            current = applied_levels[cursor][1]
-            cursor += 1
-        level_series[m] = current
+    applies = [e for e in orch.trace.events if e.kind == "apply"]
+    level_series = _knob_levels(applies, eval_minutes)
     need = cpu_scale * (slope_true * x01[cut:] + intercept_true)
     adaptive_mean = float(level_series.mean())
     static_peak = float(min(max(scale * series.max() + offset, knob_lo), knob_hi))
@@ -466,71 +436,54 @@ def run_adaptive_vnf(cfg: ScenarioConfig) -> RunReport:
     static_over = float(np.mean(static_peak - need))
     under_frac = float(np.mean(level_series < need))
 
-    files: dict[str, dict] = {}
-
-    def _register(name, path: Path):
-        files[name] = {"path": path.name, "rows": _csv_rows(path)}
-
-    with open(out / "traffic_minutes.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("minute,traffic,traffic01,cpu01_observed,split\n")
-        for m, (v, x, y) in enumerate(zip(series, x01, y01_obs)):
-            split = "training" if m < cut else "validation"
-            fh.write(f"{m},{v!r},{x!r},{y!r},{split}\n")
-    _register("traffic", out / "traffic_minutes.csv")
-    with open(out / "cpu_fit.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("traffic01,cpu01_observed,cpu01_fit\n")
-        for x, y in zip(x01[:cut], y01_obs[:cut]):
-            fh.write(f"{x!r},{y!r},{fit.slope * x + fit.intercept!r}\n")
-    _register("cpu_fit", out / "cpu_fit.csv")
-    with open(out / "forecast_eval.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window_index,predictor_mse,persistence_mse\n")
-        for i, pe, be in eval_rows:
-            fh.write(f"{i},{pe!r},{be!r}\n")
-    _register("forecast_eval", out / "forecast_eval.csv")
-    with open(out / "allocation.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("minute,traffic,cpu_allocated,cpu_needed,static_peak\n")
-        for m in range(eval_minutes):
-            fh.write(f"{cut + m},{series[cut + m]!r},{level_series[m]!r},"
-                     f"{need[m]!r},{static_peak!r}\n")
-    _register("allocation", out / "allocation.csv")
+    files = {
+        "traffic": _artifact(out, "traffic_minutes.csv", write_csv,
+                             ("minute", "traffic", "traffic01", "cpu01_observed", "split"),
+                             ((m, v, x, y, "training" if m < cut else "validation")
+                              for m, (v, x, y) in enumerate(zip(series, x01, y01_obs)))),
+        "cpu_fit": _artifact(out, "cpu_fit.csv", write_csv,
+                             ("traffic01", "cpu01_observed", "cpu01_fit"),
+                             ((x, y, fit.slope * x + fit.intercept)
+                              for x, y in zip(x01[:cut], y01_obs[:cut]))),
+        "forecast_eval": _artifact(out, "forecast_eval.csv", write_csv,
+                                   ("window_index", "predictor_mse", "persistence_mse"),
+                                   eval_rows),
+        "allocation": _artifact(out, "allocation.csv", write_csv,
+                                ("minute", "traffic", "cpu_allocated", "cpu_needed",
+                                 "static_peak"),
+                                ((cut + m, series[cut + m], level_series[m], need[m], static_peak)
+                                 for m in range(eval_minutes))),
+        "predictor": {"path": "predictor.json", "rows": 1},
+        "linear_model": {"path": "linear_model.json", "rows": 1},
+        "trace": _artifact(out, "trace.csv", orch.trace.to_csv),
+        "fcaps": _artifact(out, "fcaps.csv", orch.export_fcaps_csv),
+    }
     engines.save_model(predictor, out / "predictor.json", train_cfg)
-    files["predictor"] = {"path": "predictor.json", "rows": 1}
     engines.save_model(fit, out / "linear_model.json")
-    files["linear_model"] = {"path": "linear_model.json", "rows": 1}
-    orch.trace.to_csv(out / "trace.csv")
-    _register("trace", out / "trace.csv")
-    orch.export_fcaps_csv(out / "fcaps.csv")
-    _register("fcaps", out / "fcaps.csv")
 
-    report = RunReport(
-        scenario=cfg.scenario, seed=cfg.seed,
-        metrics={
-            "fit_slope": fit.slope,
-            "planted_slope": slope_true,
-            "fit_slope_rel_err": slope_rel_err,
-            "fit_mse": fit.fit_mse,
-            "predictor_mse": pred_mse,
-            "persistence_mse": persist_mse,
-            "predictor_vs_persistence_ratio": mse_ratio,
-            "adaptive_mean_cpu_mc": adaptive_mean,
-            "static_peak_cpu_mc": static_peak,
-            "adaptive_mean_overprovision_mc": adaptive_over,
-            "static_mean_overprovision_mc": static_over,
-            "underprovisioned_minute_fraction": under_frac,
-            "ticks": len(applies),
-            "horizon_minutes": horizon,
-        },
-        checks={
-            "fit_slope_within_1pct": slope_rel_err < 0.01,
-            "fit_mse_below_1e5": fit.fit_mse < 1e-5,
-            "predictor_beats_persistence": mse_ratio < 0.8,
-            "adaptive_below_static_peak": adaptive_mean < static_peak,
-        },
-        files=files,
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _write_report(report, out)
-    return report
+    run_metrics = {
+        "fit_slope": fit.slope,
+        "planted_slope": slope_true,
+        "fit_slope_rel_err": slope_rel_err,
+        "fit_mse": fit.fit_mse,
+        "predictor_mse": pred_mse,
+        "persistence_mse": persist_mse,
+        "predictor_vs_persistence_ratio": mse_ratio,
+        "adaptive_mean_cpu_mc": adaptive_mean,
+        "static_peak_cpu_mc": static_peak,
+        "adaptive_mean_overprovision_mc": adaptive_over,
+        "static_mean_overprovision_mc": static_over,
+        "underprovisioned_minute_fraction": under_frac,
+        "ticks": len(applies),
+        "horizon_minutes": horizon,
+    }
+    checks = {
+        "fit_slope_within_1pct": slope_rel_err < 0.01,
+        "fit_mse_below_1e5": fit.fit_mse < 1e-5,
+        "predictor_beats_persistence": mse_ratio < 0.8,
+        "adaptive_below_static_peak": adaptive_mean < static_peak,
+    }
+    return run_metrics, checks, files
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +549,10 @@ def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
     return orch
 
 
-def run_conflict_demo(cfg: ScenarioConfig) -> RunReport:
+def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     """Two chains push opposing set-points onto one knob. Pass one runs with
     arbitration and the dry-run gate off (the knob thrashes); pass two turns
     both on (the interference is caught and suppressed)."""
-    t0 = time.perf_counter()
-    out = _out_dir(cfg)
-
     off = _conflict_run(cfg, arbitration=False)
     on = _conflict_run(cfg, arbitration=True)
 
@@ -620,47 +570,34 @@ def run_conflict_demo(cfg: ScenarioConfig) -> RunReport:
     conflicts_on = sum(1 for e in on.trace.events if e.kind == "conflict")
     withheld = sum(1 for e in on.trace.events if e.kind == "withhold")
 
-    files: dict[str, dict] = {}
-
-    def _register(name, path: Path):
-        files[name] = {"path": path.name, "rows": _csv_rows(path)}
-
-    off.trace.to_csv(out / "trace_unarbitrated.csv")
-    _register("trace_unarbitrated", out / "trace_unarbitrated.csv")
-    on.trace.to_csv(out / "trace_arbitrated.csv")
-    _register("trace_arbitrated", out / "trace_arbitrated.csv")
-    off.export_fcaps_csv(out / "fcaps_unarbitrated.csv")
-    _register("fcaps_unarbitrated", out / "fcaps_unarbitrated.csv")
-    on.export_fcaps_csv(out / "fcaps_arbitrated.csv")
-    _register("fcaps_arbitrated", out / "fcaps_arbitrated.csv")
+    files = {
+        "trace_unarbitrated": _artifact(out, "trace_unarbitrated.csv", off.trace.to_csv),
+        "trace_arbitrated": _artifact(out, "trace_arbitrated.csv", on.trace.to_csv),
+        "fcaps_unarbitrated": _artifact(out, "fcaps_unarbitrated.csv", off.export_fcaps_csv),
+        "fcaps_arbitrated": _artifact(out, "fcaps_arbitrated.csv", on.export_fcaps_csv),
+    }
 
     single = bool(cfg.params.get("single_chain", False))
-    report = RunReport(
-        scenario=cfg.scenario, seed=cfg.seed,
-        metrics={
-            "reversals_unarbitrated": reversals_off,
-            "reversals_after_first_decision": reversals_after,
-            "conflicts_detected_unarbitrated": conflicts_off,
-            "conflicts_detected_arbitrated": conflicts_on,
-            "arbitration_decisions": len(decisions),
-            "proposals_withheld_by_sandbox": withheld,
-            "first_decision_ms": -1 if first_decision_ms is None else first_decision_ms,
-            "single_chain": single,
-        },
-        checks=(
-            {"no_conflicts_single_chain": conflicts_off == 0 and conflicts_on == 0}
-            if single else
-            {
-                "unarbitrated_thrashes": reversals_off >= 10,
-                "arbitrated_settles": reversals_after == 0,
-                "conflicts_detected": conflicts_off >= 1 and conflicts_on >= 1,
-            }
-        ),
-        files=files,
-        wall_clock_s=time.perf_counter() - t0,
+    run_metrics = {
+        "reversals_unarbitrated": reversals_off,
+        "reversals_after_first_decision": reversals_after,
+        "conflicts_detected_unarbitrated": conflicts_off,
+        "conflicts_detected_arbitrated": conflicts_on,
+        "arbitration_decisions": len(decisions),
+        "proposals_withheld_by_sandbox": withheld,
+        "first_decision_ms": -1 if first_decision_ms is None else first_decision_ms,
+        "single_chain": single,
+    }
+    checks = (
+        {"no_conflicts_single_chain": conflicts_off == 0 and conflicts_on == 0}
+        if single else
+        {
+            "unarbitrated_thrashes": reversals_off >= 10,
+            "arbitrated_settles": reversals_after == 0,
+            "conflicts_detected": conflicts_off >= 1 and conflicts_on >= 1,
+        }
     )
-    _write_report(report, out)
-    return report
+    return run_metrics, checks, files
 
 
 RUNNERS = {
@@ -671,4 +608,12 @@ RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
-    return RUNNERS[cfg.scenario](cfg)
+    """Run one scenario into its output directory: the runner writes its files
+    and returns (metrics, checks, files); report.json and summary.txt follow."""
+    t0 = time.perf_counter()
+    out = _out_dir(cfg)
+    run_metrics, checks, files = RUNNERS[cfg.scenario](cfg, out)
+    report = RunReport(cfg.scenario, cfg.seed, run_metrics, checks, files,
+                       wall_clock_s=time.perf_counter() - t0)
+    _write_report(report, out)
+    return report

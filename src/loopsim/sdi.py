@@ -432,14 +432,6 @@ def release(state: Topology, allocation_id: str) -> None:
         state._used_link[alloc.link] = state._used_link[alloc.link] - alloc.resources.bandwidth
 
 
-def release_owner(state: Topology, owner: str) -> int:
-    """Release every allocation held by an owner; returns the count released."""
-    ids = sorted(a for a, alloc in state.allocations.items() if alloc.owner == owner)
-    for aid in ids:
-        release(state, aid)
-    return len(ids)
-
-
 # Knob parameter suffix -> backing resource component on the target node.
 _KNOB_BACKING = {
     ".cpu.millicores": "cpu",
@@ -636,11 +628,6 @@ def serialize_state(state: Topology) -> str:
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 
-def save_state(state: Topology, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_state(state))
-
-
 def deserialize_state(text: str) -> Topology:
     """Inverse of serialize_state: rebuilds the topology, then restores the
     allocation table verbatim (original ids and owners) and the knob values.
@@ -689,11 +676,6 @@ def deserialize_state(text: str) -> Topology:
             raise TopologyError(f"knob targets unknown node {node!r}")
         topo.knobs[(node, str(entry["parameter"]))] = float(entry["value"])
     return topo
-
-
-def load_state(path) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize_state(fh.read())
 
 
 # ---------------------------------------------------------------------------

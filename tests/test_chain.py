@@ -169,7 +169,8 @@ def test_embed_reserves_all_and_terminates_cleanly():
     assert state.link_residual(("na", "nb")) == 70
     for aid in emb.allocation_ids:
         sdi.release(state, aid)
-    sdi.release_owner(state, "squeeze")
+    for aid in [a for a, alloc in state.allocations.items() if alloc.owner == "squeeze"]:
+        sdi.release(state, aid)
     assert serialize_state(state) == before
 
 

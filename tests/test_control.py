@@ -556,6 +556,19 @@ def test_fcaps_export(tmp_path):
     assert lines[1] == "watcher,running,0,1,5,0"
 
 
+def test_fcaps_csv_quotes_ids(tmp_path):
+    orch = make_orchestrator(sandbox=False)
+    orch.instantiate(analysis_chain('saver, "eco"'))
+    orch.run(duration_ms=5000)
+    path = tmp_path / "fcaps.csv"
+    written = orch.export_fcaps_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["instance", "state", "fault", "config", "accounting", "performance"],
+                    ['saver, "eco"', "running", "0", "1", "5", "0"]]
+    assert written == 1
+
+
 def test_tier_scheduler_rejects_slow_children():
     with pytest.raises(ConfigError):
         TierScheduler({Tier.CORE: 100, Tier.EDGE: 200, Tier.ACCESS: 50})

@@ -8,7 +8,7 @@ import pytest
 from loopsim import engines
 from loopsim.engines import (DegenerateFitError, LinearModel, TrainConfig,
                              TrainingDivergedError, ae_forward, ae_init, ae_train,
-                             decode, elu, encode, linfit, lin_predict, load_model,
+                             decode, elu, encode, linfit, load_model,
                              make_windows, mse_loss_and_grads, net_init,
                              relative_error_distribution, rnn_init, rnn_loss_and_grads,
                              rnn_predict, rnn_train, save_model, sigmoid)
@@ -24,7 +24,8 @@ SMALL_ACTS = ("elu", "linear", "elu", "sigmoid")
 
 def test_compressor_layer_dims():
     net = ae_init(seed=0)
-    assert net.dims() == [(90, 111), (85, 90), (75, 85), (90, 75), (111, 90)]
+    assert [l.weights.shape for l in net.layers] == [(90, 111), (85, 90), (75, 85), (90, 75),
+                                                     (111, 90)]
     assert [l.activation for l in net.layers] == ["elu", "elu", "linear", "elu", "sigmoid"]
     assert net.encoder_layers == 3
     assert net.code_width == 75
@@ -364,11 +365,6 @@ def test_ols_optimality_under_perturbation():
             assert mse(model.slope + ds, model.intercept + di) >= base - 1e-18
 
 
-def test_lin_predict():
-    model = LinearModel(slope=2.0, intercept=-1.0, fit_mse=0.0)
-    assert np.allclose(lin_predict(model, np.array([0.0, 3.0])), [-1.0, 5.0])
-
-
 # ---------------------------------------------------------------------------
 # Recurrent forecaster
 # ---------------------------------------------------------------------------
@@ -516,7 +512,7 @@ def test_dense_model_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     save_model(net, path, TrainConfig())
     back = load_model(path)
-    assert back.dims() == net.dims()
+    assert [l.weights.shape for l in back.layers] == [l.weights.shape for l in net.layers]
     assert back.encoder_layers == net.encoder_layers
     for la, lb in zip(net.layers, back.layers):
         assert la.weights.tobytes() == lb.weights.tobytes()

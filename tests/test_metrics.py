@@ -10,9 +10,9 @@ from loopsim import metrics, sdi
 from loopsim.errors import ConfigError
 from loopsim.metrics import (Dataset, DatasetFormatError, EmptyDatasetError, MetricName,
                              WorkloadProfile, WorkloadSegment, build_metric_catalog,
-                             denormalize, export_csv, generate_workload, import_csv,
-                             normalize_minmax, preset_workload, resample_mean, scrape,
-                             scrape_series, split_chronological)
+                             export_csv, generate_workload, import_csv, normalize_minmax,
+                             preset_workload, resample_mean, scrape, scrape_series,
+                             split_chronological)
 
 
 @pytest.fixture(scope="module")
@@ -171,15 +171,14 @@ def test_normalize_simple_column():
     ds = Dataset(("m@x",), np.arange(3.0), np.array([[0.0], [5.0], [10.0]]))
     ds01, scaler = normalize_minmax(ds)
     assert np.allclose(ds01.values[:, 0], [0.0, 0.5, 1.0])
-    back = denormalize(ds01, scaler)
-    assert np.allclose(back.values, ds.values)
+    assert np.allclose(scaler.inverse(ds01.values), ds.values)
 
 
 def test_normalize_constant_column_maps_to_half():
     ds = Dataset(("m@x",), np.arange(3.0), np.array([[3.0], [3.0], [3.0]]))
     ds01, scaler = normalize_minmax(ds)
     assert np.all(ds01.values == 0.5)
-    assert np.allclose(denormalize(ds01, scaler).values, 3.0)
+    assert np.allclose(scaler.inverse(ds01.values), 3.0)
 
 
 def test_normalize_empty_rejected():
@@ -195,7 +194,7 @@ def test_normalize_roundtrip_property(values):
     ds = Dataset(tuple(f"m.v@{i}" for i in range(5)), np.arange(7.0), values)
     ds01, scaler = normalize_minmax(ds)
     assert np.all(ds01.values >= 0.0) and np.all(ds01.values <= 1.0)
-    back = denormalize(ds01, scaler).values
+    back = scaler.inverse(ds01.values)
     # 1e-12 relative to the data scale (column span or element magnitude).
     span = (scaler.hi - scaler.lo)[None, :]
     scale = np.maximum(np.maximum(np.abs(values), span), 1.0)
@@ -206,7 +205,7 @@ def test_roundtrip_on_scraped_111(testbed, catalog):
     wl = generate_workload(preset_workload("bursty30min", seed=3))
     ds = scrape_series(testbed, wl, catalog)
     ds01, scaler = normalize_minmax(ds)
-    back = denormalize(ds01, scaler).values
+    back = scaler.inverse(ds01.values)
     scale = np.maximum(np.abs(ds.values), 1.0)
     assert np.max(np.abs(back - ds.values) / scale) < 1e-12
 

@@ -1,14 +1,19 @@
 """Scenario runners and the command-line interface, on downsized configs."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.cli import main
-from loopsim.scenarios import (RunReport, ScenarioConfig, load_scenario_config,
+from loopsim.control import TraceEvent
+from loopsim.scenarios import (RunReport, ScenarioConfig, _knob_levels, load_scenario_config,
                                run_scenario)
 
 TINY_COMPRESS = dict(
@@ -80,6 +85,47 @@ def test_scenario_rerun_is_bit_identical(tmp_path, doc):
     run_scenario(make_cfg(doc, tmp_path / "a"))
     run_scenario(make_cfg(doc, tmp_path / "b"))
     assert hash_dir(tmp_path / "a") == hash_dir(tmp_path / "b")
+
+
+@pytest.mark.parametrize("doc", [TINY_COMPRESS, TINY_ADAPTIVE, TINY_CONFLICT],
+                         ids=["compress", "adaptive", "conflict"])
+def test_every_csv_reads_back_as_numbers_and_text(tmp_path, doc):
+    """Every CSV of a run parses as RFC 4180 at its header's width, and no
+    cell holds a numpy repr such as np.float64(0.5)."""
+    run_scenario(make_cfg(doc, tmp_path / "out"))
+    paths = sorted((tmp_path / "out").glob("*.csv"))
+    assert paths
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows), path.name
+        assert not [cell for row in rows for cell in row if "np." in cell], path.name
+
+
+def knob_levels_by_loop(applies, minutes):
+    """Reference: walk the applies once, carrying the level forward."""
+    level, cursor, applied_levels = 0.0, 0, []
+    for e in applies:
+        level += e.delta
+        applied_levels.append((e.t_ms, level))
+    out, current = np.zeros(minutes), 0.0
+    for m in range(minutes):
+        while cursor < len(applied_levels) and applied_levels[cursor][0] <= m * 60_000:
+            current = applied_levels[cursor][1]
+            cursor += 1
+        out[m] = current
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(minutes=st.integers(0, 40),
+       applies=st.lists(st.tuples(st.integers(0, 45).map(lambda m: m * 60_000)
+                                  | st.integers(0, 2_700_000),
+                                  st.floats(-1e6, 1e6, allow_nan=False)), max_size=30))
+def test_knob_levels_equal_the_sequential_walk_bitwise(minutes, applies):
+    events = [TraceEvent(t, "edge", "c", "apply", delta=d) for t, d in sorted(applies)]
+    got = _knob_levels(events, minutes)
+    assert got.tobytes() == knob_levels_by_loop(events, minutes).tobytes()
 
 
 def test_different_seed_changes_outputs(tmp_path):
