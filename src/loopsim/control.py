@@ -86,28 +86,9 @@ class InstanceSnapshot:
     actions_rejected: int
 
 
-@dataclass
-class TierScheduler:
-    """Per-tier default tick periods. The hierarchy is fixed (access under
-    edge under core); a child tier must tick at least as fast as its parent.
-    """
-
-    periods_ms: dict[Tier, int] = field(default_factory=lambda: {
-        Tier.CORE: 1000, Tier.EDGE: 500, Tier.ACCESS: 100})
-
-    def __post_init__(self):
-        for tier, period in self.periods_ms.items():
-            if period <= 0:
-                raise ConfigError(f"tier {tier.value}: period must be > 0")
-        order = [Tier.CORE, Tier.EDGE, Tier.ACCESS]
-        for parent, child in zip(order, order[1:]):
-            if parent in self.periods_ms and child in self.periods_ms:
-                if self.periods_ms[child] > self.periods_ms[parent]:
-                    raise ConfigError(
-                        f"tier {child.value} must not tick slower than {parent.value}")
-
-    def period_for(self, tier: Tier) -> int:
-        return self.periods_ms[tier]
+# Default tick period per tier, for chains that set none: a child tier ticks
+# at least as fast as its parent (access under edge under core).
+TIER_PERIODS_MS = {Tier.CORE: 1000, Tier.EDGE: 500, Tier.ACCESS: 100}
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +213,30 @@ def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int]) -> 
 # Sandbox results
 # ---------------------------------------------------------------------------
 
+# A dry-run replays this many ticks of the fastest involved loop and calls
+# the proposals unstable past this many reversals on any knob.
+SANDBOX_HORIZON_TICKS = 10
+SANDBOX_MAX_REVERSALS = 2
+
+
 @dataclass(frozen=True)
 class SandboxResult:
-    oscillations: dict[tuple[str, str], int]  # knob -> sign reversals
+    oscillations: dict[tuple[str, str], int]  # knob -> reversals (see count_reversals)
     violation_count: int
     verdict: str  # stable | unstable
-    threshold: int
-    horizon_ticks: int
 
     @property
     def max_oscillation(self) -> int:
         return max(self.oscillations.values(), default=0)
 
 
-def count_reversals(deltas) -> int:
-    """Sign reversals in a sequence of knob deltas; zeros are skipped."""
-    signs = [1 if d > 0 else -1 for d in deltas if d != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def count_reversals(changes) -> int:
+    """Reversals in one knob's sequence of applied (issuer, delta) changes:
+    sign changes between consecutive nonzero deltas from *different* loops.
+    Zeros are skipped, and one loop tracking its own target never counts;
+    interference needs two loops."""
+    signed = [(issuer, d > 0) for issuer, d in changes if d != 0]
+    return sum(1 for (a, s), (b, t) in zip(signed, signed[1:]) if a != b and s != t)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +293,13 @@ class EventTrace:
         return write_csv(path, ("time_ms", "tier", "chain", "event", "summary", "verdict"),
                          map(row, self.events))
 
-    def applied_knob_deltas(self) -> dict[tuple[str, str], list[float]]:
-        """Per-knob sequence of applied deltas, in trace order."""
-        out: dict[tuple[str, str], list[float]] = {}
+    def applied_knob_deltas(self) -> dict[tuple[str, str], list[tuple[str, float]]]:
+        """Per-knob sequence of applied (issuer, delta) changes, in trace order."""
+        out: dict[tuple[str, str], list[tuple[str, float]]] = {}
         for e in self.events:
             if e.kind == "apply":
-                out.setdefault((e.proposal.target, e.proposal.parameter), []).append(e.delta)
+                p = e.proposal
+                out.setdefault((p.target, p.parameter), []).append((p.issued_by, e.delta))
         return out
 
 
@@ -355,20 +344,15 @@ class FunctionRegistry:
 class Orchestrator:
     """Sole mutator of the live topology state."""
 
-    def __init__(self, state: Topology, registry: FunctionRegistry | None = None,
-                 scheduler: TierScheduler | None = None, *,
-                 arbitration: bool = True, sandbox: bool = True,
-                 sandbox_horizon_ticks: int = 10, sandbox_threshold: int = 2):
+    def __init__(self, state: Topology, registry: FunctionRegistry | None = None, *,
+                 arbitration: bool = True, sandbox: bool = True):
         if registry is None:
             from .steps import build_default_registry
             registry = build_default_registry()
         self.state = state
         self.registry = registry
-        self.scheduler = scheduler or TierScheduler()
         self.arbitration_enabled = arbitration
         self.sandbox_enabled = sandbox
-        self.sandbox_horizon_ticks = sandbox_horizon_ticks
-        self.sandbox_threshold = sandbox_threshold
         self.instances: dict[str, LoopInstance] = {}
         self.trace = EventTrace()
         self.clock_ms = 0
@@ -386,7 +370,7 @@ class Orchestrator:
         schedule = _schedule(chain)
         first_node = embedding.assignment[schedule[0][0].name] if schedule else None
         tier = self.state.nodes[first_node].tier if first_node else Tier.CORE
-        period = chain.tick_period_ms or self.scheduler.period_for(tier)
+        period = chain.tick_period_ms or TIER_PERIODS_MS[tier]
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
             state=InstanceState.INSTANTIATED, tick_period_ms=period, tier=tier,
@@ -582,15 +566,12 @@ class Orchestrator:
             if used > self.state.links[key].bandwidth:
                 raise SafetyViolationError(f"link {key} oversubscribed: {used}")
 
-    def sandbox_dryrun(self, proposals, horizon_ticks: int | None = None) -> SandboxResult:
+    def sandbox_dryrun(self, proposals) -> SandboxResult:
         """Clone the world, apply the proposals, replay every running loop for
-        the horizon and judge stability by knob sign reversals and capacity
-        violations. The live state is untouched."""
+        the horizon and judge stability by knob reversals (count_reversals
+        over the seeded and replayed changes) and capacity violations. The
+        live state is untouched."""
         proposals = list(proposals)
-        if horizon_ticks is None:
-            horizon_ticks = self.sandbox_horizon_ticks
-        if horizon_ticks < 1:
-            raise ConfigError("sandbox horizon must be >= 1")
         # Horizon is counted in ticks of the fastest involved chain (all
         # running chains when the issuers are unknown).
         involved = {p.issued_by for p in proposals}
@@ -599,38 +580,33 @@ class Orchestrator:
             periods = [i.tick_period_ms for i in self._running()]
         fastest = min(periods, default=1000)
         replica = self._clone_for_sandbox()
-        deltas: dict[tuple[str, str], list[float]] = {}
+        changes: dict[tuple[str, str], list[tuple[str, float]]] = {}
         violations = 0
         for p in sorted(proposals, key=lambda p: (p.timestamp, p.issued_by, p.target, p.parameter)):
             ok, delta, _, _ = replica.apply_proposal(p)
             if ok:
-                deltas.setdefault((p.target, p.parameter), []).append(delta)
+                changes.setdefault((p.target, p.parameter), []).append((p.issued_by, delta))
             else:
                 violations += 1
         start = ((self.clock_ms // fastest) + 1) * fastest
-        replica.run(duration_ms=horizon_ticks * fastest, start_ms=start)
+        replica.run(duration_ms=SANDBOX_HORIZON_TICKS * fastest, start_ms=start)
         for knob, seq in replica.trace.applied_knob_deltas().items():
-            deltas.setdefault(knob, []).extend(seq)
+            changes.setdefault(knob, []).extend(seq)
         violations += sum(1 for e in replica.trace.events if e.capacity is not None)
         try:
             replica.assert_capacity_invariant()
         except SafetyViolationError:
             violations += 1
-        oscillations = {knob: count_reversals(seq) for knob, seq in sorted(deltas.items())}
+        oscillations = {knob: count_reversals(seq) for knob, seq in sorted(changes.items())}
         max_osc = max(oscillations.values(), default=0)
-        verdict = "stable" if (max_osc <= self.sandbox_threshold and violations == 0) else "unstable"
+        verdict = "stable" if (max_osc <= SANDBOX_MAX_REVERSALS and violations == 0) else "unstable"
         return SandboxResult(oscillations=oscillations, violation_count=violations,
-                             verdict=verdict, threshold=self.sandbox_threshold,
-                             horizon_ticks=horizon_ticks)
+                             verdict=verdict)
 
     def _clone_for_sandbox(self) -> "Orchestrator":
-        replica = Orchestrator(
-            state=sdi.clone_state(self.state), registry=self.registry,
-            scheduler=self.scheduler, arbitration=self.arbitration_enabled,
-            sandbox=False,  # no nested dry-runs
-            sandbox_horizon_ticks=self.sandbox_horizon_ticks,
-            sandbox_threshold=self.sandbox_threshold,
-        )
+        replica = Orchestrator(sdi.clone_state(self.state), self.registry,
+                               arbitration=self.arbitration_enabled,
+                               sandbox=False)  # no nested dry-runs
         replica.clock_ms = self.clock_ms
         # The replica only ticks, arbitrates and applies knobs: it never
         # updates, scales or terminates an instance, and steps only read their

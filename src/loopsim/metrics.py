@@ -10,10 +10,12 @@ bit-identical series.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .control import write_csv
 from .errors import ConfigError
 from .sdi import Topology
 
@@ -479,41 +481,37 @@ def split_chronological(dataset: Dataset, train_frac: float = 0.8) -> tuple[Data
 # ---------------------------------------------------------------------------
 
 def export_csv(dataset: Dataset, path) -> int:
-    """First row: 'timestamp' then metric names; then one row per frame.
-    Floats are written with repr so that import round-trips exactly.
-    Returns the number of frames written."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(("timestamp",) + tuple(dataset.names)) + "\n")
-        for t, row in zip(dataset.t, dataset.values):
-            fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
-    return len(dataset.t)
+    """First row: 'timestamp' then metric names; then one row per frame, in
+    the run artifacts' one CSV format (control.write_csv), whose float text
+    round-trips exactly. Returns the number of frames written."""
+    return write_csv(path, ("timestamp",) + tuple(dataset.names),
+                     ([t, *row.tolist()] for t, row in zip(dataset.t.tolist(), dataset.values)))
 
 
 def import_csv(path, expected_width: int | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln != ""]
-    if not lines:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
         raise EmptyDatasetError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    header = rows[0][1]
     if len(header) < 2 or header[0] != "timestamp":
         raise DatasetFormatError(f"{path}: header must be 'timestamp,<metric>,...'")
     names = tuple(header[1:])
     if expected_width is not None and len(names) != expected_width:
         raise DatasetFormatError(
             f"{path}: width mismatch: file has {len(names)} metrics, expected {expected_width}")
-    t = np.empty(len(lines) - 1)
-    values = np.empty((len(lines) - 1, len(names)))
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
+    t = np.empty(len(rows) - 1)
+    values = np.empty((len(rows) - 1, len(names)))
+    for k, (line, cells) in enumerate(rows[1:]):
         if len(cells) != len(names) + 1:
             raise DatasetFormatError(
-                f"{path}: ragged row at line {i}: {len(cells)} cells, expected {len(names) + 1}")
+                f"{path}: ragged row at line {line}: {len(cells)} cells, expected {len(names) + 1}")
         try:
-            t[i - 2] = float(cells[0])
-            values[i - 2] = [float(c) for c in cells[1:]]
+            t[k] = float(cells[0])
+            values[k] = [float(c) for c in cells[1:]]
         except ValueError as exc:
-            raise DatasetFormatError(f"{path}: non-numeric cell at line {i}: {exc}") from None
+            raise DatasetFormatError(f"{path}: non-numeric cell at line {line}: {exc}") from None
     if len(t) == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
     return Dataset(names=names, t=t, values=values)

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from . import engines, metrics, sdi
 from .chain import (ActionCatalog, CatalogEntry, LoopChain, LoopStep, QosRequirements,
                     StepKind, load_chain)
-from .control import Orchestrator, TierScheduler, count_reversals, write_csv
+from .control import Orchestrator, count_reversals, write_csv
 from .steps import TrafficFeed
 
 SCENARIOS = ("compress", "adaptive-vnf", "conflict-demo")
@@ -60,6 +60,17 @@ class RunReport:
         return all(self.checks.values())
 
 
+def _number(doc: dict, section: str, key: str, default, kind=float):
+    """doc[key], or default when absent, as kind (float or int); a value that
+    is not a number raises ConfigError naming the section and key."""
+    value = doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        where = f"{section}.{key}" if section else key
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def load_scenario_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
@@ -73,7 +84,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: scenario is mandatory")
     cfg = ScenarioConfig(
         scenario=str(doc["scenario"]),
-        seed=int(doc["seed"]),
+        seed=_number(doc, "", "seed", None, int),
         topology=str(doc.get("topology", "testbed")),
         out_dir=str(doc.get("out_dir", "out")),
         workload=dict(doc.get("workload", {}) or {}),
@@ -121,21 +132,25 @@ def _workload_profile(cfg: ScenarioConfig, default_preset: str, seed: int) -> me
     )
     return metrics.WorkloadProfile(
         name=str(doc.get("name", "custom")),
-        duration=float(doc.get("duration", 1800.0)),
-        base_rate=float(doc.get("base_rate", 0.0)),
+        duration=_number(doc, "workload", "duration", 1800.0),
+        base_rate=_number(doc, "workload", "base_rate", 0.0),
         segments=segments,
-        noise=float(doc.get("noise", 0.0)),
+        noise=_number(doc, "workload", "noise", 0.0),
         seed=seed,
     )
+
+
+def _param(cfg: ScenarioConfig, key: str, default, kind=float):
+    return _number(cfg.params, "params", key, default, kind)
 
 
 def _train_config(cfg: ScenarioConfig, seed: int, **defaults) -> engines.TrainConfig:
     doc = dict(defaults)
     doc.update(cfg.train)
     return engines.TrainConfig(
-        learning_rate=float(doc.get("learning_rate", 1e-3)),
-        epochs=int(doc.get("epochs", 100)),
-        batch_size=int(doc.get("batch_size", 32)),
+        learning_rate=_number(doc, "train", "learning_rate", 1e-3),
+        epochs=_number(doc, "train", "epochs", 100, int),
+        batch_size=_number(doc, "train", "batch_size", 32, int),
         seed=seed,
         optimizer=str(doc.get("optimizer", "adam")),
         shuffle=bool(doc.get("shuffle", True)),
@@ -221,7 +236,7 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     workload = metrics.generate_workload(profile)
     dataset = metrics.scrape_series(state, workload, catalog)
 
-    train, val = metrics.split_chronological(dataset, float(cfg.params.get("train_frac", 0.8)))
+    train, val = metrics.split_chronological(dataset, _param(cfg, "train_frac", 0.8))
     train01, scaler = metrics.normalize_minmax(train)
     val01_values = scaler.transform(val.values)
 
@@ -238,7 +253,7 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 
     recon01 = engines.ae_forward(net, val01_values)
     recon = scaler.inverse(recon01)
-    threshold = float(cfg.params.get("error_threshold", 0.1))
+    threshold = _param(cfg, "error_threshold", 0.1)
     cpu_metric = str(cfg.params.get("cpu_metric", "node.cpu@waterloo-vm6"))
     dist = engines.relative_error_distribution(val.column(cpu_metric),
                                                recon[:, dataset.names.index(cpu_metric)],
@@ -248,12 +263,12 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 
     # Serve the trained model inside a running loop for a short window.
     chain = _compress_chain(cfg)
-    orch = Orchestrator(state, scheduler=TierScheduler(), sandbox=False)
+    orch = Orchestrator(state)
     orch.instantiate(chain, services={
         "metric_catalog": catalog, "workload": workload,
         "compressor": net, "scaler": scaler,
     })
-    loop_ticks = int(cfg.params.get("loop_ticks", 60))
+    loop_ticks = _param(cfg, "loop_ticks", 60, int)
     orch.run(duration_ms=loop_ticks * (chain.tick_period_ms or 1000))
     instance = orch.instances[chain.id]
     codes = []
@@ -281,7 +296,7 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     }
     engines.save_model(net, out / "compressor.json", train_cfg)
 
-    fraction_target = float(cfg.params.get("min_fraction_below", 0.80))
+    fraction_target = _param(cfg, "min_fraction_below", 0.80)
     run_metrics = {
         "fraction_eta_below_threshold": dist.fraction_below,
         "eta_threshold": threshold,
@@ -361,18 +376,18 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     workload = metrics.generate_workload(profile)
     per_min = metrics.resample_mean(workload, 60.0)
     series = per_min.values
-    window = int(cfg.params.get("window", 30))
-    horizon = int(cfg.params.get("horizon", 10))
-    train_frac = float(cfg.params.get("train_frac", 0.75))
+    window = _param(cfg, "window", 30, int)
+    horizon = _param(cfg, "horizon", 10, int)
+    train_frac = _param(cfg, "train_frac", 0.75)
     cut = int(round(len(series) * train_frac))
     if cut <= window + horizon or len(series) - cut < window + horizon:
         raise ConfigError("traffic series too short for the window/horizon/split")
 
     # Phase 1: planted linear CPU law in normalized space, observed with noise.
-    slope_true = float(cfg.params.get("planted_slope", 0.7))
-    intercept_true = float(cfg.params.get("planted_intercept", 0.1))
-    sigma = float(cfg.params.get("planted_noise", 1e-3))
-    cpu_scale = float(cfg.params.get("cpu_scale", 4000.0))
+    slope_true = _param(cfg, "planted_slope", 0.7)
+    intercept_true = _param(cfg, "planted_intercept", 0.1)
+    sigma = _param(cfg, "planted_noise", 1e-3)
+    cpu_scale = _param(cfg, "cpu_scale", 4000.0)
     lo, hi = float(series[:cut].min()), float(series[:cut].max())
     span = (hi - lo) or 1.0
     x01 = (series - lo) / span
@@ -384,7 +399,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     # Phase 2: traffic forecaster vs last-value persistence on held-out windows.
     train_cfg = _train_config(cfg, seed_train, epochs=300, learning_rate=5e-3)
     predictor = engines.rnn_train(series[:cut], window, horizon, train_cfg,
-                                  hidden_size=int(cfg.params.get("hidden_size", 16)))
+                                  hidden_size=_param(cfg, "hidden_size", 16, int))
     x_all, y_all = engines.make_windows(series, window, horizon)
     test_idx = [i for i in range(len(x_all)) if i + window >= cut]
     pred_sse = 0.0
@@ -404,9 +419,9 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 
     # Phase 3: the closed loop. The catalog folds the fitted law, the input
     # normalization and a headroom factor into one affine map Mb/s -> mc.
-    headroom = float(cfg.params.get("headroom", 1.05))
-    knob_lo = float(cfg.params.get("knob_min", 200.0))
-    knob_hi = float(cfg.params.get("knob_max", 6000.0))
+    headroom = _param(cfg, "headroom", 1.05)
+    knob_lo = _param(cfg, "knob_min", 200.0)
+    knob_hi = _param(cfg, "knob_max", 6000.0)
     scale = headroom * cpu_scale * fit.slope / span
     offset = headroom * cpu_scale * (fit.intercept - fit.slope * lo / span)
     catalog = ActionCatalog(entries=(CatalogEntry(
@@ -416,11 +431,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 
     chain = _adaptive_chain(cfg, region, firewall, window)
     feed = TrafficFeed(series, offset=cut)
-    # Single loop: there is no cross-loop interference to dry-run, so the
-    # sandbox gate defaults off here (a tracking controller would trip the
-    # reversal heuristic while doing its job).
-    orch = Orchestrator(state, scheduler=TierScheduler(),
-                        sandbox=bool(cfg.params.get("sandbox", False)))
+    orch = Orchestrator(state)
     orch.instantiate(chain, services={
         "traffic_feed": feed, "predictor": predictor, "action_catalog": catalog,
     })
@@ -517,32 +528,31 @@ def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
     region = str(cfg.params.get("region", "waterloo"))
     node = str(cfg.params.get("node", f"{region}-vm4"))
     parameter = str(cfg.params.get("parameter", "vnf.cpu.millicores"))
-    initial = float(cfg.params.get("initial", 2000.0))
+    initial = _param(cfg, "initial", 2000.0)
     if node not in state.nodes:
         raise ConfigError(f"conflict-demo node {node!r} not in topology")
     try:
         sdi.set_knob(state, node, parameter, initial)
     except sdi.CapacityError as exc:
         raise ConfigError(f"initial knob value does not fit on {node}: {exc}") from None
-    ticks = int(cfg.params.get("ticks", 100))
-    period = int(cfg.params.get("tick_period_ms", 1000))
+    ticks = _param(cfg, "ticks", 100, int)
+    period = _param(cfg, "tick_period_ms", 1000, int)
     single = bool(cfg.params.get("single_chain", False))
 
     if "booster_chain_file" in cfg.params:
         booster = load_chain(cfg.params["booster_chain_file"])
     else:
         booster = _setpoint_chain("cpu-booster", 1, region, node, parameter,
-                                  float(cfg.params.get("setpoint_high", 3000.0)))
+                                  _param(cfg, "setpoint_high", 3000.0))
     booster.tick_period_ms = period
-    orch = Orchestrator(state, scheduler=TierScheduler(),
-                        arbitration=arbitration, sandbox=arbitration)
+    orch = Orchestrator(state, arbitration=arbitration, sandbox=arbitration)
     orch.instantiate(booster)
     if not single:
         if "saver_chain_file" in cfg.params:
             saver = load_chain(cfg.params["saver_chain_file"])
         else:
             saver = _setpoint_chain("cpu-saver", 2, region, node, parameter,
-                                    float(cfg.params.get("setpoint_low", 1000.0)))
+                                    _param(cfg, "setpoint_low", 1000.0))
         saver.tick_period_ms = period
         orch.instantiate(saver)
     orch.run(duration_ms=ticks * period)
@@ -556,15 +566,15 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
     off = _conflict_run(cfg, arbitration=False)
     on = _conflict_run(cfg, arbitration=True)
 
-    reversals_off = sum(count_reversals(deltas)
-                        for deltas in off.trace.applied_knob_deltas().values())
+    reversals_off = sum(count_reversals(changes)
+                        for changes in off.trace.applied_knob_deltas().values())
     decisions = [e for e in on.trace.events if e.kind == "arbitration"]
     first_decision_ms = decisions[0].t_ms if decisions else None
     applied_after = []
     if first_decision_ms is not None:
         for e in on.trace.events:
             if e.kind == "apply" and e.t_ms > first_decision_ms:
-                applied_after.append(e.delta)
+                applied_after.append((e.chain, e.delta))
     reversals_after = count_reversals(applied_after)
     conflicts_off = sum(1 for e in off.trace.events if e.kind == "conflict")
     conflicts_on = sum(1 for e in on.trace.events if e.kind == "conflict")

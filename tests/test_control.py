@@ -11,11 +11,10 @@ from loopsim import sdi
 from loopsim.chain import (ActionCatalog, ActionProposal, AnalysisOutput, CatalogEntry,
                            InfeasibleError, LoopChain, LoopStep, QosRequirements,
                            StepKind)
-from loopsim.control import (ConflictKind, InstanceState, LifecycleError, Orchestrator,
-                             TickAlignmentError, TierScheduler, arbitrate,
+from loopsim.control import (SANDBOX_HORIZON_TICKS, ConflictKind, InstanceState,
+                             LifecycleError, Orchestrator, TickAlignmentError, arbitrate,
                              count_reversals, detect_conflicts)
 from loopsim.engines import linfit
-from loopsim.errors import ConfigError
 from loopsim.sdi import ResourceVector, Tier, build_topology, serialize_state
 from loopsim.steps import TrafficFeed, build_default_registry
 
@@ -81,8 +80,7 @@ def registry_with_passthrough():
 def make_orchestrator(arbitration=True, sandbox=True, state=None):
     state = state or build_topology(spec_3nodes())
     return Orchestrator(state, registry=registry_with_passthrough(),
-                        scheduler=TierScheduler(), arbitration=arbitration,
-                        sandbox=sandbox)
+                        arbitration=arbitration, sandbox=sandbox)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +400,42 @@ def test_sandbox_single_loop_constant_target_stable():
     assert result.max_oscillation == 0
 
 
+def test_sandbox_single_loop_alternating_setpoint_stable():
+    """One loop that reverses its own knob every tick is tracking, not
+    interfering: its reversals do not count against the dry-run."""
+    orch = make_orchestrator()
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 1000.0)
+
+    def flip(ctx):
+        current = sdi.get_knob(ctx.state, "n1", "vnf.cpu.millicores")
+        value = 1000.0 if current > 1500.0 else 2000.0
+        return [ActionProposal("n1", "vnf.cpu.millicores", value,
+                               1 if value > current else -1, "", ctx.t_ms)]
+
+    orch.registry.register("plan.flip", flip)
+    tracker = setpoint_chain("tracker", 1, 0.0)
+    tracker.steps[1] = LoopStep("push", StepKind.PLAN, "plan.flip", QosRequirements(cpu=50))
+    orch.instantiate(tracker)
+    result = orch.sandbox_dryrun([proposal("tracker", value=2000.0, direction=1)])
+    assert result.verdict == "stable"
+    assert result.max_oscillation == 0
+    # Live, with the gate on, every reversal the loop asks for is applied.
+    trace = orch.run(duration_ms=4000)
+    deltas = [d for _, d in trace.applied_knob_deltas()[("n1", "vnf.cpu.millicores")]]
+    assert deltas == [1000.0, -1000.0, 1000.0, -1000.0]
+    assert [e.verdict for e in trace.events if e.kind == "sandbox"] == ["stable"] * 4
+
+
 def test_sandbox_opposing_loops_unstable():
     orch = make_orchestrator(arbitration=False, sandbox=False)
     sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
     orch.instantiate(setpoint_chain("up", 1, 3000.0))
     orch.instantiate(setpoint_chain("down", 2, 1000.0))
-    horizon = 10
     result = orch.sandbox_dryrun(
         [proposal("up", value=3000.0, direction=1),
-         proposal("down", value=1000.0, direction=-1)],
-        horizon_ticks=horizon)
+         proposal("down", value=1000.0, direction=-1)])
     assert result.verdict == "unstable"
-    assert result.max_oscillation >= horizon / 2
+    assert result.max_oscillation >= SANDBOX_HORIZON_TICKS / 2
 
 
 def test_sandbox_leaves_live_state_bitwise_identical():
@@ -435,18 +457,23 @@ def test_sandbox_empty_proposals_stable():
 
 
 def test_count_reversals():
-    assert count_reversals([1, -1, 1, -1]) == 3
-    assert count_reversals([1, 1, 1]) == 0
-    assert count_reversals([1, 0, 0, -1]) == 1  # zeros skipped
+    assert count_reversals([("a", 1), ("b", -1), ("a", 1), ("b", -1)]) == 3
+    assert count_reversals([("a", 1), ("b", 1), ("a", 1)]) == 0
+    assert count_reversals([("a", 1), ("a", 0), ("b", 0), ("b", -1)]) == 1  # zeros skipped
+    assert count_reversals([("a", 1), ("a", -1), ("a", 1), ("a", -1)]) == 0  # one loop
+    assert count_reversals([("a", 1), ("a", -1), ("b", 1)]) == 1
     assert count_reversals([]) == 0
 
 
-@given(deltas=st.lists(st.floats(-10, 10, allow_nan=False), max_size=40))
-def test_count_reversals_bounds(deltas):
-    nonzero = [d for d in deltas if d != 0]
-    reversals = count_reversals(deltas)
+@given(changes=st.lists(st.tuples(st.sampled_from("abc"), st.floats(-10, 10, allow_nan=False)),
+                        max_size=40))
+def test_count_reversals_bounds(changes):
+    nonzero = [(i, d) for i, d in changes if d != 0]
+    reversals = count_reversals(changes)
     assert 0 <= reversals <= max(0, len(nonzero) - 1)
     assert count_reversals(nonzero) == reversals  # zeros never matter
+    assert count_reversals([("a", d) for _, d in changes]) == 0  # one issuer never reverses
+    assert reversals <= count_reversals([(str(k), d) for k, (_, d) in enumerate(nonzero)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -567,11 +594,6 @@ def test_fcaps_csv_quotes_ids(tmp_path):
     assert rows == [["instance", "state", "fault", "config", "accounting", "performance"],
                     ['saver, "eco"', "running", "0", "1", "5", "0"]]
     assert written == 1
-
-
-def test_tier_scheduler_rejects_slow_children():
-    with pytest.raises(ConfigError):
-        TierScheduler({Tier.CORE: 100, Tier.EDGE: 200, Tier.ACCESS: 50})
 
 
 def test_trace_csv_roundtrip_shape(tmp_path):

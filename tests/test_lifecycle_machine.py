@@ -23,7 +23,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
 from loopsim import sdi
 from loopsim.chain import (ActionProposal, EmbeddingError, LoopChain, LoopStep,
                            QosRequirements, StepKind)
-from loopsim.control import InstanceState, Orchestrator, TierScheduler
+from loopsim.control import InstanceState, Orchestrator
 from loopsim.sdi import RESOURCE_COMPONENTS, CapacityError
 from loopsim.steps import build_default_registry
 
@@ -104,8 +104,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         registry = build_default_registry()
         registry.register("analyze.passthrough", lambda ctx: next(iter(ctx.inputs.values())))
         self.spec = spec
-        self.orch = Orchestrator(sdi.build_topology(spec), registry=registry,
-                                 scheduler=TierScheduler(), sandbox_horizon_ticks=3)
+        self.orch = Orchestrator(sdi.build_topology(spec), registry=registry)
         self.compute = self.orch.state.compute_nodes()
 
     def live_ids(self):

@@ -233,6 +233,25 @@ def test_csv_roundtrip_exact(tmp_path, testbed, catalog):
     assert np.all(back.t == ds.t)
 
 
+def test_csv_roundtrip_quotes_metric_names(tmp_path):
+    """A node id with a comma survives catalog -> scrape -> export -> import."""
+    topo = sdi.build_topology({
+        "nodes": [{"id": "a,b", "region": "west", "tier": "edge", "cpu": 4000},
+                  {"id": "c", "region": "west", "tier": "edge", "cpu": 4000}],
+        "links": [{"a": "a,b", "b": "c", "bandwidth": 1000, "latency": 1.0}],
+    })
+    catalog = build_metric_catalog(topo, seed=5)
+    assert any("a,b" in name for name in catalog.names)
+    ds = scrape_series(topo, generate_workload(
+        WorkloadProfile("flat", 5.0, 40.0, (), noise=0.0, seed=1)), catalog)
+    path = tmp_path / "ds.csv"
+    assert export_csv(ds, path) == len(ds.t)
+    back = import_csv(path, expected_width=catalog.width)
+    assert back.names == ds.names
+    assert back.values.tobytes() == ds.values.tobytes()
+    assert back.t.tobytes() == ds.t.tobytes()
+
+
 def test_csv_ragged_row_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("timestamp,a@x,b@x\n0.0,1.0,2.0\n1.0,3.0\n")

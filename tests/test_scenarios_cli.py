@@ -128,6 +128,19 @@ def test_knob_levels_equal_the_sequential_walk_bitwise(minutes, applies):
     assert got.tobytes() == knob_levels_by_loop(events, minutes).tobytes()
 
 
+def test_adaptive_tracking_loop_passes_the_dry_run_gate(tmp_path):
+    """adaptive-vnf runs the same gate as every scenario: its single tracking
+    loop is judged stable at every resize and nothing is withheld."""
+    report = run_scenario(make_cfg(TINY_ADAPTIVE, tmp_path / "out"))
+    with open(tmp_path / "out" / "trace.csv", newline="", encoding="utf-8") as fh:
+        events = [(row["event"], row["verdict"]) for row in csv.DictReader(fh)]
+    ticks = [e for e in events if e[0] == "tick"]
+    sandbox = [verdict for kind, verdict in events if kind == "sandbox"]
+    assert ticks and sandbox == ["stable"] * len(ticks)
+    assert not [e for e in events if e[0] == "withhold"]
+    assert report.metrics["ticks"] == len(ticks) == sum(1 for e in events if e[0] == "apply")
+
+
 def test_different_seed_changes_outputs(tmp_path):
     run_scenario(make_cfg(TINY_COMPRESS, tmp_path / "a"))
     other = dict(TINY_COMPRESS, seed=12)
@@ -249,6 +262,26 @@ def test_cli_validate_ok(tmp_path, capsys):
 def test_cli_validate_bad_config_exits_2(tmp_path):
     path = write_config(tmp_path, {"scenario": "compress"})
     assert main(["validate", "--config", str(path)]) == 2
+
+
+def test_cli_non_numeric_seed_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, dict(TINY_CONFLICT, seed="seven"))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--scenario", "conflict-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("seed must be a number, got 'seven'") == 2
+
+
+@pytest.mark.parametrize("doc, where", [
+    (dict(TINY_CONFLICT, params=dict(TINY_CONFLICT["params"], ticks="many")), "params.ticks"),
+    (dict(TINY_ADAPTIVE, train=dict(TINY_ADAPTIVE["train"], epochs="lots")), "train.epochs"),
+], ids=["params", "train"])
+def test_cli_non_numeric_value_exits_2(tmp_path, capsys, doc, where):
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--scenario", doc["scenario"], "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{where} must be a number" in capsys.readouterr().err
 
 
 def test_cli_run_conflict(tmp_path, capsys):
