@@ -231,13 +231,24 @@ class Embedding:
     chain_id: str
     assignment: dict[str, str]  # step name -> node id
     paths: dict[tuple[str, str], tuple[str, ...]]  # edge -> node path
-    qos_achieved: dict[tuple[str, str], PathMetrics]
     total_latency_ms: float
     allocation_ids: tuple[str, ...] = ()
 
 
 def _in_domain(node, domain: frozenset[str]) -> bool:
     return not domain or node.id in domain or node.region in domain
+
+
+def _host_violation(chain: LoopChain, step: LoopStep, node) -> str | None:
+    """The coverage or domain constraint that bars node from hosting step,
+    or None."""
+    if step.qos.coverage and node.region not in step.qos.coverage:
+        return "coverage"
+    if step.kind == StepKind.MONITOR and not _in_domain(node, chain.source_domain):
+        return "domain"
+    if step.kind == StepKind.EXECUTE and not _in_domain(node, chain.destination_domain):
+        return "domain"
+    return None
 
 
 def _edge_requirements(chain: LoopChain):
@@ -247,23 +258,22 @@ def _edge_requirements(chain: LoopChain):
 
 
 def _path_feasible(pm: PathMetrics, qos: QosRequirements, link_pending: dict,
-                   local_pending: dict, state: Topology) -> str | None:
+                   claims: dict, state: Topology) -> str | None:
     """Check one inbound path against QoS, counting bandwidth already claimed
     by this embedding attempt (link_pending) and by this step's other inbound
-    edges (local_pending, updated here on success). Returns the violated
-    constraint name or None."""
+    edges (claims, which gains this path's links on success). Returns the
+    violated constraint name or None."""
     if pm.latency_ms > qos.max_latency_ms:
         return "latency"
     if qos.min_reliability > 0 and pm.reliability < qos.min_reliability:
         return "reliability"
     if qos.min_bandwidth > 0:
-        keys = [tuple(sorted((a, b))) for a, b in zip(pm.path, pm.path[1:])]
-        for key in keys:
-            claimed = link_pending.get(key, 0) + local_pending.get(key, 0)
+        for key in pm.links:
+            claimed = link_pending.get(key, 0) + claims.get(key, 0)
             if state.link_residual(key) - claimed < qos.min_bandwidth:
                 return "bandwidth"
-        for key in keys:
-            local_pending[key] = local_pending.get(key, 0) + qos.min_bandwidth
+        for key in pm.links:
+            claims[key] = claims.get(key, 0) + qos.min_bandwidth
     return None
 
 
@@ -278,169 +288,131 @@ def _dominant_constraint(tally: dict[str, int]) -> str:
     return next(iter(tally))
 
 
-def embed(chain: LoopChain, state: Topology, owner: str | None = None,
-          backtrack_budget: int | None = None) -> Embedding:
+def embed(chain: LoopChain, state: Topology) -> Embedding:
     """Greedy embedding in topological order with bounded backtracking.
 
     Each step prefers the feasible compute node that adds the least inbound
     path latency (ties to the lexicographically smaller node id); the first
-    complete assignment is the plain greedy answer, and any remaining
-    backtrack budget is spent branch-and-bound style on lower-latency
-    alternatives. Every unwind of a placement costs one unit of budget;
-    running out with no solution found raises SearchExhaustedError (an
-    inconclusive verdict, unlike InfeasibleError). On success every node and
-    link reservation is applied to the state atomically; on failure the
-    state is untouched.
+    complete assignment is the plain greedy answer, and the rest of the
+    budget of steps x compute nodes^2 unwinds is spent branch-and-bound style
+    on lower-latency alternatives. Running out of budget with no solution
+    found raises InfeasibleError if some step has no node that meets its
+    coverage, domain and capacity constraints even with nothing else placed,
+    and SearchExhaustedError (an inconclusive verdict) otherwise. On success
+    every node and link reservation is applied to the state atomically, owned
+    by the chain id; on failure the state is untouched.
     """
     report = validate_chain(chain)
     if not report.ok:
         raise ChainValidationError(f"chain {chain.id}: " + "; ".join(report.errors))
     order = _topological_order(chain)
     assert order is not None
-    if backtrack_budget is None:
-        # Polynomial in the instance size; conclusively covers desk-scale
-        # instances (a budget of only len(steps) demonstrably under-searches).
-        backtrack_budget = len(order) * max(1, len(state.compute_nodes())) ** 2
-    owner = owner or chain.id
+    steps = [chain.step(name) for name in order]
     edge_qos = _edge_requirements(chain)
     candidates = state.compute_nodes()
+    # Polynomial in the instance size; conclusively covers desk-scale
+    # instances (a budget of only len(steps) demonstrably under-searches).
+    limit = budget = len(order) * max(1, len(candidates)) ** 2
 
     assignment: dict[str, str] = {}
     node_pending: dict[str, ResourceVector] = {}
     link_pending: dict[tuple[str, str], int] = {}
     first_block: tuple[str, str] | None = None  # (step, constraint)
-    budget = backtrack_budget
 
-    def options(step_name: str) -> list[tuple[float, str]]:
-        """Feasible (added latency, node) choices, best first; records the
-        dominant blocking constraint when empty."""
+    def options(step: LoopStep) -> list[tuple[float, str, dict]]:
+        """Feasible (added latency, node, link claims) choices, best first.
+        The claims are the bandwidth per link that the paths from the placed
+        predecessors take. Records the dominant blocking constraint of the
+        first step found with no choice."""
         nonlocal first_block
-        step = chain.step(step_name)
-        preds = [p for p in chain.predecessors(step_name) if p in assignment]
-        feasible: list[tuple[float, str]] = []
+        preds = [p for p in chain.predecessors(step.name) if p in assignment]
+        feasible: list[tuple[float, str, dict]] = []
         tally: dict[str, int] = {}
         for node_id in candidates:
-            node = state.nodes[node_id]
-            if step.qos.coverage and node.region not in step.qos.coverage:
-                tally["coverage"] = tally.get("coverage", 0) + 1
-                continue
-            if step.kind == StepKind.MONITOR and not _in_domain(node, chain.source_domain):
-                tally["domain"] = tally.get("domain", 0) + 1
-                continue
-            if step.kind == StepKind.EXECUTE and not _in_domain(node, chain.destination_domain):
-                tally["domain"] = tally.get("domain", 0) + 1
-                continue
-            residual = state.node_residual(node_id) - node_pending.get(node_id, ResourceVector())
-            short = residual.shortfall(step.qos.demand)
-            if short is not None:
-                tally[short] = tally.get(short, 0) + 1
-                continue
+            violated = _host_violation(chain, step, state.nodes[node_id])
+            if violated is None:
+                residual = state.node_residual(node_id) - node_pending.get(node_id, ResourceVector())
+                violated = residual.shortfall(step.qos.demand)
             added = 0.0
-            violated = None
-            local_pending: dict[tuple[str, str], int] = {}
+            claims: dict[tuple[str, str], int] = {}
             for p in preds:
-                pm = sdi.path_metrics(state, assignment[p], node_id)
-                violated = _path_feasible(pm, edge_qos[(p, step_name)], link_pending,
-                                          local_pending, state)
-                if violated:
+                if violated is not None:
                     break
+                pm = sdi.path_metrics(state, assignment[p], node_id)
+                violated = _path_feasible(pm, edge_qos[(p, step.name)], link_pending,
+                                          claims, state)
                 added += pm.latency_ms
-            if violated:
+            if violated is None:
+                feasible.append((added, node_id, claims))
+            else:
                 tally[violated] = tally.get(violated, 0) + 1
-                continue
-            feasible.append((added, node_id))
         if not feasible and first_block is None and tally:
-            first_block = (step_name, _dominant_constraint(tally))
-        feasible.sort()
+            first_block = (step.name, _dominant_constraint(tally))
+        feasible.sort()  # node ids are unique, so claims are never compared
         return feasible
 
-    def place(step_name: str, node_id: str) -> None:
-        step = chain.step(step_name)
-        assignment[step_name] = node_id
-        node_pending[node_id] = node_pending.get(node_id, ResourceVector()) + step.qos.demand
-        for p in chain.predecessors(step_name):
-            if p not in assignment:
-                continue
-            qos = edge_qos[(p, step_name)]
-            if qos.min_bandwidth > 0:
-                pm = sdi.path_metrics(state, assignment[p], node_id)
-                for a, b in zip(pm.path, pm.path[1:]):
-                    key = tuple(sorted((a, b)))
-                    link_pending[key] = link_pending.get(key, 0) + qos.min_bandwidth
-
-    def unplace(step_name: str) -> None:
-        step = chain.step(step_name)
-        node_id = assignment.pop(step_name)
-        node_pending[node_id] = node_pending[node_id] - step.qos.demand
-        for p in chain.predecessors(step_name):
-            if p not in assignment:
-                continue
-            qos = edge_qos[(p, step_name)]
-            if qos.min_bandwidth > 0:
-                pm = sdi.path_metrics(state, assignment[p], node_id)
-                for a, b in zip(pm.path, pm.path[1:]):
-                    key = tuple(sorted((a, b)))
-                    link_pending[key] = link_pending[key] - qos.min_bandwidth
+    def occupy(step: LoopStep, node_id: str, claims: dict, sign: int) -> None:
+        """Place (sign 1) or unplace (sign -1) a step with its link claims."""
+        pending = node_pending.get(node_id, ResourceVector())
+        if sign > 0:
+            assignment[step.name] = node_id
+            node_pending[node_id] = pending + step.qos.demand
+        else:
+            del assignment[step.name]
+            node_pending[node_id] = pending - step.qos.demand
+        for key, mbps in claims.items():
+            link_pending[key] = link_pending.get(key, 0) + sign * mbps
 
     best: dict[str, str] | None = None
     best_latency = math.inf
 
-    class _BudgetStop(Exception):
-        pass
-
-    def search(depth: int, acc: float) -> None:
+    def search(depth: int, acc: float) -> bool:
+        """Branch and bound from depth on; True once the budget has run out."""
         nonlocal budget, best, best_latency
-        if depth == len(order):
+        if depth == len(steps):
             if acc < best_latency:
-                best = dict(assignment)
-                best_latency = acc
-            return
-        step_name = order[depth]
-        for added, node_id in options(step_name):
+                best, best_latency = dict(assignment), acc
+            return False
+        step = steps[depth]
+        for added, node_id, claims in options(step):
             if acc + added >= best_latency:
                 break  # options are latency-sorted; no better completion left
-            place(step_name, node_id)
-            search(depth + 1, acc + added)
-            unplace(step_name)
-            if budget <= 0:
-                raise _BudgetStop()
+            occupy(step, node_id, claims, 1)
+            stopped = search(depth + 1, acc + added)
+            occupy(step, node_id, claims, -1)
+            if stopped or budget <= 0:
+                return True
             budget -= 1
+        return False
 
-    try:
-        search(0, 0.0)
-    except _BudgetStop:
-        if best is None:
+    if search(0, 0.0) and best is None:
+        # Nothing is placed any more, so a step with no choice now has no
+        # node that could ever host it: that is proven, not a budget verdict.
+        first_block = None
+        for step in steps:
+            options(step)
+        if first_block is None:
             raise SearchExhaustedError(
                 f"chain {chain.id}: backtracking budget exhausted after "
-                f"{backtrack_budget} unwinds with no feasible assignment found"
-            ) from None
+                f"{limit} unwinds with no feasible assignment found")
     if best is None:
-        if first_block is not None:
-            raise InfeasibleError(first_block[0], first_block[1])
-        raise InfeasibleError(order[0], "no-compute-nodes")
-    assignment = best
+        raise InfeasibleError(*(first_block or (order[0], "no-compute-nodes")))
 
     # Commit: validated against residuals above, so none of these can fail.
     # Edge metrics are read before any bandwidth is reserved, as the search
     # saw them.
-    achieved = {(a, b): sdi.path_metrics(state, assignment[a], assignment[b])
-                for a, b in sorted(chain.edges)}
-    alloc_ids: list[str] = []
-    for step_name in order:
-        step = chain.step(step_name)
-        if not step.qos.demand.is_zero():
-            alloc_ids.append(sdi.allocate(state, assignment[step_name], step.qos.demand, owner).id)
+    achieved = {(a, b): sdi.path_metrics(state, best[a], best[b]) for a, b in sorted(chain.edges)}
+    alloc_ids = [sdi.allocate(state, best[step.name], step.qos.demand, chain.id).id
+                 for step in steps if not step.qos.demand.is_zero()]
     for edge, pm in achieved.items():
-        qos = edge_qos[edge]
-        if qos.min_bandwidth > 0:
-            for x, y in zip(pm.path, pm.path[1:]):
-                alloc_ids.append(
-                    sdi.reserve_bandwidth(state, x, y, qos.min_bandwidth, owner).id)
-    edge_paths = {edge: pm.path for edge, pm in achieved.items()}
+        mbps = edge_qos[edge].min_bandwidth
+        if mbps > 0:
+            alloc_ids.extend(sdi.reserve_bandwidth(state, *key, mbps, chain.id).id
+                             for key in pm.links)
     total = sum((pm.latency_ms for pm in achieved.values()), 0.0)
-    return Embedding(chain_id=chain.id, assignment=dict(assignment), paths=edge_paths,
-                     qos_achieved=achieved, total_latency_ms=total,
-                     allocation_ids=tuple(alloc_ids))
+    return Embedding(chain_id=chain.id, assignment=best,
+                     paths={edge: pm.path for edge, pm in achieved.items()},
+                     total_latency_ms=total, allocation_ids=tuple(alloc_ids))
 
 
 def embed_bruteforce(chain: LoopChain, state: Topology,
@@ -461,64 +433,44 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
             f"{len(candidates)}^{len(order)} assignments exceed the {limit} limit")
     edge_qos = _edge_requirements(chain)
 
-    best: tuple[float, tuple[str, ...]] | None = None
-    best_detail = None
+    best: tuple[float, dict[str, str], dict] | None = None
     for combo in itertools.product(candidates, repeat=len(order)):
         assignment = dict(zip(order, combo))
         # Node-side checks: domains, coverage, aggregated capacity.
-        demand: dict[str, ResourceVector] = {}
-        ok = True
-        for step in chain.steps:
-            node = state.nodes[assignment[step.name]]
-            if step.qos.coverage and node.region not in step.qos.coverage:
-                ok = False
-                break
-            if step.kind == StepKind.MONITOR and not _in_domain(node, chain.source_domain):
-                ok = False
-                break
-            if step.kind == StepKind.EXECUTE and not _in_domain(node, chain.destination_domain):
-                ok = False
-                break
-            demand[node.id] = demand.get(node.id, ResourceVector()) + step.qos.demand
-        if not ok:
+        if any(_host_violation(chain, step, state.nodes[assignment[step.name]])
+               for step in chain.steps):
             continue
+        demand: dict[str, ResourceVector] = {}
+        for step in chain.steps:
+            node_id = assignment[step.name]
+            demand[node_id] = demand.get(node_id, ResourceVector()) + step.qos.demand
         if any(state.node_residual(n).shortfall(d) is not None for n, d in demand.items()):
             continue
         # Path-side checks with per-link bandwidth accumulation.
         link_demand: dict[tuple[str, str], int] = {}
+        paths: dict[tuple[str, str], tuple[str, ...]] = {}
         total = 0.0
         for a, b in chain.edges:
             pm = sdi.path_metrics(state, assignment[a], assignment[b])
             qos = edge_qos[(a, b)]
             if pm.latency_ms > qos.max_latency_ms:
-                ok = False
                 break
             if qos.min_reliability > 0 and pm.reliability < qos.min_reliability:
-                ok = False
                 break
             if qos.min_bandwidth > 0:
-                for x, y in zip(pm.path, pm.path[1:]):
-                    key = tuple(sorted((x, y)))
+                for key in pm.links:
                     link_demand[key] = link_demand.get(key, 0) + qos.min_bandwidth
+            paths[(a, b)] = pm.path
             total += pm.latency_ms
-        if not ok:
-            continue
-        if any(state.link_residual(k) < d for k, d in link_demand.items()):
-            continue
-        if best is None or total < best[0]:
-            best = (total, combo)
-            edge_paths = {}
-            achieved = {}
-            for a, b in sorted(chain.edges):
-                pm = sdi.path_metrics(state, assignment[a], assignment[b])
-                edge_paths[(a, b)] = pm.path
-                achieved[(a, b)] = pm
-            best_detail = (dict(assignment), edge_paths, achieved)
+        else:
+            if all(state.link_residual(k) >= d for k, d in link_demand.items()) \
+                    and (best is None or total < best[0]):
+                best = (total, assignment, paths)
     if best is None:
         raise InfeasibleError("*", "exhausted")
-    assignment, edge_paths, achieved = best_detail
-    return Embedding(chain_id=chain.id, assignment=assignment, paths=edge_paths,
-                     qos_achieved=achieved, total_latency_ms=best[0])
+    total, assignment, paths = best
+    return Embedding(chain_id=chain.id, assignment=assignment, paths=paths,
+                     total_latency_ms=total)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 from .errors import ConfigError, SimError
 from . import sdi
-from .chain import (ActionProposal, ChainValidationError, Embedding, LoopChain, LoopStep,
-                    StepKind, _topological_order, embed, validate_chain)
+from .chain import (ActionProposal, Embedding, LoopChain, LoopStep, StepKind,
+                    _topological_order, embed)
 from .sdi import TIER_DEPTH, CapacityError, ResourceVector, Tier, Topology
 
 
@@ -308,10 +308,10 @@ class EventTrace:
 # ---------------------------------------------------------------------------
 
 def _schedule(chain: LoopChain) -> tuple[tuple[LoopStep, tuple[str, ...]], ...]:
-    """Steps in topological order (declaration order if the graph has no
-    order), each paired with the names of its predecessors."""
-    names = _topological_order(chain) or [s.name for s in chain.steps]
-    return tuple((chain.step(n), tuple(chain.predecessors(n))) for n in names)
+    """Steps of an embedded (so acyclic) chain in topological order, each
+    paired with the names of its predecessors."""
+    return tuple((chain.step(n), tuple(chain.predecessors(n)))
+                 for n in _topological_order(chain))
 
 
 @dataclass
@@ -363,13 +363,9 @@ class Orchestrator:
         if chain.id in self.instances and \
                 self.instances[chain.id].state != InstanceState.TERMINATED:
             raise LifecycleError(f"chain {chain.id!r} already has a live instance")
-        report = validate_chain(chain)
-        if not report.ok:
-            raise ChainValidationError(f"chain {chain.id}: " + "; ".join(report.errors))
-        embedding = embed(chain, self.state, owner=chain.id)
+        embedding = embed(chain, self.state)
         schedule = _schedule(chain)
-        first_node = embedding.assignment[schedule[0][0].name] if schedule else None
-        tier = self.state.nodes[first_node].tier if first_node else Tier.CORE
+        tier = self.state.nodes[embedding.assignment[schedule[0][0].name]].tier
         period = chain.tick_period_ms or TIER_PERIODS_MS[tier]
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
@@ -435,25 +431,20 @@ class Orchestrator:
                 scaled_steps.append(replace(step, qos=qos))
             else:
                 scaled_steps.append(step)
-        scaled = LoopChain(
-            id=chain.id, steps=scaled_steps, edges=list(chain.edges),
-            source_domain=chain.source_domain, destination_domain=chain.destination_domain,
-            category=chain.category, priority=chain.priority,
-            tick_period_ms=chain.tick_period_ms,
-        )
+        scaled = replace(chain, steps=scaled_steps, edges=list(chain.edges))
         # Probe on a clone first so a failed scale leaves the live state
         # bitwise untouched; the live replay below cannot fail after that.
         probe = sdi.clone_state(self.state)
         for aid in instance.embedding.allocation_ids:
             sdi.release(probe, aid)
         try:
-            embed(scaled, probe, owner=chain.id)
+            embed(scaled, probe)
         except Exception:
             instance.state = InstanceState.RUNNING
             raise
         for aid in instance.embedding.allocation_ids:
             sdi.release(self.state, aid)
-        embedding = embed(scaled, self.state, owner=chain.id)
+        embedding = embed(scaled, self.state)
         instance.chain = scaled
         instance.schedule = _schedule(scaled)
         instance.embedding = embedding

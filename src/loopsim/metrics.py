@@ -21,6 +21,8 @@ from .sdi import Topology
 
 SCRAPE_INTERVAL_S = 1.0  # one frame per second, 1800 per 30-minute run
 WORKLOAD_REF = 100.0  # req/s scale at which couplings are quoted
+LATENT_DIM = 5  # shared latent factors behind the correlated frame noise
+IID_FRAC = 0.15  # iid frame noise as a fraction of noise_scale
 
 
 class DatasetFormatError(ConfigError):
@@ -304,16 +306,13 @@ class MetricCatalog:
 
     entries: tuple[MetricName, ...]
     seed: int
-    latent_dim: int
     baseline: np.ndarray
     coupling: np.ndarray
     share: np.ndarray
     alloc_gain: np.ndarray
     noise_scale: np.ndarray
     cap: np.ndarray  # NaN where uncapped
-    loadings: np.ndarray  # entries x latent_dim
-    iid_frac: float = 0.15  # iid noise as a fraction of noise_scale
-    scope_node: tuple[str, ...] = ()
+    loadings: np.ndarray  # entries x LATENT_DIM
 
     @property
     def width(self) -> int:
@@ -324,7 +323,7 @@ class MetricCatalog:
         return tuple(m.full for m in self.entries)
 
 
-def build_metric_catalog(topology: Topology, seed: int, latent_dim: int = 5) -> MetricCatalog:
+def build_metric_catalog(topology: Topology, seed: int) -> MetricCatalog:
     """Derive the metric catalog for a topology. Coefficients are drawn once
     from the seed; the same (topology, seed) always yields the same catalog."""
     all_nodes = sorted(topology.nodes)
@@ -335,20 +334,11 @@ def build_metric_catalog(topology: Topology, seed: int, latent_dim: int = 5) -> 
         n for n in all_nodes
         if any(r in HTTP_ROLES for r in topology.nodes[n].roles))
 
-    entries: list[MetricName] = []
-    scope_node: list[str] = []
-    for family in NODE_FAMILIES:
-        for n in all_nodes:
-            entries.append(MetricName(family, n))
-            scope_node.append(n)
-    for family in CONTAINER_FAMILIES:
-        for n in container_nodes:
-            entries.append(MetricName(family, n))
-            scope_node.append(n)
-    for family in HTTP_FAMILIES:
-        for n in http_nodes:
-            entries.append(MetricName(family, n))
-            scope_node.append(n)
+    entries = [MetricName(family, n)
+               for families, nodes in ((NODE_FAMILIES, all_nodes),
+                                       (CONTAINER_FAMILIES, container_nodes),
+                                       (HTTP_FAMILIES, http_nodes))
+               for family in families for n in nodes]
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     width = len(entries)
@@ -368,13 +358,12 @@ def build_metric_catalog(topology: Topology, seed: int, latent_dim: int = 5) -> 
     # Static per-scope traffic share in (0.2, 1.0): which fraction of the
     # global workload a node sees.
     node_share = {n: s for n, s in zip(all_nodes, rng.uniform(0.2, 1.0, size=len(all_nodes)))}
-    share = np.array([node_share[s] for s in scope_node])
-    loadings = rng.uniform(-1.0, 1.0, size=(width, latent_dim))
+    share = np.array([node_share[m.scope] for m in entries])
+    loadings = rng.uniform(-1.0, 1.0, size=(width, LATENT_DIM))
     return MetricCatalog(
-        entries=tuple(entries), seed=seed, latent_dim=latent_dim,
+        entries=tuple(entries), seed=seed,
         baseline=baseline, coupling=coupling, share=share,
-        alloc_gain=alloc_gain, noise_scale=noise_scale, cap=cap,
-        loadings=loadings, scope_node=tuple(scope_node),
+        alloc_gain=alloc_gain, noise_scale=noise_scale, cap=cap, loadings=loadings,
     )
 
 
@@ -382,7 +371,7 @@ def _alloc_fraction(state: Topology, catalog: MetricCatalog) -> np.ndarray:
     """Per metric, the CPU share allocated on the metric's node."""
     alloc_frac = np.zeros(catalog.width)
     frac_cache: dict[str, float] = {}
-    for i, node_id in enumerate(catalog.scope_node):
+    for i, node_id in enumerate(m.scope for m in catalog.entries):
         if node_id not in frac_cache:
             node = state.nodes[node_id]
             if node.cpu_capacity > 0:
@@ -399,14 +388,14 @@ def _frame_values(alloc_frac: np.ndarray, workload_value: float, catalog: Metric
     load = float(workload_value) / WORKLOAD_REF
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((catalog.seed, 0x5C4A9E, int(round(t * 1000))))))
-    z = rng.standard_normal(catalog.latent_dim)
+    z = rng.standard_normal(LATENT_DIM)
     iid = rng.standard_normal(catalog.width)
 
     values = (catalog.baseline
               + catalog.coupling * catalog.share * load
               + catalog.alloc_gain * alloc_frac
-              + catalog.noise_scale * (catalog.loadings @ z) / np.sqrt(catalog.latent_dim)
-              + catalog.noise_scale * catalog.iid_frac * iid)
+              + catalog.noise_scale * (catalog.loadings @ z) / np.sqrt(LATENT_DIM)
+              + catalog.noise_scale * IID_FRAC * iid)
     values = np.maximum(values, 0.0)
     capped = ~np.isnan(catalog.cap)
     values[capped] = np.minimum(values[capped], catalog.cap[capped])

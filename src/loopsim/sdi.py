@@ -235,6 +235,7 @@ class PathMetrics:
     min_bandwidth: float  # residual Mb/s; inf on a zero-link path
     reliability: float
     path: tuple[str, ...]
+    links: tuple[tuple[str, str], ...]  # link keys in path order
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +329,7 @@ def build_topology(spec) -> Topology:
 
     topo = Topology(nodes=nodes, links=links, switches=switches)
     for entry in spec.get("knobs", []) or []:
-        set_knob(topo, str(entry["node"]), str(entry["parameter"]), float(entry["value"]),
-                 owner=f"knob:{entry['node']}:{entry['parameter']}")
+        set_knob(topo, str(entry["node"]), str(entry["parameter"]), float(entry["value"]))
     return topo
 
 
@@ -447,8 +447,7 @@ def knob_backing_component(parameter: str) -> str | None:
     return None
 
 
-def set_knob(state: Topology, node_id: str, parameter: str, value: float,
-             owner: str | None = None) -> float:
+def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> float:
     """Set a named knob on a node and sync its backing reservation.
 
     Resource-backed knobs (parameter ending in .cpu.millicores /
@@ -463,7 +462,7 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float,
     if component is not None:
         if value < 0:
             raise ConfigError(f"knob {parameter} must be >= 0")
-        backing_owner = owner or f"knob:{node_id}:{parameter}"
+        backing_owner = f"knob:{node_id}:{parameter}"
         old_ids = sorted(state._owned.get((backing_owner, node_id), ()))
         amount = int(math.ceil(value))
         # Check before releasing the old backing, so that a refused knob
@@ -565,10 +564,10 @@ def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
     state._node(src)
     state._node(dst)
     if src == dst:
-        return PathMetrics(0.0, math.inf, 1.0, (src,))
+        return PathMetrics(0.0, math.inf, 1.0, (src,), ())
     latency, path, keys, reliability = state._routes.route(state, src, dst)
     bandwidth = min(state.links[key].bandwidth - state._used_link.get(key, 0) for key in keys)
-    return PathMetrics(latency, bandwidth, reliability, path)
+    return PathMetrics(latency, bandwidth, reliability, path, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Chains: validation, embedding vs the exhaustive oracle, catalogs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from loopsim import sdi
 from loopsim.chain import (ActionCatalog, AnalysisOutput, CatalogEntry,
-                           CatalogLookupError, ChainValidationError, InfeasibleError,
-                           InstanceTooLargeError, LoopChain, LoopStep, QosRequirements,
-                           StepKind, catalog_translate, chain_from_dict, embed,
-                           embed_bruteforce, validate_chain)
+                           CatalogLookupError, ChainValidationError, EmbeddingError,
+                           InfeasibleError, InstanceTooLargeError, LoopChain, LoopStep,
+                           QosRequirements, SearchExhaustedError, StepKind,
+                           catalog_translate, chain_from_dict, embed, embed_bruteforce,
+                           validate_chain)
 from loopsim.sdi import ResourceVector, build_topology, clone_state, serialize_state
 
 
@@ -216,6 +218,43 @@ def test_monitor_restricted_to_source_domain():
     assert embed(chain, state).assignment == {"m": "nb"}
 
 
+@pytest.mark.parametrize("qos, constraint", [
+    ({"coverage": frozenset({"mars"})}, "coverage"),
+    ({"cpu": 10 ** 6}, "cpu"),
+], ids=["coverage", "cpu"])
+@pytest.mark.parametrize("n_steps", [1, 5], ids=["1-step", "5-step"])
+def test_step_without_host_is_infeasible_not_exhausted(qos, constraint, n_steps):
+    # No testbed node can host the knowledge step whatever the other steps
+    # do, so the verdict is a proof, at any chain length.
+    state = build_topology("testbed")
+    before = serialize_state(state)
+    knowledge = LoopStep("k", StepKind.KNOWLEDGE, "fn.k",
+                         QosRequirements(**{"storage": 256, **qos}))
+    chain = canonical_chain()
+    if n_steps == 1:
+        chain = LoopChain(id="k-only", steps=[knowledge], edges=[])
+    else:
+        chain.steps[-1] = knowledge
+    with pytest.raises(InfeasibleError) as exc:
+        embed(chain, state)
+    assert (exc.value.step, exc.value.constraint) == ("k", constraint)
+    assert serialize_state(state) == before
+
+
+def test_latency_dead_end_exhausts_the_search_budget():
+    # Every step has a host, but knowledge must sit in Calgary within 1.5 ms
+    # of a plan step that must sit in Toronto: only the search can find out.
+    state = build_topology("testbed")
+    before = serialize_state(state)
+    chain = canonical_chain(source_domain=frozenset({"toronto"}))
+    chain.steps[2] = step("p", StepKind.PLAN, cpu=100, coverage=frozenset({"toronto"}))
+    chain.steps[4] = step("k", StepKind.KNOWLEDGE, storage=256,
+                          coverage=frozenset({"calgary"}), max_latency_ms=1.5)
+    with pytest.raises(SearchExhaustedError):
+        embed(chain, state)
+    assert serialize_state(state) == before
+
+
 def test_latency_budget_drives_colocation():
     state = build_topology(two_node_spec())
     chain = LoopChain(
@@ -366,6 +405,29 @@ def test_embed_agrees_with_bruteforce_on_200_seeded_instances(embed_agreement):
     within = sum(1 for r in ratios if r <= 1.5)
     outliers = [f"{r:.2f}" for r in ratios if r > 1.5]
     assert within / len(ratios) >= 0.9, f"latency outliers: {outliers}"
+
+
+def embed_outcome(seed):
+    """Everything one embed call on a seeded instance decides: the embedding
+    and the state it leaves, or the error it raises."""
+    state, chain = random_instance(seed)
+    try:
+        emb = embed(chain, state)
+    except EmbeddingError as exc:
+        return repr((type(exc).__name__, str(exc), serialize_state(state)))
+    return repr((sorted(emb.assignment.items()), sorted(emb.paths.items()),
+                 emb.total_latency_ms, emb.allocation_ids, serialize_state(state)))
+
+
+# sha256 of embed_outcome over seeds 0-399 (246 embeddings, 154
+# InfeasibleError), as computed by the embedder before its search was
+# restructured; any change to what embed returns or reserves moves it.
+EMBED_OUTCOMES_SHA256 = "b942055e883aae52efe86c5f14a786f43d9300dda2862b76f49a01ff860ce54f"
+
+
+def test_embed_results_pinned_on_400_seeded_instances():
+    text = "\n".join(embed_outcome(seed) for seed in range(400))
+    assert hashlib.sha256(text.encode()).hexdigest() == EMBED_OUTCOMES_SHA256
 
 
 def verify_embedding_independent(state_before, chain, emb):

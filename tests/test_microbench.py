@@ -1,6 +1,7 @@
-"""Per-layer microbenchmarks of the learners: one LSTM train step (batch 32,
-window 30, H=16), one autoencoder train step (batch 32) and one Adam step
-on the compressor's parameters.
+"""Per-layer microbenchmarks: one LSTM train step (batch 32, window 30,
+H=16), one autoencoder train step (batch 32), one Adam step on the
+compressor's parameters, one embedding of the canonical 5-step chain on the
+testbed and one warm cross-region path query there.
 
 The default test run executes each once as a smoke test (pyproject.toml
 passes --benchmark-disable). To time them:
@@ -10,8 +11,10 @@ passes --benchmark-disable). To time them:
 
 import numpy as np
 
-from loopsim import engines
+from loopsim import engines, sdi
+from loopsim.chain import embed
 from loopsim.engines import TrainConfig
+from test_chain import canonical_chain
 
 
 def _rng(seed):
@@ -53,3 +56,21 @@ def test_adam_step_on_compressor_params(benchmark):
     opt = engines._Optimizer(net.params, TrainConfig(learning_rate=1e-3))
     benchmark(opt.step, grad)
     assert opt.t >= 1 and np.all(np.isfinite(net.params))
+
+
+def test_embed_canonical_chain_on_testbed(benchmark):
+    testbed = sdi.build_topology("testbed")
+    chain = canonical_chain()
+
+    def fresh_state():
+        return (chain, sdi.clone_state(testbed)), {}
+
+    emb = benchmark.pedantic(embed, setup=fresh_state, rounds=20)
+    assert set(emb.assignment) == {"m", "a", "p", "e", "k"}
+
+
+def test_warm_path_metrics_on_testbed(benchmark):
+    testbed = sdi.build_topology("testbed")
+    sdi.path_metrics(testbed, "toronto-vm6", "calgary-vm6")  # fills the route table
+    pm = benchmark(sdi.path_metrics, testbed, "toronto-vm6", "calgary-vm6")
+    assert pm.path[0] == "toronto-vm6" and pm.path[-1] == "calgary-vm6"

@@ -268,6 +268,16 @@ def test_path_oracle_on_testbed_cross_region_pairs():
         assert pm.path == best[1]
 
 
+def test_path_links_are_the_sorted_hop_keys_of_the_path():
+    topo = build_topology("testbed")
+    for src in sorted(topo.nodes):
+        for dst in sorted(topo.nodes):
+            pm = path_metrics(topo, src, dst)
+            hops = tuple(tuple(sorted(hop)) for hop in zip(pm.path, pm.path[1:]))
+            assert pm.links == hops, (src, dst)
+            assert all(key in topo.links for key in pm.links)
+
+
 def random_topology(seed, n_nodes=6, tie_latencies=True):
     rng = np.random.Generator(np.random.PCG64(seed))
     names = [f"n{i}" for i in range(n_nodes)]
