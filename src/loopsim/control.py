@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -35,9 +36,7 @@ class SafetyViolationError(SimError):
 
 
 class InstanceState(Enum):
-    INSTANTIATED = "instantiated"
     RUNNING = "running"
-    SCALING = "scaling"
     TERMINATED = "terminated"
 
 
@@ -116,9 +115,8 @@ class ConflictReport:
         return not self.pairs
 
 
-def detect_conflicts(proposals, window_ms: int, state: Topology) -> ConflictReport:
-    """Pairwise interference between proposals of different chains whose
-    timestamps fall within the window:
+def detect_conflicts(proposals, state: Topology) -> ConflictReport:
+    """Pairwise interference between proposals of different chains:
 
     - same-knob-opposing: same (target, parameter) with opposite nonzero
       directions;
@@ -131,8 +129,6 @@ def detect_conflicts(proposals, window_ms: int, state: Topology) -> ConflictRepo
     for i, a in enumerate(proposals):
         for b in proposals[i + 1:]:
             if a.issued_by == b.issued_by:
-                continue
-            if abs(a.timestamp - b.timestamp) > window_ms:
                 continue
             if a.target == b.target and a.parameter == b.parameter:
                 if a.direction * b.direction < 0:
@@ -369,11 +365,10 @@ class Orchestrator:
         period = chain.tick_period_ms or TIER_PERIODS_MS[tier]
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
-            state=InstanceState.INSTANTIATED, tick_period_ms=period, tier=tier,
+            state=InstanceState.RUNNING, tick_period_ms=period, tier=tier,
             schedule=schedule, services=dict(services or {}),
         )
         instance.fcaps.config += 1
-        instance.state = InstanceState.RUNNING
         self.instances[chain.id] = instance
         self.trace.add(self.clock_ms, tier.value, chain.id, "lifecycle",
                        f"instantiated on {sorted(embedding.assignment.items())}", "ok")
@@ -421,7 +416,6 @@ class Orchestrator:
                 f"instance {instance_id!r} must be Running to scale, is {instance.state.value}")
         if factor <= 0:
             raise ConfigError("scale factor must be > 0")
-        instance.state = InstanceState.SCALING
         chain = instance.chain
         scaled_steps = []
         for step in chain.steps:
@@ -437,18 +431,13 @@ class Orchestrator:
         probe = sdi.clone_state(self.state)
         for aid in instance.embedding.allocation_ids:
             sdi.release(probe, aid)
-        try:
-            embed(scaled, probe)
-        except Exception:
-            instance.state = InstanceState.RUNNING
-            raise
+        embed(scaled, probe)
         for aid in instance.embedding.allocation_ids:
             sdi.release(self.state, aid)
         embedding = embed(scaled, self.state)
         instance.chain = scaled
         instance.schedule = _schedule(scaled)
         instance.embedding = embedding
-        instance.state = InstanceState.RUNNING
         instance.fcaps.config += 1
         self.trace.add(self.clock_ms, instance.tier.value, chain.id, "lifecycle",
                        f"scaled by {factor}", "ok")
@@ -530,23 +519,24 @@ class Orchestrator:
         return [i for i in self.instances.values() if i.state == InstanceState.RUNNING]
 
     def assert_capacity_invariant(self) -> None:
-        """Recompute reservations from the allocation table and fail loudly if
-        any node or link is oversubscribed."""
-        used_node: dict[str, list[int]] = {}  # [cpu, mem, storage, bandwidth]
+        """Recompute reservations from the allocation table and the backed
+        knobs' values and fail loudly if any node or link is oversubscribed."""
+        used_node = defaultdict(lambda: [0, 0, 0, 0])  # [cpu, mem, storage, bandwidth]
         used_link: dict[tuple[str, str], int] = {}
         for alloc in self.state.allocations.values():
             r = alloc.resources
             if alloc.node is not None:
-                used = used_node.get(alloc.node)
-                if used is None:
-                    used_node[alloc.node] = [r.cpu, r.mem, r.storage, r.bandwidth]
-                else:
-                    used[0] += r.cpu
-                    used[1] += r.mem
-                    used[2] += r.storage
-                    used[3] += r.bandwidth
+                used = used_node[alloc.node]
+                used[0] += r.cpu
+                used[1] += r.mem
+                used[2] += r.storage
+                used[3] += r.bandwidth
             else:
                 used_link[alloc.link] = used_link.get(alloc.link, 0) + r.bandwidth
+        for (node_id, parameter), value in self.state.knobs.items():
+            component = sdi.knob_backing_component(parameter)
+            if component is not None:
+                used_node[node_id][sdi.RESOURCE_COMPONENTS.index(component)] += math.ceil(value)
         for node_id, (cpu, mem, storage, bandwidth) in used_node.items():
             node = self.state.nodes[node_id]
             if (cpu > node.cpu_capacity or mem > node.mem_capacity
@@ -588,7 +578,7 @@ class Orchestrator:
             replica.assert_capacity_invariant()
         except SafetyViolationError:
             violations += 1
-        oscillations = {knob: count_reversals(seq) for knob, seq in sorted(changes.items())}
+        oscillations = {key: count_reversals(seq) for key, seq in sorted(changes.items())}
         max_osc = max(oscillations.values(), default=0)
         verdict = "stable" if (max_osc <= SANDBOX_MAX_REVERSALS and violations == 0) else "unstable"
         return SandboxResult(oscillations=oscillations, violation_count=violations,
@@ -627,7 +617,6 @@ class Orchestrator:
             first = ((start_ms + period - 1) // period) * period
             for t in range(first, start_ms + duration_ms, period):
                 slots.setdefault(t, []).append(instance)
-        window = min((i.tick_period_ms for i in self._running()), default=1000)
         for t in sorted(slots):
             due = sorted(slots[t], key=lambda i: (-TIER_DEPTH[i.tier], i.chain.id))
             pool: list[ActionProposal] = []
@@ -640,13 +629,13 @@ class Orchestrator:
                 pool.extend(proposals)
             self.clock_ms = t
             if pool:
-                self._process_slot(t, pool, window)
+                self._process_slot(t, pool)
             self.assert_capacity_invariant()
         self.clock_ms = start_ms + duration_ms
         return self.trace
 
-    def _process_slot(self, t: int, pool: list[ActionProposal], window: int) -> None:
-        report = detect_conflicts(pool, window, self.state)
+    def _process_slot(self, t: int, pool: list[ActionProposal]) -> None:
+        report = detect_conflicts(pool, self.state)
         for pair in report.pairs:
             self.trace.add(t, "-", f"{pair.a.issued_by}|{pair.b.issued_by}", "conflict",
                            f"{pair.kind.value} on {pair.a.target}:{pair.a.parameter}", "")

@@ -2,13 +2,13 @@
 
 Multi-tier topology of compute nodes, forwarding-only switches and links,
 with integer resource accounting (millicores / MiB / Mb/s), latency-optimal
-path metrics, named knobs backed by reservations, and cheaply cloneable state
-for sandbox dry-runs.
+path metrics, named knobs (a resource-backed knob holds its own value of its
+node's capacity), and cheaply cloneable state for sandbox dry-runs.
 
 Resource quantities are integers in fixed units so that conservation
-(residual + sum of allocations == capacity) holds exactly, with no float
-drift. Switches are ordinary nodes with zero compute capacity, which keeps
-path computation uniform.
+(residual + allocations + knob backings == capacity) holds exactly, with no
+float drift. Switches are ordinary nodes with zero compute capacity, which
+keeps path computation uniform.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class ResourceVector:
             # The validating constructor raises, naming the first short component.
             return ResourceVector(cpu, mem, storage, bandwidth)
         return _vector(cpu, mem, storage, bandwidth)
-
-    def covers(self, other: "ResourceVector") -> bool:
-        return all(getattr(self, c) >= getattr(other, c) for c in RESOURCE_COMPONENTS)
 
     def shortfall(self, other: "ResourceVector") -> str | None:
         """Name of the first component where self < other, or None."""
@@ -200,10 +197,6 @@ class Topology:
     _used_node: dict[str, ResourceVector] = field(default_factory=dict)
     _used_link: dict[tuple[str, str], int] = field(default_factory=dict)
     _next_alloc: int = 1
-    # (owner, node) -> ids of that owner's allocations on that node; tuples,
-    # so that clones can share them.
-    _owned: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict, repr=False,
-                                                           compare=False)
     _routes: "_RouteTable" = field(default_factory=lambda: _RouteTable(), init=False,
                                    repr=False, compare=False)
 
@@ -366,22 +359,12 @@ def load_topology(path) -> Topology:
 def allocate(state: Topology, node_id: str, resources: ResourceVector, owner: str) -> Allocation:
     """Reserve compute resources on a node. Bandwidth is reserved on links
     (see reserve_bandwidth), so resources.bandwidth must be 0 here."""
-    node = state._node(node_id)
+    state._node(node_id)
     if resources.bandwidth != 0:
         raise ConfigError("node allocations carry no bandwidth; reserve it on links")
-    residual = state.node_residual(node_id)
-    short = residual.shortfall(resources)
-    if short is not None:
-        raise CapacityError(
-            short,
-            f"node {node_id}: insufficient {short} "
-            f"(requested {getattr(resources, short)}, free {getattr(residual, short)})",
-        )
-    alloc = Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
-                       resources=resources, node=node_id)
+    alloc = _book(state, Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
+                                    resources=resources, node=node_id))
     state._next_alloc += 1
-    _record(state, alloc)
-    state._used_node[node_id] = state._used_node.get(node_id, _ZERO) + resources
     return alloc
 
 
@@ -392,27 +375,36 @@ def reserve_bandwidth(state: Topology, a: str, b: str, mbps: int, owner: str) ->
     mbps = _as_int(mbps, "bandwidth reservation")
     if mbps < 0:
         raise ConfigError("bandwidth reservation must be >= 0")
-    residual = state.link_residual(key)
-    if residual < mbps:
-        raise CapacityError(
-            "bandwidth",
-            f"link {key[0]}--{key[1]}: insufficient bandwidth (requested {mbps}, free {residual})",
-        )
-    alloc = Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
-                       resources=ResourceVector(bandwidth=mbps), link=key)
+    alloc = _book(state, Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
+                                    resources=ResourceVector(bandwidth=mbps), link=key))
     state._next_alloc += 1
-    _record(state, alloc)
-    state._used_link[key] = state._used_link.get(key, 0) + mbps
     return alloc
 
 
-def _record(state: Topology, alloc: Allocation) -> None:
-    """Add an allocation to the allocation table and, if it is on a node, to
-    the owner index."""
-    state.allocations[alloc.id] = alloc
+def _insufficient(where: str, component: str, requested: int, free: int) -> CapacityError:
+    return CapacityError(component, f"{where}: insufficient {component} "
+                                    f"(requested {requested}, free {free})")
+
+
+def _book(state: Topology, alloc: Allocation) -> Allocation:
+    """The one way an allocation enters a state: check it against the free
+    capacity of its node or link, then record it and its usage."""
+    r = alloc.resources
     if alloc.node is not None:
-        key = (alloc.owner, alloc.node)
-        state._owned[key] = state._owned.get(key, ()) + (alloc.id,)
+        residual = state.node_residual(alloc.node)
+        short = residual.shortfall(r)
+        if short is not None:
+            raise _insufficient(f"node {alloc.node}", short, getattr(r, short),
+                                getattr(residual, short))
+        state._used_node[alloc.node] = state._used_node.get(alloc.node, _ZERO) + r
+    else:
+        residual = state.link_residual(alloc.link)
+        if residual < r.bandwidth:
+            raise _insufficient(f"link {alloc.link[0]}--{alloc.link[1]}", "bandwidth",
+                                r.bandwidth, residual)
+        state._used_link[alloc.link] = state._used_link.get(alloc.link, 0) + r.bandwidth
+    state.allocations[alloc.id] = alloc
+    return alloc
 
 
 def release(state: Topology, allocation_id: str) -> None:
@@ -421,12 +413,6 @@ def release(state: Topology, allocation_id: str) -> None:
     except KeyError:
         raise UnknownAllocationError(f"unknown allocation {allocation_id!r}") from None
     if alloc.node is not None:
-        key = (alloc.owner, alloc.node)
-        rest = tuple(a for a in state._owned[key] if a != allocation_id)
-        if rest:
-            state._owned[key] = rest
-        else:
-            del state._owned[key]
         state._used_node[alloc.node] = state._used_node[alloc.node] - alloc.resources
     else:
         state._used_link[alloc.link] = state._used_link[alloc.link] - alloc.resources.bandwidth
@@ -448,12 +434,12 @@ def knob_backing_component(parameter: str) -> str | None:
 
 
 def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> float:
-    """Set a named knob on a node and sync its backing reservation.
+    """Set a named knob on a node; returns the previous value.
 
-    Resource-backed knobs (parameter ending in .cpu.millicores /
-    .mem.mebibytes / .storage.mebibytes) keep an allocation of that size on
-    the node; raising one past the residual capacity raises CapacityError
-    and leaves the state untouched. Returns the previous value.
+    A resource-backed knob (parameter ending in .cpu.millicores /
+    .mem.mebibytes / .storage.mebibytes) holds ceil(value) of that component
+    in the node's usage table, with no allocation. Raising one past the free
+    capacity raises CapacityError and leaves the state untouched.
     """
     state._node(node_id)
     key = (node_id, parameter)
@@ -462,21 +448,15 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> flo
     if component is not None:
         if value < 0:
             raise ConfigError(f"knob {parameter} must be >= 0")
-        backing_owner = f"knob:{node_id}:{parameter}"
-        old_ids = sorted(state._owned.get((backing_owner, node_id), ()))
         amount = int(math.ceil(value))
-        # Check before releasing the old backing, so that a refused knob
-        # keeps its allocation ids as well as its value.
-        free = getattr(state.node_residual(node_id), component) + sum(
-            getattr(state.allocations[aid].resources, component) for aid in old_ids)
-        if amount > free:
-            raise CapacityError(
-                component,
-                f"node {node_id}: insufficient {component} (requested {amount}, free {free})")
-        for aid in old_ids:
-            release(state, aid)
-        if amount > 0:
-            allocate(state, node_id, ResourceVector(**{component: amount}), backing_owner)
+        held = int(math.ceil(previous))
+        if amount != held:
+            free = getattr(state.node_residual(node_id), component) + held
+            if amount > free:
+                raise _insufficient(f"node {node_id}", component, amount, free)
+            fields = dict(state._used_node.get(node_id, _ZERO).__dict__)
+            fields[component] += amount - held
+            state._used_node[node_id] = _vector(**fields)
     state.knobs[key] = float(value)
     return previous
 
@@ -576,22 +556,27 @@ def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
 
 def clone_state(state: Topology) -> Topology:
     """Mutation-isolated copy of the full state. The mutable containers
-    (nodes, links, switches, allocations, knobs, usage tables, owner index)
-    are copied;
+    (nodes, links, switches, allocations, knobs, usage tables) are copied;
     the frozen node, link, allocation and resource values inside them and
     the route table are shared."""
     clone = Topology(nodes=dict(state.nodes), links=dict(state.links),
                      switches=set(state.switches), allocations=dict(state.allocations),
                      knobs=dict(state.knobs), _used_node=dict(state._used_node),
-                     _used_link=dict(state._used_link), _next_alloc=state._next_alloc,
-                     _owned=dict(state._owned))
+                     _used_link=dict(state._used_link), _next_alloc=state._next_alloc)
     clone._routes = state._routes
     return clone
 
 
+# libyaml where it is installed; its text equals the pure-Python emitter's.
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def serialize_state(state: Topology) -> str:
     """Canonical YAML serialization (stable ordering), including allocations
-    and knobs. Byte-equal serializations mean value-equal states."""
+    and knobs; a knob's backing is implied by its value, so the allocations
+    section lists real allocations only. Byte-equal serializations mean
+    value-equal states."""
     doc = {
         "nodes": [
             {
@@ -624,15 +609,15 @@ def serialize_state(state: Topology) -> str:
             for node, param in sorted(state.knobs)
         ],
     }
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+    return yaml.dump(doc, Dumper=_Dumper, sort_keys=True, default_flow_style=False)
 
 
 def deserialize_state(text: str) -> Topology:
-    """Inverse of serialize_state: rebuilds the topology, then restores the
-    allocation table verbatim (original ids and owners) and the knob values.
-    Knob backings are part of the allocations section already, so knobs are
-    restored without re-reserving."""
-    doc = yaml.safe_load(text)
+    """Inverse of serialize_state: rebuilds the topology, books the
+    allocation table verbatim (original ids and owners) and sets the knobs,
+    which reserves their backings again. A state that oversubscribes a node
+    or link raises TopologyError."""
+    doc = yaml.load(text, Loader=_Loader)
     if not isinstance(doc, dict):
         raise TopologyError("state document must be a mapping")
     topo = build_topology({k: doc.get(k) for k in ("nodes", "switches", "links")})
@@ -646,25 +631,21 @@ def deserialize_state(text: str) -> Topology:
         )
         target = str(entry["target"])
         alloc_id = str(entry["id"])
-        if target in topo.nodes:
-            if not (topo.node_residual(target)).covers(resources):
-                raise TopologyError(f"allocation {alloc_id} oversubscribes node {target}")
-            alloc = Allocation(id=alloc_id, owner=str(entry["owner"]),
-                               resources=resources, node=target)
-            topo._used_node[target] = topo._used_node.get(target, _ZERO) + resources
-        else:
-            a, _, b = target.partition("--")
-            key = tuple(sorted((a, b)))
-            if key not in topo.links:
-                raise TopologyError(f"allocation {alloc_id} targets unknown {target!r}")
-            if topo.link_residual(key) < resources.bandwidth:
-                raise TopologyError(f"allocation {alloc_id} oversubscribes link {target}")
-            alloc = Allocation(id=alloc_id, owner=str(entry["owner"]),
-                               resources=resources, link=key)
-            topo._used_link[key] = topo._used_link.get(key, 0) + resources.bandwidth
         if alloc_id in topo.allocations:
             raise TopologyError(f"duplicate allocation id {alloc_id!r}")
-        _record(topo, alloc)
+        if target in topo.nodes:
+            node, link = target, None
+        else:
+            a, _, b = target.partition("--")
+            node, link = None, tuple(sorted((a, b)))
+            if link not in topo.links:
+                raise TopologyError(f"allocation {alloc_id} targets unknown {target!r}")
+        try:
+            _book(topo, Allocation(id=alloc_id, owner=str(entry["owner"]), resources=resources,
+                                   node=node, link=link))
+        except CapacityError:
+            raise TopologyError(f"allocation {alloc_id} oversubscribes "
+                                f"{'link' if node is None else 'node'} {target}") from None
         suffix = alloc_id.rsplit("-", 1)[-1]
         if suffix.isdigit():
             highest = max(highest, int(suffix))
@@ -673,7 +654,10 @@ def deserialize_state(text: str) -> Topology:
         node = str(entry["node"])
         if node not in topo.nodes:
             raise TopologyError(f"knob targets unknown node {node!r}")
-        topo.knobs[(node, str(entry["parameter"]))] = float(entry["value"])
+        try:
+            set_knob(topo, node, str(entry["parameter"]), float(entry["value"]))
+        except CapacityError:
+            raise TopologyError(f"knob {entry['parameter']} oversubscribes node {node}") from None
     return topo
 
 

@@ -12,8 +12,9 @@ from loopsim.chain import (ActionCatalog, ActionProposal, AnalysisOutput, Catalo
                            InfeasibleError, LoopChain, LoopStep, QosRequirements,
                            StepKind)
 from loopsim.control import (SANDBOX_HORIZON_TICKS, ConflictKind, InstanceState,
-                             LifecycleError, Orchestrator, TickAlignmentError, arbitrate,
-                             count_reversals, detect_conflicts)
+                             LifecycleError, Orchestrator, SafetyViolationError,
+                             TickAlignmentError, arbitrate, count_reversals,
+                             detect_conflicts)
 from loopsim.engines import linfit
 from loopsim.sdi import ResourceVector, Tier, build_topology, serialize_state
 from loopsim.steps import TrafficFeed, build_default_registry
@@ -274,7 +275,7 @@ def proposal(chain_id, target="n1", parameter="vnf.cpu.millicores", value=1000.0
 def test_opposing_directions_same_knob_conflict():
     state = build_topology(spec_3nodes())
     report = detect_conflicts([proposal("a", direction=1, value=2500.0),
-                               proposal("b", direction=-1, value=2200.0)], 1000, state)
+                               proposal("b", direction=-1, value=2200.0)], state)
     assert len(report.pairs) == 1
     assert report.pairs[0].kind == ConflictKind.SAME_KNOB_OPPOSING
 
@@ -282,40 +283,30 @@ def test_opposing_directions_same_knob_conflict():
 def test_disjoint_knobs_no_conflict():
     state = build_topology(spec_3nodes())
     report = detect_conflicts([proposal("a", target="n1", value=100.0),
-                               proposal("b", target="n2", value=100.0)], 1000, state)
+                               proposal("b", target="n2", value=100.0)], state)
     assert report.empty
 
 
 def test_same_chain_never_conflicts():
     state = build_topology(spec_3nodes())
-    report = detect_conflicts([proposal("a", direction=1), proposal("a", direction=-1)],
-                              1000, state)
+    report = detect_conflicts([proposal("a", direction=1), proposal("a", direction=-1)], state)
     assert report.empty
-
-
-def test_window_filters_pairs():
-    state = build_topology(spec_3nodes())
-    pair = [proposal("a", direction=1, t=0), proposal("b", direction=-1, t=5000)]
-    assert detect_conflicts(pair, 1000, state).empty
-    assert len(detect_conflicts(pair, 10_000, state).pairs) == 1
 
 
 def test_joint_oversubscription_detected():
     state = build_topology(spec_3nodes())  # n1 cpu capacity 4000
     report = detect_conflicts([proposal("a", value=2500.0, direction=1),
-                               proposal("b", value=2000.0, direction=1)], 1000, state)
+                               proposal("b", value=2000.0, direction=1)], state)
     assert len(report.pairs) == 1
     assert report.pairs[0].kind == ConflictKind.SHARED_RESOURCE_OVERSUBSCRIPTION
 
 
-def oracle_pairwise_conflicts(proposals, window, state):
+def oracle_pairwise_conflicts(proposals, state):
     """Independent O(n^2) recheck of the conflict predicate."""
     found = set()
     for i, a in enumerate(proposals):
         for j, b in enumerate(proposals):
             if j <= i or a.issued_by == b.issued_by:
-                continue
-            if abs(a.timestamp - b.timestamp) > window:
                 continue
             if (a.target == b.target and a.parameter == b.parameter
                     and a.direction * b.direction < 0):
@@ -346,13 +337,12 @@ def test_conflict_report_matches_pairwise_oracle_on_random_sets():
                 issued_by=str(rng.choice(["c1", "c2", "c3"])),
                 timestamp=int(rng.integers(0, 3)) * 1000,
             ))
-        window = int(rng.choice([0, 1000, 5000]))
-        report = detect_conflicts(proposals, window, state)
+        report = detect_conflicts(proposals, state)
         index = {id(p): i for i, p in enumerate(proposals)}
         got = {(min(index[id(p.a)], index[id(p.b)]),
                 max(index[id(p.a)], index[id(p.b)]), p.kind.value)
                for p in report.pairs}
-        assert got == oracle_pairwise_conflicts(proposals, window, state), trial
+        assert got == oracle_pairwise_conflicts(proposals, state), trial
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +352,7 @@ def test_conflict_report_matches_pairwise_oracle_on_random_sets():
 def test_arbitrate_priority_wins():
     state = build_topology(spec_3nodes())
     pool = [proposal("hi", direction=1), proposal("lo", direction=-1)]
-    report = detect_conflicts(pool, 1000, state)
+    report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, {"hi": 1, "lo": 2})
     assert [p.issued_by for p in outcome.approved] == ["hi"]
     assert outcome.rejected[0][0].issued_by == "lo"
@@ -372,7 +362,7 @@ def test_arbitrate_priority_wins():
 def test_arbitrate_tie_breaks_lexicographically():
     state = build_topology(spec_3nodes())
     pool = [proposal("zeta", direction=1), proposal("alpha", direction=-1)]
-    report = detect_conflicts(pool, 1000, state)
+    report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, {"zeta": 5, "alpha": 5})
     assert [p.issued_by for p in outcome.approved] == ["alpha"]
     assert any("tie-break" in d for d in outcome.decisions)
@@ -381,7 +371,7 @@ def test_arbitrate_tie_breaks_lexicographically():
 def test_arbitrate_without_conflicts_approves_all():
     state = build_topology(spec_3nodes())
     pool = [proposal("a", target="n1"), proposal("b", target="n2")]
-    report = detect_conflicts(pool, 1000, state)
+    report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, {"a": 1, "b": 2})
     assert len(outcome.approved) == 2
     assert outcome.rejected == ()
@@ -493,7 +483,7 @@ def test_arbitrate_partitions_every_proposal(data):
             issued_by=data.draw(st.sampled_from(["c1", "c2", "c3"])),
             timestamp=0))
     priorities = {"c1": 1, "c2": 2, "c3": 2}
-    report = detect_conflicts(pool, 1000, state)
+    report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, priorities)
     assert len(outcome.approved) + len(outcome.rejected) == n
     seen = {id(p) for p in outcome.approved} | {id(p[0]) for p in outcome.rejected}
@@ -570,6 +560,19 @@ def test_unarbitrated_opposing_loops_thrash():
     deltas = trace.applied_knob_deltas()[("n1", "vnf.cpu.millicores")]
     assert count_reversals(deltas) >= 10
     orch.assert_capacity_invariant()
+
+
+def test_capacity_invariant_counts_backed_knobs():
+    """The invariant recomputes knob backings from the knob table, so a
+    knob value past its node's capacity is caught even though the usage
+    table never saw it."""
+    orch = make_orchestrator()
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 3000.0)
+    sdi.set_knob(orch.state, "n1", "firewall.mode", 9e9)  # not backed
+    orch.assert_capacity_invariant()
+    orch.state.knobs[("n1", "vnf.cpu.millicores")] = 4000.5  # n1 holds 4000 mc
+    with pytest.raises(SafetyViolationError, match="node n1 oversubscribed"):
+        orch.assert_capacity_invariant()
 
 
 def test_fcaps_export(tmp_path):

@@ -2,17 +2,18 @@
 
 A hypothesis state machine instantiates, scales, terminates and ticks
 set-point loops, turns knobs and runs sandbox dry-runs on a small generated
-topology. After every step it checks exact resource conservation, the
-capacity invariant, the owner index against the allocation table, that
-clones route like a freshly built state, that dry-runs and failed scales
-leave the live world untouched, and that replaying a tick's applies from the
-trace reproduces the live knobs. The checks compare the state's tables
+topology. After every step it checks exact resource conservation
+(allocations plus knob backings), the capacity invariant, that clones route
+like a freshly built state, that dry-runs and failed scales leave the live
+world untouched, and that replaying a tick's applies from the trace
+reproduces the live knobs. The checks compare the state's tables
 directly rather than YAML serializations, which would make a failing example
 take minutes to shrink; test_sdi checks the YAML round trip on random
 mutation sequences.
 """
 
 import copy
+import math
 import struct
 
 from hypothesis import settings
@@ -24,7 +25,7 @@ from loopsim import sdi
 from loopsim.chain import (ActionProposal, EmbeddingError, LoopChain, LoopStep,
                            QosRequirements, StepKind)
 from loopsim.control import InstanceState, Orchestrator
-from loopsim.sdi import RESOURCE_COMPONENTS, CapacityError
+from loopsim.sdi import RESOURCE_COMPONENTS, CapacityError, knob_backing_component
 from loopsim.steps import build_default_registry
 
 CHAIN_IDS = ("loop0", "loop1", "loop2", "loop3")
@@ -40,13 +41,13 @@ def bits(x: float) -> bytes:
 
 def world(state) -> dict:
     """Copies of the state's tables: everything serialize_state writes
-    (knob values bitwise) plus the usage tables, the owner index and the
-    allocation id counter."""
+    (knob values bitwise) plus the usage tables and the allocation id
+    counter."""
     return {"nodes": dict(state.nodes), "switches": set(state.switches),
             "links": dict(state.links), "allocations": dict(state.allocations),
             "knobs": {key: bits(v) for key, v in state.knobs.items()},
             "used_node": dict(state._used_node), "used_link": dict(state._used_link),
-            "owned": dict(state._owned), "next_alloc": state._next_alloc}
+            "next_alloc": state._next_alloc}
 
 
 @st.composite
@@ -203,6 +204,8 @@ class LifecycleMachine(RuleBasedStateMachine):
             for c in RESOURCE_COMPONENTS:
                 held = sum(getattr(a.resources, c) for a in state.allocations.values()
                            if a.node == node_id)
+                held += sum(math.ceil(v) for (n, p), v in state.knobs.items()
+                            if n == node_id and knob_backing_component(p) == c)
                 assert held + getattr(residual, c) == getattr(node.capacity, c)
                 assert held == (getattr(used, c) if used is not None else 0)
         for key, link in state.links.items():
@@ -210,16 +213,6 @@ class LifecycleMachine(RuleBasedStateMachine):
                        if a.link == key)
             assert held + state.link_residual(key) == link.bandwidth
             assert held == state._used_link.get(key, 0)
-
-    @invariant()
-    def owner_index_matches_allocations(self):
-        state = self.orch.state
-        rebuilt = {}
-        for alloc_id, alloc in state.allocations.items():
-            if alloc.node is not None:
-                rebuilt.setdefault((alloc.owner, alloc.node), []).append(alloc_id)
-        assert ({key: sorted(ids) for key, ids in state._owned.items()}
-                == {key: sorted(ids) for key, ids in rebuilt.items()})
 
     @invariant()
     def capacity_invariant(self):

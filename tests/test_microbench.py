@@ -1,7 +1,9 @@
 """Per-layer microbenchmarks: one LSTM train step (batch 32, window 30,
 H=16), one autoencoder train step (batch 32), one Adam step on the
 compressor's parameters, one embedding of the canonical 5-step chain on the
-testbed and one warm cross-region path query there.
+testbed, one warm cross-region path query and one resource-backed knob
+change there, and one orchestrator slot of two opposing set-point loops with
+the sandbox dry-run on and off.
 
 The default test run executes each once as a smoke test (pyproject.toml
 passes --benchmark-disable). To time them:
@@ -9,12 +11,16 @@ passes --benchmark-disable). To time them:
     pytest tests/test_microbench.py --benchmark-enable
 """
 
+import itertools
+
 import numpy as np
+import pytest
 
 from loopsim import engines, sdi
 from loopsim.chain import embed
 from loopsim.engines import TrainConfig
 from test_chain import canonical_chain
+from test_control import make_orchestrator, setpoint_chain
 
 
 def _rng(seed):
@@ -74,3 +80,24 @@ def test_warm_path_metrics_on_testbed(benchmark):
     sdi.path_metrics(testbed, "toronto-vm6", "calgary-vm6")  # fills the route table
     pm = benchmark(sdi.path_metrics, testbed, "toronto-vm6", "calgary-vm6")
     assert pm.path[0] == "toronto-vm6" and pm.path[-1] == "calgary-vm6"
+
+
+def test_backed_set_knob_on_testbed(benchmark):
+    testbed = sdi.build_topology("testbed")
+    values = itertools.cycle((1500.0, 2500.5))
+    benchmark(lambda: sdi.set_knob(testbed, "waterloo-vm4", "vnf.cpu.millicores",
+                                   next(values)))
+    assert testbed.allocations == {}
+    assert testbed.node_residual("waterloo-vm4").cpu in (8000 - 1500, 8000 - 2501)
+
+
+@pytest.mark.parametrize("sandbox", [True, False], ids=["sandbox-on", "sandbox-off"])
+def test_orchestrator_slot_of_two_opposing_loops(benchmark, sandbox):
+    orch = make_orchestrator(sandbox=sandbox)
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
+    orch.instantiate(setpoint_chain("up", 1, 3000.0))
+    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    starts = itertools.count(0, 1000)
+    benchmark(lambda: orch.run(duration_ms=1000, start_ms=next(starts)))
+    kinds = {e.kind for e in orch.trace.events}
+    assert "conflict" in kinds and ("withhold" in kinds) == sandbox

@@ -440,6 +440,16 @@ def test_refused_knob_leaves_state_bitwise_identical():
     assert serialize_state(topo) == before
 
 
+def test_repeated_knob_sets_leave_allocation_table_alone():
+    topo = build_topology(small_spec())
+    allocate(topo, "a", ResourceVector(cpu=100), "me")
+    allocations, next_alloc = dict(topo.allocations), topo._next_alloc
+    for i in range(10):
+        set_knob(topo, "a", "vnf.cpu.millicores", (1500.5, 1000.0)[i % 2])
+    assert topo.allocations == allocations and topo._next_alloc == next_alloc
+    assert topo.node_residual("a").cpu == 4000 - 100 - 1000
+
+
 def test_non_resource_knob_reserves_nothing():
     topo = build_topology(small_spec())
     set_knob(topo, "a", "firewall.mode", 2.0)
@@ -477,7 +487,7 @@ def test_loaded_state_keeps_accounting_live():
     fresh = allocate(back, "calgary-vm2", ResourceVector(cpu=10), "x")
     assert fresh.id not in serialize_state(topo)
     release(back, fresh.id)
-    # Knob adjustments keep working against the restored backing owner.
+    # Knob adjustments keep working against the restored backing.
     set_knob(back, "waterloo-vm4", "vnf.cpu.millicores", 500.0)
     assert back.node_residual("waterloo-vm4").cpu == \
         topo.node_residual("waterloo-vm4").cpu + 1000
@@ -498,6 +508,26 @@ def test_deserialize_rejects_oversubscribed_allocations():
                               "cpu": 99999, "mem": 0, "storage": 0, "bandwidth": 0}]
     with pytest.raises(TopologyError, match="oversubscribes"):
         sdi.deserialize_state(yaml.safe_dump(merged))
+
+
+def test_deserialize_rejects_oversubscribing_knob():
+    import yaml
+    topo = build_topology(small_spec())
+    allocate(topo, "c", ResourceVector(cpu=300), "other")
+    doc = yaml.safe_load(serialize_state(topo))
+    doc["knobs"] = [{"node": "c", "parameter": "vnf.cpu.millicores", "value": 700.5}]
+    with pytest.raises(TopologyError, match="oversubscribes node c"):
+        sdi.deserialize_state(yaml.safe_dump(doc))
+    doc["knobs"][0]["value"] = 700.0
+    back = sdi.deserialize_state(yaml.safe_dump(doc))
+    assert back.node_residual("c").cpu == 0 and len(back.allocations) == 1
+
+
+def test_state_text_matches_the_pure_python_emitter():
+    import yaml
+    text = serialize_state(populated_state())
+    assert yaml.safe_dump(yaml.safe_load(text), sort_keys=True,
+                          default_flow_style=False) == text
 
 
 def test_node_id_with_reserved_separator_rejected():
