@@ -270,7 +270,7 @@ def _path_feasible(pm: PathMetrics, qos: QosRequirements, link_pending: dict,
     if qos.min_bandwidth > 0:
         for key in pm.links:
             claimed = link_pending.get(key, 0) + claims.get(key, 0)
-            if state.link_residual(key) - claimed < qos.min_bandwidth:
+            if state.residual(key).bandwidth - claimed < qos.min_bandwidth:
                 return "bandwidth"
         for key in pm.links:
             claims[key] = claims.get(key, 0) + qos.min_bandwidth
@@ -331,7 +331,7 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
         for node_id in candidates:
             violated = _host_violation(chain, step, state.nodes[node_id])
             if violated is None:
-                residual = state.node_residual(node_id) - node_pending.get(node_id, ResourceVector())
+                residual = state.residual(node_id) - node_pending.get(node_id, ResourceVector())
                 violated = residual.shortfall(step.qos.demand)
             added = 0.0
             claims: dict[tuple[str, str], int] = {}
@@ -444,7 +444,7 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
         for step in chain.steps:
             node_id = assignment[step.name]
             demand[node_id] = demand.get(node_id, ResourceVector()) + step.qos.demand
-        if any(state.node_residual(n).shortfall(d) is not None for n, d in demand.items()):
+        if any(state.residual(n).shortfall(d) is not None for n, d in demand.items()):
             continue
         # Path-side checks with per-link bandwidth accumulation.
         link_demand: dict[tuple[str, str], int] = {}
@@ -463,7 +463,7 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
             paths[(a, b)] = pm.path
             total += pm.latency_ms
         else:
-            if all(state.link_residual(k) >= d for k, d in link_demand.items()) \
+            if all(state.residual(k).bandwidth >= d for k, d in link_demand.items()) \
                     and (best is None or total < best[0]):
                 best = (total, assignment, paths)
     if best is None:
@@ -517,6 +517,11 @@ class ActionProposal:
     issued_by: str
     timestamp: int  # ms
     clamped: bool = False
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ConfigError(f"proposal for {self.target}:{self.parameter} must have a "
+                              f"finite value, got {self.value!r}")
 
 
 def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,

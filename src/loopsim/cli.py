@@ -88,14 +88,13 @@ def _cmd_validate(args) -> int:
         cfg = load_scenario_config(args.config)
         if cfg.topology not in sdi.TOPOLOGY_PRESETS:
             sdi.load_topology(cfg.topology)
-        for key in ("chain_file", "booster_chain_file", "saver_chain_file"):
-            if key in cfg.params:
-                chain = load_chain(cfg.params[key])
-                report = validate_chain(chain)
-                if not report.ok:
-                    raise ConfigError(f"{cfg.params[key]}: " + "; ".join(report.errors))
-                for warning in report.warnings:
-                    print(f"warning: {cfg.params[key]}: {warning}")
+        if "chain_file" in cfg.params:
+            path = cfg.params["chain_file"]
+            report = validate_chain(load_chain(path))
+            if not report.ok:
+                raise ConfigError(f"{path}: " + "; ".join(report.errors))
+            for warning in report.warnings:
+                print(f"warning: {path}: {warning}")
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,7 +32,7 @@ class TickAlignmentError(SimError):
 
 
 class SafetyViolationError(SimError):
-    """A node's applied reservations exceed its capacity (must never happen)."""
+    """A node's or link's applied reservations exceed its capacity (must never happen)."""
 
 
 class InstanceState(Enum):
@@ -392,6 +392,9 @@ class Orchestrator:
                 raise ConfigError("tick_period_ms must be > 0")
             instance.tick_period_ms = tick_period_ms
         instance.fcaps.config += 1
+        self.trace.add(self.clock_ms, instance.tier.value, instance.id, "lifecycle",
+                       f"updated: priority {instance.chain.priority}, "
+                       f"period {instance.tick_period_ms} ms", "ok")
         return instance
 
     def query(self, instance_id: str) -> InstanceSnapshot:
@@ -519,33 +522,27 @@ class Orchestrator:
         return [i for i in self.instances.values() if i.state == InstanceState.RUNNING]
 
     def assert_capacity_invariant(self) -> None:
-        """Recompute reservations from the allocation table and the backed
-        knobs' values and fail loudly if any node or link is oversubscribed."""
-        used_node = defaultdict(lambda: [0, 0, 0, 0])  # [cpu, mem, storage, bandwidth]
-        used_link: dict[tuple[str, str], int] = {}
+        """Recompute reservations by target from the allocation table and the
+        backed knobs' values, without reading the usage table, and fail loudly
+        if any node or link is oversubscribed."""
+        used = defaultdict(lambda: [0, 0, 0, 0])  # [cpu, mem, storage, bandwidth]
         for alloc in self.state.allocations.values():
             r = alloc.resources
-            if alloc.node is not None:
-                used = used_node[alloc.node]
-                used[0] += r.cpu
-                used[1] += r.mem
-                used[2] += r.storage
-                used[3] += r.bandwidth
-            else:
-                used_link[alloc.link] = used_link.get(alloc.link, 0) + r.bandwidth
+            sums = used[alloc.target]
+            sums[0] += r.cpu
+            sums[1] += r.mem
+            sums[2] += r.storage
+            sums[3] += r.bandwidth
         for (node_id, parameter), value in self.state.knobs.items():
             component = sdi.knob_backing_component(parameter)
             if component is not None:
-                used_node[node_id][sdi.RESOURCE_COMPONENTS.index(component)] += math.ceil(value)
-        for node_id, (cpu, mem, storage, bandwidth) in used_node.items():
-            node = self.state.nodes[node_id]
-            if (cpu > node.cpu_capacity or mem > node.mem_capacity
-                    or storage > node.storage_capacity or bandwidth > 0):
-                used = ResourceVector(cpu, mem, storage, bandwidth)
-                raise SafetyViolationError(f"node {node_id} oversubscribed: {used}")
-        for key, used in used_link.items():
-            if used > self.state.links[key].bandwidth:
-                raise SafetyViolationError(f"link {key} oversubscribed: {used}")
+                used[node_id][sdi.RESOURCE_COMPONENTS.index(component)] += math.ceil(value)
+        for target, (cpu, mem, storage, bandwidth) in used.items():
+            cap = self.state.capacity(target)
+            if (cpu > cap.cpu or mem > cap.mem or storage > cap.storage
+                    or bandwidth > cap.bandwidth):
+                raise SafetyViolationError(f"{sdi.target_label(target)} oversubscribed: "
+                                           f"{ResourceVector(cpu, mem, storage, bandwidth)}")
 
     def sandbox_dryrun(self, proposals) -> SandboxResult:
         """Clone the world, apply the proposals, replay every running loop for

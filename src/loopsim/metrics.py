@@ -375,8 +375,8 @@ def _alloc_fraction(state: Topology, catalog: MetricCatalog) -> np.ndarray:
         if node_id not in frac_cache:
             node = state.nodes[node_id]
             if node.cpu_capacity > 0:
-                used = node.capacity - state.node_residual(node_id)
-                frac_cache[node_id] = used.cpu / node.cpu_capacity
+                used = node.cpu_capacity - state.residual(node_id).cpu
+                frac_cache[node_id] = used / node.cpu_capacity
             else:
                 frac_cache[node_id] = 0.0
         alloc_frac[i] = frac_cache[node_id]

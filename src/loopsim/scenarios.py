@@ -91,13 +91,13 @@ def load_scenario_config(path) -> ScenarioConfig:
         train=dict(doc.get("train", {}) or {}),
         params=dict(doc.get("params", {}) or {}),
     )
-    # Resolve referenced files relative to the config file.
-    for key in ("chain_file", "booster_chain_file", "saver_chain_file"):
-        if key in cfg.params:
-            ref = (path.parent / cfg.params[key]).resolve()
-            if not ref.exists():
-                raise ConfigError(f"{path}: referenced file {cfg.params[key]!r} does not exist")
-            cfg.params[key] = str(ref)
+    # Resolve a referenced chain file relative to the config file.
+    if "chain_file" in cfg.params:
+        name = cfg.params["chain_file"]
+        ref = (path.parent / name).resolve()
+        if not ref.exists():
+            raise ConfigError(f"{path}: referenced file {name!r} does not exist")
+        cfg.params["chain_file"] = str(ref)
     if cfg.topology not in sdi.TOPOLOGY_PRESETS:
         topo_path = (path.parent / cfg.topology).resolve()
         if not topo_path.exists():
@@ -502,7 +502,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 # ---------------------------------------------------------------------------
 
 def _setpoint_chain(chain_id: str, priority: int, region: str, node: str,
-                    parameter: str, value: float) -> LoopChain:
+                    parameter: str, value: float, period: int) -> LoopChain:
     return LoopChain(
         id=chain_id,
         steps=[
@@ -519,7 +519,7 @@ def _setpoint_chain(chain_id: str, priority: int, region: str, node: str,
         source_domain=frozenset({region}),
         destination_domain=frozenset({node}),
         priority=priority,
-        tick_period_ms=1000,
+        tick_period_ms=period,
     )
 
 
@@ -539,22 +539,12 @@ def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
     period = _param(cfg, "tick_period_ms", 1000, int)
     single = bool(cfg.params.get("single_chain", False))
 
-    if "booster_chain_file" in cfg.params:
-        booster = load_chain(cfg.params["booster_chain_file"])
-    else:
-        booster = _setpoint_chain("cpu-booster", 1, region, node, parameter,
-                                  _param(cfg, "setpoint_high", 3000.0))
-    booster.tick_period_ms = period
     orch = Orchestrator(state, arbitration=arbitration, sandbox=arbitration)
-    orch.instantiate(booster)
+    orch.instantiate(_setpoint_chain("cpu-booster", 1, region, node, parameter,
+                                     _param(cfg, "setpoint_high", 3000.0), period))
     if not single:
-        if "saver_chain_file" in cfg.params:
-            saver = load_chain(cfg.params["saver_chain_file"])
-        else:
-            saver = _setpoint_chain("cpu-saver", 2, region, node, parameter,
-                                    _param(cfg, "setpoint_low", 1000.0))
-        saver.tick_period_ms = period
-        orch.instantiate(saver)
+        orch.instantiate(_setpoint_chain("cpu-saver", 2, region, node, parameter,
+                                         _param(cfg, "setpoint_low", 1000.0), period))
     orch.run(duration_ms=ticks * period)
     return orch
 

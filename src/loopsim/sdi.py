@@ -5,6 +5,10 @@ with integer resource accounting (millicores / MiB / Mb/s), latency-optimal
 path metrics, named knobs (a resource-backed knob holds its own value of its
 node's capacity), and cheaply cloneable state for sandbox dry-runs.
 
+Every reservation has one target, a node id or a link key, with a capacity
+vector (a link's is bandwidth only); one usage table keyed by target holds
+what is reserved, so nodes and links are booked, released and checked alike.
+
 Resource quantities are integers in fixed units so that conservation
 (residual + allocations + knob backings == capacity) holds exactly, with no
 float drift. Switches are ordinary nodes with zero compute capacity, which
@@ -134,6 +138,7 @@ class ComputeNode:
     storage_capacity: int = 0
     reliability: float = 1.0
     roles: tuple[str, ...] = ()
+    capacity: ResourceVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("cpu_capacity", "mem_capacity", "storage_capacity"):
@@ -141,10 +146,8 @@ class ComputeNode:
                 raise TopologyError(f"node {self.id}: {name} must be >= 0")
         if not 0.0 <= self.reliability <= 1.0:
             raise TopologyError(f"node {self.id}: reliability must be in [0, 1]")
-
-    @property
-    def capacity(self) -> ResourceVector:
-        return _vector(self.cpu_capacity, self.mem_capacity, self.storage_capacity, 0)
+        object.__setattr__(self, "capacity", _vector(
+            self.cpu_capacity, self.mem_capacity, self.storage_capacity, 0))
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,7 @@ class Link:
     bandwidth: int  # Mb/s
     latency: float  # ms
     reliability: float = 1.0
+    capacity: ResourceVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a == self.b:
@@ -164,10 +168,20 @@ class Link:
             raise TopologyError(f"link {self.a}--{self.b}: latency must be >= 0")
         if not 0.0 <= self.reliability <= 1.0:
             raise TopologyError(f"link {self.a}--{self.b}: reliability must be in [0, 1]")
+        object.__setattr__(self, "capacity", _vector(0, 0, 0, self.bandwidth))
 
     @property
     def key(self) -> tuple[str, str]:
         return tuple(sorted((self.a, self.b)))  # type: ignore[return-value]
+
+
+# A reservation target: a node id, or a link key (the sorted endpoint pair).
+Target = str | tuple[str, str]
+
+
+def target_label(target: Target) -> str:
+    """'node X' or 'link a--b': how messages name a target."""
+    return f"link {'--'.join(target)}" if isinstance(target, tuple) else f"node {target}"
 
 
 @dataclass(frozen=True)
@@ -177,8 +191,7 @@ class Allocation:
     id: str
     owner: str
     resources: ResourceVector
-    node: str | None = None
-    link: tuple[str, str] | None = None
+    target: Target
 
 
 @dataclass
@@ -194,20 +207,20 @@ class Topology:
     switches: set[str]
     allocations: dict[str, Allocation] = field(default_factory=dict)
     knobs: dict[tuple[str, str], float] = field(default_factory=dict)
-    _used_node: dict[str, ResourceVector] = field(default_factory=dict)
-    _used_link: dict[tuple[str, str], int] = field(default_factory=dict)
+    _used: dict[Target, ResourceVector] = field(default_factory=dict)
     _next_alloc: int = 1
     _routes: "_RouteTable" = field(default_factory=lambda: _RouteTable(), init=False,
                                    repr=False, compare=False)
 
-    def node_residual(self, node_id: str) -> ResourceVector:
-        node = self._node(node_id)
-        return node.capacity - self._used_node.get(node_id, _ZERO)
+    def capacity(self, target: Target) -> ResourceVector:
+        """Capacity vector of a node id or a link key."""
+        entity = self.nodes.get(target) or self.links.get(target)
+        if entity is None:
+            raise UnknownNodeError(f"unknown {target_label(target)}")
+        return entity.capacity
 
-    def link_residual(self, key: tuple[str, str]) -> int:
-        if key not in self.links:
-            raise UnknownNodeError(f"unknown link {key[0]}--{key[1]}")
-        return self.links[key].bandwidth - self._used_link.get(key, 0)
+    def residual(self, target: Target) -> ResourceVector:
+        return self.capacity(target) - self._used.get(target, _ZERO)
 
     def compute_nodes(self) -> list[str]:
         """Ids of nodes that may host work (switches forward only)."""
@@ -362,48 +375,35 @@ def allocate(state: Topology, node_id: str, resources: ResourceVector, owner: st
     state._node(node_id)
     if resources.bandwidth != 0:
         raise ConfigError("node allocations carry no bandwidth; reserve it on links")
-    alloc = _book(state, Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
-                                    resources=resources, node=node_id))
-    state._next_alloc += 1
-    return alloc
+    return _book(state, owner, resources, node_id)
 
 
 def reserve_bandwidth(state: Topology, a: str, b: str, mbps: int, owner: str) -> Allocation:
-    key = tuple(sorted((a, b)))
-    if key not in state.links:
-        raise UnknownNodeError(f"unknown link {a}--{b}")
     mbps = _as_int(mbps, "bandwidth reservation")
     if mbps < 0:
         raise ConfigError("bandwidth reservation must be >= 0")
-    alloc = _book(state, Allocation(id=f"alloc-{state._next_alloc:06d}", owner=owner,
-                                    resources=ResourceVector(bandwidth=mbps), link=key))
-    state._next_alloc += 1
-    return alloc
+    return _book(state, owner, ResourceVector(bandwidth=mbps), tuple(sorted((a, b))))
 
 
-def _insufficient(where: str, component: str, requested: int, free: int) -> CapacityError:
-    return CapacityError(component, f"{where}: insufficient {component} "
+def _insufficient(target: Target, component: str, requested: int, free: int) -> CapacityError:
+    return CapacityError(component, f"{target_label(target)}: insufficient {component} "
                                     f"(requested {requested}, free {free})")
 
 
-def _book(state: Topology, alloc: Allocation) -> Allocation:
+def _book(state: Topology, owner: str, resources: ResourceVector, target: Target,
+          alloc_id: str | None = None) -> Allocation:
     """The one way an allocation enters a state: check it against the free
-    capacity of its node or link, then record it and its usage."""
-    r = alloc.resources
-    if alloc.node is not None:
-        residual = state.node_residual(alloc.node)
-        short = residual.shortfall(r)
-        if short is not None:
-            raise _insufficient(f"node {alloc.node}", short, getattr(r, short),
-                                getattr(residual, short))
-        state._used_node[alloc.node] = state._used_node.get(alloc.node, _ZERO) + r
-    else:
-        residual = state.link_residual(alloc.link)
-        if residual < r.bandwidth:
-            raise _insufficient(f"link {alloc.link[0]}--{alloc.link[1]}", "bandwidth",
-                                r.bandwidth, residual)
-        state._used_link[alloc.link] = state._used_link.get(alloc.link, 0) + r.bandwidth
-    state.allocations[alloc.id] = alloc
+    capacity of its target, then record it (under the next free id unless
+    alloc_id is given) and its usage."""
+    residual = state.residual(target)
+    short = residual.shortfall(resources)
+    if short is not None:
+        raise _insufficient(target, short, getattr(resources, short), getattr(residual, short))
+    if alloc_id is None:
+        alloc_id = f"alloc-{state._next_alloc:06d}"
+        state._next_alloc += 1
+    alloc = state.allocations[alloc_id] = Allocation(alloc_id, owner, resources, target)
+    state._used[target] = state._used.get(target, _ZERO) + resources
     return alloc
 
 
@@ -412,10 +412,7 @@ def release(state: Topology, allocation_id: str) -> None:
         alloc = state.allocations.pop(allocation_id)
     except KeyError:
         raise UnknownAllocationError(f"unknown allocation {allocation_id!r}") from None
-    if alloc.node is not None:
-        state._used_node[alloc.node] = state._used_node[alloc.node] - alloc.resources
-    else:
-        state._used_link[alloc.link] = state._used_link[alloc.link] - alloc.resources.bandwidth
+    state._used[alloc.target] = state._used[alloc.target] - alloc.resources
 
 
 # Knob parameter suffix -> backing resource component on the target node.
@@ -438,10 +435,13 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> flo
 
     A resource-backed knob (parameter ending in .cpu.millicores /
     .mem.mebibytes / .storage.mebibytes) holds ceil(value) of that component
-    in the node's usage table, with no allocation. Raising one past the free
-    capacity raises CapacityError and leaves the state untouched.
+    in the node's usage table, with no allocation. A non-finite value raises
+    ConfigError, and raising a backed knob past the free capacity raises
+    CapacityError; either leaves the state untouched.
     """
     state._node(node_id)
+    if not math.isfinite(value):
+        raise ConfigError(f"knob {parameter} must be finite, got {value!r}")
     key = (node_id, parameter)
     previous = state.knobs.get(key, 0.0)
     component = knob_backing_component(parameter)
@@ -451,12 +451,12 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> flo
         amount = int(math.ceil(value))
         held = int(math.ceil(previous))
         if amount != held:
-            free = getattr(state.node_residual(node_id), component) + held
+            free = getattr(state.residual(node_id), component) + held
             if amount > free:
-                raise _insufficient(f"node {node_id}", component, amount, free)
-            fields = dict(state._used_node.get(node_id, _ZERO).__dict__)
+                raise _insufficient(node_id, component, amount, free)
+            fields = dict(state._used.get(node_id, _ZERO).__dict__)
             fields[component] += amount - held
-            state._used_node[node_id] = _vector(**fields)
+            state._used[node_id] = _vector(**fields)
     state.knobs[key] = float(value)
     return previous
 
@@ -546,7 +546,8 @@ def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
     if src == dst:
         return PathMetrics(0.0, math.inf, 1.0, (src,), ())
     latency, path, keys, reliability = state._routes.route(state, src, dst)
-    bandwidth = min(state.links[key].bandwidth - state._used_link.get(key, 0) for key in keys)
+    links, used = state.links, state._used
+    bandwidth = min(links[k].bandwidth - used.get(k, _ZERO).bandwidth for k in keys)
     return PathMetrics(latency, bandwidth, reliability, path, keys)
 
 
@@ -556,13 +557,13 @@ def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
 
 def clone_state(state: Topology) -> Topology:
     """Mutation-isolated copy of the full state. The mutable containers
-    (nodes, links, switches, allocations, knobs, usage tables) are copied;
+    (nodes, links, switches, allocations, knobs, usage table) are copied;
     the frozen node, link, allocation and resource values inside them and
     the route table are shared."""
     clone = Topology(nodes=dict(state.nodes), links=dict(state.links),
                      switches=set(state.switches), allocations=dict(state.allocations),
-                     knobs=dict(state.knobs), _used_node=dict(state._used_node),
-                     _used_link=dict(state._used_link), _next_alloc=state._next_alloc)
+                     knobs=dict(state.knobs), _used=dict(state._used),
+                     _next_alloc=state._next_alloc)
     clone._routes = state._routes
     return clone
 
@@ -598,7 +599,7 @@ def serialize_state(state: Topology) -> str:
         "allocations": [
             {
                 "id": a.id, "owner": a.owner,
-                "target": a.node if a.node is not None else f"{a.link[0]}--{a.link[1]}",
+                "target": "--".join(a.target) if isinstance(a.target, tuple) else a.target,
                 "cpu": a.resources.cpu, "mem": a.resources.mem,
                 "storage": a.resources.storage, "bandwidth": a.resources.bandwidth,
             }
@@ -616,7 +617,7 @@ def deserialize_state(text: str) -> Topology:
     """Inverse of serialize_state: rebuilds the topology, books the
     allocation table verbatim (original ids and owners) and sets the knobs,
     which reserves their backings again. A state that oversubscribes a node
-    or link raises TopologyError."""
+    or link raises TopologyError; a link has no cpu and a node no bandwidth."""
     doc = yaml.load(text, Loader=_Loader)
     if not isinstance(doc, dict):
         raise TopologyError("state document must be a mapping")
@@ -629,23 +630,18 @@ def deserialize_state(text: str) -> Topology:
             storage=_as_int(entry.get("storage", 0), "allocation storage"),
             bandwidth=_as_int(entry.get("bandwidth", 0), "allocation bandwidth"),
         )
-        target = str(entry["target"])
+        name = str(entry["target"])
         alloc_id = str(entry["id"])
         if alloc_id in topo.allocations:
             raise TopologyError(f"duplicate allocation id {alloc_id!r}")
-        if target in topo.nodes:
-            node, link = target, None
-        else:
-            a, _, b = target.partition("--")
-            node, link = None, tuple(sorted((a, b)))
-            if link not in topo.links:
-                raise TopologyError(f"allocation {alloc_id} targets unknown {target!r}")
+        target = name if name in topo.nodes else tuple(sorted(name.partition("--")[::2]))
+        if target not in topo.links and target not in topo.nodes:
+            raise TopologyError(f"allocation {alloc_id} targets unknown {name!r}")
         try:
-            _book(topo, Allocation(id=alloc_id, owner=str(entry["owner"]), resources=resources,
-                                   node=node, link=link))
-        except CapacityError:
+            _book(topo, str(entry["owner"]), resources, target, alloc_id)
+        except CapacityError as exc:
             raise TopologyError(f"allocation {alloc_id} oversubscribes "
-                                f"{'link' if node is None else 'node'} {target}") from None
+                                f"{target_label(target)}: {exc}") from None
         suffix = alloc_id.rsplit("-", 1)[-1]
         if suffix.isdigit():
             highest = max(highest, int(suffix))

@@ -126,7 +126,7 @@ def test_single_step_goes_to_feasible_node():
     chain = LoopChain(id="one", steps=[step("m", StepKind.MONITOR, cpu=500)], edges=[])
     emb = embed(chain, state)
     assert emb.assignment == {"m": "nb"}
-    assert state.node_residual("nb").cpu == 500
+    assert state.residual("nb").cpu == 500
 
 
 def test_single_step_tie_breaks_lexicographically():
@@ -168,7 +168,7 @@ def test_embed_reserves_all_and_terminates_cleanly():
         edges=[("m", "a")])
     emb = embed(chain, state)
     assert emb.assignment == {"m": "nb", "a": "na"}
-    assert state.link_residual(("na", "nb")) == 70
+    assert state.residual(("na", "nb")).bandwidth == 70
     for aid in emb.allocation_ids:
         sdi.release(state, aid)
     for aid in [a for a, alloc in state.allocations.items() if alloc.owner == "squeeze"]:
@@ -281,7 +281,7 @@ def test_bruteforce_two_by_two_enumeration():
     assert emb.total_latency_ms == 0.0
     assert emb.assignment == {"m": "na", "a": "na"}  # lexicographic tie
     # Oracle reserves nothing.
-    assert state.node_residual("na").cpu == 1000
+    assert state.residual("na").cpu == 1000
 
 
 def test_bruteforce_infeasible():
@@ -447,7 +447,7 @@ def verify_embedding_independent(state_before, chain, emb):
         acc = demand.get(node_id, (0, 0))
         demand[node_id] = (acc[0] + s.qos.cpu, acc[1] + s.qos.storage)
     for node_id, (cpu, storage) in demand.items():
-        residual = state_before.node_residual(node_id)
+        residual = state_before.residual(node_id)
         assert residual.cpu >= cpu and residual.storage >= storage
     link_demand = {}
     for (a, b), path in emb.paths.items():
@@ -465,7 +465,7 @@ def verify_embedding_independent(state_before, chain, emb):
         assert latency <= qos.max_latency_ms
         assert reliability >= qos.min_reliability - 1e-12
     for key, demand_bw in link_demand.items():
-        assert state_before.link_residual(key) >= demand_bw
+        assert state_before.residual(key).bandwidth >= demand_bw
 
 
 def test_embedding_soundness_independent_verifier():

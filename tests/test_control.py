@@ -16,6 +16,7 @@ from loopsim.control import (SANDBOX_HORIZON_TICKS, ConflictKind, InstanceState,
                              TickAlignmentError, arbitrate, count_reversals,
                              detect_conflicts)
 from loopsim.engines import linfit
+from loopsim.errors import ConfigError
 from loopsim.sdi import ResourceVector, Tier, build_topology, serialize_state
 from loopsim.steps import TrafficFeed, build_default_registry
 
@@ -92,7 +93,7 @@ def test_instantiate_runs_and_reserves():
     orch = make_orchestrator()
     instance = orch.instantiate(analysis_chain())
     assert instance.state == InstanceState.RUNNING
-    used = sum((orch.state.nodes[n].capacity - orch.state.node_residual(n)).cpu
+    used = sum((orch.state.nodes[n].capacity - orch.state.residual(n)).cpu
                for n in orch.state.nodes)
     assert used == 200
 
@@ -146,10 +147,10 @@ def test_scale_in_place():
     orch = make_orchestrator()
     orch.instantiate(analysis_chain())
     node = orch.query("watcher").assignment["think"]
-    before = orch.state.node_residual(node).cpu
+    before = orch.state.residual(node).cpu
     orch.scale("watcher", 3.0)
     assert orch.query("watcher").state == InstanceState.RUNNING
-    assert orch.state.node_residual(node).cpu == before - 200  # 100 -> 300
+    assert orch.state.residual(node).cpu == before - 200  # 100 -> 300
 
 
 def test_scale_infeasible_restores_and_raises():
@@ -573,6 +574,46 @@ def test_capacity_invariant_counts_backed_knobs():
     orch.state.knobs[("n1", "vnf.cpu.millicores")] = 4000.5  # n1 holds 4000 mc
     with pytest.raises(SafetyViolationError, match="node n1 oversubscribed"):
         orch.assert_capacity_invariant()
+
+
+def test_capacity_invariant_audits_links():
+    orch = make_orchestrator()
+    orch.state.allocations["alloc-999999"] = sdi.Allocation(
+        "alloc-999999", "rogue", ResourceVector(bandwidth=1001), ("n1", "n2"))
+    with pytest.raises(SafetyViolationError, match="link n1--n2 oversubscribed"):
+        orch.assert_capacity_invariant()
+
+
+def test_non_finite_setpoints_are_step_faults():
+    """Two loops pushing NaN onto one backed knob fault at their plan step
+    each tick; the run completes and the knob keeps its value."""
+    orch = make_orchestrator()
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
+    orch.instantiate(setpoint_chain("up", 1, float("nan")))
+    orch.instantiate(setpoint_chain("down", 2, float("nan")))
+    trace = orch.run(duration_ms=5000)
+    faults = [e for e in trace.events if e.kind == "fault"]
+    assert len(faults) == 10
+    assert all("push failed: ConfigError" in e.summary for e in faults)
+    assert not any(e.kind in ("apply", "reject", "withhold") for e in trace.events)
+    assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 2000.0
+    assert orch.query("up").fcaps.fault == 5
+    orch.assert_capacity_invariant()
+
+
+def test_proposal_value_must_be_finite():
+    with pytest.raises(ConfigError, match="finite"):
+        ActionProposal("n1", "vnf.cpu.millicores", float("inf"), 1, "up", 0)
+
+
+def test_every_lifecycle_operation_is_traced():
+    orch = make_orchestrator()
+    orch.instantiate(analysis_chain())
+    orch.update("watcher", priority=3, tick_period_ms=500)
+    orch.scale("watcher", 2.0)
+    rows = [e for e in orch.trace.events if e.kind == "lifecycle" and e.chain == "watcher"]
+    assert len(rows) == orch.query("watcher").fcaps.config == 3
+    assert "priority 3" in rows[1].summary and "period 500 ms" in rows[1].summary
 
 
 def test_fcaps_export(tmp_path):

@@ -41,12 +41,12 @@ def bits(x: float) -> bytes:
 
 def world(state) -> dict:
     """Copies of the state's tables: everything serialize_state writes
-    (knob values bitwise) plus the usage tables and the allocation id
+    (knob values bitwise) plus the usage table and the allocation id
     counter."""
     return {"nodes": dict(state.nodes), "switches": set(state.switches),
             "links": dict(state.links), "allocations": dict(state.allocations),
             "knobs": {key: bits(v) for key, v in state.knobs.items()},
-            "used_node": dict(state._used_node), "used_link": dict(state._used_link),
+            "used": dict(state._used),
             "next_alloc": state._next_alloc}
 
 
@@ -199,20 +199,20 @@ class LifecycleMachine(RuleBasedStateMachine):
     def exact_conservation(self):
         state = self.orch.state
         for node_id, node in state.nodes.items():
-            residual = state.node_residual(node_id)
-            used = state._used_node.get(node_id)
+            residual = state.residual(node_id)
+            used = state._used.get(node_id)
             for c in RESOURCE_COMPONENTS:
                 held = sum(getattr(a.resources, c) for a in state.allocations.values()
-                           if a.node == node_id)
+                           if a.target == node_id)
                 held += sum(math.ceil(v) for (n, p), v in state.knobs.items()
                             if n == node_id and knob_backing_component(p) == c)
                 assert held + getattr(residual, c) == getattr(node.capacity, c)
                 assert held == (getattr(used, c) if used is not None else 0)
         for key, link in state.links.items():
             held = sum(a.resources.bandwidth for a in state.allocations.values()
-                       if a.link == key)
-            assert held + state.link_residual(key) == link.bandwidth
-            assert held == state._used_link.get(key, 0)
+                       if a.target == key)
+            assert held + state.residual(key).bandwidth == link.bandwidth
+            assert held == state._used.get(key, sdi.ResourceVector()).bandwidth
 
     @invariant()
     def capacity_invariant(self):
@@ -225,9 +225,9 @@ class LifecycleMachine(RuleBasedStateMachine):
         clone = sdi.clone_state(self.orch.state)
         fresh = sdi.build_topology(self.spec)
         for alloc in self.orch.state.allocations.values():
-            if alloc.link is not None:
-                sdi.reserve_bandwidth(fresh, *alloc.link, alloc.resources.bandwidth, alloc.owner)
-        assert all(fresh.link_residual(key) == self.orch.state.link_residual(key)
+            if alloc.target in fresh.links:
+                sdi.reserve_bandwidth(fresh, *alloc.target, alloc.resources.bandwidth, alloc.owner)
+        assert all(fresh.residual(key).bandwidth == self.orch.state.residual(key).bandwidth
                    for key in fresh.links)
         names = sorted(self.orch.state.nodes)
         for src in names:

@@ -2,8 +2,9 @@
 H=16), one autoencoder train step (batch 32), one Adam step on the
 compressor's parameters, one embedding of the canonical 5-step chain on the
 testbed, one warm cross-region path query and one resource-backed knob
-change there, and one orchestrator slot of two opposing set-point loops with
-the sandbox dry-run on and off.
+change there, one orchestrator slot of two opposing set-point loops with
+the sandbox dry-run on and off, and one scraped frame and one full
+bursty30min scrape series over the testbed metric catalog.
 
 The default test run executes each once as a smoke test (pyproject.toml
 passes --benchmark-disable). To time them:
@@ -16,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from loopsim import engines, sdi
+from loopsim import engines, metrics, sdi
 from loopsim.chain import embed
 from loopsim.engines import TrainConfig
 from test_chain import canonical_chain
@@ -88,7 +89,7 @@ def test_backed_set_knob_on_testbed(benchmark):
     benchmark(lambda: sdi.set_knob(testbed, "waterloo-vm4", "vnf.cpu.millicores",
                                    next(values)))
     assert testbed.allocations == {}
-    assert testbed.node_residual("waterloo-vm4").cpu in (8000 - 1500, 8000 - 2501)
+    assert testbed.residual("waterloo-vm4").cpu in (8000 - 1500, 8000 - 2501)
 
 
 @pytest.mark.parametrize("sandbox", [True, False], ids=["sandbox-on", "sandbox-off"])
@@ -101,3 +102,20 @@ def test_orchestrator_slot_of_two_opposing_loops(benchmark, sandbox):
     benchmark(lambda: orch.run(duration_ms=1000, start_ms=next(starts)))
     kinds = {e.kind for e in orch.trace.events}
     assert "conflict" in kinds and ("withhold" in kinds) == sandbox
+
+
+def test_scrape_one_frame_on_testbed(benchmark):
+    testbed = sdi.build_topology("testbed")
+    catalog = metrics.build_metric_catalog(testbed, seed=7)
+    frame = benchmark(metrics.scrape, testbed, 120.0, catalog, 600.0)
+    assert frame.values.shape == (catalog.width,) and np.all(np.isfinite(frame.values))
+
+
+def test_bursty30min_scrape_series_on_testbed(benchmark):
+    testbed = sdi.build_topology("testbed")
+    catalog = metrics.build_metric_catalog(testbed, seed=7)
+    workload = metrics.generate_workload(metrics.preset_workload("bursty30min", seed=7))
+    data = benchmark.pedantic(metrics.scrape_series, args=(testbed, workload, catalog),
+                              rounds=5)
+    assert data.values.shape == (len(workload.values), catalog.width)
+    assert np.all(np.isfinite(data.values))

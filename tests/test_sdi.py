@@ -94,8 +94,8 @@ def test_unknown_preset():
 def test_allocate_reduces_residual_exactly():
     topo = build_topology(small_spec())
     allocate(topo, "a", ResourceVector(cpu=1000), "me")
-    assert topo.node_residual("a").cpu == 3000
-    assert topo.node_residual("a").mem == 8192
+    assert topo.residual("a").cpu == 3000
+    assert topo.residual("a").mem == 8192
 
 
 def test_allocate_over_capacity_names_component():
@@ -151,7 +151,7 @@ def test_node_allocation_rejects_bandwidth_component():
 def test_reserve_bandwidth_and_residual():
     topo = build_topology(small_spec())
     reserve_bandwidth(topo, "a", "b", 60, "me")
-    assert topo.link_residual(("a", "b")) == 40
+    assert topo.residual(("a", "b")).bandwidth == 40
     with pytest.raises(CapacityError) as exc:
         reserve_bandwidth(topo, "a", "b", 41, "me")
     assert exc.value.component == "bandwidth"
@@ -178,9 +178,9 @@ def test_conservation_under_random_ops(ops):
     for node_id, node in topo.nodes.items():
         total = ResourceVector()
         for alloc in topo.allocations.values():
-            if alloc.node == node_id:
+            if alloc.target == node_id:
                 total = total + alloc.resources
-        assert total + topo.node_residual(node_id) == node.capacity
+        assert total + topo.residual(node_id) == node.capacity
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def test_clone_preserves_allocation_sums():
     for i in range(5):
         allocate(topo, "a", ResourceVector(cpu=10 * (i + 1)), f"o{i}")
     clone = clone_state(topo)
-    assert clone.node_residual("a") == topo.node_residual("a")
+    assert clone.residual("a") == topo.residual("a")
     assert len(clone.allocations) == 5
 
 
@@ -416,9 +416,9 @@ def test_vector_arithmetic_matches_validated_constructor(a, b):
 def test_knob_backing_reserves_cpu():
     topo = build_topology(small_spec())
     set_knob(topo, "a", "vnf.cpu.millicores", 1500.0)
-    assert topo.node_residual("a").cpu == 2500
+    assert topo.residual("a").cpu == 2500
     set_knob(topo, "a", "vnf.cpu.millicores", 500.0)
-    assert topo.node_residual("a").cpu == 3500
+    assert topo.residual("a").cpu == 3500
 
 
 def test_knob_over_capacity_keeps_previous_value():
@@ -427,7 +427,7 @@ def test_knob_over_capacity_keeps_previous_value():
     with pytest.raises(CapacityError):
         set_knob(topo, "c", "vnf.cpu.millicores", 5000.0)
     assert sdi.get_knob(topo, "c", "vnf.cpu.millicores") == 800.0
-    assert topo.node_residual("c").cpu == 200
+    assert topo.residual("c").cpu == 200
 
 
 def test_refused_knob_leaves_state_bitwise_identical():
@@ -447,13 +447,13 @@ def test_repeated_knob_sets_leave_allocation_table_alone():
     for i in range(10):
         set_knob(topo, "a", "vnf.cpu.millicores", (1500.5, 1000.0)[i % 2])
     assert topo.allocations == allocations and topo._next_alloc == next_alloc
-    assert topo.node_residual("a").cpu == 4000 - 100 - 1000
+    assert topo.residual("a").cpu == 4000 - 100 - 1000
 
 
 def test_non_resource_knob_reserves_nothing():
     topo = build_topology(small_spec())
     set_knob(topo, "a", "firewall.mode", 2.0)
-    assert topo.node_residual("a") == topo.nodes["a"].capacity
+    assert topo.residual("a") == topo.nodes["a"].capacity
     assert sdi.get_knob(topo, "a", "firewall.mode") == 2.0
 
 
@@ -481,16 +481,16 @@ def test_state_serialization_roundtrip_bitwise():
 def test_loaded_state_keeps_accounting_live():
     topo = populated_state()
     back = sdi.deserialize_state(serialize_state(topo))
-    assert back.node_residual("waterloo-vm4") == topo.node_residual("waterloo-vm4")
-    assert back.link_residual(("waterloo-sw1", "waterloo-vm4")) == 750
+    assert back.residual("waterloo-vm4") == topo.residual("waterloo-vm4")
+    assert back.residual(("waterloo-sw1", "waterloo-vm4")).bandwidth == 750
     # Allocation ids continue past the restored ones.
     fresh = allocate(back, "calgary-vm2", ResourceVector(cpu=10), "x")
     assert fresh.id not in serialize_state(topo)
     release(back, fresh.id)
     # Knob adjustments keep working against the restored backing.
     set_knob(back, "waterloo-vm4", "vnf.cpu.millicores", 500.0)
-    assert back.node_residual("waterloo-vm4").cpu == \
-        topo.node_residual("waterloo-vm4").cpu + 1000
+    assert back.residual("waterloo-vm4").cpu == \
+        topo.residual("waterloo-vm4").cpu + 1000
 
 
 def test_save_and_load_state_files(tmp_path):
@@ -520,7 +520,52 @@ def test_deserialize_rejects_oversubscribing_knob():
         sdi.deserialize_state(yaml.safe_dump(doc))
     doc["knobs"][0]["value"] = 700.0
     back = sdi.deserialize_state(yaml.safe_dump(doc))
-    assert back.node_residual("c").cpu == 0 and len(back.allocations) == 1
+    assert back.residual("c").cpu == 0 and len(back.allocations) == 1
+
+
+def _state_with_allocation(**entry):
+    import yaml
+    doc = yaml.safe_load(serialize_state(build_topology(small_spec())))
+    doc["allocations"] = [dict({"id": "alloc-000001", "owner": "x", "cpu": 0, "mem": 0,
+                                "storage": 0, "bandwidth": 0}, **entry)]
+    return yaml.safe_dump(doc)
+
+
+def test_deserialize_refuses_compute_on_a_link():
+    """Nothing reserves cpu on a link, so a state that claims some is refused."""
+    text = _state_with_allocation(target="a--b", cpu=500, bandwidth=10)
+    with pytest.raises(TopologyError, match=r"oversubscribes link a--b: .*insufficient cpu"):
+        sdi.deserialize_state(text)
+    back = sdi.deserialize_state(_state_with_allocation(target="b--a", bandwidth=10))
+    assert back.allocations["alloc-000001"].target == ("a", "b")
+    assert back.residual(("a", "b")).bandwidth == 90
+
+
+def test_deserialize_refuses_bandwidth_on_a_node():
+    text = _state_with_allocation(target="a", cpu=100, bandwidth=5)
+    with pytest.raises(TopologyError,
+                       match=r"oversubscribes node a: .*insufficient bandwidth"):
+        sdi.deserialize_state(text)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("parameter", ["vnf.cpu.millicores", "firewall.mode"])
+def test_set_knob_refuses_non_finite_values(parameter, value):
+    topo = build_topology(small_spec())
+    set_knob(topo, "a", parameter, 1000.0)
+    text, used = serialize_state(topo), dict(topo._used)
+    with pytest.raises(ConfigError, match="finite"):
+        set_knob(topo, "a", parameter, value)
+    assert serialize_state(topo) == text and topo._used == used
+    assert sdi.get_knob(topo, "a", parameter) == 1000.0
+
+
+def test_topology_spec_knob_must_be_finite():
+    import yaml
+    spec = small_spec(knobs=yaml.safe_load(
+        "[{node: a, parameter: vnf.cpu.millicores, value: .inf}]"))
+    with pytest.raises(ConfigError, match="finite"):
+        build_topology(spec)
 
 
 def test_state_text_matches_the_pure_python_emitter():
