@@ -545,41 +545,27 @@ class Orchestrator:
                                            f"{ResourceVector(cpu, mem, storage, bandwidth)}")
 
     def sandbox_dryrun(self, proposals) -> SandboxResult:
-        """Clone the world, apply the proposals, replay every running loop for
-        the horizon and judge stability by knob reversals (count_reversals
-        over the seeded and replayed changes) and capacity violations. The
-        live state is untouched."""
+        """The live pipeline on a clone: the replica applies the proposals
+        through the one apply path at the current clock, then runs every
+        running loop for the horizon. The verdict is read from the replica's
+        trace alone: knob reversals (count_reversals over its applied
+        changes) and its capacity refusals, seeded or replayed. The live
+        state is untouched."""
         proposals = list(proposals)
-        # Horizon is counted in ticks of the fastest involved chain (all
-        # running chains when the issuers are unknown).
+        # The horizon is counted in ticks of the fastest involved chain.
         involved = {p.issued_by for p in proposals}
-        periods = [i.tick_period_ms for i in self._running() if i.chain.id in involved]
-        if not periods:
-            periods = [i.tick_period_ms for i in self._running()]
-        fastest = min(periods, default=1000)
+        fastest = min((i.tick_period_ms for i in self._running() if i.chain.id in involved),
+                      default=1000)
         replica = self._clone_for_sandbox()
-        changes: dict[tuple[str, str], list[tuple[str, float]]] = {}
-        violations = 0
-        for p in sorted(proposals, key=lambda p: (p.timestamp, p.issued_by, p.target, p.parameter)):
-            ok, delta, _, _ = replica.apply_proposal(p)
-            if ok:
-                changes.setdefault((p.target, p.parameter), []).append((p.issued_by, delta))
-            else:
-                violations += 1
+        replica._apply(proposals, self.clock_ms)
         start = ((self.clock_ms // fastest) + 1) * fastest
         replica.run(duration_ms=SANDBOX_HORIZON_TICKS * fastest, start_ms=start)
-        for knob, seq in replica.trace.applied_knob_deltas().items():
-            changes.setdefault(knob, []).extend(seq)
-        violations += sum(1 for e in replica.trace.events if e.capacity is not None)
-        try:
-            replica.assert_capacity_invariant()
-        except SafetyViolationError:
-            violations += 1
-        oscillations = {key: count_reversals(seq) for key, seq in sorted(changes.items())}
-        max_osc = max(oscillations.values(), default=0)
-        verdict = "stable" if (max_osc <= SANDBOX_MAX_REVERSALS and violations == 0) else "unstable"
+        oscillations = {knob: count_reversals(changes) for knob, changes
+                        in sorted(replica.trace.applied_knob_deltas().items())}
+        violations = sum(1 for e in replica.trace.events if e.capacity is not None)
+        stable = max(oscillations.values(), default=0) <= SANDBOX_MAX_REVERSALS and not violations
         return SandboxResult(oscillations=oscillations, violation_count=violations,
-                             verdict=verdict)
+                             verdict="stable" if stable else "unstable")
 
     def _clone_for_sandbox(self) -> "Orchestrator":
         replica = Orchestrator(sdi.clone_state(self.state), self.registry,
@@ -589,14 +575,8 @@ class Orchestrator:
         # The replica only ticks, arbitrates and applies knobs: it never
         # updates, scales or terminates an instance, and steps only read their
         # services, so chain, embedding and services are shared.
-        for iid, instance in self.instances.items():
-            clone = LoopInstance(
-                id=instance.id, chain=instance.chain, embedding=instance.embedding,
-                state=instance.state, tick_period_ms=instance.tick_period_ms,
-                tier=instance.tier, schedule=instance.schedule, services=instance.services,
-                knowledge=list(instance.knowledge), fcaps=replace(instance.fcaps),
-            )
-            replica.instances[iid] = clone
+        replica.instances = {iid: replace(i, knowledge=list(i.knowledge), fcaps=replace(i.fcaps))
+                             for iid, i in self.instances.items()}
         return replica
 
     # -- the global loop -----------------------------------------------------
@@ -654,7 +634,12 @@ class Orchestrator:
                 for proposal in approved:
                     self._log_action(proposal, t, "withhold", "withheld: sandbox unstable")
                 return
-        for proposal in approved:
+        self._apply(approved, t)
+
+    def _apply(self, proposals, t: int) -> None:
+        """The one apply path, live and in a dry-run's replica: apply each
+        proposal in order and trace it as an apply or a reject."""
+        for proposal in proposals:
             ok, delta, verdict, capacity = self.apply_proposal(proposal)
             self._log_action(proposal, t, "apply" if ok else "reject", verdict, delta, capacity)
 
