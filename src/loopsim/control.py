@@ -152,13 +152,22 @@ class ArbitrationOutcome:
     decisions: tuple[str, ...]
 
 
-def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int]) -> ArbitrationOutcome:
+def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int],
+              holders: dict[tuple[str, str], str] | None = None) -> ArbitrationOutcome:
     """Within each connected conflict set only the highest-priority chain's
     proposals survive (lower number wins; ties break to the lexicographically
-    smaller chain id). Proposals outside any conflict pass through."""
+    smaller chain id). A proposal on a knob that holders gives to a
+    better-ranked other chain is rejected. Other proposals pass through."""
     proposals = list(proposals)
-    if report.empty:
-        return ArbitrationOutcome(tuple(proposals), (), ())
+
+    def rank(chain_id: str):
+        return (priorities.get(chain_id, math.inf), chain_id)
+
+    drop: dict[int, str] = {}
+    for i, p in enumerate(proposals):
+        holder = (holders or {}).get((p.target, p.parameter))
+        if holder is not None and rank(holder) < rank(p.issued_by):
+            drop[i] = f"knob held by {holder}"
 
     index = {id(p): i for i, p in enumerate(proposals)}
     parent = list(range(len(proposals)))
@@ -183,11 +192,10 @@ def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int]) -> 
     approved: list[ActionProposal] = []
     rejected: list[tuple[ActionProposal, str]] = []
     decisions: list[str] = []
-    drop: dict[int, str] = {}
     for root in sorted(groups):
         members = sorted(groups[root])
         chains = sorted({proposals[i].issued_by for i in members})
-        ranked = sorted(chains, key=lambda c: (priorities.get(c, math.inf), c))
+        ranked = sorted(chains, key=rank)
         winner = ranked[0]
         tie = len(ranked) > 1 and priorities.get(ranked[0]) == priorities.get(ranked[1])
         note = " (tie-break by chain id)" if tie else ""
@@ -196,7 +204,7 @@ def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int]) -> 
             f" priority={priorities.get(winner)}{note}")
         for i in members:
             if proposals[i].issued_by != winner:
-                drop[i] = f"conflict lost to {winner}{note}"
+                drop.setdefault(i, f"conflict lost to {winner}{note}")
     for i, p in enumerate(proposals):
         if i in drop:
             rejected.append((p, drop[i]))
@@ -352,6 +360,8 @@ class Orchestrator:
         self.instances: dict[str, LoopInstance] = {}
         self.trace = EventTrace()
         self.clock_ms = 0
+        # With arbitration on, the chain whose proposal last set each knob.
+        self.holders: dict[tuple[str, str], str] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -453,6 +463,7 @@ class Orchestrator:
         for aid in instance.embedding.allocation_ids:
             sdi.release(self.state, aid)
         instance.state = InstanceState.TERMINATED
+        self.holders = {knob: c for knob, c in self.holders.items() if c != instance.id}
         instance.fcaps.config += 1
         self.trace.add(self.clock_ms, instance.tier.value, instance.id, "lifecycle",
                        "terminated", "ok")
@@ -572,6 +583,7 @@ class Orchestrator:
                                arbitration=self.arbitration_enabled,
                                sandbox=False)  # no nested dry-runs
         replica.clock_ms = self.clock_ms
+        replica.holders = dict(self.holders)
         # The replica only ticks, arbitrates and applies knobs: it never
         # updates, scales or terminates an instance, and steps only read their
         # services, so chain, embedding and services are shared.
@@ -617,7 +629,7 @@ class Orchestrator:
             self.trace.add(t, "-", f"{pair.a.issued_by}|{pair.b.issued_by}", "conflict",
                            f"{pair.kind.value} on {pair.a.target}:{pair.a.parameter}", "")
         if self.arbitration_enabled:
-            outcome = arbitrate(report, pool, self._priorities())
+            outcome = arbitrate(report, pool, self._priorities(), self.holders)
             for decision in outcome.decisions:
                 self.trace.add(t, "-", "-", "arbitration", decision, "")
             for proposal, reason in outcome.rejected:
@@ -638,9 +650,12 @@ class Orchestrator:
 
     def _apply(self, proposals, t: int) -> None:
         """The one apply path, live and in a dry-run's replica: apply each
-        proposal in order and trace it as an apply or a reject."""
+        proposal in order and trace it as an apply or a reject. With
+        arbitration on, an apply makes its issuer the knob's holder."""
         for proposal in proposals:
             ok, delta, verdict, capacity = self.apply_proposal(proposal)
+            if ok and self.arbitration_enabled:
+                self.holders[(proposal.target, proposal.parameter)] = proposal.issued_by
             self._log_action(proposal, t, "apply" if ok else "reject", verdict, delta, capacity)
 
     def _log_action(self, proposal: ActionProposal, t: int, kind: str, verdict: str,

@@ -540,9 +540,11 @@ def test_run_orders_deeper_tiers_first():
 
 
 def test_run_withholds_on_unstable_sandbox():
+    """The winner's set-point is past n1's 4000 mc, so every dry-run's seeded
+    apply is a capacity refusal: the gate withholds it and nothing lands."""
     orch = make_orchestrator(arbitration=True, sandbox=True)
     sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
+    orch.instantiate(setpoint_chain("up", 1, 9000.0))
     orch.instantiate(setpoint_chain("down", 2, 1000.0))
     trace = orch.run(duration_ms=20_000)
     assert any(e.kind == "withhold" for e in trace.events)
@@ -550,6 +552,71 @@ def test_run_withholds_on_unstable_sandbox():
     applied = [e for e in trace.events if e.kind == "apply"]
     assert applied == []
     orch.assert_capacity_invariant()
+
+
+def test_held_knob_rejects_lower_ranked_proposals_naming_the_holder():
+    held = {("n1", "vnf.cpu.millicores"): "hi"}
+    pool = [proposal("lo", direction=-1), proposal("top", direction=-1)]
+    outcome = arbitrate(detect_conflicts(pool, build_topology(spec_3nodes())), pool,
+                        {"top": 0, "hi": 1, "lo": 2}, held)
+    assert [p.issued_by for p in outcome.approved] == ["top"]
+    assert [(p.issued_by, why) for p, why in outcome.rejected] == [("lo", "knob held by hi")]
+
+    orch = make_orchestrator(arbitration=True, sandbox=False)
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
+    orch.instantiate(setpoint_chain("up", 1, 3000.0))
+    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    trace = orch.run(duration_ms=3000)
+    assert orch.holders == {("n1", "vnf.cpu.millicores"): "up"}
+    assert [(e.t_ms, e.chain, e.verdict) for e in trace.events if e.kind == "reject"] == [
+        (0, "down", "conflict lost to up"),
+        (1000, "down", "knob held by up"), (2000, "down", "knob held by up")]
+    assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 3000.0
+
+
+def test_terminate_releases_the_holders_knobs():
+    orch = make_orchestrator(arbitration=True, sandbox=True)
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
+    orch.instantiate(setpoint_chain("up", 1, 3000.0))
+    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    orch.run(duration_ms=2000)
+    orch.terminate("up")
+    assert orch.holders == {}
+    trace = orch.run(duration_ms=1000, start_ms=2000)
+    applies = [(e.chain, e.delta) for e in trace.events if e.kind == "apply"]
+    assert applies == [("up", 1000.0), ("down", -2000.0)]
+    assert orch.holders == {("n1", "vnf.cpu.millicores"): "down"}
+
+
+def test_sandbox_seeded_apply_takes_the_hold():
+    """The winner's set-point seeded into the replica holds the knob there,
+    so the running loser cannot move it back during the replay."""
+    orch = make_orchestrator(arbitration=True, sandbox=True)
+    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
+    orch.instantiate(setpoint_chain("up", 1, 3000.0))
+    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    result = orch.sandbox_dryrun([proposal("up", value=3000.0, direction=1)])
+    assert (result.verdict, result.max_oscillation, result.violation_count) == ("stable", 0, 0)
+    assert orch.holders == {}  # the live table is untouched
+
+
+def test_sandbox_counts_only_capacity_refusals_as_violations():
+    """A seeded proposal for an unknown node is refused in the replica
+    without a capacity component: the dry-run is stable, and the live apply
+    rejects the proposal with its error verdict."""
+    orch = make_orchestrator(arbitration=True, sandbox=True)
+    ghost = setpoint_chain("ghost", 1, 1000.0)
+    ghost.steps[1] = LoopStep("push", StepKind.PLAN, "plan.knob_setpoint",
+                              QosRequirements(cpu=50),
+                              params={"node": "n9", "parameter": "vnf.cpu.millicores",
+                                      "value": 1000.0})
+    orch.instantiate(ghost)
+    result = orch.sandbox_dryrun([proposal("ghost", target="n9")])
+    assert (result.verdict, result.violation_count) == ("stable", 0)
+    trace = orch.run(duration_ms=1000)
+    sandbox, reject = [e for e in trace.events if e.kind in ("sandbox", "reject")]
+    assert sandbox.verdict == "stable"
+    assert reject.verdict == "error:unknown node 'n9'" and reject.capacity is None
 
 
 def test_unarbitrated_opposing_loops_thrash():

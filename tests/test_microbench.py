@@ -94,9 +94,12 @@ def test_backed_set_knob_on_testbed(benchmark):
 
 @pytest.mark.parametrize("sandbox", [True, False], ids=["sandbox-on", "sandbox-off"])
 def test_orchestrator_slot_of_two_opposing_loops(benchmark, sandbox):
+    # The winner asks for more than n1's 4000 mc, so every slot repeats the
+    # same work: a conflict, then a withhold (sandbox on) or a capacity
+    # reject (sandbox off).
     orch = make_orchestrator(sandbox=sandbox)
     sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
+    orch.instantiate(setpoint_chain("up", 1, 9000.0))
     orch.instantiate(setpoint_chain("down", 2, 1000.0))
     starts = itertools.count(0, 1000)
     benchmark(lambda: orch.run(duration_ms=1000, start_ms=next(starts)))
