@@ -2,8 +2,12 @@
 
 Owns the live topology state (single writer), drives instantiated loops on
 their tick grids, pools the proposals each slot, detects conflicts, lets the
-highest-priority chain win, dry-runs the survivors on a cloned world and
-withholds anything the replay shows to be unstable. Every applied change is
+highest-priority chain win, dry-runs the survivors and withholds anything
+the replay shows to be unstable. The dry-run is the live pipeline on a
+clone: the replica applies the survivors through the one apply path, runs
+the loops for the horizon, and its own trace gives the verdict. With
+arbitration on, the chain whose apply last set a knob holds it against
+worse-ranked chains until it is terminated. Every applied change is
 capacity-checked; an event trace records the whole run deterministically.
 """
 

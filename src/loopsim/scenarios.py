@@ -125,16 +125,17 @@ def _workload_profile(cfg: ScenarioConfig, default_preset: str, seed: int) -> me
     if not doc or "preset" in doc:
         return metrics.preset_workload(doc.get("preset", default_preset) if doc else default_preset,
                                        seed)
-    segments = tuple(
-        metrics.WorkloadSegment(float(s["start"]), float(s["end"]), str(s["shape"]),
-                                float(s["amplitude"]))
-        for s in doc.get("segments", ())
-    )
+    segments = []
+    for i, s in enumerate(doc.get("segments", ())):
+        where = f"workload.segments[{i}]"
+        segments.append(metrics.WorkloadSegment(
+            _number(s, where, "start", None), _number(s, where, "end", None),
+            str(s.get("shape")), _number(s, where, "amplitude", None)))
     return metrics.WorkloadProfile(
         name=str(doc.get("name", "custom")),
         duration=_number(doc, "workload", "duration", 1800.0),
         base_rate=_number(doc, "workload", "base_rate", 0.0),
-        segments=segments,
+        segments=tuple(segments),
         noise=_number(doc, "workload", "noise", 0.0),
         seed=seed,
     )
@@ -524,6 +525,7 @@ def _setpoint_chain(chain_id: str, priority: int, region: str, node: str,
 
 
 def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
+    """One pass of the demo; returns the orchestrator and the contested knob."""
     state = _build_state(cfg)
     region = str(cfg.params.get("region", "waterloo"))
     node = str(cfg.params.get("node", f"{region}-vm4"))
@@ -546,15 +548,17 @@ def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
         orch.instantiate(_setpoint_chain("cpu-saver", 2, region, node, parameter,
                                          _param(cfg, "setpoint_low", 1000.0), period))
     orch.run(duration_ms=ticks * period)
-    return orch
+    return orch, (node, parameter)
 
 
 def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     """Two chains push opposing set-points onto one knob. Pass one runs with
     arbitration and the dry-run gate off (the knob thrashes); pass two turns
-    both on (the interference is caught and suppressed)."""
-    off = _conflict_run(cfg, arbitration=False)
-    on = _conflict_run(cfg, arbitration=True)
+    both on: the priority-1 chain wins the conflict, its set-point passes the
+    dry-run and lands, and it holds the knob, so the other chain's later
+    proposals are rejected as held."""
+    off, _ = _conflict_run(cfg, arbitration=False)
+    on, knob = _conflict_run(cfg, arbitration=True)
 
     reversals_off = sum(count_reversals(changes)
                         for changes in off.trace.applied_knob_deltas().values())
@@ -569,6 +573,13 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
     conflicts_off = sum(1 for e in off.trace.events if e.kind == "conflict")
     conflicts_on = sum(1 for e in on.trace.events if e.kind == "conflict")
     withheld = sum(1 for e in on.trace.events if e.kind == "withhold")
+    # The knob moves only by applies, so it sits at the high set-point from
+    # the first apply on when every apply sets it there.
+    applies = [e for e in on.trace.events if e.kind == "apply"]
+    final_knob = sdi.get_knob(on.state, *knob)
+    high = _param(cfg, "setpoint_high", 3000.0)
+    winner_holds = (bool(applies) and final_knob == high
+                    and all(e.proposal.value == high for e in applies))
 
     files = {
         "trace_unarbitrated": _artifact(out, "trace_unarbitrated.csv", off.trace.to_csv),
@@ -585,6 +596,8 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
         "conflicts_detected_arbitrated": conflicts_on,
         "arbitration_decisions": len(decisions),
         "proposals_withheld_by_sandbox": withheld,
+        "arbitrated_applies": len(applies),
+        "arbitrated_final_knob": final_knob,
         "first_decision_ms": -1 if first_decision_ms is None else first_decision_ms,
         "single_chain": single,
     }
@@ -595,6 +608,7 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
             "unarbitrated_thrashes": reversals_off >= 10,
             "arbitrated_settles": reversals_after == 0,
             "conflicts_detected": conflicts_off >= 1 and conflicts_on >= 1,
+            "winner_holds_knob": winner_holds,
         }
     )
     return run_metrics, checks, files

@@ -292,7 +292,7 @@ def build_topology(spec) -> Topology:
 
     nodes: dict[str, ComputeNode] = {}
     for entry in spec.get("nodes", []) or []:
-        node = _parse_node(entry)
+        node = _entry("node", entry, _parse_node)
         if node.id in nodes:
             raise TopologyError(f"duplicate node id {node.id!r}")
         nodes[node.id] = node
@@ -300,7 +300,7 @@ def build_topology(spec) -> Topology:
     switches: set[str] = set()
     for entry in spec.get("switches", []) or []:
         if isinstance(entry, dict):
-            node = _parse_node(entry)
+            node = _entry("switch", entry, _parse_node)
             if node.id in nodes:
                 raise TopologyError(f"duplicate node id {node.id!r}")
             nodes[node.id] = node
@@ -315,13 +315,13 @@ def build_topology(spec) -> Topology:
 
     links: dict[tuple[str, str], Link] = {}
     for entry in spec.get("links", []) or []:
-        link = Link(
-            a=str(entry["a"]),
-            b=str(entry["b"]),
-            bandwidth=_as_int(entry.get("bandwidth", 0), "link bandwidth"),
-            latency=float(entry.get("latency", 0.0)),
-            reliability=float(entry.get("reliability", 1.0)),
-        )
+        link = _entry("link", entry, lambda e: Link(
+            a=str(e["a"]),
+            b=str(e["b"]),
+            bandwidth=_as_int(e.get("bandwidth", 0), "link bandwidth"),
+            latency=float(e.get("latency", 0.0)),
+            reliability=float(e.get("reliability", 1.0)),
+        ))
         for end in (link.a, link.b):
             if end not in nodes:
                 raise TopologyError(f"link {link.a}--{link.b}: dangling endpoint {end!r}")
@@ -335,8 +335,20 @@ def build_topology(spec) -> Topology:
 
     topo = Topology(nodes=nodes, links=links, switches=switches)
     for entry in spec.get("knobs", []) or []:
-        set_knob(topo, str(entry["node"]), str(entry["parameter"]), float(entry["value"]))
+        _entry("knob", entry, lambda e: set_knob(topo, str(e["node"]), str(e["parameter"]),
+                                                float(e["value"])))
     return topo
+
+
+def _entry(kind: str, entry, parse):
+    """parse(entry), where a missing or malformed field of a topology entry
+    (or a knob its node cannot take) raises a TopologyError naming the entry."""
+    try:
+        return parse(entry)
+    except KeyError as exc:
+        raise TopologyError(f"{kind} entry {entry!r}: missing {exc}") from None
+    except (TypeError, ValueError, UnknownNodeError, CapacityError) as exc:
+        raise TopologyError(f"{kind} entry {entry!r}: {exc}") from None
 
 
 def _check_connected(nodes, links) -> None:

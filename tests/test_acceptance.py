@@ -140,6 +140,19 @@ def test_criterion_7_conflict_stability(conflict_runs):
                   "per-tick capacity invariant asserted throughout both runs")
 
 
+def test_criterion_9_conflict_liveness(conflict_runs):
+    report = conflict_runs[0][0]
+    m = report.metrics
+    high = load_scenario_config(CONFIG_DIR / "conflict_demo.yaml").params["setpoint_high"]
+    ok = (m["arbitrated_applies"] > 0 and m["arbitrated_final_knob"] == high
+          and report.checks["winner_holds_knob"] and m["proposals_withheld_by_sandbox"] == 0)
+    criterion(9, "conflict liveness",
+              ok, f"{m['arbitrated_applies']} arbitrated apply(s) (>0); the knob ends at "
+                  f"{m['arbitrated_final_knob']} (== set-point {high}) and holds it from "
+                  f"the first apply to the last tick; "
+                  f"{m['proposals_withheld_by_sandbox']} withheld (==0)")
+
+
 def hash_tree(path: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(path.iterdir()) if p.is_file()}

@@ -284,6 +284,44 @@ def test_cli_non_numeric_value_exits_2(tmp_path, capsys, doc, where):
     assert f"{where} must be a number" in capsys.readouterr().err
 
 
+def small_topology(field, value):
+    """A two-node topology file body with one field set: (entry, key)."""
+    doc = {"nodes": [{"id": "a", "cpu": 4000, "storage": 4096},
+                     {"id": "b", "cpu": 4000, "storage": 4096}],
+           "links": [{"a": "a", "b": "b", "bandwidth": 100, "latency": 1.0}],
+           "knobs": [{"node": "a", "parameter": "vnf.cpu.millicores", "value": 1000}]}
+    (section, index, key) = field
+    if value is None:
+        del doc[section][index][key]
+    else:
+        doc[section][index][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value, named", [
+    (("nodes", 0, "reliability"), "high", "node entry"),
+    (("links", 0, "latency"), "fast", "link entry"),
+    (("knobs", 0, "value"), "lots", "knob entry"),
+    (("links", 0, "b"), None, "link entry"),
+], ids=["node-reliability", "link-latency", "knob-value", "link-without-b"])
+def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
+    (tmp_path / "topo.yaml").write_text(yaml.safe_dump(small_topology(field, value)))
+    path = write_config(tmp_path, dict(TINY_CONFLICT, topology="topo.yaml"))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--scenario", "conflict-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count(named) == 2
+
+
+def test_cli_malformed_workload_segment_exits_2(tmp_path, capsys):
+    segments = [dict(TINY_ADAPTIVE["workload"]["segments"][0], start="soon")]
+    doc = dict(TINY_ADAPTIVE, workload=dict(TINY_ADAPTIVE["workload"], segments=segments))
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--scenario", "adaptive-vnf", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "workload.segments[0].start must be a number, got 'soon'" in capsys.readouterr().err
+
+
 def test_cli_run_conflict(tmp_path, capsys):
     path = write_config(tmp_path, dict(TINY_CONFLICT))
     code = main(["run", "--scenario", "conflict-demo", "--config", str(path),
