@@ -163,13 +163,14 @@ def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int],
     smaller chain id). A proposal on a knob that holders gives to a
     better-ranked other chain is rejected. Other proposals pass through."""
     proposals = list(proposals)
+    holders = holders or {}
 
     def rank(chain_id: str):
         return (priorities.get(chain_id, math.inf), chain_id)
 
     drop: dict[int, str] = {}
     for i, p in enumerate(proposals):
-        holder = (holders or {}).get((p.target, p.parameter))
+        holder = holders.get((p.target, p.parameter))
         if holder is not None and rank(holder) < rank(p.issued_by):
             drop[i] = f"knob held by {holder}"
 

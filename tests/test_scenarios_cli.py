@@ -303,7 +303,10 @@ def small_topology(field, value):
     (("links", 0, "latency"), "fast", "link entry"),
     (("knobs", 0, "value"), "lots", "knob entry"),
     (("links", 0, "b"), None, "link entry"),
-], ids=["node-reliability", "link-latency", "knob-value", "link-without-b"])
+    (("knobs", 0, "node"), "ghost", "knob entry"),
+    (("knobs", 0, "value"), 99999, "knob entry"),
+], ids=["node-reliability", "link-latency", "knob-value", "link-without-b", "knob-node",
+        "knob-past-capacity"])
 def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
     (tmp_path / "topo.yaml").write_text(yaml.safe_dump(small_topology(field, value)))
     path = write_config(tmp_path, dict(TINY_CONFLICT, topology="topo.yaml"))
