@@ -128,6 +128,8 @@ def _workload_profile(cfg: ScenarioConfig, default_preset: str, seed: int) -> me
     segments = []
     for i, s in enumerate(doc.get("segments", ())):
         where = f"workload.segments[{i}]"
+        if not isinstance(s, dict):
+            raise ConfigError(f"{where} must be a mapping, got {s!r}")
         segments.append(metrics.WorkloadSegment(
             _number(s, where, "start", None), _number(s, where, "end", None),
             str(s.get("shape")), _number(s, where, "amplitude", None)))

@@ -316,13 +316,17 @@ def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
     assert capsys.readouterr().err.count(named) == 2
 
 
-def test_cli_malformed_workload_segment_exits_2(tmp_path, capsys):
-    segments = [dict(TINY_ADAPTIVE["workload"]["segments"][0], start="soon")]
-    doc = dict(TINY_ADAPTIVE, workload=dict(TINY_ADAPTIVE["workload"], segments=segments))
+@pytest.mark.parametrize("segment, message", [
+    (dict(TINY_ADAPTIVE["workload"]["segments"][0], start="soon"),
+     "workload.segments[0].start must be a number, got 'soon'"),
+    ("soon", "workload.segments[0] must be a mapping, got 'soon'"),
+], ids=["start", "not-a-mapping"])
+def test_cli_malformed_workload_segment_exits_2(tmp_path, capsys, segment, message):
+    doc = dict(TINY_ADAPTIVE, workload=dict(TINY_ADAPTIVE["workload"], segments=[segment]))
     path = write_config(tmp_path, doc)
     assert main(["run", "--scenario", "adaptive-vnf", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
-    assert "workload.segments[0].start must be a number, got 'soon'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_run_conflict(tmp_path, capsys):
