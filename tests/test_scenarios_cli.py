@@ -285,7 +285,8 @@ def test_cli_non_numeric_value_exits_2(tmp_path, capsys, doc, where):
 
 
 def small_topology(field, value):
-    """A two-node topology file body with one field set: (entry, key)."""
+    """A valid two-node topology file body, except that field (section,
+    index, key) is set to value, or deleted when value is None."""
     doc = {"nodes": [{"id": "a", "cpu": 4000, "storage": 4096},
                      {"id": "b", "cpu": 4000, "storage": 4096}],
            "links": [{"a": "a", "b": "b", "bandwidth": 100, "latency": 1.0}],
