@@ -270,7 +270,7 @@ def _path_feasible(pm: PathMetrics, qos: QosRequirements, link_pending: dict,
     if qos.min_bandwidth > 0:
         for key in pm.links:
             claimed = link_pending.get(key, 0) + claims.get(key, 0)
-            if state.residual(key).bandwidth - claimed < qos.min_bandwidth:
+            if state.free_bandwidth(key) - claimed < qos.min_bandwidth:
                 return "bandwidth"
         for key in pm.links:
             claims[key] = claims.get(key, 0) + qos.min_bandwidth

@@ -107,7 +107,7 @@ def _cmd_oracle_embed(args) -> int:
         state = sdi.load_topology(args.topology)
         chain = load_chain(args.chain)
         embedding = embed_bruteforce(chain, state)
-    except (ConfigError, sdi.TopologyError) as exc:
+    except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EmbeddingError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -44,17 +44,17 @@ class InstanceState(Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
-class FcapsCounters:
-    """Element-management counters: fault (step failures), config (lifecycle
-    operations), accounting (ticks executed), performance (proposals
-    applied). No security events are modeled, so there is no security
-    counter."""
+class FcapsCounters(NamedTuple):
+    """Element-management counters, read from an instance's trace events:
+    fault (`fault`: step failures), config (`lifecycle`: lifecycle
+    operations), accounting (`tick`: ticks executed) and performance
+    (`apply`: proposals applied). No security events are modeled, so there
+    is no security counter."""
 
-    fault: int = 0
-    config: int = 0
-    accounting: int = 0
-    performance: int = 0
+    fault: int
+    config: int
+    accounting: int
+    performance: int
 
 
 @dataclass
@@ -68,10 +68,11 @@ class LoopInstance:
     # The chain's steps in tick order, each with its predecessors' names
     # (see _schedule); recomputed whenever `chain` is replaced.
     schedule: tuple[tuple[LoopStep, tuple[str, ...]], ...]
+    # Trace index of this incarnation's `instantiated` event: its counts are
+    # read from the trace from there on.
+    first_event: int
     services: dict = field(default_factory=dict)
     knowledge: list = field(default_factory=list)
-    fcaps: FcapsCounters = field(default_factory=FcapsCounters)
-    actions_rejected: int = 0  # rejected or withheld; fcaps.performance counts applies
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ class InstanceSnapshot:
     assignment: dict[str, str]
     fcaps: FcapsCounters
     knowledge_entries: int
-    actions_applied: int
-    actions_rejected: int
+    actions_rejected: int  # rejected or withheld; fcaps.performance counts applies
 
 
 # Default tick period per tier, for chains that set none: a child tier ticks
@@ -381,9 +381,9 @@ class Orchestrator:
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
             state=InstanceState.RUNNING, tick_period_ms=period, tier=tier,
-            schedule=schedule, services=dict(services or {}),
+            schedule=schedule, first_event=len(self.trace.events),
+            services=dict(services or {}),
         )
-        instance.fcaps.config += 1
         self.instances[chain.id] = instance
         self.trace.add(self.clock_ms, tier.value, chain.id, "lifecycle",
                        f"instantiated on {sorted(embedding.assignment.items())}", "ok")
@@ -406,7 +406,6 @@ class Orchestrator:
             if tick_period_ms <= 0:
                 raise ConfigError("tick_period_ms must be > 0")
             instance.tick_period_ms = tick_period_ms
-        instance.fcaps.config += 1
         self.trace.add(self.clock_ms, instance.tier.value, instance.id, "lifecycle",
                        f"updated: priority {instance.chain.priority}, "
                        f"period {instance.tick_period_ms} ms", "ok")
@@ -414,16 +413,26 @@ class Orchestrator:
 
     def query(self, instance_id: str) -> InstanceSnapshot:
         instance = self._get(instance_id)
+        fcaps, rejected = self._counts()[instance.id]
         return InstanceSnapshot(
             id=instance.id, chain_id=instance.chain.id, state=instance.state,
             tick_period_ms=instance.tick_period_ms, tier=instance.tier,
             priority=instance.chain.priority,
             assignment=dict(instance.embedding.assignment),
-            fcaps=replace(instance.fcaps),
-            knowledge_entries=len(instance.knowledge),
-            actions_applied=instance.fcaps.performance,
-            actions_rejected=instance.actions_rejected,
+            fcaps=fcaps, knowledge_entries=len(instance.knowledge),
+            actions_rejected=rejected,
         )
+
+    def _counts(self) -> dict[str, tuple[FcapsCounters, int]]:
+        """Per instance, its FCAPS counters and its rejected-or-withheld
+        count, read in one pass from its incarnation's trace events."""
+        first = {iid: i.first_event for iid, i in self.instances.items()}
+        end = len(self.trace.events)
+        n = Counter((e.chain, e.kind) for k, e in enumerate(self.trace.events)
+                    if k >= first.get(e.chain, end))
+        return {iid: (FcapsCounters(n[iid, "fault"], n[iid, "lifecycle"], n[iid, "tick"],
+                                    n[iid, "apply"]), n[iid, "reject"] + n[iid, "withhold"])
+                for iid in first}
 
     def scale(self, instance_id: str, factor: float) -> LoopInstance:
         """Multiply the Analyze/Execute reservations by factor, re-embedding
@@ -456,7 +465,6 @@ class Orchestrator:
         instance.chain = scaled
         instance.schedule = _schedule(scaled)
         instance.embedding = embedding
-        instance.fcaps.config += 1
         self.trace.add(self.clock_ms, instance.tier.value, chain.id, "lifecycle",
                        f"scaled by {factor}", "ok")
         return instance
@@ -469,7 +477,6 @@ class Orchestrator:
             sdi.release(self.state, aid)
         instance.state = InstanceState.TERMINATED
         self.holders = {knob: c for knob, c in self.holders.items() if c != instance.id}
-        instance.fcaps.config += 1
         self.trace.add(self.clock_ms, instance.tier.value, instance.id, "lifecycle",
                        "terminated", "ok")
 
@@ -477,9 +484,9 @@ class Orchestrator:
 
     def tick(self, instance_id: str, t_ms: int) -> list[ActionProposal]:
         """Run Monitor -> Analyze -> Plan (skipping Execute: applying actions
-        is the orchestrator's decision) and feed the Knowledge step. A step
-        fault aborts the tick, bumps the fault counter, traces the exception
-        type and message, and yields no proposals."""
+        is the orchestrator's decision), feed the Knowledge step and trace
+        the tick with its proposal count. A step fault aborts the tick,
+        traces the exception type and message, and yields no proposals."""
         instance = self._get(instance_id)
         if instance.state != InstanceState.RUNNING:
             raise LifecycleError(
@@ -490,7 +497,6 @@ class Orchestrator:
         chain = instance.chain
         outputs: dict[str, object] = {}
         proposals: list[ActionProposal] = []
-        instance.fcaps.accounting += 1
         for step, predecessors in instance.schedule:
             if step.kind == StepKind.EXECUTE:
                 continue
@@ -503,17 +509,19 @@ class Orchestrator:
             try:
                 result = fn(ctx)
             except Exception as exc:
-                instance.fcaps.fault += 1
                 self.trace.add(t_ms, instance.tier.value, chain.id, "fault",
                                f"step {step.name} failed: {type(exc).__name__}: {exc}",
                                "fault")
-                return []
+                proposals = []
+                break
             outputs[step.name] = result
             if step.kind == StepKind.PLAN and result:
                 for p in result:
                     if p.issued_by == "" or p.timestamp != t_ms:
                         p = replace(p, issued_by=p.issued_by or chain.id, timestamp=t_ms)
                     proposals.append(p)
+        self.trace.add(t_ms, instance.tier.value, chain.id, "tick",
+                       f"{len(proposals)} proposal(s)", "ok")
         return proposals
 
     # -- conflict pipeline ---------------------------------------------------
@@ -590,9 +598,10 @@ class Orchestrator:
         replica.clock_ms = self.clock_ms
         replica.holders = dict(self.holders)
         # The replica only ticks, arbitrates and applies knobs: it never
-        # updates, scales or terminates an instance, and steps only read their
-        # services, so chain, embedding and services are shared.
-        replica.instances = {iid: replace(i, knowledge=list(i.knowledge), fcaps=replace(i.fcaps))
+        # updates, scales or terminates an instance, steps only read their
+        # services and nothing reads its counts (each first_event indexes the
+        # live trace), so chain, embedding and services are shared.
+        replica.instances = {iid: replace(i, knowledge=list(i.knowledge))
                              for iid, i in self.instances.items()}
         return replica
 
@@ -617,10 +626,7 @@ class Orchestrator:
             for instance in due:
                 if instance.state != InstanceState.RUNNING:
                     continue
-                proposals = self.tick(instance.id, t)
-                self.trace.add(t, instance.tier.value, instance.chain.id, "tick",
-                               f"{len(proposals)} proposal(s)", "ok")
-                pool.extend(proposals)
+                pool.extend(self.tick(instance.id, t))
             self.clock_ms = t
             if pool:
                 self._process_slot(t, pool)
@@ -666,19 +672,12 @@ class Orchestrator:
     def _log_action(self, proposal: ActionProposal, t: int, kind: str, verdict: str,
                     delta: float | None = None, capacity: str | None = None) -> None:
         instance = self.instances.get(proposal.issued_by)
-        tier = "-"
-        if instance is not None:
-            tier = instance.tier.value
-            if kind == "apply":
-                instance.fcaps.performance += 1
-            else:
-                instance.actions_rejected += 1
+        tier = "-" if instance is None else instance.tier.value
         self.trace.add(t, tier, proposal.issued_by, kind, "", verdict, proposal, delta, capacity)
 
     def export_fcaps_csv(self, path) -> int:
         """One row of FCAPS counters per instance, by id; returns the row count."""
-        return write_csv(path, ("instance", "state", "fault", "config", "accounting",
-                                "performance"),
-                         ((iid, i.state.value, i.fcaps.fault, i.fcaps.config,
-                           i.fcaps.accounting, i.fcaps.performance)
+        counts = self._counts()
+        return write_csv(path, ("instance", "state", *FcapsCounters._fields),
+                         ((iid, i.state.value, *counts[iid][0])
                           for iid, i in sorted(self.instances.items())))

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -496,6 +497,10 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
         "fit_mse_below_1e5": fit.fit_mse < 1e-5,
         "predictor_beats_persistence": mse_ratio < 0.8,
         "adaptive_below_static_peak": adaptive_mean < static_peak,
+        # Starving the VNF must not buy the saving: it may run short for at
+        # most one resize period.
+        "underprovisioned_within_one_period":
+            under_frac * eval_minutes <= chain.tick_period_ms / 60_000,
     }
     return run_metrics, checks, files
 
@@ -572,9 +577,10 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
             if e.kind == "apply" and e.t_ms > first_decision_ms:
                 applied_after.append((e.chain, e.delta))
     reversals_after = count_reversals(applied_after)
-    conflicts_off = sum(1 for e in off.trace.events if e.kind == "conflict")
-    conflicts_on = sum(1 for e in on.trace.events if e.kind == "conflict")
-    withheld = sum(1 for e in on.trace.events if e.kind == "withhold")
+    kinds_off = Counter(e.kind for e in off.trace.events)
+    kinds_on = Counter(e.kind for e in on.trace.events)
+    conflicts_off, conflicts_on = kinds_off["conflict"], kinds_on["conflict"]
+    withheld = kinds_on["withhold"]
     # The knob moves only by applies, so it sits at the high set-point from
     # the first apply on when every apply sets it there.
     applies = [e for e in on.trace.events if e.kind == "apply"]

@@ -222,6 +222,10 @@ class Topology:
     def residual(self, target: Target) -> ResourceVector:
         return self.capacity(target) - self._used.get(target, _ZERO)
 
+    def free_bandwidth(self, key: tuple[str, str]) -> int:
+        """A link's residual bandwidth, read without building a vector."""
+        return self.links[key].bandwidth - self._used.get(key, _ZERO).bandwidth
+
     def compute_nodes(self) -> list[str]:
         """Ids of nodes that may host work (switches forward only)."""
         return sorted(n for n in self.nodes if n not in self.switches)
@@ -258,6 +262,9 @@ def _parse_node(entry: dict) -> ComputeNode:
         tier = Tier(str(entry.get("tier", "edge")).lower())
     except ValueError:
         raise TopologyError(f"node {entry['id']}: unknown tier {entry.get('tier')!r}") from None
+    roles = entry.get("roles", [])
+    if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
+        raise TypeError(f"roles must be a list of strings, got {roles!r}")
     return ComputeNode(
         id=str(entry["id"]),
         region=str(entry.get("region", "default")),
@@ -266,7 +273,7 @@ def _parse_node(entry: dict) -> ComputeNode:
         mem_capacity=_as_int(entry.get("mem", 0), f"node {entry['id']} mem"),
         storage_capacity=_as_int(entry.get("storage", 0), f"node {entry['id']} storage"),
         reliability=float(entry.get("reliability", 1.0)),
-        roles=tuple(entry.get("roles", ())),
+        roles=tuple(roles),
     )
 
 
@@ -558,8 +565,7 @@ def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
     if src == dst:
         return PathMetrics(0.0, math.inf, 1.0, (src,), ())
     latency, path, keys, reliability = state._routes.route(state, src, dst)
-    links, used = state.links, state._used
-    bandwidth = min(links[k].bandwidth - used.get(k, _ZERO).bandwidth for k in keys)
+    bandwidth = min(map(state.free_bandwidth, keys))
     return PathMetrics(latency, bandwidth, reliability, path, keys)
 
 

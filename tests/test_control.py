@@ -173,9 +173,29 @@ def test_tick_analysis_only_updates_knowledge():
     orch.instantiate(analysis_chain())
     proposals = orch.tick("watcher", 0)
     assert proposals == []
-    instance = orch.instances["watcher"]
-    assert len(instance.knowledge) == 1
-    assert instance.fcaps.accounting == 1
+    assert len(orch.instances["watcher"].knowledge) == 1
+    assert orch.query("watcher").fcaps.accounting == 1
+
+
+def test_direct_tick_is_traced_and_counted():
+    """A tick outside run() writes its own tick event, after the fault event
+    when a step fails, and query() counts both from the trace."""
+    orch = make_orchestrator()
+    orch.registry.register("plan.broken", lambda ctx: ctx.params["node"])
+    orch.instantiate(setpoint_chain("up", 1, 3000.0))
+    broken = setpoint_chain("down", 2, 1000.0)
+    broken.steps[1] = LoopStep("push", StepKind.PLAN, "plan.broken", QosRequirements(cpu=50))
+    orch.instantiate(broken)
+    first = len(orch.trace.events)
+    assert len(orch.tick("up", 0)) == 1
+    assert orch.tick("down", 1000) == []
+    assert [(e.t_ms, e.chain, e.kind, e.summary) for e in orch.trace.events[first:]] == [
+        (0, "up", "tick", "1 proposal(s)"),
+        (1000, "down", "fault", "step push failed: KeyError: 'node'"),
+        (1000, "down", "tick", "0 proposal(s)"),
+    ]
+    assert orch.query("up").fcaps == (0, 1, 1, 0)  # fault, config, accounting, performance
+    assert orch.query("down").fcaps == (1, 1, 1, 0)
 
 
 def test_tick_under_rising_traffic_raises_cpu_knob():
@@ -232,7 +252,7 @@ def test_tick_fault_counts_and_yields_nothing():
     orch.instantiate(chain)
     proposals = orch.tick("watcher", 0)
     assert proposals == []
-    assert orch.instances["watcher"].fcaps.fault == 1
+    assert orch.query("watcher").fcaps.fault == 1
     assert orch.instances["watcher"].knowledge == []
 
 
@@ -245,7 +265,7 @@ def test_tick_fault_traces_exception_type():
     assert orch.tick("up", 0) == []
     faults = [(e.summary, e.verdict) for e in orch.trace.events if e.kind == "fault"]
     assert faults == [("step push failed: KeyError: 'node'", "fault")]
-    assert orch.instances["up"].fcaps.fault == 1
+    assert orch.query("up").fcaps.fault == 1
 
 
 def test_tick_alignment_enforced():
@@ -781,5 +801,5 @@ def test_trace_csv_text_of_a_two_loop_run_is_pinned(tmp_path):
     orch.trace.to_csv(path)
     assert path.read_text(encoding="utf-8") == PINNED_TRACE
     big, down = orch.query("big"), orch.query("down")
-    assert (big.actions_applied, big.actions_rejected) == (0, 3)
-    assert (down.actions_applied, down.actions_rejected) == (0, 0)  # a new incarnation
+    assert (big.fcaps.performance, big.actions_rejected) == (0, 3)
+    assert (down.fcaps.performance, down.actions_rejected) == (0, 0)  # a new incarnation

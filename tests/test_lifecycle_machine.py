@@ -115,8 +115,8 @@ class LifecycleMachine(RuleBasedStateMachine):
     def snapshot(self):
         """Everything a dry-run or a failed scale must leave as it was."""
         return (world(self.orch.state), len(self.orch.trace.events),
-                {i: copy.deepcopy((inst.chain, inst.embedding, inst.knowledge, inst.fcaps,
-                                   inst.actions_rejected, inst.state))
+                {i: (copy.deepcopy((inst.chain, inst.embedding, inst.knowledge)),
+                     self.orch.query(i))
                  for i, inst in self.orch.instances.items()})
 
     # -- rules -------------------------------------------------------------

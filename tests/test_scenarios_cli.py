@@ -141,6 +141,18 @@ def test_adaptive_tracking_loop_passes_the_dry_run_gate(tmp_path):
     assert report.metrics["ticks"] == len(ticks) == sum(1 for e in events if e[0] == "apply")
 
 
+@pytest.mark.parametrize("headroom, verdict", [(1.5, "pass"), (0.5, "FAIL")])
+def test_adaptive_underprovisioning_is_bounded_by_one_resize_period(tmp_path, headroom,
+                                                                     verdict):
+    """Half the headroom starves the VNF: the mean still sits below the
+    static peak, but the knob runs short for longer than one resize period."""
+    doc = dict(TINY_ADAPTIVE, params=dict(TINY_ADAPTIVE["params"], headroom=headroom))
+    report = run_scenario(make_cfg(doc, tmp_path / "out"))
+    assert report.checks["adaptive_below_static_peak"]
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+    assert f"underprovisioned_within_one_period: {verdict}" in summary
+
+
 def test_different_seed_changes_outputs(tmp_path):
     run_scenario(make_cfg(TINY_COMPRESS, tmp_path / "a"))
     other = dict(TINY_COMPRESS, seed=12)
@@ -242,6 +254,23 @@ def test_load_scenario_config_missing_topology_file(tmp_path):
         load_scenario_config(path)
 
 
+FCAPS_HEADER = "instance,state,fault,config,accounting,performance\n"
+
+
+def test_conflict_demo_fcaps_text_is_pinned(tmp_path):
+    """The shipped demo at seed 7: both loops tick 100 times; unarbitrated
+    every set-point that moves the knob lands, arbitrated only the booster's
+    first one does and then holds the knob."""
+    cfg = load_scenario_config(Path(__file__).resolve().parents[1] / "configs"
+                               / "conflict_demo.yaml")
+    cfg.out_dir = str(tmp_path / "out")
+    run_scenario(cfg)
+    assert (tmp_path / "out" / "fcaps_arbitrated.csv").read_text(encoding="utf-8") == (
+        FCAPS_HEADER + "cpu-booster,running,0,1,100,1\ncpu-saver,running,0,1,100,0\n")
+    assert (tmp_path / "out" / "fcaps_unarbitrated.csv").read_text(encoding="utf-8") == (
+        FCAPS_HEADER + "cpu-booster,running,0,1,100,51\ncpu-saver,running,0,1,100,50\n")
+
+
 def test_shipped_configs_load():
     root = Path(__file__).resolve().parents[1] / "configs"
     for name in ("compress.yaml", "adaptive_vnf.yaml", "conflict_demo.yaml"):
@@ -306,8 +335,9 @@ def small_topology(field, value):
     (("links", 0, "b"), None, "link entry"),
     (("knobs", 0, "node"), "ghost", "knob entry"),
     (("knobs", 0, "value"), 99999, "knob entry"),
+    (("nodes", 0, "roles"), "firewall", "node entry"),
 ], ids=["node-reliability", "link-latency", "knob-value", "link-without-b", "knob-node",
-        "knob-past-capacity"])
+        "knob-past-capacity", "node-roles-string"])
 def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
     (tmp_path / "topo.yaml").write_text(yaml.safe_dump(small_topology(field, value)))
     path = write_config(tmp_path, dict(TINY_CONFLICT, topology="topo.yaml"))

@@ -578,3 +578,15 @@ def test_state_text_matches_the_pure_python_emitter():
 def test_node_id_with_reserved_separator_rejected():
     with pytest.raises(TopologyError, match="--"):
         build_topology({"nodes": [{"id": "a--b", "region": "r", "tier": "edge"}]})
+
+
+@pytest.mark.parametrize("roles", ["firewall", ["firewall", 3], {"firewall": True}],
+                         ids=["string", "non-string-item", "mapping"])
+def test_roles_must_be_a_list_of_strings(roles):
+    with pytest.raises(TopologyError, match="node entry .*roles must be a list of strings"):
+        build_topology({"nodes": [{"id": "a", "cpu": 100, "roles": roles}]})
+
+
+def test_roles_list_is_kept():
+    topo = build_topology({"nodes": [{"id": "a", "cpu": 100, "roles": ["firewall", "dns"]}]})
+    assert topo.nodes["a"].roles == ("firewall", "dns")
