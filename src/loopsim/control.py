@@ -374,6 +374,9 @@ class Orchestrator:
         if chain.id in self.instances and \
                 self.instances[chain.id].state != InstanceState.TERMINATED:
             raise LifecycleError(f"chain {chain.id!r} already has a live instance")
+        for step in chain.steps:  # tick runs all but execute steps, before any booking
+            if step.kind != StepKind.EXECUTE:
+                self.registry.resolve(step.function_ref)
         embedding = embed(chain, self.state)
         schedule = _schedule(chain)
         tier = self.state.nodes[embedding.assignment[schedule[0][0].name]].tier

@@ -4,6 +4,13 @@ Three model families: dense feed-forward stacks (the telemetry compressor),
 ordinary least squares, and a single-layer LSTM forecaster with a direct
 multi-horizon readout. Gradients are hand-derived reverse mode; the test
 suite checks them against central finite differences.
+
+The train step runs on preallocated memory: each model keeps its kernel's
+working arrays per batch shape (_DenseWork, _LstmWork), and the optimizer
+updates through reused scratch vectors; a warm dense step allocates little
+more than the gradient vector it returns. Every elementwise operation keeps
+the operand order of the textbook formulas, so results are bit-identical to
+evaluating them with fresh temporaries.
 """
 
 from __future__ import annotations
@@ -44,47 +51,81 @@ class InsufficientDataError(SimError):
 # Activations
 # ---------------------------------------------------------------------------
 
+def _elu(z: np.ndarray, tmp: np.ndarray) -> None:
+    # alpha = 1, branch-free and in place: max(z, 0) + expm1(min(z, 0))
+    np.minimum(z, 0.0, out=tmp)
+    np.expm1(tmp, out=tmp)
+    np.maximum(z, 0.0, out=z)
+    z += tmp
+
+
+def _elu_grad(g: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    # elu'(z) = min(out, 0) + 1, since out > 0 exactly when z > 0
+    np.minimum(out, 0.0, out=tmp)
+    tmp += 1.0
+    g *= tmp
+
+
+def _sigmoid(z: np.ndarray, tmp: np.ndarray) -> None:
+    # The tanh form never overflows: exact 0.5 at 0, 0 and 1 at -inf and +inf.
+    z /= 2.0
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+
+
+def _sigmoid_grad(g: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    np.subtract(1.0, out, out=tmp)
+    tmp *= out
+    g *= tmp
+
+
+# Per activation: (apply it to z in place, multiply g in place by its
+# derivative given the activation's output); tmp is scratch shaped like z.
+_ACTIVATIONS = {
+    "elu": (_elu, _elu_grad),
+    "linear": (lambda z, tmp: None, lambda g, out, tmp: None),
+    "sigmoid": (_sigmoid, _sigmoid_grad),
+}
+
+
+def _activated(name: str, x) -> np.ndarray:
+    z = np.array(x, dtype=float)
+    _ACTIVATIONS[name][0](z, np.empty_like(z))
+    return z
+
+
 def elu(x: np.ndarray) -> np.ndarray:
-    # alpha = 1: identity for x > 0, exp(x) - 1 otherwise
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
-
-
-def _elu_deriv(preact: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.where(preact > 0, 1.0, out + 1.0)
+    return _activated("elu", x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # The tanh form never overflows: exact 0.5 at 0, 0 and 1 at -inf and +inf.
-    return 0.5 * (1.0 + np.tanh(x / 2.0))
-
-
-def _sigmoid_deriv(preact: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return out * (1.0 - out)
-
-
-_ACTIVATIONS = {
-    "elu": (elu, _elu_deriv),
-    "linear": (lambda x: x, lambda preact, out: np.ones_like(preact)),
-    "sigmoid": (sigmoid, _sigmoid_deriv),
-}
+    return _activated("sigmoid", x)
 
 
 # ---------------------------------------------------------------------------
 # Flat parameter vectors
 # ---------------------------------------------------------------------------
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views of a flat vector, one per shape."""
-    sizes = [math.prod(shape) for shape in shapes]
-    if flat.shape != (sum(sizes),):
-        raise ConfigError(f"expected a flat vector of {sum(sizes)} parameters, "
-                          f"got shape {flat.shape}")
+def _spans(shapes) -> list[tuple[slice, tuple[int, ...]]]:
+    """Where each shape's block sits in a flat vector laid out in order."""
     out = []
     start = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(flat[start:start + size].reshape(shape))
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append((slice(start, start + size), shape))
         start += size
     return out
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of a flat vector, one per shape."""
+    spans = _spans(shapes)
+    total = spans[-1][0].stop
+    if flat.shape != (total,):
+        raise ConfigError(f"expected a flat vector of {total} parameters, "
+                          f"got shape {flat.shape}")
+    return [flat[span].reshape(shape) for span, shape in spans]
 
 
 def _param_vector(params, shapes) -> np.ndarray:
@@ -123,6 +164,9 @@ class DenseNet:
     encoder_layers: int
     params: np.ndarray | None = None
     layers: list[DenseLayer] = field(init=False, repr=False)
+    # The training kernel's working arrays, one _DenseWork per batch size.
+    # Not serialized. Calls on one net must not run concurrently.
+    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
@@ -185,8 +229,10 @@ def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
 def _apply_layers(layers, x: np.ndarray) -> np.ndarray:
     h = x
     for layer in layers:
-        act, _ = _ACTIVATIONS[layer.activation]
-        h = act(h @ layer.weights.T + layer.bias)
+        z = h @ layer.weights.T
+        z += layer.bias
+        _ACTIVATIONS[layer.activation][0](z, np.empty_like(z))
+        h = z
     return h
 
 
@@ -216,33 +262,51 @@ def decode(net: DenseNet, code) -> np.ndarray:
     return out[0] if squeeze else out
 
 
+class _DenseWork:
+    """The dense kernel's working arrays for one batch size, per layer
+    (batch, fan_out) each: acts[i] holds the layer's pre-activation, then
+    its activation in place; grads[i] the loss gradient at its output, then
+    at its pre-activation in place; tmp[i] is scratch. spans are the
+    (slice, shape) of each weight and bias in the params layout."""
+
+    def __init__(self, net: DenseNet, batch: int):
+        self.acts = [np.empty((batch, w)) for w in net.widths[1:]]
+        self.grads = [np.empty((batch, w)) for w in net.widths[1:]]
+        self.tmp = [np.empty((batch, w)) for w in net.widths[1:]]
+        self.spans = _spans(net.shapes())
+
+
 def mse_loss_and_grads(net: DenseNet, x: np.ndarray, target: np.ndarray):
     """Mean-squared-error loss over all elements and its gradient, a vector
     laid out like net.params, by reverse-mode differentiation through every
     layer. Overflow is left to produce non-finite values (the trainers
     report those as divergence)."""
+    work = net._work.get(len(x))
+    if work is None:
+        work = net._work[len(x)] = _DenseWork(net, len(x))
+    acts, grads, tmp = work.acts, work.grads, work.tmp
     grad = np.empty_like(net.params)
-    grad_views = _views(grad, net.shapes())
+    grad_views = [grad[span].reshape(shape) for span, shape in work.spans]
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = [x]
-        preacts = []
         h = x
-        for layer in net.layers:
-            z = h @ layer.weights.T + layer.bias
-            act, _ = _ACTIVATIONS[layer.activation]
-            h = act(z)
-            preacts.append(z)
-            acts.append(h)
-        diff = h - target
-        loss = float(np.mean(diff * diff))
-        grad_out = 2.0 * diff / diff.size
+        for layer, z, scratch in zip(net.layers, acts, tmp):
+            np.matmul(h, layer.weights.T, out=z)
+            z += layer.bias
+            _ACTIVATIONS[layer.activation][0](z, scratch)
+            h = z
+        diff, sq = grads[-1], tmp[-1]
+        np.subtract(h, target, out=diff)
+        np.multiply(diff, diff, out=sq)
+        loss = float(np.mean(sq))
+        diff *= 2.0
+        diff /= diff.size
         for i in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[i]
-            _, deriv = _ACTIVATIONS[layer.activation]
-            gz = grad_out * deriv(preacts[i], acts[i + 1])
-            grad_views[2 * i][:] = gz.T @ acts[i]
-            grad_views[2 * i + 1][:] = gz.sum(axis=0)
-            grad_out = gz @ layer.weights
+            layer, gz = net.layers[i], grads[i]
+            _ACTIVATIONS[layer.activation][1](gz, acts[i], tmp[i])
+            np.matmul(gz.T, acts[i - 1] if i else x, out=grad_views[2 * i])
+            np.sum(gz, axis=0, out=grad_views[2 * i + 1])
+            if i:  # the input's gradient is not needed
+                np.matmul(gz, layer.weights, out=grads[i - 1])
     return loss, grad
 
 
@@ -270,36 +334,51 @@ class TrainConfig:
 
 class _Optimizer:
     """Applies sgd or adam (beta1=0.9, beta2=0.999, eps=1e-8) updates to a
-    flat parameter vector, in place."""
+    flat parameter vector, in place, through reused scratch vectors."""
 
     def __init__(self, params: np.ndarray, config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
         self.kind = config.optimizer
+        self.step_buf = np.empty_like(params)
         if self.kind == "adam":
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
+            self.denom = np.empty_like(params)
             self.t = 0
 
     def step(self, grad: np.ndarray) -> None:
+        step = self.step_buf
         if self.kind == "sgd":
-            self.params -= self.lr * grad
+            np.multiply(self.lr, grad, out=step)
+            self.params -= step
             return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         correction = math.sqrt(1.0 - b2 ** self.t) / (1.0 - b1 ** self.t)
+        # m, v and params as in m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+        # and params -= lr * correction * m / (sqrt(v) + eps), evaluated in
+        # that operand order.
         self.m *= b1
-        self.m += (1 - b1) * grad
+        np.multiply(1 - b1, grad, out=step)
+        self.m += step
         self.v *= b2
-        self.v += (1 - b2) * grad * grad
-        self.params -= self.lr * correction * self.m / (np.sqrt(self.v) + eps)
+        np.multiply(1 - b2, grad, out=step)
+        step *= grad
+        self.v += step
+        np.multiply(self.lr * correction, self.m, out=step)
+        np.sqrt(self.v, out=self.denom)
+        self.denom += eps
+        step /= self.denom
+        self.params -= step
 
 
 def _fit(params: np.ndarray, loss_and_grads, x: np.ndarray, y: np.ndarray,
          config: TrainConfig, rng: np.random.Generator) -> list[float]:
     """Minibatch training of params in place. Returns one loss per epoch: the
     sample-weighted mean of the pre-update batch losses, i.e. total squared
-    error over the epoch divided by total target elements."""
+    error over the epoch divided by total target elements. When y is x (an
+    autoencoder), each batch is gathered once and is its own target."""
     opt = _Optimizer(params, config)
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -308,8 +387,9 @@ def _fit(params: np.ndarray, loss_and_grads, x: np.ndarray, y: np.ndarray,
         order = rng.permutation(len(x)) if config.shuffle else np.arange(len(x))
         for start in range(0, len(x), config.batch_size):
             idx = order[start:start + config.batch_size]
-            target = y[idx]
-            loss, grad = loss_and_grads(x[idx], target)
+            batch = x[idx]
+            target = batch if y is x else y[idx]
+            loss, grad = loss_and_grads(batch, target)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             opt.step(grad)

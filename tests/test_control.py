@@ -1,6 +1,7 @@
 """Orchestrator: lifecycle, ticking, conflicts, arbitration, sandbox, runs."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ def test_instantiate_terminate_restores_state_bitwise():
     assert serialize_state(orch.state) != before
     orch.terminate("watcher")
     assert serialize_state(orch.state) == before
+
+
+def test_instantiate_refuses_an_unregistered_step_function_before_booking():
+    orch = make_orchestrator()
+    before = serialize_state(orch.state)
+    chain = analysis_chain()
+    chain.steps[0] = replace(chain.steps[0], function_ref="monitor.nope")
+    with pytest.raises(ConfigError, match="monitor.nope"):
+        orch.instantiate(chain)
+    assert serialize_state(orch.state) == before
+    assert orch.instances == {} and orch.trace.events == []
 
 
 def test_double_instantiate_rejected_until_terminated():

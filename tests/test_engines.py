@@ -1,6 +1,7 @@
 """Learners: forward oracles, finite-difference gradients, planted fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,140 @@ def test_training_monotonicity_sgd():
         if history[10] < history[0]:
             wins += 1
     assert wins >= 19
+
+
+# The training step as plain formulas, with fresh temporaries: np.where
+# ELU, the one-line Adam and a per-batch gather of x and y. The kernel keeps
+# every operand order, so it must match these bit for bit on any BLAS.
+_REFERENCE_ACTIVATIONS = {
+    "elu": (lambda z: np.where(z > 0, z, np.expm1(np.minimum(z, 0.0))),
+            lambda z, out: np.where(z > 0, 1.0, out + 1.0)),
+    "linear": (lambda z: z, lambda z, out: np.ones_like(z)),
+    "sigmoid": (lambda z: 0.5 * (1.0 + np.tanh(z / 2.0)),
+                lambda z, out: out * (1.0 - out)),
+}
+
+
+def reference_mse_loss_and_grads(net, x, target):
+    preacts, acts = [], [x]
+    for layer in net.layers:
+        preacts.append(acts[-1] @ layer.weights.T + layer.bias)
+        acts.append(_REFERENCE_ACTIVATIONS[layer.activation][0](preacts[-1]))
+    diff = acts[-1] - target
+    loss = float(np.mean(diff * diff))
+    grad_out = 2.0 * diff / diff.size
+    grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        gz = grad_out * _REFERENCE_ACTIVATIONS[layer.activation][1](preacts[i], acts[i + 1])
+        grads[:0] = [(gz.T @ acts[i]).ravel(), gz.sum(axis=0)]
+        grad_out = gz @ layer.weights
+    return loss, np.concatenate(grads)
+
+
+def reference_adam_fit(params, loss_and_grads, x, y, config, rng):
+    lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    t = 0
+    history = []
+    for _ in range(config.epochs):
+        sse = count = 0
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss, grad = loss_and_grads(x[idx], y[idx])
+            t += 1
+            correction = math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            params -= lr * correction * m / (np.sqrt(v) + eps)
+            sse += loss * y[idx].size
+            count += y[idx].size
+        history.append(sse / count)
+    return history
+
+
+def test_ae_train_matches_reference_trainer_bitwise():
+    rng = np.random.Generator(np.random.PCG64(70))
+    data = rng.uniform(0, 1, size=(70, 111))  # batches of 32, 32 and 6
+    config = TrainConfig(learning_rate=3e-3, epochs=3, batch_size=32, seed=5)
+    net, history = ae_train(ae_init(9), data, config)
+    reference = ae_init(9)
+    expected = reference_adam_fit(
+        reference.params, lambda xb, yb: reference_mse_loss_and_grads(reference, xb, yb),
+        data, data, config, np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))))
+    assert not np.array_equal(net.params, ae_init(9).params)
+    assert np.array_equal(net.params, reference.params)
+    assert history == expected
+    assert sorted(net._work) == [6, 32]
+
+
+def test_rnn_train_adam_matches_reference_trainer_bitwise():
+    series = np.sin(np.arange(120.0) / 5.0) * 3.0 + 10.0
+    config = TrainConfig(learning_rate=1e-2, epochs=3, batch_size=16, seed=6)
+    model = rnn_train(series, 12, 4, config, hidden_size=6)
+    reference = rnn_init(6, 12, 4, seed=6)
+    lo, hi = series.min(), series.max()
+    x, y = make_windows((series - lo) / (hi - lo), 12, 4)
+    expected = reference_adam_fit(
+        reference.params, lambda xb, yb: rnn_loss_and_grads(reference, xb, yb), x, y,
+        config, np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, 1)))))
+    assert np.array_equal(model.params, reference.params)
+    assert model.train_loss == expected
+
+
+def test_elu_and_its_derivative_equal_the_where_forms_on_edge_values():
+    z = np.array([-np.inf, -800.0, -1.0, -0.0, 0.0, 5e-324, 1.0, 800.0, np.inf, np.nan])
+    forward, deriv = _REFERENCE_ACTIVATIONS["elu"]
+    out = elu(z)
+    assert np.array_equal(out, forward(z), equal_nan=True)
+    grad = np.ones_like(z)
+    engines._elu_grad(grad, out, np.empty_like(z))
+    assert np.array_equal(grad, deriv(z, out), equal_nan=True)
+
+
+def test_warm_train_step_allocates_only_the_returned_gradient():
+    net = ae_init(0)
+    x = np.random.Generator(np.random.PCG64(12)).uniform(0, 1, size=(32, 111))
+    opt = engines._Optimizer(net.params, TrainConfig())
+    _, grad = mse_loss_and_grads(net, x, x)
+    opt.step(grad)  # warm-up: the work arrays and Adam's state exist from here on
+    tracemalloc.start()
+    try:
+        opt.step(grad)
+        _, adam_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        _, again = mse_loss_and_grads(net, x, x)
+        _, loss_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert adam_peak < net.params.nbytes / 4
+    # the returned gradient plus numpy's small per-ufunc buffers (the bias
+    # broadcast is one batch-by-width block)
+    assert loss_peak - held < 1.25 * net.params.nbytes
+    assert again is not grad
+
+
+def test_dense_reused_buffers_leave_no_trace_between_calls():
+    net = net_init(SMALL_WIDTHS, SMALL_ACTS, seed=3)
+    other = net_init((8, 6, 8), ("elu", "sigmoid"), seed=4)
+    rng = np.random.Generator(np.random.PCG64(45))
+    x = rng.uniform(0, 1, size=(5, 8))
+    loss, grad = mse_loss_and_grads(net, x, x)
+    grad_bytes = grad.tobytes()
+    for batch in (7, 1, 5, 2):
+        xb = rng.uniform(0, 1, size=(batch, 8))
+        mse_loss_and_grads(net, xb, xb)
+        mse_loss_and_grads(other, xb, xb)
+    assert grad.tobytes() == grad_bytes  # a returned gradient is never a buffer
+    again_loss, again = mse_loss_and_grads(net, x, x)
+    assert again_loss == loss and again.tobytes() == grad_bytes
+    fresh = engines.DenseNet(net.widths, net.activations, net.encoder_layers,
+                             params=net.params.copy())
+    fresh_loss, fresh_grad = mse_loss_and_grads(fresh, x, x)
+    assert fresh_loss == loss and fresh_grad.tobytes() == grad_bytes
+    assert reference_mse_loss_and_grads(net, x, x)[1].tobytes() == grad_bytes
 
 
 # ---------------------------------------------------------------------------
