@@ -479,10 +479,15 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
 
 @dataclass(frozen=True)
 class AnalysisOutput:
-    """What an Analyze step hands to Plan: a kind tag plus a scalar."""
+    """What an Analyze step hands to Plan: a kind tag plus a finite scalar."""
 
     kind: str
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ConfigError(f"analysis output {self.kind!r} must have a finite value, "
+                              f"got {self.value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,16 @@ suite checks them against central finite differences.
 
 The train step runs on preallocated memory: each model keeps its kernel's
 working arrays per batch shape (_DenseWork, _LstmWork), and the optimizer
-updates through reused scratch vectors; a warm dense step allocates little
-more than the gradient vector it returns. Every elementwise operation keeps
-the operand order of the textbook formulas, so results are bit-identical to
-evaluating them with fresh temporaries.
+updates through reused scratch vectors; a warm dense or LSTM step allocates
+little more than the gradient vector it returns. The LSTM step does the work
+that does not depend on the recurrence once per window, not once per
+timestep: the backward factors 1 - sigmoid (input, forget and output gates),
+1 - tanh(c)^2 and 1 - g^2 (cell input) are whole-window arrays, and the
+sigmoid's z / 2 lives in per-call copies of the gate weights and bias whose
+sigmoid rows are halved. Every elementwise operation keeps the operand order
+of the textbook formulas, so results are bit-identical to evaluating them
+with fresh temporaries. The halving keeps that exact on one condition: no
+weight, bias or partial product of a sigmoid row is subnormal.
 """
 
 from __future__ import annotations
@@ -543,21 +549,43 @@ class _LstmWork:
     activations (sigmoid for input/forget/output, tanh for cell) until the
     backward pass overwrites it with the pre-activation gradient; c[t + 1]
     is the cell state after step t and tc[t] its tanh. u[0, 1:] and c[0]
-    stay zero. The rest is scratch for one step or for the final sums."""
+    stay zero.
 
-    def __init__(self, hid: int, steps: int, batch: int):
+    Each call copies the weights in. w and bias (b broadcast over the
+    batch) have their first 3H rows halved, so the gate pre-activation
+    holds z / 2 on the sigmoid rows and one tanh gives
+    sigmoid(z) = 0.5 * (1 + tanh(z / 2)); halving is exact, so w u / 2 +
+    b / 2 equals (w u + b) / 2 bit for bit unless a weight, bias or partial
+    product is subnormal. w_h is w[:, 1:]^T, unhalved, for the backward
+    pass.
+
+    The backward factors that do not depend on the recurrence are
+    whole-window arrays, filled once per call before the backward loop
+    overwrites the activations: d_sig[t] = 1 - sigmoid on the 3H sigmoid
+    rows, d_tc[t] = 1 - tanh(c)^2 and d_g[t] = 1 - g^2 for the cell input g.
+    The rest is scratch for one step or for the final sums; spans are the
+    (slice, shape) of w, b, w_out and b_out in the params layout."""
+
+    def __init__(self, model: RecurrentModel, steps: int, batch: int):
+        hid = model.hidden_size
         self.u = np.zeros((steps + 1, 1 + hid, batch))
         self.gates = np.empty((steps, 4 * hid, batch))
         self.c = np.zeros((steps + 1, hid, batch))
         self.tc = np.empty((steps, hid, batch))
+        self.w = np.empty((4 * hid, 1 + hid))
         self.bias = np.empty((4 * hid, batch))
+        self.w_h = np.empty((hid, 4 * hid))
+        self.d_sig = np.empty((steps, 3 * hid, batch))
+        self.d_tc = np.empty((steps, hid, batch))
+        self.d_g = np.empty((steps, hid, batch))
         self.dh = np.empty((hid, batch))
         self.dc = np.empty((2, hid, batch))
-        self.tmp = np.empty((2, hid, batch))
+        self.tmp = np.empty((hid, batch))
         self.prod = np.empty((3 * hid, batch))
-        self.fac = np.empty((3 * hid, batch))
         self.g_w = np.empty((steps, 4 * hid, 1 + hid))
+        self.g_b = np.empty((steps, 4 * hid))
         self.ones = np.ones(batch)
+        self.spans = _spans(model.shapes())
 
 
 def _rnn_forward(model: RecurrentModel, x: np.ndarray):
@@ -568,18 +596,19 @@ def _rnn_forward(model: RecurrentModel, x: np.ndarray):
     hid = model.hidden_size
     work = model._work.get((steps, batch))
     if work is None:
-        work = model._work[(steps, batch)] = _LstmWork(hid, steps, batch)
-    u, c, tc, bias, tmp = work.u, work.c, work.tc, work.bias, work.tmp[0]
+        work = model._work[(steps, batch)] = _LstmWork(model, steps, batch)
+    u, c, tc, w, bias, tmp = work.u, work.c, work.tc, work.w, work.bias, work.tmp
     u[:steps, 0] = x.T
+    w[:] = model.w
+    w[:3 * hid] *= 0.5
     bias[:] = model.b[:, None]
+    bias[:3 * hid] *= 0.5
     for t in range(steps):
         g = work.gates[t]
-        np.matmul(model.w, u[t], out=g)
+        np.matmul(w, u[t], out=g)
         g += bias
-        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) on the first 3H rows
-        sig = g[:3 * hid]
-        sig *= 0.5
         np.tanh(g, out=g)
+        sig = g[:3 * hid]
         sig += 1.0
         sig *= 0.5
         c_next, tc_t = c[t + 1], tc[t]
@@ -599,19 +628,29 @@ def rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray)
     hid = model.hidden_size
     steps = x.shape[1]
     grad = np.empty_like(model.params)
-    g_w, g_b, g_wout, g_bout = _views(grad, model.shapes())
     with np.errstate(over="ignore", invalid="ignore"):
         y, work = _rnn_forward(model, x)
-        u, c, tc, dh, prod, fac = work.u, work.c, work.tc, work.dh, work.prod, work.fac
-        tmp, sq = work.tmp
+        g_w, g_b, g_wout, g_bout = (grad[span].reshape(shape) for span, shape in work.spans)
+        u, c, tc, gates, dh, tmp = work.u, work.c, work.tc, work.gates, work.dh, work.tmp
+        d_sig, d_tc, d_g, prod = work.d_sig, work.d_tc, work.d_g, work.prod
         p_i, p_f, p_o = prod[:hid], prod[hid:2 * hid], prod[2 * hid:]
         diff = y - target
         loss = float(np.mean(diff * diff))
         dy = 2.0 * diff / diff.size
         g_wout[:] = dy.T @ u[steps, 1:].T
         g_bout[:] = dy.sum(axis=0)
-        w_h = np.ascontiguousarray(model.w[:, 1:].T)
+        w_h = work.w_h
+        w_h[:] = model.w[:, 1:].T
         np.matmul(model.w_out.T, dy.T, out=dh)
+        # Copied out first: a ufunc over the strided gate rows would allocate
+        # numpy's iteration buffers on every call.
+        d_sig[:] = gates[:, :3 * hid]
+        np.subtract(1.0, d_sig, out=d_sig)
+        np.multiply(tc, tc, out=d_tc)
+        np.subtract(1.0, d_tc, out=d_tc)
+        d_g[:] = gates[:, 3 * hid:]
+        np.multiply(d_g, d_g, out=d_g)
+        np.subtract(1.0, d_g, out=d_g)
         dc, dc_next = work.dc
         dc.fill(0.0)
         # Step t overwrites gates[t] with dz[t], the gradient of the gate
@@ -621,32 +660,26 @@ def rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray)
         #   dz_o = dh * tanh(c) * o * (1 - o)     dz_g = dc * i * (1 - g^2)
         # multiplied left to right, then dc *= f and dh = w[:, 1:]^T dz.
         for t in range(steps - 1, -1, -1):
-            g = work.gates[t]
+            g = gates[t]
             sig, gi, gf, go, gc = (g[:3 * hid], g[:hid], g[hid:2 * hid],
                                    g[2 * hid:3 * hid], g[3 * hid:])
-            tc_t = tc[t]
-            np.subtract(1.0, sig, out=fac)
             np.multiply(dh, go, out=tmp)
-            np.multiply(tc_t, tc_t, out=sq)
-            np.subtract(1.0, sq, out=sq)
-            tmp *= sq
+            tmp *= d_tc[t]
             dc += tmp
             np.multiply(dc, gc, out=p_i)
             np.multiply(dc, c[t], out=p_f)
-            np.multiply(dh, tc_t, out=p_o)
-            np.multiply(gc, gc, out=sq)
-            np.subtract(1.0, sq, out=sq)
+            np.multiply(dh, tc[t], out=p_o)
             np.multiply(dc, gi, out=gc)
-            gc *= sq
+            gc *= d_g[t]
             np.multiply(dc, gf, out=dc_next)
             sig *= prod
-            sig *= fac
+            sig *= d_sig[t]
             np.matmul(w_h, g, out=dh)
             dc, dc_next = dc_next, dc
-        dz = work.gates
-        np.matmul(dz, u[:steps].transpose(0, 2, 1), out=work.g_w)
+        np.matmul(gates, u[:steps].transpose(0, 2, 1), out=work.g_w)
         work.g_w.sum(axis=0, out=g_w)
-        g_b[:] = (dz @ work.ones).sum(axis=0)
+        np.matmul(gates, work.ones, out=work.g_b)
+        work.g_b.sum(axis=0, out=g_b)
     return loss, grad
 
 
@@ -657,8 +690,9 @@ def make_windows(series: np.ndarray, window: int, horizon: int):
     if n < 1:
         raise InsufficientDataError(
             f"series of {len(series)} samples is too short for window {window} + horizon {horizon}")
-    x = np.stack([series[i:i + window] for i in range(n)])
-    y = np.stack([series[i + window:i + window + horizon] for i in range(n)])
+    windows = np.lib.stride_tricks.sliding_window_view
+    x = windows(series[:n + window - 1], window).copy()
+    y = windows(series[window:], horizon).copy()
     return x, y
 
 

@@ -13,6 +13,7 @@ from loopsim.chain import (ActionCatalog, AnalysisOutput, CatalogEntry,
                            QosRequirements, SearchExhaustedError, StepKind,
                            catalog_translate, chain_from_dict, embed, embed_bruteforce,
                            validate_chain)
+from loopsim.errors import ConfigError
 from loopsim.sdi import ResourceVector, build_topology, clone_state, serialize_state
 
 
@@ -532,6 +533,14 @@ def test_catalog_clamps_and_flags(vnf_state):
                                   frozenset(), vnf_state)
     assert {p.target for p in proposals} == {"fw1", "fw2"}
     assert all(p.value == 6000.0 and p.clamped for p in proposals)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_analysis_output_refuses_a_non_finite_value(value):
+    """A diverged forecast is refused where it is made, so catalog_translate
+    never clamps it into a plausible set-point."""
+    with pytest.raises(ConfigError, match="must have a finite value"):
+        AnalysisOutput("traffic.forecast", value)
 
 
 def test_catalog_direction_against_current_knob(vnf_state):

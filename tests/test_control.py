@@ -1,6 +1,7 @@
 """Orchestrator: lifecycle, ticking, conflicts, arbitration, sandbox, runs."""
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +254,35 @@ def test_tick_under_rising_traffic_raises_cpu_knob():
     assert proposals[0].parameter == "vnf.cpu.millicores"
     assert proposals[0].value > 500.0
     assert proposals[0].direction == 1
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_forecast_is_a_traced_fault_not_a_clamped_proposal(value):
+    orch = make_orchestrator()
+    orch.registry.register("analyze.diverged",
+                           lambda ctx: AnalysisOutput("traffic.forecast", value))
+    chain = LoopChain(
+        id="scaler",
+        steps=[
+            LoopStep("watch", StepKind.MONITOR, "monitor.knob_value", QosRequirements(cpu=50),
+                     params={"node": "n1", "parameter": "vnf.cpu.millicores"}),
+            LoopStep("forecast", StepKind.ANALYZE, "analyze.diverged", QosRequirements(cpu=50)),
+            LoopStep("plan", StepKind.PLAN, "plan.catalog_translate", QosRequirements(cpu=50)),
+            LoopStep("store", StepKind.KNOWLEDGE, "knowledge.store",
+                     QosRequirements(storage=64)),
+        ],
+        edges=[("watch", "forecast"), ("forecast", "plan"), ("plan", "store")],
+        destination_domain=frozenset({"n1"}),
+    )
+    catalog = ActionCatalog(entries=(CatalogEntry(
+        kind="traffic.forecast", target_role="firewall",
+        parameter="vnf.cpu.millicores", scale=12.0, offset=200.0, lo=200.0, hi=4000.0),))
+    orch.instantiate(chain, services={"action_catalog": catalog})
+    assert orch.tick("scaler", 0) == []
+    faults = [(e.summary, e.verdict) for e in orch.trace.events if e.kind == "fault"]
+    assert faults == [("step forecast failed: ConfigError: analysis output "
+                       f"'traffic.forecast' must have a finite value, got {value!r}", "fault")]
+    assert orch.query("scaler").fcaps.fault == 1
 
 
 def test_tick_fault_counts_and_yields_nothing():

@@ -342,8 +342,8 @@ def test_rnn_train_adam_matches_reference_trainer_bitwise():
     lo, hi = series.min(), series.max()
     x, y = make_windows((series - lo) / (hi - lo), 12, 4)
     expected = reference_adam_fit(
-        reference.params, lambda xb, yb: rnn_loss_and_grads(reference, xb, yb), x, y,
-        config, np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, 1)))))
+        reference.params, lambda xb, yb: reference_rnn_loss_and_grads(reference, xb, yb),
+        x, y, config, np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, 1)))))
     assert np.array_equal(model.params, reference.params)
     assert model.train_loss == expected
 
@@ -379,6 +379,26 @@ def test_warm_train_step_allocates_only_the_returned_gradient():
     # broadcast is one batch-by-width block)
     assert loss_peak - held < 1.25 * net.params.nbytes
     assert again is not grad
+
+
+def test_warm_lstm_step_allocates_only_the_returned_gradient():
+    model = rnn_init(hidden_size=16, window=30, horizon=10, seed=0)
+    rng = np.random.Generator(np.random.PCG64(13))
+    x = rng.uniform(0, 1, size=(32, 30))
+    y = rng.uniform(0, 1, size=(32, 10))
+    rnn_loss_and_grads(model, x, y)  # warm-up: the work arrays exist from here on
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        _, grad = rnn_loss_and_grads(model, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the returned gradient plus the loss's few (batch, horizon) temporaries;
+    # a per-call copy of the halved weights (model.w.nbytes) would not fit,
+    # nor would one whole-window factor array
+    assert model.w.nbytes > 3 * y.nbytes
+    assert peak - held < grad.nbytes + 6 * y.nbytes
 
 
 def test_dense_reused_buffers_leave_no_trace_between_calls():
@@ -559,6 +579,18 @@ def test_rnn_gradients_match_finite_differences(seed):
     assert max_rel_diff([grad], numeric) < 1e-3
 
 
+@pytest.mark.parametrize("length, window, horizon", [(300, 30, 10), (40, 30, 10), (2, 1, 1)])
+def test_make_windows_equal_the_loop_form(length, window, horizon):
+    series = np.random.Generator(np.random.PCG64(length)).normal(size=length)
+    n = length - window - horizon + 1
+    x, y = make_windows(series, window, horizon)
+    assert x.tobytes() == np.stack([series[i:i + window] for i in range(n)]).tobytes()
+    assert y.tobytes() == np.stack(
+        [series[i + window:i + window + horizon] for i in range(n)]).tobytes()
+    assert (x.shape, y.shape) == ((n, window), (n, horizon))
+    assert x.flags.owndata and y.flags.owndata
+
+
 def test_rnn_insufficient_data():
     with pytest.raises(Exception, match="window"):
         rnn_train(np.arange(20.0), window=15, horizon=5,
@@ -590,6 +622,63 @@ def textbook_lstm(model, x):
             h = o * np.tanh(c)
         out.append(model.w_out @ h + model.b_out)
     return np.array(out)
+
+
+def reference_rnn_loss_and_grads(model, x, target):
+    """Backpropagation through time one step at a time with fresh
+    temporaries, multiplied in the order the kernel's comment lists, then
+    the kernel's two final sums over the stacked steps; it shares no code
+    with the kernel."""
+    hid = model.hidden_size
+    batch, steps = x.shape
+    h, c = np.zeros((hid, batch)), np.zeros((hid, batch))
+    inputs, cells, gates = [], [c], []
+    for t in range(steps):
+        u = np.concatenate((x[None, :, t], h))
+        z = model.w @ u + model.b[:, None]
+        sig = 0.5 * (1.0 + np.tanh(z[:3 * hid] / 2.0))
+        i, f, o = sig[:hid], sig[hid:2 * hid], sig[2 * hid:]
+        g = np.tanh(z[3 * hid:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        inputs.append(u)
+        cells.append(c)
+        gates.append((i, f, o, g))
+    y = h.T @ model.w_out.T + model.b_out
+    diff = y - target
+    loss = float(np.mean(diff * diff))
+    dy = 2.0 * diff / diff.size
+    w_h = np.ascontiguousarray(model.w[:, 1:].T)
+    dh = model.w_out.T @ dy.T
+    dc = np.zeros((hid, batch))
+    dzs = [None] * steps
+    for t in range(steps - 1, -1, -1):
+        i, f, o, g = gates[t]
+        tc = np.tanh(cells[t + 1])
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dzs[t] = np.concatenate((dc * g * i * (1.0 - i), dc * cells[t] * f * (1.0 - f),
+                                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)))
+        dc = dc * f
+        dh = w_h @ dzs[t]
+    dz = np.stack(dzs)
+    g_w = (dz @ np.stack(inputs).transpose(0, 2, 1)).sum(axis=0)
+    g_b = (dz @ np.ones(batch)).sum(axis=0)
+    return loss, np.concatenate([g_w.ravel(), g_b, (dy.T @ h.T).ravel(), dy.sum(axis=0)])
+
+
+@pytest.mark.parametrize("batch", [1, 5, 32])
+@pytest.mark.parametrize("window", [1, 30])
+@pytest.mark.parametrize("hidden", [3, 16])
+def test_rnn_loss_and_grads_match_reference_bitwise(batch, window, hidden):
+    model = rnn_init(hidden_size=hidden, window=window, horizon=4, seed=hidden)
+    rng = np.random.Generator(np.random.PCG64(batch * 100 + window))
+    model.params[:] += rng.normal(0.0, 0.3, size=model.params.size)
+    x = rng.uniform(0, 1, size=(batch, window))
+    y = rng.uniform(0, 1, size=(batch, 4))
+    loss, grad = rnn_loss_and_grads(model, x, y)
+    ref_loss, ref_grad = reference_rnn_loss_and_grads(model, x, y)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 4])
