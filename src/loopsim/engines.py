@@ -607,6 +607,7 @@ def _rnn_forward(model: RecurrentModel, x: np.ndarray):
         g = work.gates[t]
         np.matmul(w, u[t], out=g)
         g += bias
+        # the sigmoid rows hold z / 2, so sigmoid(z) = 0.5 * (1 + tanh(g))
         np.tanh(g, out=g)
         sig = g[:3 * hid]
         sig += 1.0

@@ -395,8 +395,8 @@ def test_warm_lstm_step_allocates_only_the_returned_gradient():
     finally:
         tracemalloc.stop()
     # the returned gradient plus the loss's few (batch, horizon) temporaries;
-    # a per-call copy of the halved weights (model.w.nbytes) would not fit,
-    # nor would one whole-window factor array
+    # a per-call copy of the halved weights (more than three such blocks)
+    # would not fit, nor would one whole-window factor array
     assert model.w.nbytes > 3 * y.nbytes
     assert peak - held < grad.nbytes + 6 * y.nbytes
 
