@@ -13,10 +13,13 @@ that does not depend on the recurrence once per window, not once per
 timestep: the backward factors 1 - sigmoid (input, forget and output gates),
 1 - tanh(c)^2 and 1 - g^2 (cell input) are whole-window arrays, and the
 sigmoid's z / 2 lives in per-call copies of the gate weights and bias whose
-sigmoid rows are halved. Every elementwise operation keeps the operand order
-of the textbook formulas, so results are bit-identical to evaluating them
-with fresh temporaries. The halving keeps that exact on one condition: no
-weight, bias or partial product of a sigmoid row is subnormal.
+sigmoid rows are halved. Both kernels loop over tuples of views that their
+work builds once per shape, per layer for the dense kernel and per timestep
+for the LSTM, so the loops slice none of the working arrays. Every
+elementwise operation keeps the operand order of the textbook formulas, so
+results are bit-identical to evaluating them with fresh temporaries. The
+halving keeps that exact on one condition: no weight, bias or partial
+product of a sigmoid row is subnormal.
 """
 
 from __future__ import annotations
@@ -273,13 +276,27 @@ class _DenseWork:
     (batch, fan_out) each: acts[i] holds the layer's pre-activation, then
     its activation in place; grads[i] the loss gradient at its output, then
     at its pre-activation in place; tmp[i] is scratch. spans are the
-    (slice, shape) of each weight and bias in the params layout."""
+    (slice, shape) of each weight and bias in the params layout.
+
+    The per-layer tuples the kernel loops over are built here, once:
+    fwd_layers holds (acts[i], tmp[i], activation) in layer order; bwd_layers
+    holds (i, grads[i], acts[i], tmp[i], derivative, the layer's input
+    activation, the gradient at that input) in reverse order, the last two
+    None for layer 0, whose input is the call's x and whose input gradient
+    is not needed. The weights are not bound here: the kernel reads them
+    from net.layers on every call."""
 
     def __init__(self, net: DenseNet, batch: int):
         self.acts = [np.empty((batch, w)) for w in net.widths[1:]]
         self.grads = [np.empty((batch, w)) for w in net.widths[1:]]
         self.tmp = [np.empty((batch, w)) for w in net.widths[1:]]
         self.spans = _spans(net.shapes())
+        fns = [_ACTIVATIONS[layer.activation] for layer in net.layers]
+        self.fwd_layers = [(z, scratch, fn[0])
+                           for z, scratch, fn in zip(self.acts, self.tmp, fns)]
+        self.bwd_layers = [(i, self.grads[i], self.acts[i], self.tmp[i], fns[i][1],
+                            self.acts[i - 1] if i else None, self.grads[i - 1] if i else None)
+                           for i in range(len(fns) - 1, -1, -1)]
 
 
 def mse_loss_and_grads(net: DenseNet, x: np.ndarray, target: np.ndarray):
@@ -290,29 +307,29 @@ def mse_loss_and_grads(net: DenseNet, x: np.ndarray, target: np.ndarray):
     work = net._work.get(len(x))
     if work is None:
         work = net._work[len(x)] = _DenseWork(net, len(x))
-    acts, grads, tmp = work.acts, work.grads, work.tmp
+    layers = net.layers
     grad = np.empty_like(net.params)
     grad_views = [grad[span].reshape(shape) for span, shape in work.spans]
     with np.errstate(over="ignore", invalid="ignore"):
         h = x
-        for layer, z, scratch in zip(net.layers, acts, tmp):
+        for layer, (z, scratch, activate) in zip(layers, work.fwd_layers):
             np.matmul(h, layer.weights.T, out=z)
             z += layer.bias
-            _ACTIVATIONS[layer.activation][0](z, scratch)
+            activate(z, scratch)
             h = z
-        diff, sq = grads[-1], tmp[-1]
+        diff, sq = work.grads[-1], work.tmp[-1]
         np.subtract(h, target, out=diff)
         np.multiply(diff, diff, out=sq)
-        loss = float(np.mean(sq))
+        # np.mean's own sum and division, without its dispatch
+        loss = float(np.add.reduce(sq, axis=None) / sq.size)
         diff *= 2.0
         diff /= diff.size
-        for i in range(len(net.layers) - 1, -1, -1):
-            layer, gz = net.layers[i], grads[i]
-            _ACTIVATIONS[layer.activation][1](gz, acts[i], tmp[i])
-            np.matmul(gz.T, acts[i - 1] if i else x, out=grad_views[2 * i])
-            np.sum(gz, axis=0, out=grad_views[2 * i + 1])
-            if i:  # the input's gradient is not needed
-                np.matmul(gz, layer.weights, out=grads[i - 1])
+        for i, gz, out, scratch, derive, h_in, g_in in work.bwd_layers:
+            derive(gz, out, scratch)
+            np.matmul(gz.T, x if h_in is None else h_in, out=grad_views[2 * i])
+            np.add.reduce(gz, 0, out=grad_views[2 * i + 1])
+            if g_in is not None:
+                np.matmul(gz, layers[i].weights, out=g_in)
     return loss, grad
 
 
@@ -410,6 +427,8 @@ def ae_train(net: DenseNet, data01: np.ndarray, config: TrainConfig):
     data01 = np.asarray(data01, dtype=float)
     if data01.ndim != 2 or data01.shape[1] != net.input_width:
         raise ConfigError("training data width does not match the model")
+    if not np.all(np.isfinite(data01)):
+        raise ConfigError("non-finite training data")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     history = _fit(net.params, lambda x, y: mse_loss_and_grads(net, x, y),
                    data01, data01, config, rng)
@@ -564,7 +583,14 @@ class _LstmWork:
     overwrites the activations: d_sig[t] = 1 - sigmoid on the 3H sigmoid
     rows, d_tc[t] = 1 - tanh(c)^2 and d_g[t] = 1 - g^2 for the cell input g.
     The rest is scratch for one step or for the final sums; spans are the
-    (slice, shape) of w, b, w_out and b_out in the params layout."""
+    (slice, shape) of w, b, w_out and b_out in the params layout.
+
+    The views the step loops read and write are built here, once, into
+    this work's own arrays only. fwd_steps has one tuple per timestep in
+    forward order: u[t], gates[t], its 3H sigmoid rows and its i, f, o and
+    g blocks, c[t], c[t + 1], tc[t] and u[t + 1, 1:]. bwd_steps has one per
+    timestep in reverse order: the same six gate views, d_tc[t], c[t],
+    tc[t], d_g[t], d_sig[t] and whether t is 0."""
 
     def __init__(self, model: RecurrentModel, steps: int, batch: int):
         hid = model.hidden_size
@@ -586,6 +612,16 @@ class _LstmWork:
         self.g_b = np.empty((steps, 4 * hid))
         self.ones = np.ones(batch)
         self.spans = _spans(model.shapes())
+        self.fwd_steps = []
+        self.bwd_steps = []
+        for t in range(steps):
+            g = self.gates[t]
+            blocks = (g, g[:3 * hid], g[:hid], g[hid:2 * hid], g[2 * hid:3 * hid], g[3 * hid:])
+            self.fwd_steps.append((self.u[t], *blocks, self.c[t], self.c[t + 1], self.tc[t],
+                                   self.u[t + 1, 1:]))
+            self.bwd_steps.append((*blocks, self.d_tc[t], self.c[t], self.tc[t], self.d_g[t],
+                                   self.d_sig[t], t == 0))
+        self.bwd_steps.reverse()
 
 
 def _rnn_forward(model: RecurrentModel, x: np.ndarray):
@@ -597,27 +633,24 @@ def _rnn_forward(model: RecurrentModel, x: np.ndarray):
     work = model._work.get((steps, batch))
     if work is None:
         work = model._work[(steps, batch)] = _LstmWork(model, steps, batch)
-    u, c, tc, w, bias, tmp = work.u, work.c, work.tc, work.w, work.bias, work.tmp
+    u, w, bias, tmp = work.u, work.w, work.bias, work.tmp
     u[:steps, 0] = x.T
     w[:] = model.w
     w[:3 * hid] *= 0.5
     bias[:] = model.b[:, None]
     bias[:3 * hid] *= 0.5
-    for t in range(steps):
-        g = work.gates[t]
-        np.matmul(w, u[t], out=g)
+    for u_t, g, sig, gi, gf, go, gc, c_prev, c_next, tc_t, h_next in work.fwd_steps:
+        np.matmul(w, u_t, out=g)
         g += bias
         # the sigmoid rows hold z / 2, so sigmoid(z) = 0.5 * (1 + tanh(g))
         np.tanh(g, out=g)
-        sig = g[:3 * hid]
         sig += 1.0
         sig *= 0.5
-        c_next, tc_t = c[t + 1], tc[t]
-        np.multiply(g[hid:2 * hid], c[t], out=c_next)
-        np.multiply(g[:hid], g[3 * hid:], out=tmp)
+        np.multiply(gf, c_prev, out=c_next)
+        np.multiply(gi, gc, out=tmp)
         c_next += tmp
         np.tanh(c_next, out=tc_t)
-        np.multiply(g[2 * hid:3 * hid], tc_t, out=u[t + 1, 1:])
+        np.multiply(go, tc_t, out=h_next)
     y = u[steps, 1:].T @ model.w_out.T + model.b_out
     return y, work
 
@@ -632,7 +665,7 @@ def rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray)
     with np.errstate(over="ignore", invalid="ignore"):
         y, work = _rnn_forward(model, x)
         g_w, g_b, g_wout, g_bout = (grad[span].reshape(shape) for span, shape in work.spans)
-        u, c, tc, gates, dh, tmp = work.u, work.c, work.tc, work.gates, work.dh, work.tmp
+        u, tc, gates, dh, tmp = work.u, work.tc, work.gates, work.dh, work.tmp
         d_sig, d_tc, d_g, prod = work.d_sig, work.d_tc, work.d_g, work.prod
         p_i, p_f, p_o = prod[:hid], prod[hid:2 * hid], prod[2 * hid:]
         diff = y - target
@@ -659,23 +692,22 @@ def rnn_loss_and_grads(model: RecurrentModel, x: np.ndarray, target: np.ndarray)
         #   dc += dh * o * (1 - tanh(c)^2)
         #   dz_i = dc * g * i * (1 - i)     dz_f = dc * c_prev * f * (1 - f)
         #   dz_o = dh * tanh(c) * o * (1 - o)     dz_g = dc * i * (1 - g^2)
-        # multiplied left to right, then dc *= f and dh = w[:, 1:]^T dz.
-        for t in range(steps - 1, -1, -1):
-            g = gates[t]
-            sig, gi, gf, go, gc = (g[:3 * hid], g[:hid], g[hid:2 * hid],
-                                   g[2 * hid:3 * hid], g[3 * hid:])
+        # multiplied left to right, then dc *= f and dh = w[:, 1:]^T dz. At
+        # t = 0 dh is not computed: the state before the window is constant.
+        for g, sig, gi, gf, go, gc, d_tc_t, c_prev, tc_t, d_g_t, d_sig_t, first in work.bwd_steps:
             np.multiply(dh, go, out=tmp)
-            tmp *= d_tc[t]
+            tmp *= d_tc_t
             dc += tmp
             np.multiply(dc, gc, out=p_i)
-            np.multiply(dc, c[t], out=p_f)
-            np.multiply(dh, tc[t], out=p_o)
+            np.multiply(dc, c_prev, out=p_f)
+            np.multiply(dh, tc_t, out=p_o)
             np.multiply(dc, gi, out=gc)
-            gc *= d_g[t]
+            gc *= d_g_t
             np.multiply(dc, gf, out=dc_next)
             sig *= prod
-            sig *= d_sig[t]
-            np.matmul(w_h, g, out=dh)
+            sig *= d_sig_t
+            if not first:
+                np.matmul(w_h, g, out=dh)
             dc, dc_next = dc_next, dc
         np.matmul(gates, u[:steps].transpose(0, 2, 1), out=work.g_w)
         work.g_w.sum(axis=0, out=g_w)
@@ -704,6 +736,8 @@ def rnn_train(series, window: int, horizon: int, config: TrainConfig,
     if len(series) <= window + horizon:
         raise InsufficientDataError(
             f"need more than window + horizon = {window + horizon} samples, got {len(series)}")
+    if not np.all(np.isfinite(series)):
+        raise ConfigError("non-finite training series")
     model = rnn_init(hidden_size, window, horizon, config.seed)
     lo, hi = float(series.min()), float(series.max())
     model.in_lo, model.in_hi = lo, hi
@@ -720,6 +754,8 @@ def rnn_predict(model: RecurrentModel, window_values) -> np.ndarray:
     window_values = np.asarray(getattr(window_values, "values", window_values), dtype=float)
     if window_values.ndim != 1 or len(window_values) != model.window:
         raise ConfigError(f"expected a window of {model.window} values")
+    if not np.all(np.isfinite(window_values)):
+        raise ConfigError("non-finite input")
     span = (model.in_hi - model.in_lo) or 1.0
     norm = (window_values - model.in_lo) / span
     y, _ = _rnn_forward(model, norm[None, :])

@@ -208,6 +208,34 @@ def test_rnn_divergence_reports_epoch():
                                              batch_size=32, seed=0, optimizer="sgd"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ae_train_refuses_non_finite_data(bad):
+    data = np.random.Generator(np.random.PCG64(5)).uniform(0, 1, size=(40, 8))
+    data[17, 3] = bad
+    net = net_init(SMALL_WIDTHS, SMALL_ACTS, seed=1)
+    before = net.params.copy()
+    with pytest.raises(ConfigError, match="non-finite training data"):
+        ae_train(net, data, TrainConfig(epochs=2, batch_size=16))
+    assert np.array_equal(net.params, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rnn_train_refuses_non_finite_series(bad):
+    series = np.sin(np.arange(200.0) / 10) * 5 + 10
+    series[150] = bad
+    with pytest.raises(ConfigError, match="non-finite training series"):
+        rnn_train(series, 20, 5, TrainConfig(epochs=2, batch_size=32))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rnn_predict_refuses_a_non_finite_window(bad):
+    model = rnn_init(4, 6, 2, seed=0)
+    window = np.linspace(0.0, 1.0, 6)
+    window[2] = bad
+    with pytest.raises(ConfigError, match="non-finite input"):
+        rnn_predict(model, window)
+
+
 def flatten_params(net):
     return [net.params]
 
@@ -713,6 +741,32 @@ def test_rnn_reused_buffers_leave_no_trace_between_calls():
     fresh = engines.RecurrentModel(6, 8, 3, params=model.params.copy())
     fresh_loss, fresh_grad = rnn_loss_and_grads(fresh, x, y)
     assert fresh_loss == loss and fresh_grad.tobytes() == grad_bytes
+
+
+def test_bound_step_views_follow_each_shape():
+    # One model and one net called on alternating shapes: each shape's work
+    # binds views into its own arrays only, so every result must equal the
+    # fresh-temporary reference byte for byte, whatever ran before it.
+    model = rnn_init(hidden_size=16, window=30, horizon=10, seed=3)
+    rng = np.random.Generator(np.random.PCG64(47))
+    model.params[:] += rng.normal(0.0, 0.3, size=model.params.size)
+    for window, batch in [(30, 32), (30, 7), (12, 32), (30, 1), (30, 32)]:
+        x = rng.uniform(0, 1, size=(batch, window))
+        y = rng.uniform(0, 1, size=(batch, 10))
+        loss, grad = rnn_loss_and_grads(model, x, y)
+        ref_loss, ref_grad = reference_rnn_loss_and_grads(model, x, y)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+    assert sorted(model._work) == [(12, 32), (30, 1), (30, 7), (30, 32)]
+    net = ae_init(8)
+    net.params[:] += rng.normal(0.0, 0.05, size=net.params.size)
+    for batch in (32, 6, 32):
+        x = rng.uniform(0, 1, size=(batch, net.input_width))
+        loss, grad = mse_loss_and_grads(net, x, x)
+        ref_loss, ref_grad = reference_mse_loss_and_grads(net, x, x)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+    assert sorted(net._work) == [6, 32]
 
 
 def test_rnn_predict_unchanged_by_training_calls():

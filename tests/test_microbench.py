@@ -1,10 +1,11 @@
 """Per-layer microbenchmarks: one LSTM train step (batch 32, window 30,
-H=16), one autoencoder train step (batch 32), one Adam step on the
-compressor's parameters, one embedding of the canonical 5-step chain on the
-testbed, one warm cross-region path query and one resource-backed knob
-change there, one orchestrator slot of two opposing set-point loops with
-the sandbox dry-run on and off, and one scraped frame and one full
-bursty30min scrape series over the testbed metric catalog.
+H=16), one LSTM forecast of a 30-value window on that model (the per-tick
+forecast of adaptive-vnf), one autoencoder train step (batch 32), one Adam
+step on the compressor's parameters, one embedding of the canonical 5-step
+chain on the testbed, one warm cross-region path query and one
+resource-backed knob change there, one orchestrator slot of two opposing
+set-point loops with the sandbox dry-run on and off, and one scraped frame
+and one full bursty30min scrape series over the testbed metric catalog.
 
 The default test run executes each once as a smoke test (pyproject.toml
 passes --benchmark-disable). To time them:
@@ -41,6 +42,14 @@ def test_lstm_train_step(benchmark):
         return loss
 
     assert np.isfinite(benchmark(step))
+
+
+def test_lstm_forecast_one_window(benchmark):
+    model = engines.rnn_init(hidden_size=16, window=30, horizon=10, seed=0)
+    model.in_lo, model.in_hi = 100.0, 900.0
+    window = _rng(4).uniform(100.0, 900.0, size=30)
+    forecast = benchmark(engines.rnn_predict, model, window)
+    assert forecast.shape == (10,) and np.all(np.isfinite(forecast))
 
 
 def test_ae_train_step(benchmark):
