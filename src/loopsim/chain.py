@@ -14,12 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import yaml
 
 from .errors import ConfigError, SimError
 from . import sdi
-from .sdi import PathMetrics, ResourceVector, Topology
+from .sdi import ZERO, PathMetrics, ResourceVector, Topology
 
 
 class ChainValidationError(ConfigError):
@@ -88,8 +89,9 @@ class QosRequirements:
         if not 0.0 <= self.min_reliability <= 1.0:
             raise ConfigError("min_reliability must be in [0, 1]")
 
-    @property
+    @cached_property
     def demand(self) -> ResourceVector:
+        """The node reservation, built (and validated) once per value."""
         return ResourceVector(cpu=self.cpu, storage=self.storage)
 
 
@@ -134,11 +136,14 @@ class ValidationReport:
 
 
 def _topological_order(chain: LoopChain) -> list[str] | None:
-    """Kahn's algorithm; declaration order breaks ties. None on a cycle."""
+    """Kahn's algorithm; declaration order breaks ties. None on a cycle or
+    on an edge to or from an unknown step."""
     names = [s.name for s in chain.steps]
     indeg = {n: 0 for n in names}
     out: dict[str, list[str]] = {n: [] for n in names}
     for a, b in chain.edges:
+        if a not in out or b not in indeg:
+            return None
         indeg[b] += 1
         out[a].append(b)
     order = []
@@ -326,13 +331,14 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
         first step found with no choice."""
         nonlocal first_block
         preds = [p for p in chain.predecessors(step.name) if p in assignment]
+        demand = step.qos.demand
         feasible: list[tuple[float, str, dict]] = []
         tally: dict[str, int] = {}
         for node_id in candidates:
             violated = _host_violation(chain, step, state.nodes[node_id])
             if violated is None:
-                residual = state.residual(node_id) - node_pending.get(node_id, ResourceVector())
-                violated = residual.shortfall(step.qos.demand)
+                residual = state.residual(node_id) - node_pending.get(node_id, ZERO)
+                violated = residual.shortfall(demand)
             added = 0.0
             claims: dict[tuple[str, str], int] = {}
             for p in preds:
@@ -353,7 +359,7 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
 
     def occupy(step: LoopStep, node_id: str, claims: dict, sign: int) -> None:
         """Place (sign 1) or unplace (sign -1) a step with its link claims."""
-        pending = node_pending.get(node_id, ResourceVector())
+        pending = node_pending.get(node_id, ZERO)
         if sign > 0:
             assignment[step.name] = node_id
             node_pending[node_id] = pending + step.qos.demand
@@ -443,7 +449,7 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
         demand: dict[str, ResourceVector] = {}
         for step in chain.steps:
             node_id = assignment[step.name]
-            demand[node_id] = demand.get(node_id, ResourceVector()) + step.qos.demand
+            demand[node_id] = demand.get(node_id, ZERO) + step.qos.demand
         if any(state.residual(n).shortfall(d) is not None for n, d in demand.items()):
             continue
         # Path-side checks with per-link bandwidth accumulation.

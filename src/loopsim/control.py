@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, SimError
 from . import sdi
@@ -65,9 +65,9 @@ class LoopInstance:
     state: InstanceState
     tick_period_ms: int
     tier: Tier
-    # The chain's steps in tick order, each with its predecessors' names
-    # (see _schedule); recomputed whenever `chain` is replaced.
-    schedule: tuple[tuple[LoopStep, tuple[str, ...]], ...]
+    # What a tick runs, with the step functions bound at instantiation (see
+    # _schedule).
+    schedule: tuple[ScheduledStep, ...]
     # Trace index of this incarnation's `instantiated` event: its counts are
     # read from the trace from there on.
     first_event: int
@@ -127,18 +127,26 @@ def detect_conflicts(proposals, state: Topology) -> ConflictReport:
     - shared-resource-oversubscription: resource-backed proposals on the same
       node whose combined requested backing exceeds the node's capacity for
       that component.
+
+    Both kinds need one target, so each proposal is compared only with the
+    later proposals on its target; pairs come in the order of the full
+    pairwise loop over the pool.
     """
     proposals = list(proposals)
+    later: defaultdict[str, deque[ActionProposal]] = defaultdict(deque)
+    for p in proposals:
+        later[p.target].append(p)
     pairs: list[ConflictPair] = []
-    for i, a in enumerate(proposals):
-        for b in proposals[i + 1:]:
+    for a in proposals:
+        same_target = later[a.target]
+        same_target.popleft()  # a itself: each target's queue is in pool order
+        for b in same_target:
             if a.issued_by == b.issued_by:
                 continue
-            if a.target == b.target and a.parameter == b.parameter:
-                if a.direction * b.direction < 0:
-                    pairs.append(ConflictPair(a, b, ConflictKind.SAME_KNOB_OPPOSING))
-                    continue
-            if a.target == b.target and a.target in state.nodes:
+            if a.parameter == b.parameter and a.direction * b.direction < 0:
+                pairs.append(ConflictPair(a, b, ConflictKind.SAME_KNOB_OPPOSING))
+                continue
+            if a.target in state.nodes:
                 comp_a = sdi.knob_backing_component(a.parameter)
                 comp_b = sdi.knob_backing_component(b.parameter)
                 if comp_a is not None and comp_a == comp_b:
@@ -316,14 +324,27 @@ class EventTrace:
 # Orchestrator
 # ---------------------------------------------------------------------------
 
-def _schedule(chain: LoopChain) -> tuple[tuple[LoopStep, tuple[str, ...]], ...]:
-    """Steps of an embedded (so acyclic) chain in topological order, each
-    paired with the names of its predecessors."""
-    return tuple((chain.step(n), tuple(chain.predecessors(n)))
-                 for n in _topological_order(chain))
+class ScheduledStep(NamedTuple):
+    step: LoopStep
+    predecessors: tuple[str, ...]
+    fn: Callable[["StepContext"], object]
+    is_plan: bool  # its output is a list of proposals
 
 
-@dataclass
+def _schedule(chain: LoopChain, registry: "FunctionRegistry") -> tuple[ScheduledStep, ...]:
+    """The steps a tick runs, in topological order: every step but the
+    execute steps (applying actions is the orchestrator's decision), each
+    with its predecessors' names and its function resolved from the registry
+    now. An unregistered function raises ConfigError. A chain whose edges
+    give no order gets an empty schedule; embed refuses such a chain."""
+    steps = (chain.step(n) for n in _topological_order(chain) or ())
+    return tuple(ScheduledStep(step, tuple(chain.predecessors(step.name)),
+                               registry.resolve(step.function_ref),
+                               step.kind == StepKind.PLAN)
+                 for step in steps if step.kind != StepKind.EXECUTE)
+
+
+@dataclass(slots=True)
 class StepContext:
     """What a step function sees: the shared clock, read access to the live
     state, its own instance, predecessor outputs and bound services."""
@@ -374,12 +395,9 @@ class Orchestrator:
         if chain.id in self.instances and \
                 self.instances[chain.id].state != InstanceState.TERMINATED:
             raise LifecycleError(f"chain {chain.id!r} already has a live instance")
-        for step in chain.steps:  # tick runs all but execute steps, before any booking
-            if step.kind != StepKind.EXECUTE:
-                self.registry.resolve(step.function_ref)
+        schedule = _schedule(chain, self.registry)  # before anything is booked
         embedding = embed(chain, self.state)
-        schedule = _schedule(chain)
-        tier = self.state.nodes[embedding.assignment[schedule[0][0].name]].tier
+        tier = self.state.nodes[embedding.assignment[_topological_order(chain)[0]]].tier
         period = chain.tick_period_ms or TIER_PERIODS_MS[tier]
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
@@ -465,8 +483,9 @@ class Orchestrator:
         for aid in instance.embedding.allocation_ids:
             sdi.release(self.state, aid)
         embedding = embed(scaled, self.state)
+        # Only QoS changed, which a tick does not read: the instance keeps its
+        # schedule and so the step functions bound when it was instantiated.
         instance.chain = scaled
-        instance.schedule = _schedule(scaled)
         instance.embedding = embedding
         self.trace.add(self.clock_ms, instance.tier.value, chain.id, "lifecycle",
                        f"scaled by {factor}", "ok")
@@ -500,15 +519,10 @@ class Orchestrator:
         chain = instance.chain
         outputs: dict[str, object] = {}
         proposals: list[ActionProposal] = []
-        for step, predecessors in instance.schedule:
-            if step.kind == StepKind.EXECUTE:
-                continue
-            fn = self.registry.resolve(step.function_ref)
-            ctx = StepContext(
-                t_ms=t_ms, state=self.state, instance=instance,
-                inputs={p: outputs.get(p) for p in predecessors},
-                params=step.params, services=instance.services,
-            )
+        for step, predecessors, fn, is_plan in instance.schedule:
+            ctx = StepContext(t_ms, self.state, instance,
+                              {p: outputs.get(p) for p in predecessors},
+                              step.params, instance.services)
             try:
                 result = fn(ctx)
             except Exception as exc:
@@ -518,7 +532,7 @@ class Orchestrator:
                 proposals = []
                 break
             outputs[step.name] = result
-            if step.kind == StepKind.PLAN and result:
+            if is_plan and result:
                 for p in result:
                     if p.issued_by == "" or p.timestamp != t_ms:
                         p = replace(p, issued_by=p.issued_by or chain.id, timestamp=t_ms)

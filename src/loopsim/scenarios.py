@@ -195,7 +195,7 @@ def _write_report(report: RunReport, out: Path) -> None:
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:
-    out = Path(os.environ.get(OUT_DIR_ENV, cfg.out_dir))
+    out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)  # set but empty counts as unset
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -125,7 +125,7 @@ def _vector(cpu: int, mem: int, storage: int, bandwidth: int) -> ResourceVector:
     return rv
 
 
-_ZERO = ResourceVector()
+ZERO = ResourceVector()  # shared: frozen, so it never changes
 
 
 @dataclass(frozen=True)
@@ -220,11 +220,11 @@ class Topology:
         return entity.capacity
 
     def residual(self, target: Target) -> ResourceVector:
-        return self.capacity(target) - self._used.get(target, _ZERO)
+        return self.capacity(target) - self._used.get(target, ZERO)
 
     def free_bandwidth(self, key: tuple[str, str]) -> int:
         """A link's residual bandwidth, read without building a vector."""
-        return self.links[key].bandwidth - self._used.get(key, _ZERO).bandwidth
+        return self.links[key].bandwidth - self._used.get(key, ZERO).bandwidth
 
     def compute_nodes(self) -> list[str]:
         """Ids of nodes that may host work (switches forward only)."""
@@ -422,7 +422,7 @@ def _book(state: Topology, owner: str, resources: ResourceVector, target: Target
         alloc_id = f"alloc-{state._next_alloc:06d}"
         state._next_alloc += 1
     alloc = state.allocations[alloc_id] = Allocation(alloc_id, owner, resources, target)
-    state._used[target] = state._used.get(target, _ZERO) + resources
+    state._used[target] = state._used.get(target, ZERO) + resources
     return alloc
 
 
@@ -458,7 +458,7 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> flo
     ConfigError, and raising a backed knob past the free capacity raises
     CapacityError; either leaves the state untouched.
     """
-    state._node(node_id)
+    node = state._node(node_id)
     if not math.isfinite(value):
         raise ConfigError(f"knob {parameter} must be finite, got {value!r}")
     key = (node_id, parameter)
@@ -470,10 +470,10 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> flo
         amount = int(math.ceil(value))
         held = int(math.ceil(previous))
         if amount != held:
-            free = getattr(state.residual(node_id), component) + held
+            fields = dict(state._used.get(node_id, ZERO).__dict__)
+            free = getattr(node.capacity, component) - fields[component] + held
             if amount > free:
                 raise _insufficient(node_id, component, amount, free)
-            fields = dict(state._used.get(node_id, _ZERO).__dict__)
             fields[component] += amount - held
             state._used[node_id] = _vector(**fields)
     state.knobs[key] = float(value)

@@ -177,6 +177,18 @@ def test_scale_infeasible_restores_and_raises():
     orch.terminate("watcher")  # stale allocation ids would break here
 
 
+def test_instance_ticks_with_the_functions_bound_at_instantiation():
+    orch = make_orchestrator()
+    orch.instantiate(setpoint_chain("early", 1, 3000.0))
+    orch.registry.register("plan.knob_setpoint", lambda ctx: [])
+    orch.instantiate(setpoint_chain("late", 2, 3000.0))
+    assert [p.issued_by for p in orch.tick("early", 0)] == ["early"]
+    assert orch.tick("late", 0) == []
+    # scale changes reservations only, so it keeps the binding too
+    orch.scale("early", 2.0)
+    assert [p.issued_by for p in orch.tick("early", 1000)] == ["early"]
+
+
 # ---------------------------------------------------------------------------
 # tick
 # ---------------------------------------------------------------------------
@@ -365,15 +377,16 @@ def test_joint_oversubscription_detected():
 
 
 def oracle_pairwise_conflicts(proposals, state):
-    """Independent O(n^2) recheck of the conflict predicate."""
-    found = set()
+    """Independent O(n^2) recheck of the conflict predicate, as (i, j, kind)
+    in the order of the double loop."""
+    found = []
     for i, a in enumerate(proposals):
         for j, b in enumerate(proposals):
             if j <= i or a.issued_by == b.issued_by:
                 continue
             if (a.target == b.target and a.parameter == b.parameter
                     and a.direction * b.direction < 0):
-                found.add((i, j, "same-knob-opposing"))
+                found.append((i, j, "same-knob-opposing"))
                 continue
             if a.target == b.target and a.target in state.nodes:
                 backed = (a.parameter.endswith(".cpu.millicores")
@@ -381,31 +394,47 @@ def oracle_pairwise_conflicts(proposals, state):
                 if backed:
                     cap = state.nodes[a.target].cpu_capacity
                     if int(np.ceil(a.value)) + int(np.ceil(b.value)) > cap:
-                        found.add((i, j, "shared-resource-oversubscription"))
+                        found.append((i, j, "shared-resource-oversubscription"))
     return found
 
 
+def spec_6nodes():
+    """spec_3nodes plus n4..n6 on a line behind n3, of growing CPU capacity."""
+    spec = spec_3nodes()
+    for k in (4, 5, 6):
+        spec["nodes"].append({"id": f"n{k}", "region": "east", "tier": "edge",
+                              "cpu": 1000 * k, "storage": 8192})
+        spec["links"].append({"a": f"n{k - 1}", "b": f"n{k}", "bandwidth": 1000,
+                              "latency": 1.0, "reliability": 0.999})
+    return spec
+
+
 def test_conflict_report_matches_pairwise_oracle_on_random_sets():
-    state = build_topology(spec_3nodes())
+    # Pools of 2-9 on 3 nodes, then of 2-40 over 6 nodes and a target that
+    # is no node, so that a target's group of proposals takes many sizes.
+    # Conflicts are traced in report order, so the order is compared too.
     rng = np.random.Generator(np.random.PCG64(77))
-    for trial in range(100):
-        n = int(rng.integers(2, 10))
-        proposals = []
-        for k in range(n):
-            proposals.append(ActionProposal(
-                target=str(rng.choice(["n1", "n2", "n3"])),
-                parameter=str(rng.choice(["vnf.cpu.millicores", "firewall.mode"])),
-                value=float(rng.integers(0, 5000)),
-                direction=int(rng.choice([-1, 0, 1])),
-                issued_by=str(rng.choice(["c1", "c2", "c3"])),
-                timestamp=int(rng.integers(0, 3)) * 1000,
-            ))
-        report = detect_conflicts(proposals, state)
-        index = {id(p): i for i, p in enumerate(proposals)}
-        got = {(min(index[id(p.a)], index[id(p.b)]),
-                max(index[id(p.a)], index[id(p.b)]), p.kind.value)
-               for p in report.pairs}
-        assert got == oracle_pairwise_conflicts(proposals, state), trial
+    for spec, targets, chains, max_pool in (
+            (spec_3nodes(), ["n1", "n2", "n3"], ["c1", "c2", "c3"], 10),
+            (spec_6nodes(), ["n1", "n2", "n3", "n4", "n5", "n6", "lb"],
+             ["c1", "c2", "c3", "c4", "c5"], 41)):
+        state = build_topology(spec)
+        for trial in range(100):
+            n = int(rng.integers(2, max_pool))
+            proposals = []
+            for k in range(n):
+                proposals.append(ActionProposal(
+                    target=str(rng.choice(targets)),
+                    parameter=str(rng.choice(["vnf.cpu.millicores", "firewall.mode"])),
+                    value=float(rng.integers(0, 5000)),
+                    direction=int(rng.choice([-1, 0, 1])),
+                    issued_by=str(rng.choice(chains)),
+                    timestamp=int(rng.integers(0, 3)) * 1000,
+                ))
+            report = detect_conflicts(proposals, state)
+            index = {id(p): i for i, p in enumerate(proposals)}
+            got = [(index[id(p.a)], index[id(p.b)], p.kind.value) for p in report.pairs]
+            assert got == oracle_pairwise_conflicts(proposals, state), (len(spec["nodes"]), trial)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ forecast of adaptive-vnf), one autoencoder train step (batch 32), one Adam
 step on the compressor's parameters, one embedding of the canonical 5-step
 chain on the testbed, one warm cross-region path query and one
 resource-backed knob change there, one orchestrator slot of two opposing
-set-point loops with the sandbox dry-run on and off, and one scraped frame
-and one full bursty30min scrape series over the testbed metric catalog.
+set-point loops with the sandbox dry-run on and off, one embedding of a
+set-point chain and one un-arbitrated slot of 32 set-point loops on a
+64-VM topology, and one scraped frame and one full bursty30min scrape
+series over the testbed metric catalog.
 
 The default test run executes each once as a smoke test (pyproject.toml
 passes --benchmark-disable). To time them:
@@ -19,7 +21,8 @@ import numpy as np
 import pytest
 
 from loopsim import engines, metrics, sdi
-from loopsim.chain import embed
+from loopsim.chain import LoopChain, LoopStep, QosRequirements, StepKind, embed
+from loopsim.control import Orchestrator
 from loopsim.engines import TrainConfig
 from test_chain import canonical_chain
 from test_control import make_orchestrator, setpoint_chain
@@ -114,6 +117,75 @@ def test_orchestrator_slot_of_two_opposing_loops(benchmark, sandbox):
     benchmark(lambda: orch.run(duration_ms=1000, start_ms=next(starts)))
     kinds = {e.kind for e in orch.trace.events}
     assert "conflict" in kinds and ("withhold" in kinds) == sandbox
+
+
+def vm64_topology():
+    """8 regions of 8 VMs; each region's VMs hang off its switch, and the
+    region switches sit on a ring around a core switch. Every VM carries a
+    CPU knob at 2000 mc."""
+    nodes, links, knobs = [], [], []
+    switches = [{"id": "core-sw", "region": "core", "tier": "core"}]
+    for r in range(8):
+        sw = f"r{r}-sw"
+        switches.append({"id": sw, "region": f"r{r}", "tier": "edge"})
+        links.append({"a": sw, "b": "core-sw", "bandwidth": 10000, "latency": 2.0 + r})
+        links.append({"a": sw, "b": f"r{(r + 1) % 8}-sw", "bandwidth": 10000,
+                      "latency": 5.0 + 3 * r})
+        for v in range(8):
+            vm = f"r{r}-vm{v}"
+            nodes.append({"id": vm, "region": f"r{r}", "tier": "edge", "cpu": 16000,
+                          "storage": 102400})
+            links.append({"a": vm, "b": sw, "bandwidth": 1000, "latency": 1.0 + v % 3})
+            knobs.append({"node": vm, "parameter": "vnf.cpu.millicores", "value": 2000.0})
+    return sdi.build_topology({"nodes": nodes, "switches": switches, "links": links,
+                               "knobs": knobs})
+
+
+def region_setpoint_chain(chain_id, node, value):
+    """Watch one VM's CPU knob from its region and push it to value."""
+    region = node.split("-")[0]
+    knob = {"node": node, "parameter": "vnf.cpu.millicores"}
+    return LoopChain(
+        id=chain_id,
+        steps=[
+            LoopStep("watch", StepKind.MONITOR, "monitor.knob_value",
+                     QosRequirements(cpu=100, storage=64, coverage=frozenset({region})),
+                     params=dict(knob)),
+            LoopStep("push", StepKind.PLAN, "plan.knob_setpoint",
+                     QosRequirements(cpu=100, storage=64), params={**knob, "value": value}),
+            LoopStep("record", StepKind.KNOWLEDGE, "knowledge.store",
+                     QosRequirements(cpu=50, storage=256)),
+        ],
+        edges=[("watch", "push"), ("push", "record")],
+        source_domain=frozenset({region}),
+        destination_domain=frozenset({node}),
+        tick_period_ms=1000,
+    )
+
+
+def test_embed_setpoint_chain_on_64_vms(benchmark):
+    world = vm64_topology()
+    chain = region_setpoint_chain("boost", "r5-vm3", 3000.0)
+
+    def fresh_state():
+        return (chain, sdi.clone_state(world)), {}
+
+    emb = benchmark.pedantic(embed, setup=fresh_state, rounds=20)
+    assert emb.assignment["watch"].startswith("r5-")
+
+
+def test_unarbitrated_slot_of_32_setpoint_loops_on_64_vms(benchmark):
+    # 16 opposing pairs, each on its own VM's knob: once the first slot has
+    # set every knob, each slot has one proposal per pair to apply.
+    orch = Orchestrator(vm64_topology(), arbitration=False, sandbox=False)
+    for k in range(16):
+        node = f"r{k % 8}-vm{k // 8}"
+        orch.instantiate(region_setpoint_chain(f"pair{k}-boost", node, 3000.0))
+        orch.instantiate(region_setpoint_chain(f"pair{k}-save", node, 1000.0))
+    starts = itertools.count(0, 1000)
+    benchmark(lambda: orch.run(duration_ms=1000, start_ms=next(starts)))
+    assert sum(e.kind == "tick" for e in orch.trace.events) % 32 == 0
+    assert sum(e.kind == "apply" for e in orch.trace.events) >= 16
 
 
 def test_scrape_one_frame_on_testbed(benchmark):

@@ -183,6 +183,16 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_empty_out_dir_env_is_unset(tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("LOOPSIM_OUT", "")
+    run_scenario(make_cfg(TINY_CONFLICT, tmp_path / "configured"))
+    assert (tmp_path / "configured" / "report.json").exists()
+    assert list(cwd.iterdir()) == []
+
+
 CUSTOM_COMPRESS_CHAIN = {
     "id": "my-compressor",
     "priority": 4,
