@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from loopsim import sdi
 from loopsim.chain import (ActionCatalog, ActionProposal, AnalysisOutput, CatalogEntry,
-                           InfeasibleError, LoopChain, LoopStep, QosRequirements,
+                           ChainValidationError, InfeasibleError, LoopChain, LoopStep, QosRequirements,
                            StepKind)
 from loopsim.control import (SANDBOX_HORIZON_TICKS, ConflictKind, InstanceState,
                              LifecycleError, Orchestrator, SafetyViolationError,
@@ -124,6 +124,18 @@ def test_instantiate_refuses_an_unregistered_step_function_before_booking():
     chain.steps[0] = replace(chain.steps[0], function_ref="monitor.nope")
     with pytest.raises(ConfigError, match="monitor.nope"):
         orch.instantiate(chain)
+    assert serialize_state(orch.state) == before
+    assert orch.instances == {} and orch.trace.events == []
+
+
+@pytest.mark.parametrize("edges", [[("watch", "think"), ("think", "gone")],
+                                   [("watch", "think"), ("think", "watch")]],
+                         ids=["dangling-edge", "cycle"])
+def test_instantiate_refuses_an_invalid_chain_before_booking(edges):
+    orch = make_orchestrator()
+    before = serialize_state(orch.state)
+    with pytest.raises(ChainValidationError):
+        orch.instantiate(replace(analysis_chain(), edges=edges))
     assert serialize_state(orch.state) == before
     assert orch.instances == {} and orch.trace.events == []
 
