@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -297,10 +298,14 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
     """Greedy embedding in topological order with bounded backtracking.
 
     Each step prefers the feasible compute node that adds the least inbound
-    path latency (ties to the lexicographically smaller node id); the first
-    complete assignment is the plain greedy answer, and the rest of the
-    budget of steps x compute nodes^2 unwinds is spent branch-and-bound style
-    on lower-latency alternatives. Running out of budget with no solution
+    path latency (ties to the lexicographically smaller node id). A step's
+    choices are checked lazily, best first: its hosts are ranked by that
+    latency from the route table, and a host's capacity and path checks run
+    only when the search asks for the next choice, so a search that stops at
+    the first choice checks one host, not all. The first complete assignment
+    is the plain greedy answer, and the rest of the budget of steps x compute
+    nodes^2 unwinds is spent branch-and-bound style on lower-latency
+    alternatives. Running out of budget with no solution
     found raises InfeasibleError if some step has no node that meets its
     coverage, domain and capacity constraints even with nothing else placed,
     and SearchExhaustedError (an inconclusive verdict) otherwise. On success
@@ -324,22 +329,36 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
     link_pending: dict[tuple[str, str], int] = {}
     first_block: tuple[str, str] | None = None  # (step, constraint)
 
-    def options(step: LoopStep) -> list[tuple[float, str, dict]]:
+    def options(step: LoopStep) -> Iterator[tuple[float, str, dict]]:
         """Feasible (added latency, node, link claims) choices, best first.
-        The claims are the bandwidth per link that the paths from the placed
-        predecessors take. Records the dominant blocking constraint of the
-        first step found with no choice."""
+        Every node that may host the step is ranked by the inbound path
+        latency from the placed predecessors (ties to the smaller node id);
+        its capacity and path checks run only when the next choice is asked
+        for, against the pending claims of that moment, which the search has
+        restored by then. The claims are the bandwidth per link that the
+        paths from the placed predecessors take. Once every node has been
+        checked with none feasible, records the dominant blocking constraint
+        of the first step found with no choice."""
         nonlocal first_block
         preds = [p for p in chain.predecessors(step.name) if p in assignment]
-        demand = step.qos.demand
-        feasible: list[tuple[float, str, dict]] = []
         tally: dict[str, int] = {}
+        ranked: list[tuple[float, str]] = []
+        inbound = [sdi.path_latencies(state, assignment[p]) for p in preds]
         for node_id in candidates:
             violated = _host_violation(chain, step, state.nodes[node_id])
             if violated is None:
-                residual = state.residual(node_id) - node_pending.get(node_id, ZERO)
-                violated = residual.shortfall(demand)
-            added = 0.0
+                added = 0.0
+                for latency in inbound:
+                    added += latency[node_id]
+                ranked.append((added, node_id))
+            else:
+                tally[violated] = tally.get(violated, 0) + 1
+        ranked.sort()
+        demand = step.qos.demand
+        found = False
+        for added, node_id in ranked:
+            residual = state.residual(node_id) - node_pending.get(node_id, ZERO)
+            violated = residual.shortfall(demand)
             claims: dict[tuple[str, str], int] = {}
             for p in preds:
                 if violated is not None:
@@ -347,15 +366,13 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
                 pm = sdi.path_metrics(state, assignment[p], node_id)
                 violated = _path_feasible(pm, edge_qos[(p, step.name)], link_pending,
                                           claims, state)
-                added += pm.latency_ms
             if violated is None:
-                feasible.append((added, node_id, claims))
+                found = True
+                yield added, node_id, claims
             else:
                 tally[violated] = tally.get(violated, 0) + 1
-        if not feasible and first_block is None and tally:
+        if not found and first_block is None and tally:
             first_block = (step.name, _dominant_constraint(tally))
-        feasible.sort()  # node ids are unique, so claims are never compared
-        return feasible
 
     def occupy(step: LoopStep, node_id: str, claims: dict, sign: int) -> None:
         """Place (sign 1) or unplace (sign -1) a step with its link claims."""
@@ -396,7 +413,8 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
         # node that could ever host it: that is proven, not a budget verdict.
         first_block = None
         for step in steps:
-            options(step)
+            for _ in options(step):
+                pass  # drained, so a step with no choice records its tally
         if first_block is None:
             raise SearchExhaustedError(
                 f"chain {chain.id}: backtracking budget exhausted after "

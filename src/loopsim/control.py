@@ -17,6 +17,7 @@ import csv
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -73,6 +74,11 @@ class LoopInstance:
     first_event: int
     services: dict = field(default_factory=dict)
     knowledge: list = field(default_factory=list)
+
+    @cached_property
+    def tier_label(self) -> str:
+        """The tier's value as trace events carry it, read once."""
+        return self.tier.value
 
 
 @dataclass(frozen=True)
@@ -406,7 +412,7 @@ class Orchestrator:
             services=dict(services or {}),
         )
         self.instances[chain.id] = instance
-        self.trace.add(self.clock_ms, tier.value, chain.id, "lifecycle",
+        self.trace.add(self.clock_ms, instance.tier_label, chain.id, "lifecycle",
                        f"instantiated on {sorted(embedding.assignment.items())}", "ok")
         return instance
 
@@ -427,7 +433,7 @@ class Orchestrator:
             if tick_period_ms <= 0:
                 raise ConfigError("tick_period_ms must be > 0")
             instance.tick_period_ms = tick_period_ms
-        self.trace.add(self.clock_ms, instance.tier.value, instance.id, "lifecycle",
+        self.trace.add(self.clock_ms, instance.tier_label, instance.id, "lifecycle",
                        f"updated: priority {instance.chain.priority}, "
                        f"period {instance.tick_period_ms} ms", "ok")
         return instance
@@ -487,7 +493,7 @@ class Orchestrator:
         # schedule and so the step functions bound when it was instantiated.
         instance.chain = scaled
         instance.embedding = embedding
-        self.trace.add(self.clock_ms, instance.tier.value, chain.id, "lifecycle",
+        self.trace.add(self.clock_ms, instance.tier_label, chain.id, "lifecycle",
                        f"scaled by {factor}", "ok")
         return instance
 
@@ -499,7 +505,7 @@ class Orchestrator:
             sdi.release(self.state, aid)
         instance.state = InstanceState.TERMINATED
         self.holders = {knob: c for knob, c in self.holders.items() if c != instance.id}
-        self.trace.add(self.clock_ms, instance.tier.value, instance.id, "lifecycle",
+        self.trace.add(self.clock_ms, instance.tier_label, instance.id, "lifecycle",
                        "terminated", "ok")
 
     # -- one loop turn -------------------------------------------------------
@@ -526,9 +532,9 @@ class Orchestrator:
             try:
                 result = fn(ctx)
             except Exception as exc:
-                self.trace.add(t_ms, instance.tier.value, chain.id, "fault",
-                               f"step {step.name} failed: {type(exc).__name__}: {exc}",
-                               "fault")
+                self.trace.events.append(TraceEvent(
+                    t_ms, instance.tier_label, chain.id, "fault",
+                    f"step {step.name} failed: {type(exc).__name__}: {exc}", "fault"))
                 proposals = []
                 break
             outputs[step.name] = result
@@ -537,8 +543,8 @@ class Orchestrator:
                     if p.issued_by == "" or p.timestamp != t_ms:
                         p = replace(p, issued_by=p.issued_by or chain.id, timestamp=t_ms)
                     proposals.append(p)
-        self.trace.add(t_ms, instance.tier.value, chain.id, "tick",
-                       f"{len(proposals)} proposal(s)", "ok")
+        self.trace.events.append(TraceEvent(t_ms, instance.tier_label, chain.id, "tick",
+                                            f"{len(proposals)} proposal(s)", "ok"))
         return proposals
 
     # -- conflict pipeline ---------------------------------------------------
@@ -689,8 +695,9 @@ class Orchestrator:
     def _log_action(self, proposal: ActionProposal, t: int, kind: str, verdict: str,
                     delta: float | None = None, capacity: str | None = None) -> None:
         instance = self.instances.get(proposal.issued_by)
-        tier = "-" if instance is None else instance.tier.value
-        self.trace.add(t, tier, proposal.issued_by, kind, "", verdict, proposal, delta, capacity)
+        tier = "-" if instance is None else instance.tier_label
+        self.trace.events.append(TraceEvent(t, tier, proposal.issued_by, kind, "", verdict,
+                                            proposal, delta, capacity))
 
     def export_fcaps_csv(self, path) -> int:
         """One row of FCAPS counters per instance, by id; returns the row count."""

@@ -503,26 +503,48 @@ def _adjacency(state: Topology) -> dict[str, list[tuple[str, Link]]]:
 _Route = tuple[float, tuple[str, ...], tuple[tuple[str, str], ...], float]
 
 
+class _Latencies(dict):
+    """Route latency by destination, from one source."""
+
+    def __init__(self, src: str, latencies: dict[str, float]):
+        super().__init__(latencies)
+        self.src = src
+
+    def __missing__(self, dst: str) -> float:
+        raise UnreachableError(f"no path from {self.src!r} to {dst!r}")
+
+
 class _RouteTable:
     """Minimum-latency routes of one link set, keyed by source and then
-    destination. The adjacency list is built on first use and each source's
-    routes on its first lookup, so nodes added before the first path query
-    are routed too."""
+    destination, and their latencies alone. The adjacency list is built on
+    first use and each source's routes on its first lookup, so nodes added
+    before the first path query are routed too."""
 
     def __init__(self):
         self._adjacency: dict[str, list[tuple[str, Link]]] | None = None
         self._by_source: dict[str, dict[str, _Route]] = {}
+        self._latencies: dict[str, _Latencies] = {}
 
     def route(self, state: Topology, src: str, dst: str) -> _Route:
-        routes = self._by_source.get(src)
-        if routes is None:
-            if self._adjacency is None:
-                self._adjacency = _adjacency(state)
-            routes = self._by_source[src] = self._from_source(state, src)
+        routes = self._by_source.get(src) or self._add_source(state, src)
         try:
             return routes[dst]
         except KeyError:
             raise UnreachableError(f"no path from {src!r} to {dst!r}") from None
+
+    def latencies(self, state: Topology, src: str) -> _Latencies:
+        latencies = self._latencies.get(src)
+        if latencies is None:
+            routes = self._by_source.get(src) or self._add_source(state, src)
+            latencies = self._latencies[src] = _Latencies(
+                src, {dst: route[0] for dst, route in routes.items()})
+        return latencies
+
+    def _add_source(self, state: Topology, src: str) -> dict[str, _Route]:
+        if self._adjacency is None:
+            self._adjacency = _adjacency(state)
+        routes = self._by_source[src] = self._from_source(state, src)
+        return routes
 
     def _from_source(self, state: Topology, src: str) -> dict[str, _Route]:
         """Dijkstra over (latency, node path) pairs: the first pop of a node
@@ -567,6 +589,13 @@ def path_metrics(state: Topology, src: str, dst: str) -> PathMetrics:
     latency, path, keys, reliability = state._routes.route(state, src, dst)
     bandwidth = min(map(state.free_bandwidth, keys))
     return PathMetrics(latency, bandwidth, reliability, path, keys)
+
+
+def path_latencies(state: Topology, src: str) -> dict[str, float]:
+    """The latency of path_metrics(state, src, dst) for every dst, src
+    itself included, read from the route table alone; indexing it with a
+    node that src cannot reach raises UnreachableError."""
+    return state._routes.latencies(state, src)
 
 
 # ---------------------------------------------------------------------------

@@ -242,17 +242,22 @@ def test_step_without_host_is_infeasible_not_exhausted(qos, constraint, n_steps)
     assert serialize_state(state) == before
 
 
-def test_latency_dead_end_exhausts_the_search_budget():
-    # Every step has a host, but knowledge must sit in Calgary within 1.5 ms
-    # of a plan step that must sit in Toronto: only the search can find out.
-    state = build_topology("testbed")
-    before = serialize_state(state)
+def latency_dead_end_chain():
+    """Every step has a testbed host, but knowledge must sit in Calgary
+    within 1.5 ms of a plan step that must sit in Toronto: only the search
+    can find out."""
     chain = canonical_chain(source_domain=frozenset({"toronto"}))
     chain.steps[2] = step("p", StepKind.PLAN, cpu=100, coverage=frozenset({"toronto"}))
     chain.steps[4] = step("k", StepKind.KNOWLEDGE, storage=256,
                           coverage=frozenset({"calgary"}), max_latency_ms=1.5)
+    return chain
+
+
+def test_latency_dead_end_exhausts_the_search_budget():
+    state = build_topology("testbed")
+    before = serialize_state(state)
     with pytest.raises(SearchExhaustedError):
-        embed(chain, state)
+        embed(latency_dead_end_chain(), state)
     assert serialize_state(state) == before
 
 
@@ -267,6 +272,50 @@ def test_latency_budget_drives_colocation():
     emb = embed(chain, state)
     assert emb.assignment["m"] == emb.assignment["a"]
     assert emb.total_latency_ms == 0.0
+
+
+def star_spec(latencies, cpu=1000):
+    """Compute nodes around one switch: `src` on a 0.5 ms link, each other
+    node on a link of its given latency."""
+    spokes = {"src": 0.5, **latencies}
+    return {
+        "nodes": [{"id": n, "region": "r1", "tier": "edge", "cpu": cpu, "storage": 4096}
+                  for n in spokes],
+        "switches": [{"id": "sw", "region": "r1", "tier": "edge"}],
+        "links": [{"a": n, "b": "sw", "bandwidth": 100, "latency": ms}
+                  for n, ms in spokes.items()],
+    }
+
+
+def src_then_analyze(cpu):
+    """A monitor pinned to (and filling) `src`, feeding an analyze step that
+    may go anywhere else."""
+    return LoopChain(id="pair", steps=[step("m", StepKind.MONITOR, cpu=1000),
+                                       step("a", StepKind.ANALYZE, cpu=cpu)],
+                     edges=[("m", "a")], source_domain=frozenset({"src"}))
+
+
+def test_full_nearest_host_passes_the_step_to_the_next_by_latency():
+    # The lazy checks must visit hosts in (latency, node id) order: with the
+    # nearest host full, the step lands on the next-nearest, not on the
+    # smallest id.
+    state = build_topology(star_spec({"z-near": 1.0, "m-mid": 2.0, "a-far": 3.0}))
+    sdi.allocate(state, "z-near", ResourceVector(cpu=1000), "filler")
+    emb = embed(src_then_analyze(cpu=100), state)
+    assert emb.assignment == {"m": "src", "a": "m-mid"}
+    assert emb.total_latency_ms == 2.5
+
+
+def test_equal_latency_hosts_go_to_the_smaller_id():
+    state = build_topology(star_spec({"vm-b": 1.0, "vm-a": 1.0, "vm-c": 1.0}))
+    assert embed(src_then_analyze(cpu=100), state).assignment == {"m": "src", "a": "vm-a"}
+
+
+def test_step_whose_every_ranked_host_lacks_cpu_is_infeasible():
+    state = build_topology(star_spec({"near": 1.0, "far": 2.0}))
+    with pytest.raises(InfeasibleError) as exc:
+        embed(src_then_analyze(cpu=5000), state)
+    assert (exc.value.step, exc.value.constraint) == ("a", "cpu")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 H=16), one LSTM forecast of a 30-value window on that model (the per-tick
 forecast of adaptive-vnf), one autoencoder train step (batch 32), one Adam
 step on the compressor's parameters, one embedding of the canonical 5-step
-chain on the testbed, one warm cross-region path query and one
-resource-backed knob change there, one orchestrator slot of two opposing
-set-point loops with the sandbox dry-run on and off, one embedding of a
-set-point chain and one un-arbitrated slot of 32 set-point loops on a
-64-VM topology, and one scraped frame and one full bursty30min scrape
-series over the testbed metric catalog.
+chain on the testbed and one embedding search that runs its budget out
+there, one warm cross-region path query and one resource-backed knob change
+there, one orchestrator slot of two opposing set-point loops with the
+sandbox dry-run on and off, one embedding of a set-point chain and one
+un-arbitrated slot of 32 set-point loops on a 64-VM topology, and one
+scraped frame and one full bursty30min scrape series over the testbed
+metric catalog. One more test counts the path queries of an embedding on
+the 64-VM topology.
 
 The default test run executes each once as a smoke test (pyproject.toml
 passes --benchmark-disable). To time them:
@@ -21,10 +23,11 @@ import numpy as np
 import pytest
 
 from loopsim import engines, metrics, sdi
-from loopsim.chain import LoopChain, LoopStep, QosRequirements, StepKind, embed
+from loopsim.chain import (LoopChain, LoopStep, QosRequirements, SearchExhaustedError,
+                           StepKind, embed)
 from loopsim.control import Orchestrator
 from loopsim.engines import TrainConfig
-from test_chain import canonical_chain
+from test_chain import canonical_chain, latency_dead_end_chain
 from test_control import make_orchestrator, setpoint_chain
 
 
@@ -172,6 +175,37 @@ def test_embed_setpoint_chain_on_64_vms(benchmark):
 
     emb = benchmark.pedantic(embed, setup=fresh_state, rounds=20)
     assert emb.assignment["watch"].startswith("r5-")
+
+
+def test_embed_checks_hosts_lazily_on_64_vms(monkeypatch):
+    # Checking every host of every step takes about 130 path queries on this
+    # chain. Checked lazily, the search queries the first host of each step
+    # with a predecessor and one more when the bound cuts it off, and the
+    # commit reads each edge once: 6.
+    queried = []
+    path_metrics = sdi.path_metrics
+
+    def counted(state, src, dst):
+        queried.append((src, dst))
+        return path_metrics(state, src, dst)
+
+    monkeypatch.setattr(sdi, "path_metrics", counted)
+    embed(region_setpoint_chain("boost", "r5-vm3", 3000.0), vm64_topology())
+    assert len(queried) <= 8, queried
+
+
+def test_embed_exhausts_latency_dead_end_on_testbed(benchmark):
+    # Every knowledge host fails its latency check, so the search checks
+    # every host at every level until the budget runs out: the lazy checks
+    # save nothing here.
+    testbed = sdi.build_topology("testbed")
+    chain = latency_dead_end_chain()
+
+    def exhaust():
+        with pytest.raises(SearchExhaustedError):
+            embed(chain, testbed)
+
+    benchmark.pedantic(exhaust, rounds=5)
 
 
 def test_unarbitrated_slot_of_32_setpoint_loops_on_64_vms(benchmark):
