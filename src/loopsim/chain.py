@@ -21,7 +21,7 @@ import yaml
 
 from .errors import ConfigError, SimError
 from . import sdi
-from .sdi import ZERO, PathMetrics, ResourceVector, Topology
+from .sdi import ZERO, ResourceVector, Topology
 
 
 class ChainValidationError(ConfigError):
@@ -263,14 +263,17 @@ def _edge_requirements(chain: LoopChain):
     return {(a, b): chain.step(b).qos for a, b in chain.edges}
 
 
-def _path_feasible(pm: PathMetrics, qos: QosRequirements, link_pending: dict,
-                   claims: dict, state: Topology) -> str | None:
-    """Check one inbound path against QoS, counting bandwidth already claimed
-    by this embedding attempt (link_pending) and by this step's other inbound
-    edges (claims, which gains this path's links on success). Returns the
-    violated constraint name or None."""
-    if pm.latency_ms > qos.max_latency_ms:
+def _path_feasible(state: Topology, src: str, dst: str, latency: float,
+                   qos: QosRequirements, link_pending: dict, claims: dict) -> str | None:
+    """Check the inbound path from src to dst against QoS, counting bandwidth
+    already claimed by this embedding attempt (link_pending) and by this
+    step's other inbound edges (claims, which gains this path's links on
+    success). The path's latency is given from the route table, so a path
+    that is too slow is refused without querying it. Returns the violated
+    constraint name or None."""
+    if latency > qos.max_latency_ms:
         return "latency"
+    pm = sdi.path_metrics(state, src, dst)
     if qos.min_reliability > 0 and pm.reliability < qos.min_reliability:
         return "reliability"
     if qos.min_bandwidth > 0:
@@ -348,8 +351,8 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
             violated = _host_violation(chain, step, state.nodes[node_id])
             if violated is None:
                 added = 0.0
-                for latency in inbound:
-                    added += latency[node_id]
+                for latencies in inbound:
+                    added += latencies[node_id]
                 ranked.append((added, node_id))
             else:
                 tally[violated] = tally.get(violated, 0) + 1
@@ -360,12 +363,11 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
             residual = state.residual(node_id) - node_pending.get(node_id, ZERO)
             violated = residual.shortfall(demand)
             claims: dict[tuple[str, str], int] = {}
-            for p in preds:
+            for p, latencies in zip(preds, inbound):
                 if violated is not None:
                     break
-                pm = sdi.path_metrics(state, assignment[p], node_id)
-                violated = _path_feasible(pm, edge_qos[(p, step.name)], link_pending,
-                                          claims, state)
+                violated = _path_feasible(state, assignment[p], node_id, latencies[node_id],
+                                          edge_qos[(p, step.name)], link_pending, claims)
             if violated is None:
                 found = True
                 yield added, node_id, claims

@@ -17,8 +17,8 @@ import csv
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, SimError
