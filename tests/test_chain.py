@@ -274,12 +274,12 @@ def test_latency_budget_drives_colocation():
     assert emb.total_latency_ms == 0.0
 
 
-def star_spec(latencies, cpu=1000):
-    """Compute nodes around one switch: `src` on a 0.5 ms link, each other
-    node on a link of its given latency."""
+def star_spec(latencies):
+    """1000 mc compute nodes around one switch: `src` on a 0.5 ms link, each
+    other node on a link of its given latency."""
     spokes = {"src": 0.5, **latencies}
     return {
-        "nodes": [{"id": n, "region": "r1", "tier": "edge", "cpu": cpu, "storage": 4096}
+        "nodes": [{"id": n, "region": "r1", "tier": "edge", "cpu": 1000, "storage": 4096}
                   for n in spokes],
         "switches": [{"id": "sw", "region": "r1", "tier": "edge"}],
         "links": [{"a": n, "b": "sw", "bandwidth": 100, "latency": ms}

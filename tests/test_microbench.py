@@ -196,8 +196,9 @@ def test_embed_checks_hosts_lazily_on_64_vms(monkeypatch):
 
 def test_embed_exhausts_latency_dead_end_on_testbed(benchmark):
     # Every knowledge host fails its latency check, so the search checks
-    # every host at every level until the budget runs out: the lazy checks
-    # save nothing here.
+    # every host at every level until the budget runs out: checking lazily
+    # saves nothing here, and each refusal comes from the route table's
+    # latency, without a path query.
     testbed = sdi.build_topology("testbed")
     chain = latency_dead_end_chain()
 
