@@ -136,6 +136,14 @@ class ValidationReport:
         return not self.errors
 
 
+def tick_period_error(period) -> str | None:
+    """Why period is not a tick period (a positive integer of milliseconds;
+    a bool is not one), or None when it is one."""
+    if isinstance(period, bool) or not isinstance(period, int) or period <= 0:
+        return f"tick_period_ms must be a positive integer, got {period!r}"
+    return None
+
+
 def _topological_order(chain: LoopChain) -> list[str] | None:
     """Kahn's algorithm; declaration order breaks ties. None on a cycle or
     on an edge to or from an unknown step."""
@@ -223,8 +231,8 @@ def validate_chain(chain: LoopChain) -> ValidationReport:
             warnings.append(f"no {kind.value.capitalize()} step")
     if chain.priority < 0:
         errors.append("priority must be >= 0")
-    if chain.tick_period_ms is not None and chain.tick_period_ms <= 0:
-        errors.append("tick_period_ms must be > 0")
+    if chain.tick_period_ms is not None and (error := tick_period_error(chain.tick_period_ms)):
+        errors.append(error)
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
@@ -593,6 +601,9 @@ def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,
 # ---------------------------------------------------------------------------
 
 def chain_from_dict(doc: dict) -> LoopChain:
+    period = doc.get("tick_period_ms")
+    if period is not None and (error := tick_period_error(period)):
+        raise ConfigError(f"bad chain definition: {error}")
     try:
         steps = []
         for s in doc.get("steps", []):
@@ -618,7 +629,7 @@ def chain_from_dict(doc: dict) -> LoopChain:
             destination_domain=frozenset(doc.get("destination_domain", ())),
             category=ChainCategory(str(doc.get("category", "network")).lower()),
             priority=int(doc.get("priority", 10)),
-            tick_period_ms=(int(doc["tick_period_ms"]) if doc.get("tick_period_ms") else None),
+            tick_period_ms=period,
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad chain definition: {exc}") from None

@@ -14,17 +14,19 @@ capacity-checked; an event trace records the whole run deterministically.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, SimError
 from . import sdi
 from .chain import (ActionProposal, Embedding, LoopChain, LoopStep, StepKind,
-                    _topological_order, embed)
+                    _topological_order, embed, tick_period_error)
 from .sdi import TIER_DEPTH, CapacityError, ResourceVector, Tier, Topology
 
 
@@ -266,13 +268,17 @@ def count_reversals(changes) -> int:
 # Event trace
 # ---------------------------------------------------------------------------
 
+def _csv_writer(fh):
+    return csv.writer(fh, lineterminator="\n")
+
+
 def write_csv(path, header, rows) -> int:
     """The one CSV format of run artifacts: UTF-8, "\n" row ends, RFC 4180
     quoting, and floats (numpy's too) as their shortest round-trip text.
     Returns the number of data rows written."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(header)
         for count, row in enumerate(rows, 1):
             writer.writerow(row)
@@ -302,19 +308,36 @@ class EventTrace:
         self.events.append(TraceEvent(*args, **kwargs))
 
     def to_csv(self, path) -> int:
-        """One row per event; returns the row count. An action event's summary
-        is rendered here as target|parameter|x: the applied delta of an
-        apply, else the value."""
-        def row(e: TraceEvent) -> tuple:
+        """One row per event, in write_csv's format; returns the row count. An
+        action event's summary is rendered here as target|parameter|x: the
+        applied delta of an apply, else the value.
+
+        A run repeats the same few rows at different times, so each distinct
+        (tier, chain, event, summary, verdict) tail is quoted once and the
+        lines are streamed to the file as time_ms,tail."""
+        rendered = io.StringIO()
+        render = _csv_writer(rendered).writerow
+        tails: dict[tuple, str] = {}
+
+        def line(e: TraceEvent) -> str:
             summary = e.summary
             if e.proposal is not None:
                 p = e.proposal
                 x = p.value if e.delta is None else e.delta
                 summary = f"{p.target}|{p.parameter}|{x!r}"
-            return (e.t_ms, e.tier, e.chain, e.kind, summary, e.verdict)
+            key = (e.tier, e.chain, e.kind, summary, e.verdict)
+            tail = tails.get(key)
+            if tail is None:
+                rendered.seek(0)
+                rendered.truncate()
+                render(key)
+                tail = tails[key] = rendered.getvalue()
+            return f"{e.t_ms},{tail}"
 
-        return write_csv(path, ("time_ms", "tier", "chain", "event", "summary", "verdict"),
-                         map(row, self.events))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _csv_writer(fh).writerow(("time_ms", "tier", "chain", "event", "summary", "verdict"))
+            fh.writelines(map(line, self.events))
+        return len(self.events)
 
     def applied_knob_deltas(self) -> dict[tuple[str, str], list[tuple[str, float]]]:
         """Per-knob sequence of applied (issuer, delta) changes, in trace order."""
@@ -337,13 +360,15 @@ class ScheduledStep(NamedTuple):
     is_plan: bool  # its output is a list of proposals
 
 
-def _schedule(chain: LoopChain, registry: "FunctionRegistry") -> tuple[ScheduledStep, ...]:
-    """The steps a tick runs, in topological order: every step but the
-    execute steps (applying actions is the orchestrator's decision), each
-    with its predecessors' names and its function resolved from the registry
-    now. An unregistered function raises ConfigError. A chain whose edges
-    give no order gets an empty schedule; embed refuses such a chain."""
-    steps = (chain.step(n) for n in _topological_order(chain) or ())
+def _schedule(chain: LoopChain, order: list[str] | None,
+              registry: "FunctionRegistry") -> tuple[ScheduledStep, ...]:
+    """The steps a tick runs, in the chain's topological order: every step
+    but the execute steps (applying actions is the orchestrator's decision),
+    each with its predecessors' names and its function resolved from the
+    registry now. An unregistered function raises ConfigError. A chain whose
+    edges give no order (order None) gets an empty schedule; embed refuses
+    such a chain."""
+    steps = (chain.step(n) for n in order or ())
     return tuple(ScheduledStep(step, tuple(chain.predecessors(step.name)),
                                registry.resolve(step.function_ref),
                                step.kind == StepKind.PLAN)
@@ -377,6 +402,11 @@ class FunctionRegistry:
             raise ConfigError(f"no registered step function {name!r}") from None
 
 
+def _tick_order(instance: LoopInstance) -> tuple[int, str]:
+    """Within a slot, deeper tiers tick first, then by chain id."""
+    return (-TIER_DEPTH[instance.tier], instance.id)
+
+
 class Orchestrator:
     """Sole mutator of the live topology state."""
 
@@ -389,6 +419,7 @@ class Orchestrator:
         self.registry = registry
         self.arbitration_enabled = arbitration
         self.sandbox_enabled = sandbox
+        # By id, in tick order (see _tick_order): instantiate keeps it sorted.
         self.instances: dict[str, LoopInstance] = {}
         self.trace = EventTrace()
         self.clock_ms = 0
@@ -401,9 +432,10 @@ class Orchestrator:
         if chain.id in self.instances and \
                 self.instances[chain.id].state != InstanceState.TERMINATED:
             raise LifecycleError(f"chain {chain.id!r} already has a live instance")
-        schedule = _schedule(chain, self.registry)  # before anything is booked
+        order = _topological_order(chain)
+        schedule = _schedule(chain, order, self.registry)  # before anything is booked
         embedding = embed(chain, self.state)
-        tier = self.state.nodes[embedding.assignment[_topological_order(chain)[0]]].tier
+        tier = self.state.nodes[embedding.assignment[order[0]]].tier
         period = chain.tick_period_ms or TIER_PERIODS_MS[tier]
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
@@ -412,6 +444,8 @@ class Orchestrator:
             services=dict(services or {}),
         )
         self.instances[chain.id] = instance
+        # An instance's tier and id never change, so only a new one moves it.
+        self.instances = {i.id: i for i in sorted(self.instances.values(), key=_tick_order)}
         self.trace.add(self.clock_ms, instance.tier_label, chain.id, "lifecycle",
                        f"instantiated on {sorted(embedding.assignment.items())}", "ok")
         return instance
@@ -430,8 +464,8 @@ class Orchestrator:
         if priority is not None:
             instance.chain.priority = priority
         if tick_period_ms is not None:
-            if tick_period_ms <= 0:
-                raise ConfigError("tick_period_ms must be > 0")
+            if error := tick_period_error(tick_period_ms):
+                raise ConfigError(error)
             instance.tick_period_ms = tick_period_ms
         self.trace.add(self.clock_ms, instance.tier_label, instance.id, "lifecycle",
                        f"updated: priority {instance.chain.priority}, "
@@ -452,11 +486,15 @@ class Orchestrator:
 
     def _counts(self) -> dict[str, tuple[FcapsCounters, int]]:
         """Per instance, its FCAPS counters and its rejected-or-withheld
-        count, read in one pass from its incarnation's trace events."""
+        count, read from its incarnation's trace events: every event is
+        counted by (chain, kind), then the events before each instance's
+        first event (its earlier incarnations) are taken off again."""
         first = {iid: i.first_event for iid, i in self.instances.items()}
-        end = len(self.trace.events)
-        n = Counter((e.chain, e.kind) for k, e in enumerate(self.trace.events)
-                    if k >= first.get(e.chain, end))
+        events = self.trace.events
+        n = Counter(zip(map(attrgetter("chain"), events), map(attrgetter("kind"), events)))
+        n.subtract((e.chain, e.kind)
+                   for k, e in enumerate(events[:max(first.values(), default=0)])
+                   if k < first.get(e.chain, 0))
         return {iid: (FcapsCounters(n[iid, "fault"], n[iid, "lifecycle"], n[iid, "tick"],
                                     n[iid, "apply"]), n[iid, "reject"] + n[iid, "withhold"])
                 for iid in first}
@@ -565,9 +603,6 @@ class Orchestrator:
             return False, None, f"error:{exc}", None
         return True, proposal.value - previous, "ok", None
 
-    def _running(self) -> list[LoopInstance]:
-        return [i for i in self.instances.values() if i.state == InstanceState.RUNNING]
-
     def assert_capacity_invariant(self) -> None:
         """Recompute reservations by target from the allocation table and the
         backed knobs' values, without reading the usage table, and fail loudly
@@ -601,7 +636,8 @@ class Orchestrator:
         proposals = list(proposals)
         # The horizon is counted in ticks of the fastest involved chain.
         involved = {p.issued_by for p in proposals}
-        fastest = min((i.tick_period_ms for i in self._running() if i.chain.id in involved),
+        fastest = min((i.tick_period_ms for i in self.instances.values()
+                       if i.state == InstanceState.RUNNING and i.chain.id in involved),
                       default=1000)
         replica = self._clone_for_sandbox()
         replica._apply(proposals, self.clock_ms)
@@ -632,21 +668,23 @@ class Orchestrator:
 
     def run(self, duration_ms: int, start_ms: int = 0) -> EventTrace:
         """Drive all running loops over [start, start + duration). Events are
-        globally ordered by (time, tier depth: deeper first, chain id); each
-        slot runs tick -> detect -> arbitrate -> dry-run gate -> apply, then
-        asserts the capacity invariant."""
+        globally ordered by (time, tier depth: deeper first, chain id): each
+        slot's due list is built in the order of `instances`, which is that
+        order already. Each slot runs tick -> detect -> arbitrate -> dry-run
+        gate -> apply, then asserts the capacity invariant."""
         if duration_ms <= 0:
             raise ConfigError("duration must be > 0")
         slots: dict[int, list[LoopInstance]] = {}
-        for instance in self._running():
+        for instance in self.instances.values():
+            if instance.state != InstanceState.RUNNING:
+                continue
             period = instance.tick_period_ms
             first = ((start_ms + period - 1) // period) * period
             for t in range(first, start_ms + duration_ms, period):
                 slots.setdefault(t, []).append(instance)
         for t in sorted(slots):
-            due = sorted(slots[t], key=lambda i: (-TIER_DEPTH[i.tier], i.chain.id))
             pool: list[ActionProposal] = []
-            for instance in due:
+            for instance in slots[t]:
                 if instance.state != InstanceState.RUNNING:
                     continue
                 pool.extend(self.tick(instance.id, t))

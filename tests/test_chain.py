@@ -636,3 +636,18 @@ def test_chain_from_dict_roundtrip():
     assert chain.priority == 2
     assert chain.steps[0].qos.coverage == frozenset({"west"})
     assert validate_chain(chain).ok
+
+
+@pytest.mark.parametrize("period", [0, 1500.7, True], ids=["zero", "fraction", "bool"])
+def test_chain_from_dict_refuses_a_period_that_is_not_a_positive_integer(period):
+    # 0 used to mean the tier's default, 1500.7 was cut to 1500 and true read as 1.
+    doc = {"id": "demo", "tick_period_ms": period,
+           "steps": [{"name": "m", "kind": "monitor", "function": "monitor.scrape_frame"}]}
+    with pytest.raises(ConfigError, match="tick_period_ms must be a positive integer"):
+        chain_from_dict(doc)
+
+
+@pytest.mark.parametrize("period", [1000.5, True], ids=["fraction", "bool"])
+def test_validate_reports_a_period_that_is_not_an_integer(period):
+    report = validate_chain(canonical_chain(tick_period_ms=period))
+    assert report.errors == (f"tick_period_ms must be a positive integer, got {period!r}",)

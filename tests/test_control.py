@@ -13,13 +13,13 @@ from loopsim import sdi
 from loopsim.chain import (ActionCatalog, ActionProposal, AnalysisOutput, CatalogEntry,
                            ChainValidationError, InfeasibleError, LoopChain, LoopStep, QosRequirements,
                            StepKind)
-from loopsim.control import (SANDBOX_HORIZON_TICKS, ConflictKind, InstanceState,
+from loopsim.control import (SANDBOX_HORIZON_TICKS, ConflictKind, EventTrace, InstanceState,
                              LifecycleError, Orchestrator, SafetyViolationError,
-                             TickAlignmentError, arbitrate, count_reversals,
-                             detect_conflicts)
+                             TickAlignmentError, TraceEvent, arbitrate, count_reversals,
+                             detect_conflicts, write_csv)
 from loopsim.engines import linfit
 from loopsim.errors import ConfigError
-from loopsim.sdi import ResourceVector, Tier, build_topology, serialize_state
+from loopsim.sdi import TIER_DEPTH, ResourceVector, Tier, build_topology, serialize_state
 from loopsim.steps import TrafficFeed, build_default_registry
 
 
@@ -166,6 +166,15 @@ def test_update_priority_and_period():
     snap = orch.query("watcher")
     assert snap.priority == 1 and snap.tick_period_ms == 500
     assert snap.fcaps.config == 2
+
+
+def test_update_refuses_a_period_that_is_not_an_integer():
+    orch = make_orchestrator()
+    orch.instantiate(analysis_chain())
+    with pytest.raises(ConfigError, match="positive integer, got 1000.5"):
+        orch.update("watcher", tick_period_ms=1000.5)
+    assert orch.query("watcher").tick_period_ms == 1000
+    orch.run(duration_ms=2000)  # the refused period never reaches the scheduler
 
 
 def test_scale_in_place():
@@ -642,6 +651,48 @@ def test_run_orders_deeper_tiers_first():
     assert ticks == ["edge-loop", "core-loop"]  # deeper tier first
 
 
+def core_analysis_chain(chain_id, period=1000):
+    """analysis_chain, monitored from the east region, so it runs on core n3."""
+    chain = analysis_chain(chain_id, period)
+    chain.steps[0] = replace(chain.steps[0],
+                             qos=QosRequirements(cpu=100, coverage=frozenset({"east"})))
+    return chain
+
+
+def ticks_by_slot(trace) -> dict[int, list[tuple[int, str]]]:
+    """Per slot, the (negated tier depth, chain id) of each tick, in trace order."""
+    slots: dict[int, list[tuple[int, str]]] = {}
+    for e in trace.events:
+        if e.kind == "tick":
+            slots.setdefault(e.t_ms, []).append((-TIER_DEPTH[Tier(e.tier)], e.chain))
+    return slots
+
+
+def test_run_keeps_tick_order_across_lifecycle_changes():
+    """Instances made out of id order on two tiers, one re-made on the other
+    tier, one added mid-run and one with a new period: every slot, live and
+    in a sandbox replica, ticks deeper tiers first, then by chain id."""
+    orch = make_orchestrator(sandbox=False)
+    for chain in (analysis_chain("e-c"), core_analysis_chain("c-b"), analysis_chain("e-a"),
+                  core_analysis_chain("c-d")):
+        orch.instantiate(chain)
+    orch.run(duration_ms=2000)
+    orch.terminate("e-a")
+    orch.instantiate(core_analysis_chain("e-a"))
+    orch.instantiate(analysis_chain("e-0"))
+    orch.update("c-d", tick_period_ms=500)
+    orch.run(duration_ms=2000, start_ms=2000)
+    replica = orch._clone_for_sandbox()
+    replica.run(duration_ms=2000, start_ms=4000)
+    live, replayed = ticks_by_slot(orch.trace), ticks_by_slot(replica.trace)
+    assert [chain for _, chain in live[0]] == ["e-a", "e-c", "c-b", "c-d"]
+    assert [chain for _, chain in live[3000]] == ["e-0", "e-c", "c-b", "c-d", "e-a"]
+    assert live[3500] == [(0, "c-d")]
+    assert replayed[5000] == live[3000]
+    for slot in (*live.values(), *replayed.values()):
+        assert slot == sorted(slot)
+
+
 def test_run_withholds_on_unstable_sandbox():
     """The winner's set-point is past n1's 4000 mc, so every dry-run's seeded
     apply is a capacity refusal: the gate withholds it and nothing lands."""
@@ -837,6 +888,55 @@ def test_trace_csv_fields_read_back_exactly(tmp_path):
                           for e in orch.trace.events[:-1]]
     assert rows[-1] == ["3000", "edge", "watcher", "reject", "n1|a,b|1.5",
                         'says "no", then stops']
+
+
+def reference_trace_csv(events, path) -> int:
+    """The trace rendered row by row through write_csv: the bytes to_csv
+    must write."""
+    def row(e: TraceEvent) -> tuple:
+        summary = e.summary
+        if e.proposal is not None:
+            p = e.proposal
+            x = p.value if e.delta is None else e.delta
+            summary = f"{p.target}|{p.parameter}|{x!r}"
+        return (e.t_ms, e.tier, e.chain, e.kind, summary, e.verdict)
+
+    return write_csv(path, ("time_ms", "tier", "chain", "event", "summary", "verdict"),
+                     map(row, events))
+
+
+csv_text = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", 'a,"b"', " x ", "é",
+                                      "猫|犬"]),
+                     st.text(max_size=6))
+
+
+@st.composite
+def trace_events(draw):
+    """Events whose fields are drawn from a few texts and floats, so that
+    rows recur at different times and near-copies differ in one field."""
+    words = st.sampled_from(draw(st.lists(csv_text, min_size=1, max_size=3)))
+    # -0.0 and 0.0 compare equal but print apart; the others print long.
+    floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e22,
+                              draw(st.floats(allow_nan=False, allow_infinity=False))])
+    events = []
+    for t_ms in draw(st.lists(st.integers(0, 10 ** 7), max_size=20)):
+        if draw(st.booleans()):
+            events.append(TraceEvent(t_ms, draw(words), draw(words), draw(words), draw(words),
+                                     draw(words)))
+        else:
+            proposal = ActionProposal(draw(words), draw(words), draw(floats), 1, "", 0)
+            events.append(TraceEvent(t_ms, draw(words), draw(words),
+                                     draw(st.sampled_from(["apply", "reject"])), "",
+                                     draw(words), proposal, draw(st.none() | floats)))
+    return events
+
+
+@settings(max_examples=80, deadline=None)
+@given(events=trace_events())
+def test_trace_csv_bytes_equal_the_row_by_row_rendering(tmp_path_factory, events):
+    trace, base = EventTrace(events), tmp_path_factory.mktemp("trace-csv")
+    assert trace.to_csv(base / "fast.csv") == reference_trace_csv(events, base / "ref.csv")
+    assert (base / "fast.csv").read_bytes() == (base / "ref.csv").read_bytes()
 
 
 PINNED_TRACE = """\

@@ -5,16 +5,18 @@ set-point loops, turns knobs and runs sandbox dry-runs on a small generated
 topology. After every step it checks exact resource conservation
 (allocations plus knob backings), the capacity invariant, that clones route
 like a freshly built state, that dry-runs and failed scales leave the live
-world untouched, and that replaying a tick's applies from the trace
-reproduces the live knobs. The checks compare the state's tables
-directly rather than YAML serializations, which would make a failing example
-take minutes to shrink; test_sdi checks the YAML round trip on random
-mutation sequences.
+world untouched, that replaying a tick's applies from the trace reproduces
+the live knobs, and that every instance's counters equal a plain one-pass
+count of its incarnation's trace events. The checks compare the state's
+tables directly rather than YAML serializations, which would make a failing
+example take minutes to shrink; test_sdi checks the YAML round trip on
+random mutation sequences.
 """
 
 import copy
 import math
 import struct
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -76,6 +78,15 @@ def topology_specs(draw):
               "reliability": draw(st.sampled_from([0.99, 0.999]))}
              for a, b in sorted(pairs)]
     return {"nodes": nodes, "switches": switches, "links": links}
+
+
+def incarnation_counts(orch) -> Counter:
+    """(instance, kind) counts of each instance's trace events from its
+    current incarnation's first event on, filtered event by event."""
+    first = {iid: i.first_event for iid, i in orch.instances.items()}
+    end = len(orch.trace.events)
+    return Counter((e.chain, e.kind) for k, e in enumerate(orch.trace.events)
+                   if k >= first.get(e.chain, end))
 
 
 def setpoint_chain(chain_id, node, value, priority, bandwidth):
@@ -213,6 +224,15 @@ class LifecycleMachine(RuleBasedStateMachine):
                        if a.target == key)
             assert held + state.residual(key).bandwidth == link.bandwidth
             assert held == state._used.get(key, sdi.ResourceVector()).bandwidth
+
+    @invariant()
+    def counters_match_a_filtered_count(self):
+        n = incarnation_counts(self.orch)
+        for iid in self.orch.instances:
+            snap = self.orch.query(iid)
+            assert snap.fcaps == (n[iid, "fault"], n[iid, "lifecycle"], n[iid, "tick"],
+                                  n[iid, "apply"])
+            assert snap.actions_rejected == n[iid, "reject"] + n[iid, "withhold"]
 
     @invariant()
     def capacity_invariant(self):

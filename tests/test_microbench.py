@@ -6,9 +6,10 @@ chain on the testbed and one embedding search that runs its budget out
 there, one warm cross-region path query and one resource-backed knob change
 there, one orchestrator slot of two opposing set-point loops with the
 sandbox dry-run on and off, one embedding of a set-point chain and one
-un-arbitrated slot of 32 set-point loops on a 64-VM topology, and one
-scraped frame and one full bursty30min scrape series over the testbed
-metric catalog. One more test counts the path queries of an embedding on
+un-arbitrated slot of 32 set-point loops on a 64-VM topology, the trace
+and FCAPS exports of those 32 loops after 500 such slots, and one scraped
+frame and one full bursty30min scrape series over the testbed metric
+catalog. One more test counts the path queries of an embedding on
 the 64-VM topology.
 
 The default test run executes each once as a smoke test (pyproject.toml
@@ -209,18 +210,48 @@ def test_embed_exhausts_latency_dead_end_on_testbed(benchmark):
     benchmark.pedantic(exhaust, rounds=5)
 
 
-def test_unarbitrated_slot_of_32_setpoint_loops_on_64_vms(benchmark):
-    # 16 opposing pairs, each on its own VM's knob: once the first slot has
-    # set every knob, each slot has one proposal per pair to apply.
+def setpoint_pairs_on_64_vms():
+    """16 opposing pairs of set-point loops, each pair on its own VM's knob,
+    un-arbitrated: once the first slot has set every knob, each slot has one
+    proposal per pair to apply."""
     orch = Orchestrator(vm64_topology(), arbitration=False, sandbox=False)
     for k in range(16):
         node = f"r{k % 8}-vm{k // 8}"
         orch.instantiate(region_setpoint_chain(f"pair{k}-boost", node, 3000.0))
         orch.instantiate(region_setpoint_chain(f"pair{k}-save", node, 1000.0))
+    return orch
+
+
+def test_unarbitrated_slot_of_32_setpoint_loops_on_64_vms(benchmark):
+    orch = setpoint_pairs_on_64_vms()
     starts = itertools.count(0, 1000)
     benchmark(lambda: orch.run(duration_ms=1000, start_ms=next(starts)))
     assert sum(e.kind == "tick" for e in orch.trace.events) % 32 == 0
     assert sum(e.kind == "apply" for e in orch.trace.events) >= 16
+
+
+@pytest.fixture(scope="module")
+def setpoint_pairs_after_500_slots():
+    """The 32 loops after 500 un-arbitrated slots: 24,064 trace events with
+    160 distinct rows bar their times, as in perfbench's conflict-scale."""
+    orch = setpoint_pairs_on_64_vms()
+    orch.run(duration_ms=500 * 1000)
+    return orch
+
+
+def test_trace_csv_of_500_slots_of_32_setpoint_loops(benchmark, setpoint_pairs_after_500_slots,
+                                                      tmp_path):
+    trace = setpoint_pairs_after_500_slots.trace
+    path = tmp_path / "trace.csv"
+    assert benchmark(trace.to_csv, path) == len(trace.events) == 24_064
+    assert path.read_text(encoding="utf-8").count("\n") == 24_065
+
+
+def test_fcaps_csv_of_500_slots_of_32_setpoint_loops(benchmark, setpoint_pairs_after_500_slots,
+                                                     tmp_path):
+    path = tmp_path / "fcaps.csv"
+    assert benchmark(setpoint_pairs_after_500_slots.export_fcaps_csv, path) == 32
+    assert "pair0-boost,running,0,1,500,251\n" in path.read_text(encoding="utf-8")
 
 
 def test_scrape_one_frame_on_testbed(benchmark):

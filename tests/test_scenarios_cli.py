@@ -235,6 +235,14 @@ def test_cli_validate_checks_referenced_chain_file(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg_path)]) == 2
 
 
+def test_cli_validate_refuses_a_fractional_chain_period(tmp_path, capsys):
+    chain_path = tmp_path / "chain.yaml"
+    chain_path.write_text(yaml.safe_dump(dict(CUSTOM_COMPRESS_CHAIN, tick_period_ms=1500.7)))
+    doc = dict(TINY_COMPRESS, params=dict(TINY_COMPRESS["params"], chain_file=str(chain_path)))
+    assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert "tick_period_ms must be a positive integer, got 1500.7" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Config loading
 # ---------------------------------------------------------------------------
