@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-import yaml
-
+from .config import list_of, load_yaml, number
 from .errors import ConfigError, SimError
 from . import sdi
 from .sdi import ZERO, ResourceVector, Topology
@@ -601,63 +600,63 @@ def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,
 # ---------------------------------------------------------------------------
 
 def chain_from_dict(doc: dict) -> LoopChain:
+    """The chain a parsed chain file holds; a malformed field raises ConfigError naming it."""
     period = doc.get("tick_period_ms")
     if period is not None and (error := tick_period_error(period)):
         raise ConfigError(f"bad chain definition: {error}")
     try:
         steps = []
-        for s in doc.get("steps", []):
+        for i, s in enumerate(list_of(doc, "", "steps", dict)):
+            where = f"steps[{i}].qos"
             qos_doc = s.get("qos", {}) or {}
+            if not isinstance(qos_doc, dict):
+                raise ConfigError(f"{where} must be a mapping, got {qos_doc!r}")
             qos = QosRequirements(
-                max_latency_ms=float(qos_doc.get("max_latency_ms", math.inf)),
-                min_bandwidth=int(qos_doc.get("min_bandwidth", 0)),
-                cpu=int(qos_doc.get("cpu", 0)),
-                storage=int(qos_doc.get("storage", 0)),
-                min_reliability=float(qos_doc.get("min_reliability", 0.0)),
-                coverage=frozenset(qos_doc.get("coverage", ())),
+                max_latency_ms=number(qos_doc, where, "max_latency_ms", math.inf),
+                min_bandwidth=number(qos_doc, where, "min_bandwidth", 0, int),
+                cpu=number(qos_doc, where, "cpu", 0, int),
+                storage=number(qos_doc, where, "storage", 0, int),
+                min_reliability=number(qos_doc, where, "min_reliability", 0.0),
+                coverage=frozenset(list_of(qos_doc, where, "coverage", str)),
             )
             steps.append(LoopStep(
                 name=str(s["name"]), kind=StepKind(str(s["kind"]).lower()),
                 function_ref=str(s.get("function", "")), qos=qos,
                 params=dict(s.get("params", {}) or {}),
             ))
+        edges = list_of(doc, "", "edges", list)
+        if any(len(e) != 2 for e in edges):
+            raise ConfigError(f"edges must be two-item lists, got {edges!r}")
         return LoopChain(
             id=str(doc["id"]),
             steps=steps,
-            edges=[(str(a), str(b)) for a, b in doc.get("edges", [])],
-            source_domain=frozenset(doc.get("source_domain", ())),
-            destination_domain=frozenset(doc.get("destination_domain", ())),
+            edges=[(str(a), str(b)) for a, b in edges],
+            source_domain=frozenset(list_of(doc, "", "source_domain", str)),
+            destination_domain=frozenset(list_of(doc, "", "destination_domain", str)),
             category=ChainCategory(str(doc.get("category", "network")).lower()),
-            priority=int(doc.get("priority", 10)),
+            priority=number(doc, "", "priority", 10, int),
             tick_period_ms=period,
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigError) as exc:
         raise ConfigError(f"bad chain definition: {exc}") from None
 
 
 def load_chain(path) -> LoopChain:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: chain file must be a mapping")
-    return chain_from_dict(doc)
+    return chain_from_dict(load_yaml(path))
 
 
 def catalog_from_dict(doc: dict) -> ActionCatalog:
     entries = []
-    for e in doc.get("entries", []):
+    for i, e in enumerate(doc.get("entries", [])):
+        where = f"entries[{i}]"
         entries.append(CatalogEntry(
             kind=str(e["kind"]), target_role=str(e["target_role"]),
             parameter=str(e["parameter"]),
-            scale=float(e.get("scale", 1.0)), offset=float(e.get("offset", 0.0)),
-            lo=float(e.get("min", -math.inf)), hi=float(e.get("max", math.inf)),
+            scale=number(e, where, "scale", 1.0), offset=number(e, where, "offset", 0.0),
+            lo=number(e, where, "min", -math.inf), hi=number(e, where, "max", math.inf),
         ))
     return ActionCatalog(entries=tuple(entries))
 
 
 def load_catalog(path) -> ActionCatalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: catalog file must be a mapping")
-    return catalog_from_dict(doc)
+    return catalog_from_dict(load_yaml(path))

@@ -53,18 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_scenario_config(args.config)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg.scenario != args.scenario:
-        print(f"invalid config: config declares scenario {cfg.scenario!r}, "
-              f"--scenario says {args.scenario!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    try:
+        if cfg.scenario != args.scenario:
+            raise ConfigError(f"config declares scenario {cfg.scenario!r}, "
+                              f"--scenario says {args.scenario!r}")
+        if args.out is not None:
+            cfg.out_dir = args.out
+        if args.seed is not None:
+            cfg.seed = args.seed
         report = run_scenario(cfg)
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
@@ -86,8 +81,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         cfg = load_scenario_config(args.config)
-        if cfg.topology not in sdi.TOPOLOGY_PRESETS:
-            sdi.load_topology(cfg.topology)
+        sdi.load_topology(cfg.topology)
         if "chain_file" in cfg.params:
             path = cfg.params["chain_file"]
             report = validate_chain(load_chain(path))

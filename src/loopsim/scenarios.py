@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
+from .config import load_yaml, number
 from .errors import ConfigError
 from . import engines, metrics, sdi
 from .chain import (ActionCatalog, CatalogEntry, LoopChain, LoopStep, QosRequirements,
@@ -61,31 +61,15 @@ class RunReport:
         return all(self.checks.values())
 
 
-def _number(doc: dict, section: str, key: str, default, kind=float):
-    """doc[key], or default when absent, as kind (float or int); a value that
-    is not a number raises ConfigError naming the section and key."""
-    value = doc.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        where = f"{section}.{key}" if section else key
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
-
-
 def load_scenario_config(path) -> ScenarioConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: scenario config must be a mapping")
-    if "seed" not in doc:
-        raise ConfigError(f"{path}: seed is mandatory")
-    if "scenario" not in doc:
-        raise ConfigError(f"{path}: scenario is mandatory")
+    doc = load_yaml(path)
+    for key in ("seed", "scenario"):
+        if key not in doc:
+            raise ConfigError(f"{path}: {key} is mandatory")
     cfg = ScenarioConfig(
         scenario=str(doc["scenario"]),
-        seed=_number(doc, "", "seed", None, int),
+        seed=number(doc, "", "seed", kind=int),
         topology=str(doc.get("topology", "testbed")),
         out_dir=str(doc.get("out_dir", "out")),
         workload=dict(doc.get("workload", {}) or {}),
@@ -94,11 +78,7 @@ def load_scenario_config(path) -> ScenarioConfig:
     )
     # Resolve a referenced chain file relative to the config file.
     if "chain_file" in cfg.params:
-        name = cfg.params["chain_file"]
-        ref = (path.parent / name).resolve()
-        if not ref.exists():
-            raise ConfigError(f"{path}: referenced file {name!r} does not exist")
-        cfg.params["chain_file"] = str(ref)
+        cfg.params["chain_file"] = str((path.parent / cfg.params["chain_file"]).resolve())
     if cfg.topology not in sdi.TOPOLOGY_PRESETS:
         topo_path = (path.parent / cfg.topology).resolve()
         if not topo_path.exists():
@@ -115,12 +95,6 @@ def _seeds(master: int, n: int = 6) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _build_state(cfg: ScenarioConfig) -> sdi.Topology:
-    if cfg.topology in sdi.TOPOLOGY_PRESETS:
-        return sdi.build_topology(cfg.topology)
-    return sdi.load_topology(cfg.topology)
-
-
 def _workload_profile(cfg: ScenarioConfig, default_preset: str, seed: int) -> metrics.WorkloadProfile:
     doc = cfg.workload
     if not doc or "preset" in doc:
@@ -132,29 +106,28 @@ def _workload_profile(cfg: ScenarioConfig, default_preset: str, seed: int) -> me
         if not isinstance(s, dict):
             raise ConfigError(f"{where} must be a mapping, got {s!r}")
         segments.append(metrics.WorkloadSegment(
-            _number(s, where, "start", None), _number(s, where, "end", None),
-            str(s.get("shape")), _number(s, where, "amplitude", None)))
+            number(s, where, "start"), number(s, where, "end"),
+            str(s.get("shape")), number(s, where, "amplitude")))
     return metrics.WorkloadProfile(
         name=str(doc.get("name", "custom")),
-        duration=_number(doc, "workload", "duration", 1800.0),
-        base_rate=_number(doc, "workload", "base_rate", 0.0),
+        duration=number(doc, "workload", "duration", 1800.0),
+        base_rate=number(doc, "workload", "base_rate", 0.0),
         segments=tuple(segments),
-        noise=_number(doc, "workload", "noise", 0.0),
+        noise=number(doc, "workload", "noise", 0.0),
         seed=seed,
     )
 
 
 def _param(cfg: ScenarioConfig, key: str, default, kind=float):
-    return _number(cfg.params, "params", key, default, kind)
+    return number(cfg.params, "params", key, default, kind)
 
 
 def _train_config(cfg: ScenarioConfig, seed: int, **defaults) -> engines.TrainConfig:
-    doc = dict(defaults)
-    doc.update(cfg.train)
+    doc = {**defaults, **cfg.train}
     return engines.TrainConfig(
-        learning_rate=_number(doc, "train", "learning_rate", 1e-3),
-        epochs=_number(doc, "train", "epochs", 100, int),
-        batch_size=_number(doc, "train", "batch_size", 32, int),
+        learning_rate=number(doc, "train", "learning_rate", 1e-3),
+        epochs=number(doc, "train", "epochs", 100, int),
+        batch_size=number(doc, "train", "batch_size", 32, int),
         seed=seed,
         optimizer=str(doc.get("optimizer", "adam")),
         shuffle=bool(doc.get("shuffle", True)),
@@ -234,7 +207,7 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     compressor, measure reconstruction fidelity on the validation split, then
     serve the model inside a monitor->compress->archive loop."""
     seed_wl, seed_cat, seed_model, seed_train, _, _ = _seeds(cfg.seed)
-    state = _build_state(cfg)
+    state = sdi.load_topology(cfg.topology)
     catalog = metrics.build_metric_catalog(state, seed_cat)
     profile = _workload_profile(cfg, "bursty30min", seed_wl)
     workload = metrics.generate_workload(profile)
@@ -245,14 +218,11 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     val01_values = scaler.transform(val.values)
 
     train_cfg = _train_config(cfg, seed_train, epochs=150)
-    if dataset.width == engines.COMPRESSOR_WIDTHS[0]:
-        net = engines.ae_init(seed_model)
-    else:
-        # Non-testbed topologies have other widths; keep the canonical
-        # width ratios (90/111, 85/111, 75/111) around the custom width.
-        w = dataset.width
-        a, b, c = (max(2, int(round(f * w))) for f in (90 / 111, 85 / 111, 75 / 111))
-        net = engines.net_init((w, a, b, c, a, w), engines.COMPRESSOR_ACTIVATIONS, seed_model)
+    # Keep the canonical width ratios (90/111, 85/111, 75/111) around the
+    # dataset's width; at the testbed's 111 they give COMPRESSOR_WIDTHS.
+    w = dataset.width
+    a, b, c = (max(2, int(round(f * w))) for f in (90 / 111, 85 / 111, 75 / 111))
+    net = engines.net_init((w, a, b, c, a, w), engines.COMPRESSOR_ACTIVATIONS, seed_model)
     net, losses = engines.ae_train(net, train01.values, train_cfg)
 
     recon01 = engines.ae_forward(net, val01_values)
@@ -370,7 +340,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     forecaster, then run the loop that resizes the firewall's CPU knob ten
     minutes ahead of predicted traffic."""
     seed_wl, _, seed_model, seed_train, seed_noise, _ = _seeds(cfg.seed)
-    state = _build_state(cfg)
+    state = sdi.load_topology(cfg.topology)
     region = str(cfg.params.get("region", "waterloo"))
     firewall = str(cfg.params.get("firewall_node", f"{region}-vm4"))
     if firewall not in state.nodes:
@@ -533,7 +503,7 @@ def _setpoint_chain(chain_id: str, priority: int, region: str, node: str,
 
 def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
     """One pass of the demo; returns the orchestrator and the contested knob."""
-    state = _build_state(cfg)
+    state = sdi.load_topology(cfg.topology)
     region = str(cfg.params.get("region", "waterloo"))
     node = str(cfg.params.get("node", f"{region}-vm4"))
     parameter = str(cfg.params.get("parameter", "vnf.cpu.millicores"))

@@ -24,6 +24,7 @@ from enum import Enum
 
 import yaml
 
+from .config import list_of, load_yaml, number
 from .errors import ConfigError, SimError
 
 
@@ -61,16 +62,6 @@ class Tier(Enum):
 TIER_DEPTH = {Tier.CORE: 0, Tier.EDGE: 1, Tier.ACCESS: 2}
 
 RESOURCE_COMPONENTS = ("cpu", "mem", "storage", "bandwidth")
-
-
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -262,18 +253,15 @@ def _parse_node(entry: dict) -> ComputeNode:
         tier = Tier(str(entry.get("tier", "edge")).lower())
     except ValueError:
         raise TopologyError(f"node {entry['id']}: unknown tier {entry.get('tier')!r}") from None
-    roles = entry.get("roles", [])
-    if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
-        raise TypeError(f"roles must be a list of strings, got {roles!r}")
     return ComputeNode(
         id=str(entry["id"]),
         region=str(entry.get("region", "default")),
         tier=tier,
-        cpu_capacity=_as_int(entry.get("cpu", 0), f"node {entry['id']} cpu"),
-        mem_capacity=_as_int(entry.get("mem", 0), f"node {entry['id']} mem"),
-        storage_capacity=_as_int(entry.get("storage", 0), f"node {entry['id']} storage"),
-        reliability=float(entry.get("reliability", 1.0)),
-        roles=tuple(roles),
+        cpu_capacity=number(entry, "", "cpu", 0, int),
+        mem_capacity=number(entry, "", "mem", 0, int),
+        storage_capacity=number(entry, "", "storage", 0, int),
+        reliability=number(entry, "", "reliability", 1.0),
+        roles=tuple(list_of(entry, "", "roles", str)),
     )
 
 
@@ -325,9 +313,9 @@ def build_topology(spec) -> Topology:
         link = _entry("link", entry, lambda e: Link(
             a=str(e["a"]),
             b=str(e["b"]),
-            bandwidth=_as_int(e.get("bandwidth", 0), "link bandwidth"),
-            latency=float(e.get("latency", 0.0)),
-            reliability=float(e.get("reliability", 1.0)),
+            bandwidth=number(e, "", "bandwidth", 0, int),
+            latency=number(e, "", "latency", 0.0),
+            reliability=number(e, "", "reliability", 1.0),
         ))
         for end in (link.a, link.b):
             if end not in nodes:
@@ -343,7 +331,7 @@ def build_topology(spec) -> Topology:
     topo = Topology(nodes=nodes, links=links, switches=switches)
     for entry in spec.get("knobs", []) or []:
         _entry("knob", entry, lambda e: set_knob(topo, str(e["node"]), str(e["parameter"]),
-                                                float(e["value"])))
+                                                number(e, "", "value")))
     return topo
 
 
@@ -354,7 +342,7 @@ def _entry(kind: str, entry, parse):
         return parse(entry)
     except KeyError as exc:
         raise TopologyError(f"{kind} entry {entry!r}: missing {exc}") from None
-    except (TypeError, ValueError, UnknownNodeError, CapacityError) as exc:
+    except (TypeError, ValueError, ConfigError, UnknownNodeError, CapacityError) as exc:
         raise TopologyError(f"{kind} entry {entry!r}: {exc}") from None
 
 
@@ -376,12 +364,11 @@ def _check_connected(nodes, links) -> None:
         raise TopologyError(f"topology is disconnected; unreachable from {start!r}: {missing}")
 
 
-def load_topology(path) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        raise TopologyError(f"empty topology file {path}")
-    return build_topology(doc)
+def load_topology(source) -> Topology:
+    """The topology that a preset name or a YAML topology file names."""
+    if source in TOPOLOGY_PRESETS:
+        return build_topology(source)
+    return build_topology(load_yaml(source))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +385,7 @@ def allocate(state: Topology, node_id: str, resources: ResourceVector, owner: st
 
 
 def reserve_bandwidth(state: Topology, a: str, b: str, mbps: int, owner: str) -> Allocation:
-    mbps = _as_int(mbps, "bandwidth reservation")
-    if mbps < 0:
-        raise ConfigError("bandwidth reservation must be >= 0")
+    """Reserve mbps (an integer >= 0, as ResourceVector checks) on link a--b."""
     return _book(state, owner, ResourceVector(bandwidth=mbps), tuple(sorted((a, b))))
 
 
@@ -617,7 +602,6 @@ def clone_state(state: Topology) -> Topology:
 
 # libyaml where it is installed; its text equals the pure-Python emitter's.
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def serialize_state(state: Topology) -> str:
@@ -665,18 +649,12 @@ def deserialize_state(text: str) -> Topology:
     allocation table verbatim (original ids and owners) and sets the knobs,
     which reserves their backings again. A state that oversubscribes a node
     or link raises TopologyError; a link has no cpu and a node no bandwidth."""
-    doc = yaml.load(text, Loader=_Loader)
-    if not isinstance(doc, dict):
-        raise TopologyError("state document must be a mapping")
+    doc = load_yaml("state document", text)
     topo = build_topology({k: doc.get(k) for k in ("nodes", "switches", "links")})
     highest = 0
     for entry in doc.get("allocations", []) or []:
-        resources = ResourceVector(
-            cpu=_as_int(entry.get("cpu", 0), "allocation cpu"),
-            mem=_as_int(entry.get("mem", 0), "allocation mem"),
-            storage=_as_int(entry.get("storage", 0), "allocation storage"),
-            bandwidth=_as_int(entry.get("bandwidth", 0), "allocation bandwidth"),
-        )
+        resources = ResourceVector(**{c: number(entry, "allocation", c, 0, int)
+                                      for c in RESOURCE_COMPONENTS})
         name = str(entry["target"])
         alloc_id = str(entry["id"])
         if alloc_id in topo.allocations:
@@ -698,7 +676,7 @@ def deserialize_state(text: str) -> Topology:
         if node not in topo.nodes:
             raise TopologyError(f"knob targets unknown node {node!r}")
         try:
-            set_knob(topo, node, str(entry["parameter"]), float(entry["value"]))
+            set_knob(topo, node, str(entry["parameter"]), number(entry, "knob", "value"))
         except CapacityError:
             raise TopologyError(f"knob {entry['parameter']} oversubscribes node {node}") from None
     return topo

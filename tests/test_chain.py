@@ -647,6 +647,42 @@ def test_chain_from_dict_refuses_a_period_that_is_not_a_positive_integer(period)
         chain_from_dict(doc)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("steps: [foo]", "steps must be a list of mappings, got ['foo']"),
+    ("steps: 7", "steps must be a list of mappings, got 7"),
+    ("steps: [{name: m, kind: monitor, qos: 5}]", "steps[0].qos must be a mapping, got 5"),
+    ("steps: [{name: m, kind: monitor, qos: {cpu: 100.9}}]",
+     "steps[0].qos.cpu must be an integer, got 100.9"),
+    ("steps: [{name: m, kind: monitor, qos: {min_bandwidth: true}}]",
+     "steps[0].qos.min_bandwidth must be a number, got True"),
+    ("steps: [{name: m, kind: monitor, qos: {max_latency_ms: .nan}}]",
+     "steps[0].qos.max_latency_ms must be a finite number, got nan"),
+    ("steps: [{name: m, kind: monitor, qos: {coverage: west}}]",
+     "steps[0].qos.coverage must be a list of strings, got 'west'"),
+    ("priority: 1.5", "priority must be an integer, got 1.5"),
+    ("edges: [ab]", "edges must be a list of lists, got ['ab']"),
+    ("edges: [[m, m, m]]", "edges must be two-item lists, got [['m', 'm', 'm']]"),
+    ("source_domain: waterloo", "source_domain must be a list of strings, got 'waterloo'"),
+    ("destination_domain: [waterloo-vm4, 4]",
+     "destination_domain must be a list of strings, got ['waterloo-vm4', 4]"),
+], ids=["step-string", "steps-number", "qos-number", "qos-cpu-fraction",
+        "qos-bandwidth-bool", "qos-latency-nan", "qos-coverage-string", "priority-fraction",
+        "edge-string", "edge-three-items", "source-domain-string", "destination-domain-number"])
+def test_chain_file_refuses_a_malformed_field(tmp_path, field, message):
+    # Each of these used to crash, be cut to an integer, or read a string
+    # as its letters (edge ('a', 'b'), domain {'w', 'a', 't', ...}).
+    import yaml
+
+    from loopsim.chain import load_chain
+    doc = {"id": "demo", "steps": [{"name": "m", "kind": "monitor"}]}
+    doc.update(yaml.safe_load(field))
+    path = tmp_path / "chain.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError) as raised:
+        load_chain(path)
+    assert str(raised.value) == f"bad chain definition: {message}"
+
+
 @pytest.mark.parametrize("period", [1000.5, True], ids=["fraction", "bool"])
 def test_validate_reports_a_period_that_is_not_an_integer(period):
     report = validate_chain(canonical_chain(tick_period_ms=period))

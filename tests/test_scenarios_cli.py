@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -331,18 +332,27 @@ def test_cli_non_numeric_value_exits_2(tmp_path, capsys, doc, where):
     assert f"{where} must be a number" in capsys.readouterr().err
 
 
+LINK = {"a": "a", "b": "b", "bandwidth": 100, "latency": 1.0}
+
+
 def small_topology(field, value):
-    """A valid two-node topology file body, except that field (section,
-    index, key) is set to value, or deleted when value is None."""
+    """A valid two-node topology file body, except that field (a path of
+    keys and indexes into it) is set to value, or deleted when value is
+    None; the empty path replaces the whole body."""
     doc = {"nodes": [{"id": "a", "cpu": 4000, "storage": 4096},
                      {"id": "b", "cpu": 4000, "storage": 4096}],
-           "links": [{"a": "a", "b": "b", "bandwidth": 100, "latency": 1.0}],
+           "links": [dict(LINK)],
            "knobs": [{"node": "a", "parameter": "vnf.cpu.millicores", "value": 1000}]}
-    (section, index, key) = field
+    if not field:
+        return value
+    *parents, key = field
+    target = doc
+    for part in parents:
+        target = target[part]
     if value is None:
-        del doc[section][index][key]
+        del target[key]
     else:
-        doc[section][index][key] = value
+        target[key] = value
     return doc
 
 
@@ -354,8 +364,30 @@ def small_topology(field, value):
     (("knobs", 0, "node"), "ghost", "knob entry"),
     (("knobs", 0, "value"), 99999, "knob entry"),
     (("nodes", 0, "roles"), "firewall", "node entry"),
+    # Values the number rule refuses: a string, NaN, a value past the float
+    # range, a bool, and a fraction where an integer belongs.
+    (("nodes", 0, "reliability"), "0.5", "reliability must be a number, got '0.5'"),
+    (("links", 0, "latency"), math.nan, "latency must be a finite number, got nan"),
+    (("links", 0, "latency"), 10**400, "latency must be a finite number, got 1000"),
+    (("knobs", 0, "value"), True, "value must be a number, got True"),
+    (("nodes", 0, "cpu"), True, "cpu must be a number, got True"),
+    (("nodes", 0, "cpu"), 1500.5, "cpu must be an integer, got 1500.5"),
+    # The node and link checks and the topology-wide ones.
+    (("nodes", 0, "cpu"), -1, "node a: cpu_capacity must be >= 0"),
+    (("nodes", 0, "reliability"), 1.5, "node a: reliability must be in [0, 1]"),
+    (("links", 0, "b"), "a", "link a--a: endpoints must be distinct"),
+    (("links", 0, "bandwidth"), 0, "link a--b: bandwidth must be > 0"),
+    (("links", 0, "latency"), -1.0, "link a--b: latency must be >= 0"),
+    (("links", 0, "reliability"), 2.0, "link a--b: reliability must be in [0, 1]"),
+    (("links",), [LINK, dict(LINK, a="b", b="a")], "duplicate link a--b"),
+    (("switches",), ["ghost"], "switch 'ghost' is not declared as a node"),
+    ((), {"links": []}, "topology has no nodes"),
 ], ids=["node-reliability", "link-latency", "knob-value", "link-without-b", "knob-node",
-        "knob-past-capacity", "node-roles-string"])
+        "knob-past-capacity", "node-roles-string", "node-reliability-string",
+        "link-latency-nan", "link-latency-past-float-range", "knob-value-bool",
+        "node-cpu-bool", "node-cpu-fraction", "node-cpu-negative", "node-reliability-range",
+        "link-self-loop", "link-bandwidth-zero", "link-latency-negative",
+        "link-reliability-range", "duplicate-link", "undeclared-switch", "no-nodes"])
 def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
     (tmp_path / "topo.yaml").write_text(yaml.safe_dump(small_topology(field, value)))
     path = write_config(tmp_path, dict(TINY_CONFLICT, topology="topo.yaml"))
@@ -363,6 +395,33 @@ def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
     assert main(["run", "--scenario", "conflict-demo", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.count(named) == 2
+
+
+@pytest.mark.parametrize("name, body", [
+    ("cfg.yaml", b"scenario: conflict-demo\nseed: [7\n"),
+    ("topo.yaml", b"nodes: [{id: a\n"),
+    ("topo.yaml", b"\xff\xfe not UTF-8\n"),
+    ("topo.yaml", b"- a list, not a mapping\n"),
+    ("topo.yaml", b"built: 2001-13-01\n"),
+], ids=["config-yaml-error", "topology-yaml-error", "topology-not-utf8", "topology-list",
+        "topology-bad-date"])
+def test_cli_unreadable_input_file_exits_2(tmp_path, capsys, name, body):
+    (tmp_path / "topo.yaml").write_text(yaml.safe_dump(small_topology(("knobs",), [])))
+    path = write_config(tmp_path, dict(TINY_CONFLICT, topology="topo.yaml"))
+    (tmp_path / name).write_bytes(body)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--scenario", "conflict-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count(name) == 2
+
+
+def test_cli_fractional_integer_param_exits_2(tmp_path, capsys):
+    # int() used to cut this to 1500 and run.
+    doc = dict(TINY_CONFLICT, params=dict(TINY_CONFLICT["params"], tick_period_ms=1500.7))
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--scenario", "conflict-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "params.tick_period_ms must be an integer, got 1500.7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("segment, message", [

@@ -575,6 +575,16 @@ def test_state_text_matches_the_pure_python_emitter():
                           default_flow_style=False) == text
 
 
+def test_integral_floats_count_as_integers():
+    # YAML reads `cpu: 1000.0` as a float; the number rule takes it as 1000.
+    topo = build_topology({"nodes": [{"id": "a", "cpu": 1000.0, "mem": 2048.0},
+                                     {"id": "b"}],
+                           "links": [{"a": "a", "b": "b", "bandwidth": 100.0}]})
+    assert topo.nodes["a"].capacity == ResourceVector(cpu=1000, mem=2048)
+    assert type(topo.nodes["a"].cpu_capacity) is int
+    assert type(topo.links[("a", "b")].bandwidth) is int
+
+
 def test_node_id_with_reserved_separator_rejected():
     with pytest.raises(TopologyError, match="--"):
         build_topology({"nodes": [{"id": "a--b", "region": "r", "tier": "edge"}]})
