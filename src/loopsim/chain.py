@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .config import list_of, load_yaml, number
 from .errors import ConfigError, SimError
@@ -334,6 +335,20 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
     # instances (a budget of only len(steps) demonstrably under-searches).
     limit = budget = len(order) * max(1, len(candidates)) ** 2
 
+    # Coverage and domain bar the same nodes whatever is placed: per step,
+    # the nodes that may host it and the tally of why the others may not.
+    hosts: dict[str, list[str]] = {}
+    host_tally: dict[str, dict[str, int]] = {}
+    for step in steps:
+        allowed = hosts[step.name] = []
+        barred = host_tally[step.name] = {}
+        for node_id in candidates:
+            violated = _host_violation(chain, step, state.nodes[node_id])
+            if violated is None:
+                allowed.append(node_id)
+            else:
+                barred[violated] = barred.get(violated, 0) + 1
+
     assignment: dict[str, str] = {}
     node_pending: dict[str, ResourceVector] = {}
     link_pending: dict[tuple[str, str], int] = {}
@@ -351,18 +366,14 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
         of the first step found with no choice."""
         nonlocal first_block
         preds = [p for p in chain.predecessors(step.name) if p in assignment]
-        tally: dict[str, int] = {}
+        tally = dict(host_tally[step.name])
         ranked: list[tuple[float, str]] = []
         inbound = [sdi.path_latencies(state, assignment[p]) for p in preds]
-        for node_id in candidates:
-            violated = _host_violation(chain, step, state.nodes[node_id])
-            if violated is None:
-                added = 0.0
-                for latencies in inbound:
-                    added += latencies[node_id]
-                ranked.append((added, node_id))
-            else:
-                tally[violated] = tally.get(violated, 0) + 1
+        for node_id in hosts[step.name]:
+            added = 0.0
+            for latencies in inbound:
+                added += latencies[node_id]
+            ranked.append((added, node_id))
         ranked.sort()
         demand = step.qos.demand
         found = False
@@ -542,12 +553,8 @@ class ActionCatalog:
         return [e for e in self.entries if e.kind == kind]
 
 
-@dataclass(frozen=True)
-class ActionProposal:
-    """One Plan-step output: set `parameter` on `target` to `value`.
-    Direction is the sign of the change against the value current when the
-    proposal was issued (0 when unknown or unchanged)."""
-
+# NamedTuple forbids overriding __new__, so the check lives on a subclass.
+class _ProposalFields(NamedTuple):
     target: str
     parameter: str
     value: float
@@ -556,10 +563,23 @@ class ActionProposal:
     timestamp: int  # ms
     clamped: bool = False
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ConfigError(f"proposal for {self.target}:{self.parameter} must have a "
-                              f"finite value, got {self.value!r}")
+
+class ActionProposal(_ProposalFields):
+    """One Plan-step output: set `parameter` on `target` to `value`.
+    Direction is the sign of the change against the value current when the
+    proposal was issued (0 when unknown or unchanged). A non-finite value
+    raises ConfigError; `_replace` skips that check, so only `issued_by` and
+    `timestamp` are re-stamped with it."""
+
+    __slots__ = ()
+
+    def __new__(cls, target: str, parameter: str, value: float, direction: int,
+                issued_by: str, timestamp: int, clamped: bool = False):
+        if not math.isfinite(value):
+            raise ConfigError(f"proposal for {target}:{parameter} must have a "
+                              f"finite value, got {value!r}")
+        return tuple.__new__(cls, (target, parameter, value, direction, issued_by,
+                                   timestamp, clamped))
 
 
 def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,
@@ -646,12 +666,19 @@ def load_chain(path) -> LoopChain:
 
 
 def catalog_from_dict(doc: dict) -> ActionCatalog:
+    """The catalog a parsed catalog file holds; an entry that is not a
+    mapping or lacks a field raises ConfigError naming the entry."""
     entries = []
     for i, e in enumerate(doc.get("entries", [])):
         where = f"entries[{i}]"
+        if not isinstance(e, dict):
+            raise ConfigError(f"{where} must be a mapping, got {e!r}")
+        try:
+            kind, role, parameter = str(e["kind"]), str(e["target_role"]), str(e["parameter"])
+        except KeyError as exc:
+            raise ConfigError(f"{where} {e!r}: missing {exc}") from None
         entries.append(CatalogEntry(
-            kind=str(e["kind"]), target_role=str(e["target_role"]),
-            parameter=str(e["parameter"]),
+            kind=kind, target_role=role, parameter=parameter,
             scale=number(e, where, "scale", 1.0), offset=number(e, where, "offset", 0.0),
             lo=number(e, where, "min", -math.inf), hi=number(e, where, "max", math.inf),
         ))

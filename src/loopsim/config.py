@@ -1,6 +1,7 @@
 """Reading outside input. Scenario configs, topologies, states, chains and
-catalogs all go through the YAML loader and the number and list rules here,
-so a malformed document is refused alike (ConfigError, exit 2) in any file."""
+catalogs all go through the YAML loader and the number, bool and list rules
+here, so a malformed document is refused alike (ConfigError, exit 2) in any
+file."""
 
 import sys
 
@@ -46,6 +47,16 @@ def number(doc: dict, where: str, key: str, default=None, kind=float):
     if kind is int and value != int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return kind(value)
+
+
+def boolean(doc: dict, where: str, key: str, default: bool) -> bool:
+    """doc[key], or default when key is absent; anything but a YAML bool
+    (a quoted "false" or "no" too) raises ConfigError naming where.key."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def list_of(doc: dict, where: str, key: str, kind: type) -> list:

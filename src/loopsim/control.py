@@ -47,6 +47,11 @@ class InstanceState(Enum):
     TERMINATED = "terminated"
 
 
+# Looking a member up on an Enum class goes through EnumType.__getattr__'s
+# slow attribute path, so the per-tick checks compare against this.
+_RUNNING = InstanceState.RUNNING
+
+
 class FcapsCounters(NamedTuple):
     """Element-management counters, read from an instance's trace events:
     fault (`fault`: step failures), config (`lifecycle`: lifecycle
@@ -76,6 +81,11 @@ class LoopInstance:
     first_event: int
     services: dict = field(default_factory=dict)
     knowledge: list = field(default_factory=list)
+    # One context per scheduled step, bound to the ticking orchestrator on
+    # the instance's first tick there (see Orchestrator.tick); a copy made
+    # with replace() starts unbound.
+    contexts: tuple[StepContext, ...] = field(default=(), init=False, repr=False,
+                                              compare=False)
 
     @cached_property
     def tier_label(self) -> str:
@@ -378,7 +388,11 @@ def _schedule(chain: LoopChain, order: list[str] | None,
 @dataclass(slots=True)
 class StepContext:
     """What a step function sees: the shared clock, read access to the live
-    state, its own instance, predecessor outputs and bound services."""
+    state, its own instance, predecessor outputs and bound services.
+
+    A context belongs to one step of one loop in one orchestrator and is
+    refreshed every tick: t_ms is reset and inputs is a fresh dict. A step
+    must not keep its context past the call, nor mutate ctx.inputs."""
 
     t_ms: int
     state: Topology
@@ -400,6 +414,10 @@ class FunctionRegistry:
             return self._functions[name]
         except KeyError:
             raise ConfigError(f"no registered step function {name!r}") from None
+
+
+# A tick's summary text for the counts most ticks have, made once.
+_FEW_PROPOSALS = ("0 proposal(s)", "1 proposal(s)")
 
 
 def _tick_order(instance: LoopInstance) -> tuple[int, str]:
@@ -503,7 +521,7 @@ class Orchestrator:
         """Multiply the Analyze/Execute reservations by factor, re-embedding
         the chain when the current nodes cannot hold the new demand."""
         instance = self._get(instance_id)
-        if instance.state != InstanceState.RUNNING:
+        if instance.state is not _RUNNING:
             raise LifecycleError(
                 f"instance {instance_id!r} must be Running to scale, is {instance.state.value}")
         if factor <= 0:
@@ -554,19 +572,22 @@ class Orchestrator:
         the tick with its proposal count. A step fault aborts the tick,
         traces the exception type and message, and yields no proposals."""
         instance = self._get(instance_id)
-        if instance.state != InstanceState.RUNNING:
+        if instance.state is not _RUNNING:
             raise LifecycleError(
                 f"instance {instance_id!r} must be Running to tick, is {instance.state.value}")
         if t_ms % instance.tick_period_ms != 0:
             raise TickAlignmentError(
                 f"t={t_ms}ms is not aligned to the {instance.tick_period_ms}ms tick period")
         chain = instance.chain
+        if not instance.contexts:
+            instance.contexts = tuple(
+                StepContext(t_ms, self.state, instance, {}, s.step.params, instance.services)
+                for s in instance.schedule)
         outputs: dict[str, object] = {}
         proposals: list[ActionProposal] = []
-        for step, predecessors, fn, is_plan in instance.schedule:
-            ctx = StepContext(t_ms, self.state, instance,
-                              {p: outputs.get(p) for p in predecessors},
-                              step.params, instance.services)
+        for (step, predecessors, fn, is_plan), ctx in zip(instance.schedule, instance.contexts):
+            ctx.t_ms = t_ms
+            ctx.inputs = {p: outputs.get(p) for p in predecessors}
             try:
                 result = fn(ctx)
             except Exception as exc:
@@ -579,10 +600,12 @@ class Orchestrator:
             if is_plan and result:
                 for p in result:
                     if p.issued_by == "" or p.timestamp != t_ms:
-                        p = replace(p, issued_by=p.issued_by or chain.id, timestamp=t_ms)
+                        p = p._replace(issued_by=p.issued_by or chain.id, timestamp=t_ms)
                     proposals.append(p)
-        self.trace.events.append(TraceEvent(t_ms, instance.tier_label, chain.id, "tick",
-                                            f"{len(proposals)} proposal(s)", "ok"))
+        n = len(proposals)
+        self.trace.events.append(TraceEvent(
+            t_ms, instance.tier_label, chain.id, "tick",
+            _FEW_PROPOSALS[n] if n < len(_FEW_PROPOSALS) else f"{n} proposal(s)", "ok"))
         return proposals
 
     # -- conflict pipeline ---------------------------------------------------
@@ -637,7 +660,7 @@ class Orchestrator:
         # The horizon is counted in ticks of the fastest involved chain.
         involved = {p.issued_by for p in proposals}
         fastest = min((i.tick_period_ms for i in self.instances.values()
-                       if i.state == InstanceState.RUNNING and i.chain.id in involved),
+                       if i.state is _RUNNING and i.chain.id in involved),
                       default=1000)
         replica = self._clone_for_sandbox()
         replica._apply(proposals, self.clock_ms)
@@ -659,7 +682,9 @@ class Orchestrator:
         # The replica only ticks, arbitrates and applies knobs: it never
         # updates, scales or terminates an instance, steps only read their
         # services and nothing reads its counts (each first_event indexes the
-        # live trace), so chain, embedding and services are shared.
+        # live trace), so chain, embedding and services are shared. The
+        # copies start with unbound contexts and bind their own on their
+        # first tick, to the replica's state.
         replica.instances = {iid: replace(i, knowledge=list(i.knowledge))
                              for iid, i in self.instances.items()}
         return replica
@@ -676,7 +701,7 @@ class Orchestrator:
             raise ConfigError("duration must be > 0")
         slots: dict[int, list[LoopInstance]] = {}
         for instance in self.instances.values():
-            if instance.state != InstanceState.RUNNING:
+            if instance.state is not _RUNNING:
                 continue
             period = instance.tick_period_ms
             first = ((start_ms + period - 1) // period) * period
@@ -685,7 +710,7 @@ class Orchestrator:
         for t in sorted(slots):
             pool: list[ActionProposal] = []
             for instance in slots[t]:
-                if instance.state != InstanceState.RUNNING:
+                if instance.state is not _RUNNING:
                     continue
                 pool.extend(self.tick(instance.id, t))
             self.clock_ms = t

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_yaml, number
+from .config import boolean, load_yaml, number
 from .errors import ConfigError
 from . import engines, metrics, sdi
 from .chain import (ActionCatalog, CatalogEntry, LoopChain, LoopStep, QosRequirements,
@@ -76,6 +76,9 @@ def load_scenario_config(path) -> ScenarioConfig:
         train=dict(doc.get("train", {}) or {}),
         params=dict(doc.get("params", {}) or {}),
     )
+    # The switches are checked here too, so that validate refuses what run would.
+    boolean(cfg.train, "train", "shuffle", True)
+    boolean(cfg.params, "params", "single_chain", False)
     # Resolve a referenced chain file relative to the config file.
     if "chain_file" in cfg.params:
         cfg.params["chain_file"] = str((path.parent / cfg.params["chain_file"]).resolve())
@@ -130,7 +133,7 @@ def _train_config(cfg: ScenarioConfig, seed: int, **defaults) -> engines.TrainCo
         batch_size=number(doc, "train", "batch_size", 32, int),
         seed=seed,
         optimizer=str(doc.get("optimizer", "adam")),
-        shuffle=bool(doc.get("shuffle", True)),
+        shuffle=boolean(doc, "train", "shuffle", True),
     )
 
 
@@ -516,7 +519,7 @@ def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
         raise ConfigError(f"initial knob value does not fit on {node}: {exc}") from None
     ticks = _param(cfg, "ticks", 100, int)
     period = _param(cfg, "tick_period_ms", 1000, int)
-    single = bool(cfg.params.get("single_chain", False))
+    single = boolean(cfg.params, "params", "single_chain", False)
 
     orch = Orchestrator(state, arbitration=arbitration, sandbox=arbitration)
     orch.instantiate(_setpoint_chain("cpu-booster", 1, region, node, parameter,
@@ -566,7 +569,7 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
         "fcaps_arbitrated": _artifact(out, "fcaps_arbitrated.csv", on.export_fcaps_csv),
     }
 
-    single = bool(cfg.params.get("single_chain", False))
+    single = boolean(cfg.params, "params", "single_chain", False)
     run_metrics = {
         "reversals_unarbitrated": reversals_off,
         "reversals_after_first_decision": reversals_after,

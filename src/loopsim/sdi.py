@@ -17,6 +17,7 @@ keeps path computation uniform.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -336,8 +337,11 @@ def build_topology(spec) -> Topology:
 
 
 def _entry(kind: str, entry, parse):
-    """parse(entry), where a missing or malformed field of a topology entry
-    (or a knob its node cannot take) raises a TopologyError naming the entry."""
+    """parse(entry), where a missing or malformed field of a topology or
+    state entry (or a knob its node cannot take) raises a TopologyError
+    naming the entry."""
+    if not isinstance(entry, dict):
+        raise TopologyError(f"{kind} entry {entry!r} must be a mapping")
     try:
         return parse(entry)
     except KeyError as exc:
@@ -427,7 +431,10 @@ _KNOB_BACKING = {
 }
 
 
+@functools.cache
 def knob_backing_component(parameter: str) -> str | None:
+    """The component backing a knob parameter, or None; a run names few
+    parameters, so each is looked up once."""
     for suffix, component in _KNOB_BACKING.items():
         if parameter.endswith(suffix):
             return component
@@ -455,10 +462,11 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> flo
         amount = int(math.ceil(value))
         held = int(math.ceil(previous))
         if amount != held:
-            fields = dict(state._used.get(node_id, ZERO).__dict__)
-            free = getattr(node.capacity, component) - fields[component] + held
+            used = state._used.get(node_id, ZERO)
+            free = getattr(node.capacity, component) - getattr(used, component) + held
             if amount > free:
                 raise _insufficient(node_id, component, amount, free)
+            fields = dict(used.__dict__)
             fields[component] += amount - held
             state._used[node_id] = _vector(**fields)
     state.knobs[key] = float(value)
@@ -648,22 +656,23 @@ def deserialize_state(text: str) -> Topology:
     """Inverse of serialize_state: rebuilds the topology, books the
     allocation table verbatim (original ids and owners) and sets the knobs,
     which reserves their backings again. A state that oversubscribes a node
-    or link raises TopologyError; a link has no cpu and a node no bandwidth."""
+    or link raises TopologyError; a link has no cpu and a node no bandwidth.
+    A malformed allocation or knob entry raises TopologyError naming it."""
     doc = load_yaml("state document", text)
     topo = build_topology({k: doc.get(k) for k in ("nodes", "switches", "links")})
     highest = 0
     for entry in doc.get("allocations", []) or []:
-        resources = ResourceVector(**{c: number(entry, "allocation", c, 0, int)
-                                      for c in RESOURCE_COMPONENTS})
-        name = str(entry["target"])
-        alloc_id = str(entry["id"])
+        alloc_id, owner, name, resources = _entry("allocation", entry, lambda e: (
+            str(e["id"]), str(e["owner"]), str(e["target"]),
+            ResourceVector(**{c: number(e, "allocation", c, 0, int)
+                              for c in RESOURCE_COMPONENTS})))
         if alloc_id in topo.allocations:
             raise TopologyError(f"duplicate allocation id {alloc_id!r}")
         target = name if name in topo.nodes else tuple(sorted(name.partition("--")[::2]))
         if target not in topo.links and target not in topo.nodes:
             raise TopologyError(f"allocation {alloc_id} targets unknown {name!r}")
         try:
-            _book(topo, str(entry["owner"]), resources, target, alloc_id)
+            _book(topo, owner, resources, target, alloc_id)
         except CapacityError as exc:
             raise TopologyError(f"allocation {alloc_id} oversubscribes "
                                 f"{target_label(target)}: {exc}") from None
@@ -672,13 +681,14 @@ def deserialize_state(text: str) -> Topology:
             highest = max(highest, int(suffix))
     topo._next_alloc = highest + 1
     for entry in doc.get("knobs", []) or []:
-        node = str(entry["node"])
+        node, parameter, value = _entry("knob", entry, lambda e: (
+            str(e["node"]), str(e["parameter"]), number(e, "knob", "value")))
         if node not in topo.nodes:
             raise TopologyError(f"knob targets unknown node {node!r}")
         try:
-            set_knob(topo, node, str(entry["parameter"]), number(entry, "knob", "value"))
+            set_knob(topo, node, parameter, value)
         except CapacityError:
-            raise TopologyError(f"knob {entry['parameter']} oversubscribes node {node}") from None
+            raise TopologyError(f"knob {parameter} oversubscribes node {node}") from None
     return topo
 
 

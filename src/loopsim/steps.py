@@ -4,6 +4,8 @@ Each function takes a StepContext and returns its step output: monitor
 functions read the world, analyze functions run a learner, plan functions
 emit ActionProposal lists, knowledge stores the tick record. Scenario
 services (models, feeds, catalogs) are bound per instance at instantiation.
+A context is reused from tick to tick, so a function reads it during its
+call only and does not mutate ctx.inputs.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ def plan_knob_setpoint(ctx):
 
 
 def knowledge_store(ctx):
-    """Append this tick's inputs to the instance knowledge store."""
-    record = {"t_ms": ctx.t_ms, "inputs": dict(ctx.inputs)}
+    """Append this tick's inputs to the instance knowledge store. The tick
+    hands each step a fresh inputs dict, so the record keeps it uncopied."""
+    record = {"t_ms": ctx.t_ms, "inputs": ctx.inputs}
     ctx.instance.knowledge.append(record)
     return record
 

@@ -618,6 +618,17 @@ def test_catalog_file_loading(tmp_path):
     assert catalog.lookup("nothing") == []
 
 
+@pytest.mark.parametrize("entries, named", [
+    ([5], "entries[0] must be a mapping, got 5"),
+    ([{"kind": "k"}], "entries[0] {'kind': 'k'}: missing 'target_role'"),
+], ids=["not-a-mapping", "missing-field"])
+def test_catalog_refuses_a_malformed_entry_naming_it(entries, named):
+    from loopsim.chain import catalog_from_dict
+    with pytest.raises(ConfigError) as err:
+        catalog_from_dict({"entries": entries})
+    assert str(err.value) == named
+
+
 def test_chain_from_dict_roundtrip():
     chain = chain_from_dict({
         "id": "demo",

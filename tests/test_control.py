@@ -244,6 +244,70 @@ def test_direct_tick_is_traced_and_counted():
     assert orch.query("down").fcaps == (1, 1, 1, 0)
 
 
+def test_a_step_sees_the_state_of_the_orchestrator_that_ticks_it():
+    """Live ticks read the live state and dry-run ticks the replica's, also
+    after the live contexts have been bound by an earlier tick."""
+    orch = make_orchestrator()
+    seen = []
+    orch.registry.register("monitor.record_state", lambda ctx: seen.append(ctx.state))
+    chain = setpoint_chain("up", 1, 3000.0)
+    chain.steps[0] = LoopStep("watch", StepKind.MONITOR, "monitor.record_state",
+                              QosRequirements(cpu=50))
+    orch.instantiate(chain)
+    replicas = []
+    clone = orch._clone_for_sandbox
+    orch._clone_for_sandbox = lambda: replicas.append(clone()) or replicas[-1]
+    orch.run(duration_ms=2000)
+    # t=0 proposes 3000 and dry-runs it; by t=1000 it has been applied.
+    [replica] = replicas
+    assert len(seen) == 2 + SANDBOX_HORIZON_TICKS
+    assert seen[0] is orch.state and seen[-1] is orch.state
+    assert all(state is replica.state for state in seen[1:-1])
+
+
+def test_knowledge_records_keep_each_ticks_own_inputs():
+    orch = make_orchestrator()
+    orch.instantiate(analysis_chain())
+    for t, value in ((0, 1000.0), (1000, 2000.0)):
+        sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", value)
+        orch.tick("watcher", t)
+    first, second = orch.instances["watcher"].knowledge
+    assert first["inputs"] is not second["inputs"]
+    assert (first["t_ms"], first["inputs"]) == (0, {"think": 1000.0})
+    assert (second["t_ms"], second["inputs"]) == (1000, {"think": 2000.0})
+
+
+def test_a_reinstantiated_chain_ticks_with_fresh_contexts():
+    orch = make_orchestrator()
+    seen = []
+    orch.registry.register("analyze.record_context",
+                           lambda ctx: seen.append((ctx, ctx.instance)) or 0.0)
+    chain = analysis_chain()
+    chain.steps[1] = LoopStep("think", StepKind.ANALYZE, "analyze.record_context",
+                              QosRequirements(cpu=100))
+    old = orch.instantiate(chain)
+    orch.tick("watcher", 0)
+    orch.terminate("watcher")
+    new = orch.instantiate(chain)
+    orch.tick("watcher", 1000)
+    (old_ctx, old_seen), (new_ctx, new_seen) = seen
+    assert old_seen is old and new_seen is new and new_ctx is not old_ctx
+    assert [r["t_ms"] for r in old.knowledge] == [0]
+    assert [r["t_ms"] for r in new.knowledge] == [1000]
+
+
+def test_tick_restamps_a_proposal_as_a_proposal():
+    orch = make_orchestrator()
+    orch.registry.register("plan.unsigned", lambda ctx: [
+        ActionProposal("n1", "vnf.cpu.millicores", 1500.0, 1, "", 0)])
+    chain = setpoint_chain("up", 1, 3000.0)
+    chain.steps[1] = LoopStep("push", StepKind.PLAN, "plan.unsigned", QosRequirements(cpu=50))
+    orch.instantiate(chain)
+    [p] = orch.tick("up", 1000)
+    assert type(p) is ActionProposal
+    assert p == ActionProposal("n1", "vnf.cpu.millicores", 1500.0, 1, "up", 1000)
+
+
 def test_tick_under_rising_traffic_raises_cpu_knob():
     # The planted relation has a positive slope, so a rising forecast must
     # propose more millicores than the knob currently holds.
@@ -825,6 +889,11 @@ def test_non_finite_setpoints_are_step_faults():
 def test_proposal_value_must_be_finite():
     with pytest.raises(ConfigError, match="finite"):
         ActionProposal("n1", "vnf.cpu.millicores", float("inf"), 1, "up", 0)
+    with pytest.raises(ConfigError, match="finite"):
+        ActionProposal(target="n1", parameter="p", value=math.nan, direction=0,
+                       issued_by="up", timestamp=0)
+    restamped = ActionProposal("n1", "p", 1.0, 1, "", 0)._replace(timestamp=5)
+    assert type(restamped) is ActionProposal and restamped.timestamp == 5
 
 
 def test_every_lifecycle_operation_is_traced():

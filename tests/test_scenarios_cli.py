@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from loopsim.cli import main
 from loopsim.control import TraceEvent
+from loopsim.errors import ConfigError
 from loopsim.scenarios import (RunReport, ScenarioConfig, _knob_levels, load_scenario_config,
                                run_scenario)
 
@@ -422,6 +423,24 @@ def test_cli_fractional_integer_param_exits_2(tmp_path, capsys):
     assert main(["run", "--scenario", "conflict-demo", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "params.tick_period_ms must be an integer, got 1500.7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, section, key, value", [
+    (TINY_COMPRESS, "train", "shuffle", "false"),
+    (TINY_CONFLICT, "params", "single_chain", "no"),
+    (TINY_CONFLICT, "params", "single_chain", 1),
+], ids=["shuffle-quoted-false", "single-chain-quoted-no", "single-chain-one"])
+def test_cli_switch_that_is_not_a_bool_exits_2(tmp_path, capsys, doc, section, key, value):
+    # bool() used to read both quoted texts as true.
+    doc = dict(doc, **{section: dict(doc[section], **{key: value})})
+    path = write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--scenario", doc["scenario"], "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    message = f"{section}.{key} must be true or false, got {value!r}"
+    assert capsys.readouterr().err.count(message) == 2
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(make_cfg(doc, tmp_path / "api"))
 
 
 @pytest.mark.parametrize("segment, message", [

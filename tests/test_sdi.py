@@ -548,6 +548,22 @@ def test_deserialize_refuses_bandwidth_on_a_node():
         sdi.deserialize_state(text)
 
 
+@pytest.mark.parametrize("section, entry, problem", [
+    ("allocations", 5, " must be a mapping"),
+    ("allocations", {"cpu": 1, "id": "alloc-000001", "owner": "x"}, ": missing 'target'"),
+    ("knobs", 5, " must be a mapping"),
+    ("knobs", {"node": "a", "value": 1.0}, ": missing 'parameter'"),
+], ids=["allocation-not-a-mapping", "allocation-without-target", "knob-not-a-mapping",
+        "knob-without-parameter"])
+def test_deserialize_refuses_a_malformed_entry_naming_it(section, entry, problem):
+    import yaml
+    doc = yaml.safe_load(serialize_state(build_topology(small_spec())))
+    doc[section] = [entry]
+    with pytest.raises(TopologyError) as err:
+        sdi.deserialize_state(yaml.safe_dump(doc, sort_keys=False))
+    assert str(err.value) == f"{section[:-1]} entry {entry!r}{problem}"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("parameter", ["vnf.cpu.millicores", "firewall.mode"])
 def test_set_knob_refuses_non_finite_values(parameter, value):
