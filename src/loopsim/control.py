@@ -65,6 +65,15 @@ class FcapsCounters(NamedTuple):
     performance: int
 
 
+# Records each loop's knowledge store holds, newest last: past this many the
+# oldest is dropped, so a loop that runs without end keeps a fixed store and a
+# dry-run copies at most this many a loop. 64 holds every record the shipped
+# compress (60 ticks) and adaptive-vnf (9 ticks, plus a dry-run's 10) loops
+# keep, so their memory does not change; the compress runner reads its codes
+# tick by tick, so none of its outputs depends on the window.
+KNOWLEDGE_WINDOW = 64
+
+
 @dataclass
 class LoopInstance:
     id: str
@@ -80,7 +89,9 @@ class LoopInstance:
     # read from the trace from there on.
     first_event: int
     services: dict = field(default_factory=dict)
-    knowledge: list = field(default_factory=list)
+    # Records held, at most KNOWLEDGE_WINDOW, oldest first (see
+    # steps.knowledge_store).
+    knowledge: deque = field(default_factory=lambda: deque(maxlen=KNOWLEDGE_WINDOW))
     # One context per scheduled step, bound to the ticking orchestrator on
     # the instance's first tick there (see Orchestrator.tick); a copy made
     # with replace() starts unbound.
@@ -103,7 +114,7 @@ class InstanceSnapshot:
     priority: int
     assignment: dict[str, str]
     fcaps: FcapsCounters
-    knowledge_entries: int
+    knowledge_entries: int  # records held, at most KNOWLEDGE_WINDOW
     actions_rejected: int  # rejected or withheld; fcaps.performance counts applies
 
 
@@ -684,8 +695,9 @@ class Orchestrator:
         # services and nothing reads its counts (each first_event indexes the
         # live trace), so chain, embedding and services are shared. The
         # copies start with unbound contexts and bind their own on their
-        # first tick, to the replica's state.
-        replica.instances = {iid: replace(i, knowledge=list(i.knowledge))
+        # first tick, to the replica's state. A store's copy keeps its
+        # window, so a replica holds at most KNOWLEDGE_WINDOW records a loop.
+        replica.instances = {iid: replace(i, knowledge=i.knowledge.copy())
                              for iid, i in self.instances.items()}
         return replica
 

@@ -241,19 +241,22 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     # Serve the trained model inside a running loop for a short window.
     chain = _compress_chain(cfg)
     orch = Orchestrator(state)
-    orch.instantiate(chain, services={
+    instance = orch.instantiate(chain, services={
         "metric_catalog": catalog, "workload": workload,
         "compressor": net, "scaler": scaler,
     })
     loop_ticks = _param(cfg, "loop_ticks", 60, int)
-    orch.run(duration_ms=loop_ticks * (chain.tick_period_ms or 1000))
-    instance = orch.instances[chain.id]
+    # The store keeps a fixed window, so each tick's code is read as it is
+    # stored: one run call per tick gives the slots of one long call. A
+    # faulted tick stores no record and emits no code.
     codes = []
-    for rec in instance.knowledge:
-        for value in rec["inputs"].values():
-            if isinstance(value, np.ndarray):
-                codes.append(value)
-                break
+    period = instance.tick_period_ms
+    for t in range(0, loop_ticks * (chain.tick_period_ms or 1000), period):
+        orch.run(duration_ms=period, start_ms=t)
+        if instance.knowledge and instance.knowledge[-1]["t_ms"] == t:
+            arrays = [v for v in instance.knowledge[-1]["inputs"].values()
+                      if isinstance(v, np.ndarray)]
+            codes.extend(arrays[:1])
 
     recon_ds = metrics.Dataset(dataset.names, val.t, recon, split="validation")
     files = {

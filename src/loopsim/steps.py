@@ -103,8 +103,10 @@ def plan_knob_setpoint(ctx):
 
 
 def knowledge_store(ctx):
-    """Append this tick's inputs to the instance knowledge store. The tick
-    hands each step a fresh inputs dict, so the record keeps it uncopied."""
+    """Append this tick's inputs to the instance knowledge store, which
+    holds records, at most KNOWLEDGE_WINDOW, and drops the oldest past that.
+    The tick hands each step a fresh inputs dict, so the record keeps it
+    uncopied."""
     record = {"t_ms": ctx.t_ms, "inputs": ctx.inputs}
     ctx.instance.knowledge.append(record)
     return record

@@ -1,6 +1,7 @@
 """Orchestrator: lifecycle, ticking, conflicts, arbitration, sandbox, runs."""
 
 import csv
+import gc
 import math
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ from loopsim import sdi
 from loopsim.chain import (ActionCatalog, ActionProposal, AnalysisOutput, CatalogEntry,
                            ChainValidationError, InfeasibleError, LoopChain, LoopStep, QosRequirements,
                            StepKind)
-from loopsim.control import (SANDBOX_HORIZON_TICKS, ConflictKind, EventTrace, InstanceState,
-                             LifecycleError, Orchestrator, SafetyViolationError,
+from loopsim.control import (KNOWLEDGE_WINDOW, SANDBOX_HORIZON_TICKS, ConflictKind, EventTrace,
+                             InstanceState, LifecycleError, Orchestrator, SafetyViolationError,
                              TickAlignmentError, TraceEvent, arbitrate, count_reversals,
                              detect_conflicts, write_csv)
 from loopsim.engines import linfit
@@ -55,16 +56,16 @@ def analysis_chain(chain_id="watcher", period=1000):
     )
 
 
-def setpoint_chain(chain_id, priority, value, period=1000):
+def setpoint_chain(chain_id, priority, value, period=1000, node="n1"):
     return LoopChain(
         id=chain_id,
         steps=[
             LoopStep("watch", StepKind.MONITOR, "monitor.knob_value",
                      QosRequirements(cpu=50),
-                     params={"node": "n1", "parameter": "vnf.cpu.millicores"}),
+                     params={"node": node, "parameter": "vnf.cpu.millicores"}),
             LoopStep("push", StepKind.PLAN, "plan.knob_setpoint",
                      QosRequirements(cpu=50),
-                     params={"node": "n1", "parameter": "vnf.cpu.millicores",
+                     params={"node": node, "parameter": "vnf.cpu.millicores",
                              "value": value}),
             LoopStep("record", StepKind.KNOWLEDGE, "knowledge.store",
                      QosRequirements(storage=64)),
@@ -277,6 +278,61 @@ def test_knowledge_records_keep_each_ticks_own_inputs():
     assert (second["t_ms"], second["inputs"]) == (1000, {"think": 2000.0})
 
 
+def tracked_objects() -> int:
+    """GC-tracked objects once full collections untrack no more: a pass
+    untracks a tuple or dict only if it already found its items untracked,
+    so nested ones take a few passes."""
+    last = -1
+    while True:
+        gc.collect()
+        if (count := len(gc.get_objects())) == last:
+            return count
+        last = count
+
+
+def test_knowledge_store_stays_bounded_over_a_long_run():
+    """Two opposing set-point pairs, un-arbitrated: past the window, 4,500
+    more slots add only the trace's own objects, one per new event plus the
+    proposal an action event carries, and each store holds its newest
+    KNOWLEDGE_WINDOW records."""
+    orch = make_orchestrator(arbitration=False, sandbox=False)
+    for node in ("n1", "n2"):
+        orch.instantiate(setpoint_chain(f"{node}-up", 1, 3000.0, node=node))
+        orch.instantiate(setpoint_chain(f"{node}-down", 2, 1000.0, node=node))
+    orch.run(duration_ms=500_000)
+    seen = len(orch.trace.events)
+    before = tracked_objects()
+    orch.run(duration_ms=4_500_000, start_ms=500_000)
+    grown = tracked_objects() - before
+    new = orch.trace.events[seen:]
+    assert grown == len(new) + sum(e.proposal is not None for e in new)
+    newest = list(range(5_000_000 - KNOWLEDGE_WINDOW * 1000, 5_000_000, 1000))
+    for instance in orch.instances.values():
+        assert len(instance.knowledge) == KNOWLEDGE_WINDOW
+        assert [r["t_ms"] for r in instance.knowledge] == newest
+
+
+def test_a_sandbox_replica_copies_only_the_window():
+    """A replica's store keeps the window as it replays; the live store is
+    left as it was."""
+    orch = make_orchestrator()
+    orch.instantiate(analysis_chain())
+    orch.run(duration_ms=(KNOWLEDGE_WINDOW + 3) * 1000)
+    live = orch.instances["watcher"].knowledge
+    records = list(live)
+    replicas = []
+    clone = orch._clone_for_sandbox
+    orch._clone_for_sandbox = lambda: replicas.append(clone()) or replicas[-1]
+    orch.sandbox_dryrun([ActionProposal("n1", "vnf.cpu.millicores", 1500.0, 1, "watcher",
+                                        orch.clock_ms)])
+    [replica] = replicas
+    copied = replica.instances["watcher"].knowledge
+    assert copied is not live
+    assert (len(copied), copied.maxlen) == (KNOWLEDGE_WINDOW, KNOWLEDGE_WINDOW)
+    assert copied[-1]["t_ms"] > records[-1]["t_ms"]  # the replay stored its own ticks
+    assert all(a is b for a, b in zip(live, records, strict=True))
+
+
 def test_a_reinstantiated_chain_ticks_with_fresh_contexts():
     orch = make_orchestrator()
     seen = []
@@ -392,7 +448,7 @@ def test_tick_fault_counts_and_yields_nothing():
     proposals = orch.tick("watcher", 0)
     assert proposals == []
     assert orch.query("watcher").fcaps.fault == 1
-    assert orch.instances["watcher"].knowledge == []
+    assert not orch.instances["watcher"].knowledge
 
 
 def test_tick_fault_traces_exception_type():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsim.cli import main
-from loopsim.control import TraceEvent
+from loopsim.control import KNOWLEDGE_WINDOW, TraceEvent
 from loopsim.errors import ConfigError
 from loopsim.scenarios import (RunReport, ScenarioConfig, _knob_levels, load_scenario_config,
                                run_scenario)
@@ -195,6 +195,16 @@ def test_empty_out_dir_env_is_unset(tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
+def test_compress_emits_a_code_per_tick_past_the_knowledge_window(tmp_path):
+    ticks = KNOWLEDGE_WINDOW + 5
+    doc = dict(TINY_COMPRESS, train=dict(TINY_COMPRESS["train"], epochs=1),
+               params=dict(TINY_COMPRESS["params"], loop_ticks=ticks))
+    report = run_scenario(make_cfg(doc, tmp_path / "out"))
+    assert report.metrics["loop_codes_emitted"] == ticks
+    with open(tmp_path / "out" / "codes.csv", encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 1 + ticks
+
+
 CUSTOM_COMPRESS_CHAIN = {
     "id": "my-compressor",
     "priority": 4,
@@ -289,6 +299,27 @@ def test_conflict_demo_fcaps_text_is_pinned(tmp_path):
         FCAPS_HEADER + "cpu-booster,running,0,1,100,1\ncpu-saver,running,0,1,100,0\n")
     assert (tmp_path / "out" / "fcaps_unarbitrated.csv").read_text(encoding="utf-8") == (
         FCAPS_HEADER + "cpu-booster,running,0,1,100,51\ncpu-saver,running,0,1,100,50\n")
+
+
+def test_conflict_demo_trace_replays_to_the_knob(tmp_path):
+    """The trace is the record: replaying the seed-7 demo's apply rows from
+    the initial knob keeps the knob on a set-point after every apply, and
+    the arbitrated replay ends at the reported final knob."""
+    cfg = load_scenario_config(Path(__file__).resolve().parents[1] / "configs"
+                               / "conflict_demo.yaml")
+    cfg.out_dir = str(tmp_path / "out")
+    report = run_scenario(cfg)
+    setpoints = {cfg.params["setpoint_high"], cfg.params["setpoint_low"]}
+    for label in ("unarbitrated", "arbitrated"):
+        value, applies = float(cfg.params["initial"]), 0
+        with open(tmp_path / "out" / f"trace_{label}.csv", encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["event"] == "apply":
+                    value += float(row["summary"].rsplit("|", 1)[1])
+                    applies += 1
+                    assert value in setpoints
+        assert applies
+    assert value == report.metrics["arbitrated_final_knob"]
 
 
 def test_shipped_configs_load():
