@@ -4,9 +4,10 @@
     loopsim validate --config <file>
     loopsim oracle embed --topology <file> --chain <file>
 
-Exit codes: 0 success, 2 invalid configuration, 3 training divergence,
-4 a --strict threshold check missed. LOOPSIM_OUT overrides the output
-directory; everything else lives in the config file.
+Exit codes: 0 success, 2 invalid configuration (a chain that cannot be
+embedded too), 3 training divergence, 4 a --strict threshold check missed.
+LOOPSIM_OUT overrides the output directory; everything else lives in the
+config file.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _cmd_run(args) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ConfigError as exc:
+    except (ConfigError, EmbeddingError) as exc:  # a chain that cannot be placed too
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for key in sorted(report.metrics):
@@ -82,8 +83,8 @@ def _cmd_validate(args) -> int:
     try:
         cfg = load_scenario_config(args.config)
         sdi.load_topology(cfg.topology)
-        if "chain_file" in cfg.params:
-            path = cfg.params["chain_file"]
+        path = cfg.params.get("chain_file")
+        if path is not None:
             report = validate_chain(load_chain(path))
             if not report.ok:
                 raise ConfigError(f"{path}: " + "; ".join(report.errors))

@@ -15,12 +15,13 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import boolean, load_yaml, number
+from .config import known_keys, load_yaml, number, section, string
 from .errors import ConfigError
 from . import engines, metrics, sdi
 from .chain import (ActionCatalog, CatalogEntry, LoopChain, LoopStep, QosRequirements,
@@ -28,7 +29,6 @@ from .chain import (ActionCatalog, CatalogEntry, LoopChain, LoopStep, QosRequire
 from .control import Orchestrator, count_reversals, write_csv
 from .steps import TrafficFeed
 
-SCENARIOS = ("compress", "adaptive-vnf", "conflict-demo")
 OUT_DIR_ENV = "LOOPSIM_OUT"
 
 
@@ -44,7 +44,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; known: {SCENARIOS}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}; known: {list(SCENARIOS)}")
 
 
 @dataclass
@@ -61,26 +61,60 @@ class RunReport:
         return all(self.checks.values())
 
 
+class Scenario(NamedTuple):
+    """A runner and its tables: each params key with its default, its TrainConfig
+    overrides and its default workload preset (None: it reads no such section)."""
+    run: Callable
+    params: dict
+    train: dict | None = None
+    preset: str | None = None
+
+
+class Inputs(NamedTuple):  # a config's values; a runner seeds train and workload
+    params: dict
+    train: engines.TrainConfig | None
+    workload: metrics.WorkloadProfile | None
+
+
+# TrainConfig's and WorkloadProfile's own defaults; the master seed gives their seeds.
+_TRAIN = {f.name: f.default for f in fields(engines.TrainConfig) if f.name != "seed"}
+_WORKLOAD = {"preset": None, **{f.name: f.default for f in fields(metrics.WorkloadProfile)
+                                if f.name != "seed"}}
+
+
+def check_inputs(cfg: ScenarioConfig, known_only: bool = False) -> Inputs:
+    """cfg read by its scenario's tables; builds the TrainConfig and workload
+    profile so their checks run too. known_only (a loaded file) refuses keys
+    outside the tables; run_scenario ignores them, so code may set others."""
+    scenario = SCENARIOS[cfg.scenario]
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    table = {} if scenario.train is None else {**_TRAIN, **scenario.train}
+    train = section(cfg.train, "train", table, known_only)
+    w = section(cfg.workload, "workload", {} if scenario.preset is None else _WORKLOAD, known_only)
+    return Inputs(section(cfg.params, "params", scenario.params, known_only),
+                  engines.TrainConfig(**train) if table else None,
+                  _workload_profile(cfg.workload, w, scenario.preset) if w else None)
+
+
 def load_scenario_config(path) -> ScenarioConfig:
     path = Path(path)
     doc = load_yaml(path)
     for key in ("seed", "scenario"):
         if key not in doc:
             raise ConfigError(f"{path}: {key} is mandatory")
+    known_keys(doc, "", [f.name for f in fields(ScenarioConfig)])
     cfg = ScenarioConfig(
-        scenario=str(doc["scenario"]),
+        scenario=string(doc, "", "scenario"),
         seed=number(doc, "", "seed", kind=int),
-        topology=str(doc.get("topology", "testbed")),
-        out_dir=str(doc.get("out_dir", "out")),
-        workload=dict(doc.get("workload", {}) or {}),
-        train=dict(doc.get("train", {}) or {}),
-        params=dict(doc.get("params", {}) or {}),
+        topology=string(doc, "", "topology", "testbed"),
+        out_dir=string(doc, "", "out_dir", "out"),
+        **{key: {} if doc.get(key) is None else doc[key]
+           for key in ("workload", "train", "params")},
     )
-    # The switches are checked here too, so that validate refuses what run would.
-    boolean(cfg.train, "train", "shuffle", True)
-    boolean(cfg.params, "params", "single_chain", False)
+    check_inputs(cfg, known_only=True)
     # Resolve a referenced chain file relative to the config file.
-    if "chain_file" in cfg.params:
+    if cfg.params.get("chain_file") is not None:
         cfg.params["chain_file"] = str((path.parent / cfg.params["chain_file"]).resolve())
     if cfg.topology not in sdi.TOPOLOGY_PRESETS:
         topo_path = (path.parent / cfg.topology).resolve()
@@ -98,43 +132,20 @@ def _seeds(master: int, n: int = 6) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _workload_profile(cfg: ScenarioConfig, default_preset: str, seed: int) -> metrics.WorkloadProfile:
-    doc = cfg.workload
-    if not doc or "preset" in doc:
-        return metrics.preset_workload(doc.get("preset", default_preset) if doc else default_preset,
-                                       seed)
+def _workload_profile(doc: dict, w: dict, default_preset: str) -> metrics.WorkloadProfile:
+    """The profile that workload doc, read as w, names or spells out."""
+    preset = w.pop("preset")
+    if "preset" in doc or not doc:
+        return metrics.preset_workload(default_preset if preset is None else preset, 0)
     segments = []
-    for i, s in enumerate(doc.get("segments", ())):
+    for i, s in enumerate(w.pop("segments")):
         where = f"workload.segments[{i}]"
         if not isinstance(s, dict):
             raise ConfigError(f"{where} must be a mapping, got {s!r}")
         segments.append(metrics.WorkloadSegment(
             number(s, where, "start"), number(s, where, "end"),
-            str(s.get("shape")), number(s, where, "amplitude")))
-    return metrics.WorkloadProfile(
-        name=str(doc.get("name", "custom")),
-        duration=number(doc, "workload", "duration", 1800.0),
-        base_rate=number(doc, "workload", "base_rate", 0.0),
-        segments=tuple(segments),
-        noise=number(doc, "workload", "noise", 0.0),
-        seed=seed,
-    )
-
-
-def _param(cfg: ScenarioConfig, key: str, default, kind=float):
-    return number(cfg.params, "params", key, default, kind)
-
-
-def _train_config(cfg: ScenarioConfig, seed: int, **defaults) -> engines.TrainConfig:
-    doc = {**defaults, **cfg.train}
-    return engines.TrainConfig(
-        learning_rate=number(doc, "train", "learning_rate", 1e-3),
-        epochs=number(doc, "train", "epochs", 100, int),
-        batch_size=number(doc, "train", "batch_size", 32, int),
-        seed=seed,
-        optimizer=str(doc.get("optimizer", "adam")),
-        shuffle=boolean(doc, "train", "shuffle", True),
-    )
+            string(s, where, "shape"), number(s, where, "amplitude")))
+    return metrics.WorkloadProfile(**w, segments=tuple(segments))
 
 
 def _artifact(out: Path, name: str, write, *args) -> dict:
@@ -180,10 +191,10 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 # Scenario 1: telemetry compression
 # ---------------------------------------------------------------------------
 
-def _compress_chain(cfg: ScenarioConfig) -> LoopChain:
-    if "chain_file" in cfg.params:
-        return load_chain(cfg.params["chain_file"])
-    region = str(cfg.params.get("region", "waterloo"))
+def _compress_chain(p: dict) -> LoopChain:
+    if p["chain_file"] is not None:
+        return load_chain(p["chain_file"])
+    region = p["region"]
     return LoopChain(
         id="telemetry-compressor",
         steps=[
@@ -205,22 +216,21 @@ def _compress_chain(cfg: ScenarioConfig) -> LoopChain:
     )
 
 
-def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
+def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, dict, dict]:
     """Scrape a correlated dataset from the modeled testbed, train the
     compressor, measure reconstruction fidelity on the validation split, then
     serve the model inside a monitor->compress->archive loop."""
     seed_wl, seed_cat, seed_model, seed_train, _, _ = _seeds(cfg.seed)
+    p, train_cfg = inputs.params, replace(inputs.train, seed=seed_train)
     state = sdi.load_topology(cfg.topology)
     catalog = metrics.build_metric_catalog(state, seed_cat)
-    profile = _workload_profile(cfg, "bursty30min", seed_wl)
-    workload = metrics.generate_workload(profile)
+    workload = metrics.generate_workload(replace(inputs.workload, seed=seed_wl))
     dataset = metrics.scrape_series(state, workload, catalog)
 
-    train, val = metrics.split_chronological(dataset, _param(cfg, "train_frac", 0.8))
+    train, val = metrics.split_chronological(dataset, p["train_frac"])
     train01, scaler = metrics.normalize_minmax(train)
     val01_values = scaler.transform(val.values)
 
-    train_cfg = _train_config(cfg, seed_train, epochs=150)
     # Keep the canonical width ratios (90/111, 85/111, 75/111) around the
     # dataset's width; at the testbed's 111 they give COMPRESSOR_WIDTHS.
     w = dataset.width
@@ -230,8 +240,8 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 
     recon01 = engines.ae_forward(net, val01_values)
     recon = scaler.inverse(recon01)
-    threshold = _param(cfg, "error_threshold", 0.1)
-    cpu_metric = str(cfg.params.get("cpu_metric", "node.cpu@waterloo-vm6"))
+    threshold = p["error_threshold"]
+    cpu_metric = p["cpu_metric"]
     dist = engines.relative_error_distribution(val.column(cpu_metric),
                                                recon[:, dataset.names.index(cpu_metric)],
                                                threshold)
@@ -239,19 +249,18 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     ratio = net.code_width / net.input_width
 
     # Serve the trained model inside a running loop for a short window.
-    chain = _compress_chain(cfg)
+    chain = _compress_chain(p)
     orch = Orchestrator(state)
     instance = orch.instantiate(chain, services={
         "metric_catalog": catalog, "workload": workload,
         "compressor": net, "scaler": scaler,
     })
-    loop_ticks = _param(cfg, "loop_ticks", 60, int)
     # The store keeps a fixed window, so each tick's code is read as it is
     # stored: one run call per tick gives the slots of one long call. A
     # faulted tick stores no record and emits no code.
     codes = []
     period = instance.tick_period_ms
-    for t in range(0, loop_ticks * (chain.tick_period_ms or 1000), period):
+    for t in range(0, p["loop_ticks"] * period, period):
         orch.run(duration_ms=period, start_ms=t)
         if instance.knowledge and instance.knowledge[-1]["t_ms"] == t:
             arrays = [v for v in instance.knowledge[-1]["inputs"].values()
@@ -276,7 +285,6 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     }
     engines.save_model(net, out / "compressor.json", train_cfg)
 
-    fraction_target = _param(cfg, "min_fraction_below", 0.80)
     run_metrics = {
         "fraction_eta_below_threshold": dist.fraction_below,
         "eta_threshold": threshold,
@@ -291,7 +299,7 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
         "cpu_metric": cpu_metric,
     }
     checks = {
-        "fraction_below_threshold": dist.fraction_below >= fraction_target,
+        "fraction_below_threshold": dist.fraction_below >= p["min_fraction_below"],
         "compression_ratio_exact": ratio == net.code_width / net.input_width,
     }
     return run_metrics, checks, files
@@ -301,16 +309,16 @@ def run_compress(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 # Scenario 2: traffic-predictive VNF sizing
 # ---------------------------------------------------------------------------
 
-def _adaptive_chain(cfg: ScenarioConfig, region: str, firewall: str, window: int) -> LoopChain:
-    if "chain_file" in cfg.params:
-        return load_chain(cfg.params["chain_file"])
+def _adaptive_chain(p: dict, firewall: str) -> LoopChain:
+    if p["chain_file"] is not None:
+        return load_chain(p["chain_file"])
     return LoopChain(
         id="vnf-autoscaler",
         steps=[
             LoopStep("watch-traffic", StepKind.MONITOR, "monitor.traffic_window",
                      QosRequirements(max_latency_ms=50.0, min_bandwidth=10, cpu=200,
-                                     storage=512, coverage=frozenset({region})),
-                     params={"window": window}),
+                                     storage=512, coverage=frozenset({p["region"]})),
+                     params={"window": p["window"]}),
             LoopStep("forecast", StepKind.ANALYZE, "analyze.forecast_traffic",
                      QosRequirements(max_latency_ms=50.0, min_bandwidth=10, cpu=500,
                                      storage=256),
@@ -326,7 +334,7 @@ def _adaptive_chain(cfg: ScenarioConfig, region: str, firewall: str, window: int
         ],
         edges=[("watch-traffic", "forecast"), ("forecast", "plan-cpu"),
                ("plan-cpu", "resize"), ("forecast", "memory"), ("plan-cpu", "memory")],
-        source_domain=frozenset({region}),
+        source_domain=frozenset({p["region"]}),
         destination_domain=frozenset({firewall}),
         priority=3,
         tick_period_ms=600_000,  # resize every 10 simulated minutes
@@ -341,33 +349,28 @@ def _knob_levels(applies, minutes: int) -> np.ndarray:
                                   side="right")]
 
 
-def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
+def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, dict, dict]:
     """Three phases: fit the planted traffic->CPU law, train the traffic
     forecaster, then run the loop that resizes the firewall's CPU knob ten
     minutes ahead of predicted traffic."""
-    seed_wl, _, seed_model, seed_train, seed_noise, _ = _seeds(cfg.seed)
+    seed_wl, _, _, seed_train, seed_noise, _ = _seeds(cfg.seed)
+    p, train_cfg = inputs.params, replace(inputs.train, seed=seed_train)
     state = sdi.load_topology(cfg.topology)
-    region = str(cfg.params.get("region", "waterloo"))
-    firewall = str(cfg.params.get("firewall_node", f"{region}-vm4"))
+    firewall = p["firewall_node"] or f"{p['region']}-vm4"
     if firewall not in state.nodes:
         raise ConfigError(f"firewall node {firewall!r} not in topology")
 
-    profile = _workload_profile(cfg, "periodic6h", seed_wl)
-    workload = metrics.generate_workload(profile)
+    workload = metrics.generate_workload(replace(inputs.workload, seed=seed_wl))
     per_min = metrics.resample_mean(workload, 60.0)
     series = per_min.values
-    window = _param(cfg, "window", 30, int)
-    horizon = _param(cfg, "horizon", 10, int)
-    train_frac = _param(cfg, "train_frac", 0.75)
-    cut = int(round(len(series) * train_frac))
+    window, horizon = p["window"], p["horizon"]
+    cut = int(round(len(series) * p["train_frac"]))
     if cut <= window + horizon or len(series) - cut < window + horizon:
         raise ConfigError("traffic series too short for the window/horizon/split")
 
     # Phase 1: planted linear CPU law in normalized space, observed with noise.
-    slope_true = _param(cfg, "planted_slope", 0.7)
-    intercept_true = _param(cfg, "planted_intercept", 0.1)
-    sigma = _param(cfg, "planted_noise", 1e-3)
-    cpu_scale = _param(cfg, "cpu_scale", 4000.0)
+    slope_true, intercept_true = p["planted_slope"], p["planted_intercept"]
+    sigma, cpu_scale = p["planted_noise"], p["cpu_scale"]
     lo, hi = float(series[:cut].min()), float(series[:cut].max())
     span = (hi - lo) or 1.0
     x01 = (series - lo) / span
@@ -377,9 +380,8 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
     slope_rel_err = abs(fit.slope - slope_true) / abs(slope_true)
 
     # Phase 2: traffic forecaster vs last-value persistence on held-out windows.
-    train_cfg = _train_config(cfg, seed_train, epochs=300, learning_rate=5e-3)
     predictor = engines.rnn_train(series[:cut], window, horizon, train_cfg,
-                                  hidden_size=_param(cfg, "hidden_size", 16, int))
+                                  hidden_size=p["hidden_size"])
     x_all, y_all = engines.make_windows(series, window, horizon)
     test_idx = [i for i in range(len(x_all)) if i + window >= cut]
     pred_sse = 0.0
@@ -399,9 +401,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
 
     # Phase 3: the closed loop. The catalog folds the fitted law, the input
     # normalization and a headroom factor into one affine map Mb/s -> mc.
-    headroom = _param(cfg, "headroom", 1.05)
-    knob_lo = _param(cfg, "knob_min", 200.0)
-    knob_hi = _param(cfg, "knob_max", 6000.0)
+    headroom, knob_lo, knob_hi = p["headroom"], p["knob_min"], p["knob_max"]
     scale = headroom * cpu_scale * fit.slope / span
     offset = headroom * cpu_scale * (fit.intercept - fit.slope * lo / span)
     catalog = ActionCatalog(entries=(CatalogEntry(
@@ -409,7 +409,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
         parameter="vnf.cpu.millicores", scale=scale, offset=offset,
         lo=knob_lo, hi=knob_hi),))
 
-    chain = _adaptive_chain(cfg, region, firewall, window)
+    chain = _adaptive_chain(p, firewall)
     feed = TrafficFeed(series, offset=cut)
     orch = Orchestrator(state)
     orch.instantiate(chain, services={
@@ -507,41 +507,36 @@ def _setpoint_chain(chain_id: str, priority: int, region: str, node: str,
     )
 
 
-def _conflict_run(cfg: ScenarioConfig, arbitration: bool):
-    """One pass of the demo; returns the orchestrator and the contested knob."""
-    state = sdi.load_topology(cfg.topology)
-    region = str(cfg.params.get("region", "waterloo"))
-    node = str(cfg.params.get("node", f"{region}-vm4"))
-    parameter = str(cfg.params.get("parameter", "vnf.cpu.millicores"))
-    initial = _param(cfg, "initial", 2000.0)
+def _conflict_run(topology: str, p: dict, node: str, arbitration: bool) -> Orchestrator:
+    """One pass of the demo on node's knob p["parameter"]."""
+    state = sdi.load_topology(topology)
+    region, parameter, period = p["region"], p["parameter"], p["tick_period_ms"]
     if node not in state.nodes:
         raise ConfigError(f"conflict-demo node {node!r} not in topology")
     try:
-        sdi.set_knob(state, node, parameter, initial)
+        sdi.set_knob(state, node, parameter, p["initial"])
     except sdi.CapacityError as exc:
         raise ConfigError(f"initial knob value does not fit on {node}: {exc}") from None
-    ticks = _param(cfg, "ticks", 100, int)
-    period = _param(cfg, "tick_period_ms", 1000, int)
-    single = boolean(cfg.params, "params", "single_chain", False)
 
     orch = Orchestrator(state, arbitration=arbitration, sandbox=arbitration)
     orch.instantiate(_setpoint_chain("cpu-booster", 1, region, node, parameter,
-                                     _param(cfg, "setpoint_high", 3000.0), period))
-    if not single:
+                                     p["setpoint_high"], period))
+    if not p["single_chain"]:
         orch.instantiate(_setpoint_chain("cpu-saver", 2, region, node, parameter,
-                                         _param(cfg, "setpoint_low", 1000.0), period))
-    orch.run(duration_ms=ticks * period)
-    return orch, (node, parameter)
+                                         p["setpoint_low"], period))
+    orch.run(duration_ms=p["ticks"] * period)
+    return orch
 
 
-def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]:
+def run_conflict_demo(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, dict, dict]:
     """Two chains push opposing set-points onto one knob. Pass one runs with
     arbitration and the dry-run gate off (the knob thrashes); pass two turns
     both on: the priority-1 chain wins the conflict, its set-point passes the
     dry-run and lands, and it holds the knob, so the other chain's later
     proposals are rejected as held."""
-    off, _ = _conflict_run(cfg, arbitration=False)
-    on, knob = _conflict_run(cfg, arbitration=True)
+    p = inputs.params
+    node = p["node"] or f"{p['region']}-vm4"
+    off, on = (_conflict_run(cfg.topology, p, node, arbitration) for arbitration in (False, True))
 
     reversals_off = sum(count_reversals(changes)
                         for changes in off.trace.applied_knob_deltas().values())
@@ -560,8 +555,8 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
     # The knob moves only by applies, so it sits at the high set-point from
     # the first apply on when every apply sets it there.
     applies = [e for e in on.trace.events if e.kind == "apply"]
-    final_knob = sdi.get_knob(on.state, *knob)
-    high = _param(cfg, "setpoint_high", 3000.0)
+    final_knob = sdi.get_knob(on.state, node, p["parameter"])
+    high = p["setpoint_high"]
     winner_holds = (bool(applies) and final_knob == high
                     and all(e.proposal.value == high for e in applies))
 
@@ -572,7 +567,6 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
         "fcaps_arbitrated": _artifact(out, "fcaps_arbitrated.csv", on.export_fcaps_csv),
     }
 
-    single = boolean(cfg.params, "params", "single_chain", False)
     run_metrics = {
         "reversals_unarbitrated": reversals_off,
         "reversals_after_first_decision": reversals_after,
@@ -583,11 +577,11 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
         "arbitrated_applies": len(applies),
         "arbitrated_final_knob": final_knob,
         "first_decision_ms": -1 if first_decision_ms is None else first_decision_ms,
-        "single_chain": single,
+        "single_chain": p["single_chain"],
     }
     checks = (
         {"no_conflicts_single_chain": conflicts_off == 0 and conflicts_on == 0}
-        if single else
+        if p["single_chain"] else
         {
             "unarbitrated_thrashes": reversals_off >= 10,
             "arbitrated_settles": reversals_after == 0,
@@ -598,10 +592,19 @@ def run_conflict_demo(cfg: ScenarioConfig, out: Path) -> tuple[dict, dict, dict]
     return run_metrics, checks, files
 
 
-RUNNERS = {
-    "compress": run_compress,
-    "adaptive-vnf": run_adaptive_vnf,
-    "conflict-demo": run_conflict_demo,
+SCENARIOS = {
+    "compress": Scenario(run_compress, dict(
+        region="waterloo", chain_file=None, train_frac=0.8, error_threshold=0.1,
+        cpu_metric="node.cpu@waterloo-vm6", loop_ticks=60, min_fraction_below=0.80),
+        train=dict(epochs=150), preset="bursty30min"),
+    "adaptive-vnf": Scenario(run_adaptive_vnf, dict(
+        region="waterloo", firewall_node=None, chain_file=None, window=30, horizon=10,
+        train_frac=0.75, planted_slope=0.7, planted_intercept=0.1, planted_noise=1e-3,
+        cpu_scale=4000.0, hidden_size=16, headroom=1.05, knob_min=200.0, knob_max=6000.0),
+        train=dict(epochs=300, learning_rate=5e-3), preset="periodic6h"),
+    "conflict-demo": Scenario(run_conflict_demo, dict(
+        region="waterloo", node=None, parameter="vnf.cpu.millicores", initial=2000.0, ticks=100,
+        tick_period_ms=1000, setpoint_high=3000.0, setpoint_low=1000.0, single_chain=False)),
 }
 
 
@@ -609,8 +612,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Run one scenario into its output directory: the runner writes its files
     and returns (metrics, checks, files); report.json and summary.txt follow."""
     t0 = time.perf_counter()
+    inputs = check_inputs(cfg)
     out = _out_dir(cfg)
-    run_metrics, checks, files = RUNNERS[cfg.scenario](cfg, out)
+    run_metrics, checks, files = SCENARIOS[cfg.scenario].run(cfg, inputs, out)
     report = RunReport(cfg.scenario, cfg.seed, run_metrics, checks, files,
                        wall_clock_s=time.perf_counter() - t0)
     _write_report(report, out)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsim import metrics
 from loopsim.cli import main
 from loopsim.control import KNOWLEDGE_WINDOW, TraceEvent
+from loopsim.engines import TrainConfig
 from loopsim.errors import ConfigError
-from loopsim.scenarios import (RunReport, ScenarioConfig, _knob_levels, load_scenario_config,
+from loopsim.scenarios import (_TRAIN, _WORKLOAD, SCENARIOS, RunReport, ScenarioConfig,
+                               _knob_levels, check_inputs, load_scenario_config,
                                run_scenario)
 
 TINY_COMPRESS = dict(
@@ -233,6 +237,17 @@ def test_compress_with_chain_file_override(tmp_path):
     assert "my-compressor" in trace
 
 
+def test_compress_loop_ticks_count_ticks_of_the_chains_own_period(tmp_path):
+    """A chain with no tick_period_ms ticks at its tier's default period, and
+    loop_ticks counts those ticks, not seconds."""
+    chain = {k: v for k, v in CUSTOM_COMPRESS_CHAIN.items() if k != "tick_period_ms"}
+    chain_path = tmp_path / "chain.yaml"
+    chain_path.write_text(yaml.safe_dump(chain))
+    doc = dict(TINY_COMPRESS, params=dict(TINY_COMPRESS["params"], chain_file=str(chain_path)))
+    report = run_scenario(make_cfg(doc, tmp_path / "out"))
+    assert report.metrics["loop_codes_emitted"] == 5
+
+
 def test_cli_validate_checks_referenced_chain_file(tmp_path, capsys):
     chain_path = tmp_path / "chain.yaml"
     chain_path.write_text(yaml.safe_dump(CUSTOM_COMPRESS_CHAIN))
@@ -327,6 +342,49 @@ def test_shipped_configs_load():
     for name in ("compress.yaml", "adaptive_vnf.yaml", "conflict_demo.yaml"):
         cfg = load_scenario_config(root / name)
         assert cfg.seed == 7
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                        .glob("*.yaml")), ids=lambda path: path.name)
+def test_every_shipped_config_key_is_in_its_scenarios_table(path):
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    table = SCENARIOS[doc["scenario"]]
+    assert set(doc.get("params", {})) <= set(table.params)
+    assert set(doc.get("train", {})) <= (set() if table.train is None else set(_TRAIN))
+    assert set(doc.get("workload", {})) <= (set() if table.preset is None else set(_WORKLOAD))
+
+
+# The values each runner used when a key was absent, before the tables
+# declared them; None stands for the runner's "<region>-vm4" node.
+OLD_DEFAULTS = {
+    "compress": (
+        dict(region="waterloo", chain_file=None, train_frac=0.8, error_threshold=0.1,
+             cpu_metric="node.cpu@waterloo-vm6", loop_ticks=60, min_fraction_below=0.80),
+        dict(learning_rate=1e-3, epochs=150, batch_size=32, optimizer="adam", shuffle=True),
+        "bursty30min"),
+    "adaptive-vnf": (
+        dict(region="waterloo", firewall_node=None, chain_file=None, window=30, horizon=10,
+             train_frac=0.75, planted_slope=0.7, planted_intercept=0.1, planted_noise=1e-3,
+             cpu_scale=4000.0, hidden_size=16, headroom=1.05, knob_min=200.0, knob_max=6000.0),
+        dict(learning_rate=5e-3, epochs=300, batch_size=32, optimizer="adam", shuffle=True),
+        "periodic6h"),
+    "conflict-demo": (
+        dict(region="waterloo", node=None, parameter="vnf.cpu.millicores", initial=2000.0,
+             setpoint_high=3000.0, setpoint_low=1000.0, ticks=100, tick_period_ms=1000,
+             single_chain=False),
+        None, None),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(OLD_DEFAULTS))
+def test_a_bare_config_reads_the_old_defaults(tmp_path, scenario):
+    params, train, preset = OLD_DEFAULTS[scenario]
+    inputs = check_inputs(load_scenario_config(
+        write_config(tmp_path, {"scenario": scenario, "seed": 7})))
+    assert inputs.params == params
+    assert {k: type(v) for k, v in inputs.params.items()} == {k: type(v) for k, v in params.items()}
+    assert inputs.train == (train and TrainConfig(**train))
+    assert inputs.workload == (preset and metrics.preset_workload(preset, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +505,66 @@ def test_cli_unreadable_input_file_exits_2(tmp_path, capsys, name, body):
     assert capsys.readouterr().err.count(name) == 2
 
 
-def test_cli_fractional_integer_param_exits_2(tmp_path, capsys):
-    # int() used to cut this to 1500 and run.
-    doc = dict(TINY_CONFLICT, params=dict(TINY_CONFLICT["params"], tick_period_ms=1500.7))
+def with_section(doc, section, **values):
+    return dict(doc, **{section: dict(doc.get(section, {}), **values)})
+
+
+@pytest.mark.parametrize("doc, message", [
+    # int() used to cut 1500.7 to 1500 and run.
+    (with_section(TINY_CONFLICT, "params", tick_period_ms=1500.7),
+     "params.tick_period_ms must be an integer, got 1500.7"),
+    (with_section(TINY_CONFLICT, "params", ticks=1.5), "params.ticks must be an integer, got 1.5"),
+    (with_section(TINY_ADAPTIVE, "train", epochs=0), "epochs and batch_size must be >= 1"),
+    (with_section(TINY_COMPRESS, "train", optimizer="adamw"), "unknown optimizer 'adamw'"),
+    (with_section(TINY_CONFLICT, "params", tickz=3), "unknown key params.tickz; known: region,"),
+    (dict(TINY_CONFLICT, paramz={"ticks": 3}), "unknown key paramz; known: scenario,"),
+    (dict(TINY_CONFLICT, params=[1, 2]), "params must be a mapping, got [1, 2]"),
+    (dict(TINY_COMPRESS, train=5), "train must be a mapping, got 5"),
+    (dict(TINY_ADAPTIVE, workload=["a"]), "workload must be a mapping, got ['a']"),
+    (with_section(TINY_COMPRESS, "params", chain_file=5),
+     "params.chain_file must be a string, got 5"),
+    (with_section(TINY_CONFLICT, "params", region=5), "params.region must be a string, got 5"),
+    (dict(TINY_ADAPTIVE, workload={"duration": "x"}),
+     "workload.duration must be a number, got 'x'"),
+    (dict(TINY_COMPRESS, workload={"preset": "weekly"}), "unknown workload preset 'weekly'"),
+    (with_section(TINY_CONFLICT, "train", epochs=3), "unknown key train.epochs; known: none"),
+    (with_section(TINY_CONFLICT, "workload", preset="bursty30min"),
+     "unknown key workload.preset; known: none"),
+    (dict(TINY_CONFLICT, seed=-1), "seed must be >= 0, got -1"),
+], ids=["tick-period-fraction", "ticks-fraction", "epochs-zero", "optimizer-adamw",
+        "params-key-typo", "section-typo", "params-list", "train-number", "workload-list",
+        "chain-file-number", "region-number", "workload-duration-string", "unknown-preset",
+        "conflict-train-key", "conflict-workload-key", "negative-seed"])
+def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
+    """validate refuses every config that run refuses, with the same message.
+    run_scenario, handed the config in code, refuses the same values; only a
+    file's keys are checked against the tables."""
     path = write_config(tmp_path, doc)
-    assert main(["run", "--scenario", "conflict-demo", "--config", str(path),
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--scenario", doc["scenario"], "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
-    assert "params.tick_period_ms must be an integer, got 1500.7" in capsys.readouterr().err
+    assert capsys.readouterr().err.count(message) == 2
+    if not message.startswith("unknown key"):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_scenario(ScenarioConfig(**dict(doc, out_dir=str(tmp_path / "api"))))
+    assert not (tmp_path / "out").exists() and not (tmp_path / "api").exists()
+
+
+def test_run_scenario_reads_only_its_tables_keys(tmp_path):
+    """Code may set a key that its scenario does not read, as the benchmark's
+    tiny runs set loop_ticks on every scenario; the run ignores it."""
+    doc = with_section(TINY_CONFLICT, "params", loop_ticks=3)
+    report = run_scenario(make_cfg(doc, tmp_path / "a"))
+    run_scenario(make_cfg(TINY_CONFLICT, tmp_path / "b"))
+    assert report.checks and hash_dir(tmp_path / "a") == hash_dir(tmp_path / "b")
+
+
+def test_cli_run_infeasible_embedding_exits_2(tmp_path, capsys):
+    doc = with_section(TINY_COMPRESS, "params", region="mars")
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--scenario", "compress", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "invalid config: embedding infeasible: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, section, key, value", [
