@@ -19,7 +19,7 @@ from .errors import ConfigError
 from . import sdi
 from .chain import EmbeddingError, embed_bruteforce, load_chain, validate_chain
 from .engines import TrainingDivergedError
-from .scenarios import SCENARIOS, load_scenario_config, run_scenario
+from .scenarios import SCENARIOS, check_loops, load_scenario_config, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict", action="store_true",
                      help="exit 4 when a scenario threshold check fails")
 
-    val = sub.add_parser("validate", help="validate a scenario config and its references")
+    val = sub.add_parser("validate",
+                         help="validate a scenario config, its references and its loops")
     val.add_argument("--config", required=True)
 
     oracle = sub.add_parser("oracle", help="reference oracles for cross-checks")
@@ -65,7 +66,7 @@ def _cmd_run(args) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, EmbeddingError) as exc:  # a chain that cannot be placed too
+    except ConfigError as exc:  # a loop that cannot be placed too
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for key in sorted(report.metrics):
@@ -82,7 +83,6 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         cfg = load_scenario_config(args.config)
-        sdi.load_topology(cfg.topology)
         path = cfg.params.get("chain_file")
         if path is not None:
             report = validate_chain(load_chain(path))
@@ -90,6 +90,7 @@ def _cmd_validate(args) -> int:
                 raise ConfigError(f"{path}: " + "; ".join(report.errors))
             for warning in report.warnings:
                 print(f"warning: {path}: {warning}")
+        check_loops(cfg)
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG

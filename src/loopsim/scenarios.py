@@ -24,9 +24,9 @@ import numpy as np
 from .config import known_keys, load_yaml, number, section, string
 from .errors import ConfigError
 from . import engines, metrics, sdi
-from .chain import (ActionCatalog, CatalogEntry, LoopChain, LoopStep, QosRequirements,
-                    StepKind, load_chain)
-from .control import Orchestrator, count_reversals, write_csv
+from .chain import (ActionCatalog, CatalogEntry, EmbeddingError, LoopChain, LoopStep,
+                    QosRequirements, StepKind, load_chain)
+from .control import LoopInstance, Orchestrator, count_reversals, write_csv
 from .steps import TrafficFeed
 
 OUT_DIR_ENV = "LOOPSIM_OUT"
@@ -62,9 +62,12 @@ class RunReport:
 
 
 class Scenario(NamedTuple):
-    """A runner and its tables: each params key with its default, its TrainConfig
+    """A runner, the builder of its loops (loops(orch, params) instantiates
+    them on orch, untrained and unticked; the runner builds them with it too)
+    and its tables: each params key with its default, its TrainConfig
     overrides and its default workload preset (None: it reads no such section)."""
     run: Callable
+    loops: Callable
     params: dict
     train: dict | None = None
     preset: str | None = None
@@ -135,6 +138,9 @@ def _seeds(master: int, n: int = 6) -> list[int]:
 def _workload_profile(doc: dict, w: dict, default_preset: str) -> metrics.WorkloadProfile:
     """The profile that workload doc, read as w, names or spells out."""
     preset = w.pop("preset")
+    if "preset" in doc and len(doc) > 1:
+        raise ConfigError("workload.preset names a whole profile; other keys: "
+                          + ", ".join(key for key in doc if key != "preset"))
     if "preset" in doc or not doc:
         return metrics.preset_workload(default_preset if preset is None else preset, 0)
     segments = []
@@ -150,7 +156,9 @@ def _workload_profile(doc: dict, w: dict, default_preset: str) -> metrics.Worklo
 
 def _artifact(out: Path, name: str, write, *args) -> dict:
     """Write out/name with write(path, *args), which returns the number of
-    data rows; returns the file's manifest entry."""
+    data rows; returns the file's manifest entry. out is made by the first
+    artifact, so a run refused before it writes leaves no directory."""
+    out.mkdir(parents=True, exist_ok=True)
     return {"path": name, "rows": write(out / name, *args)}
 
 
@@ -181,21 +189,29 @@ def _write_report(report: RunReport, out: Path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _out_dir(cfg: ScenarioConfig) -> Path:
-    out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)  # set but empty counts as unset
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _instantiate(orch: Orchestrator, chain: LoopChain) -> LoopInstance:
+    """orch.instantiate(chain), a chain that cannot be placed refused as a
+    config error."""
+    try:
+        return orch.instantiate(chain)
+    except EmbeddingError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _node(p: dict, key: str) -> str:
+    """The node that params key names, by default the region's vm4."""
+    return p[key] or f"{p['region']}-vm4"
 
 
 # ---------------------------------------------------------------------------
 # Scenario 1: telemetry compression
 # ---------------------------------------------------------------------------
 
-def _compress_chain(p: dict) -> LoopChain:
+def _compress_loop(orch: Orchestrator, p: dict) -> LoopInstance:
     if p["chain_file"] is not None:
-        return load_chain(p["chain_file"])
+        return _instantiate(orch, load_chain(p["chain_file"]))
     region = p["region"]
-    return LoopChain(
+    return _instantiate(orch, LoopChain(
         id="telemetry-compressor",
         steps=[
             LoopStep("collect", StepKind.MONITOR, "monitor.scrape_frame",
@@ -213,7 +229,7 @@ def _compress_chain(p: dict) -> LoopChain:
         source_domain=frozenset({region}),
         priority=5,
         tick_period_ms=1000,
-    )
+    ))
 
 
 def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, dict, dict]:
@@ -226,6 +242,11 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     catalog = metrics.build_metric_catalog(state, seed_cat)
     workload = metrics.generate_workload(replace(inputs.workload, seed=seed_wl))
     dataset = metrics.scrape_series(state, workload, catalog)
+    # The loop is placed after the scrape, which reads the state's
+    # reservations, and before training, so a config that cannot place it
+    # is refused first.
+    orch = Orchestrator(state)
+    instance = _compress_loop(orch, p)
 
     train, val = metrics.split_chronological(dataset, p["train_frac"])
     train01, scaler = metrics.normalize_minmax(train)
@@ -248,13 +269,9 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     val_mse = float(np.mean((recon01 - val01_values) ** 2))
     ratio = net.code_width / net.input_width
 
-    # Serve the trained model inside a running loop for a short window.
-    chain = _compress_chain(p)
-    orch = Orchestrator(state)
-    instance = orch.instantiate(chain, services={
-        "metric_catalog": catalog, "workload": workload,
-        "compressor": net, "scaler": scaler,
-    })
+    # Serve the trained model inside the running loop for a short window.
+    instance.services.update(metric_catalog=catalog, workload=workload,
+                             compressor=net, scaler=scaler)
     # The store keeps a fixed window, so each tick's code is read as it is
     # stored: one run call per tick gives the slots of one long call. A
     # faulted tick stores no record and emits no code.
@@ -309,10 +326,13 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
 # Scenario 2: traffic-predictive VNF sizing
 # ---------------------------------------------------------------------------
 
-def _adaptive_chain(p: dict, firewall: str) -> LoopChain:
+def _adaptive_loop(orch: Orchestrator, p: dict) -> LoopInstance:
+    firewall = _node(p, "firewall_node")
+    if firewall not in orch.state.nodes:
+        raise ConfigError(f"firewall node {firewall!r} not in topology")
     if p["chain_file"] is not None:
-        return load_chain(p["chain_file"])
-    return LoopChain(
+        return _instantiate(orch, load_chain(p["chain_file"]))
+    return _instantiate(orch, LoopChain(
         id="vnf-autoscaler",
         steps=[
             LoopStep("watch-traffic", StepKind.MONITOR, "monitor.traffic_window",
@@ -338,7 +358,7 @@ def _adaptive_chain(p: dict, firewall: str) -> LoopChain:
         destination_domain=frozenset({firewall}),
         priority=3,
         tick_period_ms=600_000,  # resize every 10 simulated minutes
-    )
+    ))
 
 
 def _knob_levels(applies, minutes: int) -> np.ndarray:
@@ -355,10 +375,8 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
     minutes ahead of predicted traffic."""
     seed_wl, _, _, seed_train, seed_noise, _ = _seeds(cfg.seed)
     p, train_cfg = inputs.params, replace(inputs.train, seed=seed_train)
-    state = sdi.load_topology(cfg.topology)
-    firewall = p["firewall_node"] or f"{p['region']}-vm4"
-    if firewall not in state.nodes:
-        raise ConfigError(f"firewall node {firewall!r} not in topology")
+    orch = Orchestrator(sdi.load_topology(cfg.topology))
+    instance = _adaptive_loop(orch, p)  # placed before training: a bad config fails first
 
     workload = metrics.generate_workload(replace(inputs.workload, seed=seed_wl))
     per_min = metrics.resample_mean(workload, 60.0)
@@ -409,12 +427,8 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
         parameter="vnf.cpu.millicores", scale=scale, offset=offset,
         lo=knob_lo, hi=knob_hi),))
 
-    chain = _adaptive_chain(p, firewall)
-    feed = TrafficFeed(series, offset=cut)
-    orch = Orchestrator(state)
-    orch.instantiate(chain, services={
-        "traffic_feed": feed, "predictor": predictor, "action_catalog": catalog,
-    })
+    instance.services.update(traffic_feed=TrafficFeed(series, offset=cut),
+                             predictor=predictor, action_catalog=catalog)
     eval_minutes = len(series) - cut
     orch.run(duration_ms=eval_minutes * 60_000)
 
@@ -476,7 +490,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
         # Starving the VNF must not buy the saving: it may run short for at
         # most one resize period.
         "underprovisioned_within_one_period":
-            under_frac * eval_minutes <= chain.tick_period_ms / 60_000,
+            under_frac * eval_minutes <= instance.tick_period_ms / 60_000,
     }
     return run_metrics, checks, files
 
@@ -485,8 +499,10 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
 # Scenario 3: conflict demonstration
 # ---------------------------------------------------------------------------
 
-def _setpoint_chain(chain_id: str, priority: int, region: str, node: str,
-                    parameter: str, value: float, period: int) -> LoopChain:
+def setpoint_chain(chain_id: str, priority: int, region: str, node: str,
+                   parameter: str, value: float, period: int) -> LoopChain:
+    """A set-point loop: it watches node's knob parameter from region and
+    pushes it to value every period ms."""
     return LoopChain(
         id=chain_id,
         steps=[
@@ -507,24 +523,36 @@ def _setpoint_chain(chain_id: str, priority: int, region: str, node: str,
     )
 
 
-def _conflict_run(topology: str, p: dict, node: str, arbitration: bool) -> Orchestrator:
-    """One pass of the demo on node's knob p["parameter"]."""
-    state = sdi.load_topology(topology)
-    region, parameter, period = p["region"], p["parameter"], p["tick_period_ms"]
-    if node not in state.nodes:
+def opposing_pair(orch: Orchestrator, region: str, node: str, parameter: str,
+                  initial: float, high: float, low: float | None, period: int,
+                  ids: tuple[str, str]) -> None:
+    """Sets node's knob parameter to initial and instantiates two set-point
+    loops on it from region: ids[0] pushes high at priority 1 and, unless
+    low is None, ids[1] pushes low at priority 2. An unknown node, an initial
+    value the node cannot back or a loop that cannot be placed is a ConfigError."""
+    if node not in orch.state.nodes:
         raise ConfigError(f"conflict-demo node {node!r} not in topology")
     try:
-        sdi.set_knob(state, node, parameter, p["initial"])
+        sdi.set_knob(orch.state, node, parameter, initial)
     except sdi.CapacityError as exc:
         raise ConfigError(f"initial knob value does not fit on {node}: {exc}") from None
+    for chain_id, priority, value in zip(ids, (1, 2), (high, low)):
+        if value is not None:
+            _instantiate(orch, setpoint_chain(chain_id, priority, region, node, parameter,
+                                              value, period))
 
-    orch = Orchestrator(state, arbitration=arbitration, sandbox=arbitration)
-    orch.instantiate(_setpoint_chain("cpu-booster", 1, region, node, parameter,
-                                     p["setpoint_high"], period))
-    if not p["single_chain"]:
-        orch.instantiate(_setpoint_chain("cpu-saver", 2, region, node, parameter,
-                                         p["setpoint_low"], period))
-    orch.run(duration_ms=p["ticks"] * period)
+
+def _conflict_loops(orch: Orchestrator, p: dict) -> None:
+    opposing_pair(orch, p["region"], _node(p, "node"), p["parameter"], p["initial"],
+                  p["setpoint_high"], None if p["single_chain"] else p["setpoint_low"],
+                  p["tick_period_ms"], ("cpu-booster", "cpu-saver"))
+
+
+def _conflict_run(topology: str, p: dict, arbitration: bool) -> Orchestrator:
+    """One pass of the demo."""
+    orch = Orchestrator(sdi.load_topology(topology), arbitration=arbitration, sandbox=arbitration)
+    _conflict_loops(orch, p)
+    orch.run(duration_ms=p["ticks"] * p["tick_period_ms"])
     return orch
 
 
@@ -535,8 +563,7 @@ def run_conflict_demo(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[d
     dry-run and lands, and it holds the knob, so the other chain's later
     proposals are rejected as held."""
     p = inputs.params
-    node = p["node"] or f"{p['region']}-vm4"
-    off, on = (_conflict_run(cfg.topology, p, node, arbitration) for arbitration in (False, True))
+    off, on = (_conflict_run(cfg.topology, p, arbitration) for arbitration in (False, True))
 
     reversals_off = sum(count_reversals(changes)
                         for changes in off.trace.applied_knob_deltas().values())
@@ -555,7 +582,7 @@ def run_conflict_demo(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[d
     # The knob moves only by applies, so it sits at the high set-point from
     # the first apply on when every apply sets it there.
     applies = [e for e in on.trace.events if e.kind == "apply"]
-    final_knob = sdi.get_knob(on.state, node, p["parameter"])
+    final_knob = sdi.get_knob(on.state, _node(p, "node"), p["parameter"])
     high = p["setpoint_high"]
     winner_holds = (bool(applies) and final_knob == high
                     and all(e.proposal.value == high for e in applies))
@@ -593,16 +620,16 @@ def run_conflict_demo(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[d
 
 
 SCENARIOS = {
-    "compress": Scenario(run_compress, dict(
+    "compress": Scenario(run_compress, _compress_loop, dict(
         region="waterloo", chain_file=None, train_frac=0.8, error_threshold=0.1,
         cpu_metric="node.cpu@waterloo-vm6", loop_ticks=60, min_fraction_below=0.80),
         train=dict(epochs=150), preset="bursty30min"),
-    "adaptive-vnf": Scenario(run_adaptive_vnf, dict(
+    "adaptive-vnf": Scenario(run_adaptive_vnf, _adaptive_loop, dict(
         region="waterloo", firewall_node=None, chain_file=None, window=30, horizon=10,
         train_frac=0.75, planted_slope=0.7, planted_intercept=0.1, planted_noise=1e-3,
         cpu_scale=4000.0, hidden_size=16, headroom=1.05, knob_min=200.0, knob_max=6000.0),
         train=dict(epochs=300, learning_rate=5e-3), preset="periodic6h"),
-    "conflict-demo": Scenario(run_conflict_demo, dict(
+    "conflict-demo": Scenario(run_conflict_demo, _conflict_loops, dict(
         region="waterloo", node=None, parameter="vnf.cpu.millicores", initial=2000.0, ticks=100,
         tick_period_ms=1000, setpoint_high=3000.0, setpoint_low=1000.0, single_chain=False)),
 }
@@ -613,9 +640,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     and returns (metrics, checks, files); report.json and summary.txt follow."""
     t0 = time.perf_counter()
     inputs = check_inputs(cfg)
-    out = _out_dir(cfg)
+    out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)  # set but empty counts as unset
     run_metrics, checks, files = SCENARIOS[cfg.scenario].run(cfg, inputs, out)
     report = RunReport(cfg.scenario, cfg.seed, run_metrics, checks, files,
                        wall_clock_s=time.perf_counter() - t0)
     _write_report(report, out)
     return report
+
+
+def check_loops(cfg: ScenarioConfig) -> None:
+    """Instantiates cfg's loops on its topology, untrained and unticked, with
+    the scenario's own builder: what validate checks beyond the tables."""
+    SCENARIOS[cfg.scenario].loops(Orchestrator(sdi.load_topology(cfg.topology)),
+                                  check_inputs(cfg).params)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import random
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -693,7 +694,7 @@ def deserialize_state(text: str) -> Topology:
 
 
 # ---------------------------------------------------------------------------
-# Built-in scenario topology
+# Built-in and generated topologies
 # ---------------------------------------------------------------------------
 
 def _testbed_spec() -> dict:
@@ -749,6 +750,30 @@ def _testbed_spec() -> dict:
             sw = f"{region}-sw1" if i <= 4 else f"{region}-sw2"
             links.append({"a": f"{region}-vm{i}", "b": sw, "bandwidth": 1000,
                           "latency": 1.0, "reliability": 0.999})
+    return {"nodes": nodes, "switches": switches, "links": links}
+
+
+def region_ring_spec(rng: random.Random, regions: int, vms: int) -> dict:
+    """A generated topology spec: regions r0..r{regions-1}, each one switch
+    with vms firewall VMs hanging off it; the region switches sit on a ring
+    (with more than two regions) around a core switch. Link latencies are
+    drawn from rng, a switch's core then ring link before its VMs' links."""
+    nodes, switches, links = [], [{"id": "core-sw", "region": "core", "tier": "core"}], []
+    for r in range(regions):
+        sw = f"r{r}-sw"
+        switches.append({"id": sw, "region": f"r{r}", "tier": "edge"})
+        links.append({"a": sw, "b": "core-sw", "bandwidth": 10000,
+                      "latency": float(rng.randint(2, 30)), "reliability": 0.998})
+        if regions > 2:
+            links.append({"a": sw, "b": f"r{(r + 1) % regions}-sw", "bandwidth": 10000,
+                          "latency": float(rng.randint(5, 40)), "reliability": 0.998})
+        for v in range(vms):
+            vm = f"r{r}-vm{v}"
+            nodes.append({"id": vm, "region": f"r{r}", "tier": "edge", "cpu": 16000,
+                          "mem": 32768, "storage": 102400, "reliability": 0.999,
+                          "roles": ["firewall"]})
+            links.append({"a": vm, "b": sw, "bandwidth": 1000,
+                          "latency": float(rng.randint(1, 3)), "reliability": 0.999})
     return {"nodes": nodes, "switches": switches, "links": links}
 
 

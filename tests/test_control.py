@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsim import sdi
+from loopsim import scenarios, sdi
 from loopsim.chain import (ActionCatalog, ActionProposal, AnalysisOutput, CatalogEntry,
                            ChainValidationError, InfeasibleError, LoopChain, LoopStep, QosRequirements,
                            StepKind)
@@ -57,23 +57,15 @@ def analysis_chain(chain_id="watcher", period=1000):
 
 
 def setpoint_chain(chain_id, priority, value, period=1000, node="n1"):
-    return LoopChain(
-        id=chain_id,
-        steps=[
-            LoopStep("watch", StepKind.MONITOR, "monitor.knob_value",
-                     QosRequirements(cpu=50),
-                     params={"node": node, "parameter": "vnf.cpu.millicores"}),
-            LoopStep("push", StepKind.PLAN, "plan.knob_setpoint",
-                     QosRequirements(cpu=50),
-                     params={"node": node, "parameter": "vnf.cpu.millicores",
-                             "value": value}),
-            LoopStep("record", StepKind.KNOWLEDGE, "knowledge.store",
-                     QosRequirements(storage=64)),
-        ],
-        edges=[("watch", "push"), ("push", "record")],
-        priority=priority,
-        tick_period_ms=period,
-    )
+    return scenarios.setpoint_chain(chain_id, priority, "west", node, "vnf.cpu.millicores",
+                                    value, period)
+
+
+def opposing_pair(orch, high=3000.0):
+    """conflict-demo's pair on n1's CPU knob at 2000: up pushes high at
+    priority 1, down pushes 1000 at priority 2."""
+    scenarios.opposing_pair(orch, "west", "n1", "vnf.cpu.millicores", 2000.0, high, 1000.0,
+                            1000, ("up", "down"))
 
 
 def registry_with_passthrough():
@@ -651,9 +643,7 @@ def test_sandbox_single_loop_alternating_setpoint_stable():
 
 def test_sandbox_opposing_loops_unstable():
     orch = make_orchestrator(arbitration=False, sandbox=False)
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch)
     result = orch.sandbox_dryrun(
         [proposal("up", value=3000.0, direction=1),
          proposal("down", value=1000.0, direction=-1)])
@@ -663,9 +653,7 @@ def test_sandbox_opposing_loops_unstable():
 
 def test_sandbox_leaves_live_state_bitwise_identical():
     orch = make_orchestrator()
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch)
     before = serialize_state(orch.state)
     orch.sandbox_dryrun([proposal("up", value=3000.0, direction=1)])
     assert serialize_state(orch.state) == before
@@ -817,9 +805,7 @@ def test_run_withholds_on_unstable_sandbox():
     """The winner's set-point is past n1's 4000 mc, so every dry-run's seeded
     apply is a capacity refusal: the gate withholds it and nothing lands."""
     orch = make_orchestrator(arbitration=True, sandbox=True)
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 9000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch, high=9000.0)
     trace = orch.run(duration_ms=20_000)
     assert any(e.kind == "withhold" for e in trace.events)
     assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 2000.0
@@ -837,9 +823,7 @@ def test_held_knob_rejects_lower_ranked_proposals_naming_the_holder():
     assert [(p.issued_by, why) for p, why in outcome.rejected] == [("lo", "knob held by hi")]
 
     orch = make_orchestrator(arbitration=True, sandbox=False)
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch)
     trace = orch.run(duration_ms=3000)
     assert orch.holders == {("n1", "vnf.cpu.millicores"): "up"}
     assert [(e.t_ms, e.chain, e.verdict) for e in trace.events if e.kind == "reject"] == [
@@ -850,9 +834,7 @@ def test_held_knob_rejects_lower_ranked_proposals_naming_the_holder():
 
 def test_terminate_releases_the_holders_knobs():
     orch = make_orchestrator(arbitration=True, sandbox=True)
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch)
     orch.run(duration_ms=2000)
     orch.terminate("up")
     assert orch.holders == {}
@@ -866,9 +848,7 @@ def test_sandbox_seeded_apply_takes_the_hold():
     """The winner's set-point seeded into the replica holds the knob there,
     so the running loser cannot move it back during the replay."""
     orch = make_orchestrator(arbitration=True, sandbox=True)
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch)
     result = orch.sandbox_dryrun([proposal("up", value=3000.0, direction=1)])
     assert (result.verdict, result.max_oscillation, result.violation_count) == ("stable", 0, 0)
     assert orch.holders == {}  # the live table is untouched
@@ -895,9 +875,7 @@ def test_sandbox_counts_only_capacity_refusals_as_violations():
 
 def test_unarbitrated_opposing_loops_thrash():
     orch = make_orchestrator(arbitration=False, sandbox=False)
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 3000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch)
     trace = orch.run(duration_ms=100_000)  # 100 ticks
     deltas = trace.applied_knob_deltas()[("n1", "vnf.cpu.millicores")]
     assert count_reversals(deltas) >= 10

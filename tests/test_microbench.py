@@ -19,17 +19,17 @@ passes --benchmark-disable). To time them:
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from loopsim import engines, metrics, sdi
-from loopsim.chain import (LoopChain, LoopStep, QosRequirements, SearchExhaustedError,
-                           StepKind, embed)
+from loopsim import engines, metrics, scenarios, sdi
+from loopsim.chain import SearchExhaustedError, embed
 from loopsim.control import Orchestrator
 from loopsim.engines import TrainConfig
 from test_chain import canonical_chain, latency_dead_end_chain
-from test_control import make_orchestrator, setpoint_chain
+from test_control import make_orchestrator, opposing_pair
 
 
 def _rng(seed):
@@ -114,9 +114,7 @@ def test_orchestrator_slot_of_two_opposing_loops(benchmark, sandbox):
     # same work: a conflict, then a withhold (sandbox on) or a capacity
     # reject (sandbox off).
     orch = make_orchestrator(sandbox=sandbox)
-    sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 2000.0)
-    orch.instantiate(setpoint_chain("up", 1, 9000.0))
-    orch.instantiate(setpoint_chain("down", 2, 1000.0))
+    opposing_pair(orch, high=9000.0)
     starts = itertools.count(0, 1000)
     benchmark(lambda: orch.run(duration_ms=1000, start_ms=next(starts)))
     kinds = {e.kind for e in orch.trace.events}
@@ -124,47 +122,18 @@ def test_orchestrator_slot_of_two_opposing_loops(benchmark, sandbox):
 
 
 def vm64_topology():
-    """8 regions of 8 VMs; each region's VMs hang off its switch, and the
-    region switches sit on a ring around a core switch. Every VM carries a
-    CPU knob at 2000 mc."""
-    nodes, links, knobs = [], [], []
-    switches = [{"id": "core-sw", "region": "core", "tier": "core"}]
-    for r in range(8):
-        sw = f"r{r}-sw"
-        switches.append({"id": sw, "region": f"r{r}", "tier": "edge"})
-        links.append({"a": sw, "b": "core-sw", "bandwidth": 10000, "latency": 2.0 + r})
-        links.append({"a": sw, "b": f"r{(r + 1) % 8}-sw", "bandwidth": 10000,
-                      "latency": 5.0 + 3 * r})
-        for v in range(8):
-            vm = f"r{r}-vm{v}"
-            nodes.append({"id": vm, "region": f"r{r}", "tier": "edge", "cpu": 16000,
-                          "storage": 102400})
-            links.append({"a": vm, "b": sw, "bandwidth": 1000, "latency": 1.0 + v % 3})
-            knobs.append({"node": vm, "parameter": "vnf.cpu.millicores", "value": 2000.0})
-    return sdi.build_topology({"nodes": nodes, "switches": switches, "links": links,
-                               "knobs": knobs})
+    """The region ring of 8 regions of 8 VMs at seed 7, as perfbench's
+    conflict-scale builds it. Every VM carries a CPU knob at 2000 mc."""
+    spec = sdi.region_ring_spec(random.Random(7), 8, 8)
+    spec["knobs"] = [{"node": n["id"], "parameter": "vnf.cpu.millicores", "value": 2000.0}
+                     for n in spec["nodes"]]
+    return sdi.build_topology(spec)
 
 
 def region_setpoint_chain(chain_id, node, value):
     """Watch one VM's CPU knob from its region and push it to value."""
-    region = node.split("-")[0]
-    knob = {"node": node, "parameter": "vnf.cpu.millicores"}
-    return LoopChain(
-        id=chain_id,
-        steps=[
-            LoopStep("watch", StepKind.MONITOR, "monitor.knob_value",
-                     QosRequirements(cpu=100, storage=64, coverage=frozenset({region})),
-                     params=dict(knob)),
-            LoopStep("push", StepKind.PLAN, "plan.knob_setpoint",
-                     QosRequirements(cpu=100, storage=64), params={**knob, "value": value}),
-            LoopStep("record", StepKind.KNOWLEDGE, "knowledge.store",
-                     QosRequirements(cpu=50, storage=256)),
-        ],
-        edges=[("watch", "push"), ("push", "record")],
-        source_domain=frozenset({region}),
-        destination_domain=frozenset({node}),
-        tick_period_ms=1000,
-    )
+    return scenarios.setpoint_chain(chain_id, 10, node.split("-")[0], node,
+                                    "vnf.cpu.millicores", value, 1000)
 
 
 def test_embed_setpoint_chain_on_64_vms(benchmark):
@@ -217,8 +186,8 @@ def setpoint_pairs_on_64_vms():
     orch = Orchestrator(vm64_topology(), arbitration=False, sandbox=False)
     for k in range(16):
         node = f"r{k % 8}-vm{k // 8}"
-        orch.instantiate(region_setpoint_chain(f"pair{k}-boost", node, 3000.0))
-        orch.instantiate(region_setpoint_chain(f"pair{k}-save", node, 1000.0))
+        scenarios.opposing_pair(orch, f"r{k % 8}", node, "vnf.cpu.millicores", 2000.0, 3000.0,
+                                1000.0, 1000, (f"pair{k}-boost", f"pair{k}-save"))
     return orch
 
 
@@ -232,8 +201,9 @@ def test_unarbitrated_slot_of_32_setpoint_loops_on_64_vms(benchmark):
 
 @pytest.fixture(scope="module")
 def setpoint_pairs_after_500_slots():
-    """The 32 loops after 500 un-arbitrated slots: 24,064 trace events with
-    160 distinct rows bar their times, as in perfbench's conflict-scale."""
+    """The 32 loops after 500 un-arbitrated slots on the seed-7 region ring
+    that conflict-scale runs on: 24,064 trace events with 160 distinct rows
+    bar their times."""
     orch = setpoint_pairs_on_64_vms()
     orch.run(duration_ms=500 * 1000)
     return orch

@@ -531,10 +531,23 @@ def with_section(doc, section, **values):
     (with_section(TINY_CONFLICT, "workload", preset="bursty30min"),
      "unknown key workload.preset; known: none"),
     (dict(TINY_CONFLICT, seed=-1), "seed must be >= 0, got -1"),
+    (dict(TINY_COMPRESS, workload={"preset": "bursty30min", "noise": 0.5}),
+     "workload.preset names a whole profile; other keys: noise"),
+    # validate builds each scenario's loops, untrained and unticked.
+    (with_section(TINY_COMPRESS, "params", region="mars"),
+     "embedding infeasible: step 'collect' blocked by 'coverage'"),
+    (with_section(TINY_ADAPTIVE, "params", firewall_node="nowhere"),
+     "firewall node 'nowhere' not in topology"),
+    (with_section(TINY_CONFLICT, "params", node="nowhere"),
+     "conflict-demo node 'nowhere' not in topology"),
+    (with_section(TINY_CONFLICT, "params", initial=90000.0),
+     "initial knob value does not fit on waterloo-vm4: "),
 ], ids=["tick-period-fraction", "ticks-fraction", "epochs-zero", "optimizer-adamw",
         "params-key-typo", "section-typo", "params-list", "train-number", "workload-list",
         "chain-file-number", "region-number", "workload-duration-string", "unknown-preset",
-        "conflict-train-key", "conflict-workload-key", "negative-seed"])
+        "conflict-train-key", "conflict-workload-key", "negative-seed", "preset-sibling-key",
+        "compress-unplaceable-region", "adaptive-unknown-firewall", "conflict-unknown-node",
+        "conflict-initial-too-big"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
     """validate refuses every config that run refuses, with the same message.
     run_scenario, handed the config in code, refuses the same values; only a
