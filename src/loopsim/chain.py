@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .config import list_of, load_yaml, number
+from .config import load_yaml, section
 from .errors import ConfigError, SimError
 from . import sdi
 from .sdi import ZERO, ResourceVector, Topology
@@ -66,11 +66,6 @@ class StepKind(Enum):
 _KIND_RANK = {StepKind.MONITOR: 0, StepKind.ANALYZE: 1, StepKind.PLAN: 2, StepKind.EXECUTE: 3}
 
 
-class ChainCategory(Enum):
-    NETWORK = "network"  # loops managing the infrastructure itself
-    OTT = "ott"  # loops serving over-the-top applications
-
-
 @dataclass(frozen=True)
 class QosRequirements:
     """Per-step service requirements. Latency/bandwidth/reliability bound the
@@ -112,7 +107,6 @@ class LoopChain:
     edges: list[tuple[str, str]]
     source_domain: frozenset[str] = frozenset()
     destination_domain: frozenset[str] = frozenset()
-    category: ChainCategory = ChainCategory.NETWORK
     priority: int = 10  # lower wins
     tick_period_ms: int | None = None
 
@@ -619,45 +613,33 @@ def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,
 # File formats
 # ---------------------------------------------------------------------------
 
+_QOS = {"max_latency_ms": math.inf, "min_bandwidth": 0, "cpu": 0, "storage": 0,
+        "min_reliability": 0.0, "coverage": [str]}
+_STEP = {"name": str, "kind": str, "function": "", "qos": _QOS, "params": {}}
+# A period is checked by tick_period_error, so a bool or a fraction is named as such.
+_CHAIN = {"id": str, "steps": [dict], "edges": [list], "source_domain": [str],
+          "destination_domain": [str], "priority": 10, "tick_period_ms": object | None}
+
+
 def chain_from_dict(doc: dict) -> LoopChain:
     """The chain a parsed chain file holds; a malformed field raises ConfigError naming it."""
-    period = doc.get("tick_period_ms")
-    if period is not None and (error := tick_period_error(period)):
-        raise ConfigError(f"bad chain definition: {error}")
     try:
+        c = section(doc, "", _CHAIN)
+        if c["tick_period_ms"] is not None and (error := tick_period_error(c["tick_period_ms"])):
+            raise ConfigError(error)
+        if any(len(e) != 2 for e in c["edges"]):
+            raise ConfigError(f"edges must be two-item lists, got {c['edges']!r}")
         steps = []
-        for i, s in enumerate(list_of(doc, "", "steps", dict)):
-            where = f"steps[{i}].qos"
-            qos_doc = s.get("qos", {}) or {}
-            if not isinstance(qos_doc, dict):
-                raise ConfigError(f"{where} must be a mapping, got {qos_doc!r}")
-            qos = QosRequirements(
-                max_latency_ms=number(qos_doc, where, "max_latency_ms", math.inf),
-                min_bandwidth=number(qos_doc, where, "min_bandwidth", 0, int),
-                cpu=number(qos_doc, where, "cpu", 0, int),
-                storage=number(qos_doc, where, "storage", 0, int),
-                min_reliability=number(qos_doc, where, "min_reliability", 0.0),
-                coverage=frozenset(list_of(qos_doc, where, "coverage", str)),
-            )
-            steps.append(LoopStep(
-                name=str(s["name"]), kind=StepKind(str(s["kind"]).lower()),
-                function_ref=str(s.get("function", "")), qos=qos,
-                params=dict(s.get("params", {}) or {}),
-            ))
-        edges = list_of(doc, "", "edges", list)
-        if any(len(e) != 2 for e in edges):
-            raise ConfigError(f"edges must be two-item lists, got {edges!r}")
-        return LoopChain(
-            id=str(doc["id"]),
-            steps=steps,
-            edges=[(str(a), str(b)) for a, b in edges],
-            source_domain=frozenset(list_of(doc, "", "source_domain", str)),
-            destination_domain=frozenset(list_of(doc, "", "destination_domain", str)),
-            category=ChainCategory(str(doc.get("category", "network")).lower()),
-            priority=number(doc, "", "priority", 10, int),
-            tick_period_ms=period,
-        )
-    except (KeyError, ValueError, ConfigError) as exc:
+        for i, s in enumerate(c["steps"]):
+            s = section(s, f"steps[{i}]", _STEP)
+            qos = dict(s["qos"], coverage=frozenset(s["qos"]["coverage"]))
+            steps.append(LoopStep(s["name"], StepKind(s["kind"].lower()), s["function"],
+                                  QosRequirements(**qos), dict(s["params"])))
+        return LoopChain(c["id"], steps, [tuple(e) for e in c["edges"]],
+                         source_domain=frozenset(c["source_domain"]),
+                         destination_domain=frozenset(c["destination_domain"]),
+                         priority=c["priority"], tick_period_ms=c["tick_period_ms"])
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad chain definition: {exc}") from None
 
 
@@ -665,24 +647,17 @@ def load_chain(path) -> LoopChain:
     return chain_from_dict(load_yaml(path))
 
 
+_ENTRY = {"kind": str, "target_role": str, "parameter": str, "scale": 1.0, "offset": 0.0,
+          "min": -math.inf, "max": math.inf}
+
+
 def catalog_from_dict(doc: dict) -> ActionCatalog:
-    """The catalog a parsed catalog file holds; an entry that is not a
-    mapping or lacks a field raises ConfigError naming the entry."""
-    entries = []
-    for i, e in enumerate(doc.get("entries", [])):
-        where = f"entries[{i}]"
-        if not isinstance(e, dict):
-            raise ConfigError(f"{where} must be a mapping, got {e!r}")
-        try:
-            kind, role, parameter = str(e["kind"]), str(e["target_role"]), str(e["parameter"])
-        except KeyError as exc:
-            raise ConfigError(f"{where} {e!r}: missing {exc}") from None
-        entries.append(CatalogEntry(
-            kind=kind, target_role=role, parameter=parameter,
-            scale=number(e, where, "scale", 1.0), offset=number(e, where, "offset", 0.0),
-            lo=number(e, where, "min", -math.inf), hi=number(e, where, "max", math.inf),
-        ))
-    return ActionCatalog(entries=tuple(entries))
+    """The catalog a parsed catalog file holds; a malformed entry raises
+    ConfigError naming it."""
+    return ActionCatalog(entries=tuple(
+        CatalogEntry(e["kind"], e["target_role"], e["parameter"], e["scale"], e["offset"],
+                     e["min"], e["max"])
+        for e in section(doc, "", {"entries": [_ENTRY]})["entries"]))
 
 
 def load_catalog(path) -> ActionCatalog:

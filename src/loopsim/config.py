@@ -1,10 +1,21 @@
-"""Reading outside input. Scenario configs, topologies, states, chains and
-catalogs all go through the YAML loader and the number, bool, string and
-list rules here, so a malformed document is refused alike (ConfigError,
-exit 2) in any file."""
+"""Reading outside input. Every document loopsim reads (scenario configs,
+topologies, states, chains and catalogs) goes through the YAML loader and
+section, which reads a mapping by a declared table, so a malformed document
+is refused alike (ConfigError, exit 2) in any file.
+
+A table maps each key to its default, and the default's type is the kind:
+- a bool, int, float or str: a value of that kind, the default when the key
+  is absent (a number must be finite, an int integral; a bool is no number);
+- a bare type (str, int, float, object for any value): the key is mandatory;
+- kind | None: optional, None when the key is absent or null;
+- a dict: a mapping, read by that table unless it is empty;
+- a one-item list [kind]: a list of kind items; [table] reads each item by
+  that table.
+An absent or null mapping or list reads as an empty one.
+"""
 
 import sys
-from functools import partial
+from types import UnionType
 
 import yaml
 
@@ -14,10 +25,7 @@ from .errors import ConfigError
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _ITEMS = {str: "strings", dict: "mappings", list: "lists", object: "items"}
-
-
-def _name(where: str, key) -> str:
-    return f"{where}.{key}" if where else str(key)
+_KINDS = {bool: "true or false", str: "a string", dict: "a mapping"}
 
 
 def load_yaml(path, text: str | None = None) -> dict:
@@ -36,70 +44,61 @@ def load_yaml(path, text: str | None = None) -> dict:
     return doc
 
 
-def number(doc: dict, where: str, key: str, default=None, kind=float):
-    """doc[key] as kind (float or int), or default as is when key is absent;
-    with no default the key is mandatory. A non-number (a bool or a string
-    too), NaN, a value past the float range and, for int, a fraction raise
-    ConfigError naming where.key. An integral float counts as an integer."""
-    if key not in doc and default is not None:
-        return default
-    value = doc.get(key)
-    name = _name(where, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # false for NaN
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if kind is int and value != int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return kind(value)
-
-
-def boolean(doc: dict, where: str, key: str, default: bool) -> bool:
-    """doc[key], or default when key is absent; anything but a YAML bool
-    (a quoted "false" or "no" too) raises ConfigError naming where.key."""
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{_name(where, key)} must be true or false, got {value!r}")
-    return value
-
-
-def string(doc: dict, where: str, key: str, default: str | None = None) -> str | None:
-    """doc[key], or default when key is absent; anything but a string raises
-    ConfigError naming where.key. A None default makes the key optional."""
-    value = doc.get(key, default)
-    if isinstance(value, str) or value is default is None:
-        return value
-    raise ConfigError(f"{_name(where, key)} must be a string, got {value!r}")
-
-
-def list_of(doc: dict, where: str, key: str, kind: type) -> list:
-    """doc[key], or [] when key is absent; anything but a list of kind items
-    (str, dict, list, or object for any) raises ConfigError naming
-    where.key, so a bare string never reads as its letters."""
-    value = doc.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
-        raise ConfigError(f"{_name(where, key)} must be a list of {_ITEMS[kind]}, got {value!r}")
-    return value
-
-
-def known_keys(doc: dict, where: str, known) -> None:
-    """Raises ConfigError naming the first key of doc outside known."""
-    for key in doc:
-        if key not in known:
-            raise ConfigError(
-                f"unknown key {_name(where, key)}; known: {', '.join(known) or 'none'}")
-
-
-_RULES = {bool: boolean, int: partial(number, kind=int), float: number, str: string,
-          type(None): string, tuple: lambda doc, where, key, _: list_of(doc, where, key, object)}
-
-
 def section(doc, where: str, table: dict, known_only: bool = True) -> dict:
-    """doc's value for each key of table (key -> default), by the rule of the
-    default's type (None: an optional string; a tuple: a list). Raises
-    ConfigError if doc is not a mapping or, known_only, holds a key outside table."""
+    """doc's value for each key of table, read by the kind of its default.
+    Raises ConfigError naming where.key if doc is not a mapping, lacks a
+    mandatory key, holds a value of another kind or, known_only (in nested
+    tables too), a key outside table, listing the known ones."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a mapping, got {doc!r}")
-    if known_only:
-        known_keys(doc, where, table)
-    return {key: _RULES[type(default)](doc, where, key, default) for key, default in table.items()}
+    if known_only and not doc.keys() <= table.keys():
+        key = next(key for key in doc if key not in table)
+        raise ConfigError(f"unknown key {_name(where, key)}; known: {', '.join(table) or 'none'}")
+    return {key: _value(doc, where, key, default, known_only) for key, default in table.items()}
+
+
+def _name(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _value(doc: dict, where: str, key: str, default, known_only: bool):
+    value = doc.get(key)
+    if isinstance(default, (bool, int, float, str)):
+        return _read(value, where, key, type(default), known_only) if key in doc else default
+    if isinstance(default, UnionType):  # kind | None
+        return None if value is None else _read(value, where, key, default.__args__[0],
+                                                known_only)
+    if isinstance(default, type):  # mandatory
+        if key not in doc:
+            raise ConfigError(f"{where} {doc!r}: missing {key!r}" if where else f"missing {key!r}")
+        return _read(value, where, key, default, known_only)
+    return _read(type(default)() if value is None else value, where, key, default, known_only)
+
+
+def _read(value, where: str, key: str, kind, known_only: bool):
+    """value as kind; a value of another kind raises ConfigError naming where.key."""
+    if kind is int or kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{_name(where, key)} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # false for NaN
+            raise ConfigError(f"{_name(where, key)} must be a finite number, got {value!r}")
+        if kind is int and value != int(value):
+            raise ConfigError(f"{_name(where, key)} must be an integer, got {value!r}")
+        return kind(value)
+    if isinstance(kind, list):
+        item = kind[0]
+        if isinstance(value, list):
+            if isinstance(item, dict):
+                return [section(v, f"{_name(where, key)}[{i}]", item, known_only)
+                        for i, v in enumerate(value)]
+            if all(isinstance(v, item) for v in value):
+                return value
+        items = "mappings" if isinstance(item, dict) else _ITEMS[item]
+        raise ConfigError(f"{_name(where, key)} must be a list of {items}, got {value!r}")
+    if isinstance(kind, dict):
+        if kind:
+            return section(value, _name(where, key), kind, known_only)
+        kind = dict
+    if kind is not object and not isinstance(value, kind):
+        raise ConfigError(f"{_name(where, key)} must be {_KINDS[kind]}, got {value!r}")
+    return value

@@ -501,6 +501,10 @@ def import_csv(path, expected_width: int | None = None) -> Dataset:
             values[k] = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: non-numeric cell at line {line}: {exc}") from None
+    finite = np.isfinite(t) & np.isfinite(values).all(axis=1)
+    if not finite.all():  # float() reads nan and inf cells too
+        line, cells = rows[1 + int(np.argmin(finite))]
+        raise DatasetFormatError(f"{path}: non-finite cell at line {line}: {cells}")
     if len(t) == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
     return Dataset(names=names, t=t, values=values)

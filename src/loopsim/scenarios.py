@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import known_keys, load_yaml, number, section, string
+from .config import load_yaml, section
 from .errors import ConfigError
 from . import engines, metrics, sdi
 from .chain import (ActionCatalog, CatalogEntry, EmbeddingError, LoopChain, LoopStep,
@@ -81,8 +81,11 @@ class Inputs(NamedTuple):  # a config's values; a runner seeds train and workloa
 
 # TrainConfig's and WorkloadProfile's own defaults; the master seed gives their seeds.
 _TRAIN = {f.name: f.default for f in fields(engines.TrainConfig) if f.name != "seed"}
-_WORKLOAD = {"preset": None, **{f.name: f.default for f in fields(metrics.WorkloadProfile)
-                                if f.name != "seed"}}
+_WORKLOAD = {"preset": str | None, **{f.name: f.default for f in fields(metrics.WorkloadProfile)
+                                       if f.name != "seed"},
+             "segments": [{"start": float, "end": float, "shape": str, "amplitude": float}]}
+_CONFIG = {"scenario": str, "seed": int, "topology": "testbed", "out_dir": "out",
+           "workload": {}, "train": {}, "params": {}}
 
 
 def check_inputs(cfg: ScenarioConfig, known_only: bool = False) -> Inputs:
@@ -102,19 +105,7 @@ def check_inputs(cfg: ScenarioConfig, known_only: bool = False) -> Inputs:
 
 def load_scenario_config(path) -> ScenarioConfig:
     path = Path(path)
-    doc = load_yaml(path)
-    for key in ("seed", "scenario"):
-        if key not in doc:
-            raise ConfigError(f"{path}: {key} is mandatory")
-    known_keys(doc, "", [f.name for f in fields(ScenarioConfig)])
-    cfg = ScenarioConfig(
-        scenario=string(doc, "", "scenario"),
-        seed=number(doc, "", "seed", kind=int),
-        topology=string(doc, "", "topology", "testbed"),
-        out_dir=string(doc, "", "out_dir", "out"),
-        **{key: {} if doc.get(key) is None else doc[key]
-           for key in ("workload", "train", "params")},
-    )
+    cfg = ScenarioConfig(**section(load_yaml(path), "", _CONFIG))
     check_inputs(cfg, known_only=True)
     # Resolve a referenced chain file relative to the config file.
     if cfg.params.get("chain_file") is not None:
@@ -143,15 +134,8 @@ def _workload_profile(doc: dict, w: dict, default_preset: str) -> metrics.Worklo
                           + ", ".join(key for key in doc if key != "preset"))
     if "preset" in doc or not doc:
         return metrics.preset_workload(default_preset if preset is None else preset, 0)
-    segments = []
-    for i, s in enumerate(w.pop("segments")):
-        where = f"workload.segments[{i}]"
-        if not isinstance(s, dict):
-            raise ConfigError(f"{where} must be a mapping, got {s!r}")
-        segments.append(metrics.WorkloadSegment(
-            number(s, where, "start"), number(s, where, "end"),
-            string(s, where, "shape"), number(s, where, "amplitude")))
-    return metrics.WorkloadProfile(**w, segments=tuple(segments))
+    segments = tuple(metrics.WorkloadSegment(**s) for s in w.pop("segments"))
+    return metrics.WorkloadProfile(**w, segments=segments)
 
 
 def _artifact(out: Path, name: str, write, *args) -> dict:
@@ -621,17 +605,18 @@ def run_conflict_demo(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[d
 
 SCENARIOS = {
     "compress": Scenario(run_compress, _compress_loop, dict(
-        region="waterloo", chain_file=None, train_frac=0.8, error_threshold=0.1,
+        region="waterloo", chain_file=str | None, train_frac=0.8, error_threshold=0.1,
         cpu_metric="node.cpu@waterloo-vm6", loop_ticks=60, min_fraction_below=0.80),
         train=dict(epochs=150), preset="bursty30min"),
     "adaptive-vnf": Scenario(run_adaptive_vnf, _adaptive_loop, dict(
-        region="waterloo", firewall_node=None, chain_file=None, window=30, horizon=10,
-        train_frac=0.75, planted_slope=0.7, planted_intercept=0.1, planted_noise=1e-3,
+        region="waterloo", firewall_node=str | None, chain_file=str | None, window=30,
+        horizon=10, train_frac=0.75, planted_slope=0.7, planted_intercept=0.1, planted_noise=1e-3,
         cpu_scale=4000.0, hidden_size=16, headroom=1.05, knob_min=200.0, knob_max=6000.0),
         train=dict(epochs=300, learning_rate=5e-3), preset="periodic6h"),
     "conflict-demo": Scenario(run_conflict_demo, _conflict_loops, dict(
-        region="waterloo", node=None, parameter="vnf.cpu.millicores", initial=2000.0, ticks=100,
-        tick_period_ms=1000, setpoint_high=3000.0, setpoint_low=1000.0, single_chain=False)),
+        region="waterloo", node=str | None, parameter="vnf.cpu.millicores", initial=2000.0,
+        ticks=100, tick_period_ms=1000, setpoint_high=3000.0, setpoint_low=1000.0,
+        single_chain=False)),
 }
 
 

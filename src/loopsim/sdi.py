@@ -26,7 +26,7 @@ from enum import Enum
 
 import yaml
 
-from .config import list_of, load_yaml, number
+from .config import load_yaml, section
 from .errors import ConfigError, SimError
 
 
@@ -245,26 +245,26 @@ class PathMetrics:
 # Topology construction
 # ---------------------------------------------------------------------------
 
+_NODE = {"id": str, "region": "default", "tier": "edge", "cpu": 0, "mem": 0, "storage": 0,
+         "reliability": 1.0, "roles": [str]}
+_LINK = {"a": str, "b": str, "bandwidth": 0, "latency": 0.0, "reliability": 1.0}
+_KNOB = {"node": str, "parameter": str, "value": float}
+_TOPOLOGY = {"nodes": [object], "switches": [object], "links": [object], "knobs": [object]}
+_ALLOCATION = {"id": str, "owner": str, "target": str, **dict.fromkeys(RESOURCE_COMPONENTS, 0)}
+_STATE = {**_TOPOLOGY, "allocations": [object]}
+
+
 def _parse_node(entry: dict) -> ComputeNode:
-    if not isinstance(entry, dict) or "id" not in entry:
-        raise TopologyError(f"node entry must be a mapping with an 'id': {entry!r}")
-    if "--" in str(entry["id"]):
-        raise TopologyError(f"node id {entry['id']!r} must not contain '--' "
+    n = section(entry, "", _NODE)
+    if "--" in n["id"]:
+        raise TopologyError(f"node id {n['id']!r} must not contain '--' "
                             "(reserved for link targets in state files)")
     try:
-        tier = Tier(str(entry.get("tier", "edge")).lower())
+        tier = Tier(n["tier"].lower())
     except ValueError:
-        raise TopologyError(f"node {entry['id']}: unknown tier {entry.get('tier')!r}") from None
-    return ComputeNode(
-        id=str(entry["id"]),
-        region=str(entry.get("region", "default")),
-        tier=tier,
-        cpu_capacity=number(entry, "", "cpu", 0, int),
-        mem_capacity=number(entry, "", "mem", 0, int),
-        storage_capacity=number(entry, "", "storage", 0, int),
-        reliability=number(entry, "", "reliability", 1.0),
-        roles=tuple(list_of(entry, "", "roles", str)),
-    )
+        raise TopologyError(f"node {n['id']}: unknown tier {n['tier']!r}") from None
+    return ComputeNode(n["id"], n["region"], tier, n["cpu"], n["mem"], n["storage"],
+                       n["reliability"], tuple(n["roles"]))
 
 
 def build_topology(spec) -> Topology:
@@ -286,24 +286,21 @@ def build_topology(spec) -> Topology:
             ) from None
     if not isinstance(spec, dict):
         raise TopologyError(f"topology spec must be a mapping or preset name, got {type(spec)}")
+    spec = section(spec, "", _TOPOLOGY)
 
     nodes: dict[str, ComputeNode] = {}
-    for entry in spec.get("nodes", []) or []:
-        node = _entry("node", entry, _parse_node)
-        if node.id in nodes:
-            raise TopologyError(f"duplicate node id {node.id!r}")
-        nodes[node.id] = node
-
     switches: set[str] = set()
-    for entry in spec.get("switches", []) or []:
-        if isinstance(entry, dict):
-            node = _entry("switch", entry, _parse_node)
+    for kind, entries in (("node", spec["nodes"]), ("switch", spec["switches"])):
+        for entry in entries:
+            if kind == "switch" and isinstance(entry, str):
+                switches.add(entry)  # the id of a node entry
+                continue
+            node = _entry(kind, entry, _parse_node)
             if node.id in nodes:
                 raise TopologyError(f"duplicate node id {node.id!r}")
             nodes[node.id] = node
-            switches.add(node.id)
-        else:
-            switches.add(str(entry))
+            if kind == "switch":
+                switches.add(node.id)
     for sid in switches:
         if sid not in nodes:
             raise TopologyError(f"switch {sid!r} is not declared as a node")
@@ -311,14 +308,8 @@ def build_topology(spec) -> Topology:
             raise TopologyError(f"switch {sid!r} must have zero compute capacity")
 
     links: dict[tuple[str, str], Link] = {}
-    for entry in spec.get("links", []) or []:
-        link = _entry("link", entry, lambda e: Link(
-            a=str(e["a"]),
-            b=str(e["b"]),
-            bandwidth=number(e, "", "bandwidth", 0, int),
-            latency=number(e, "", "latency", 0.0),
-            reliability=number(e, "", "reliability", 1.0),
-        ))
+    for entry in spec["links"]:
+        link = _entry("link", entry, lambda e: Link(**section(e, "", _LINK)))
         for end in (link.a, link.b):
             if end not in nodes:
                 raise TopologyError(f"link {link.a}--{link.b}: dangling endpoint {end!r}")
@@ -331,23 +322,20 @@ def build_topology(spec) -> Topology:
     _check_connected(nodes, links)
 
     topo = Topology(nodes=nodes, links=links, switches=switches)
-    for entry in spec.get("knobs", []) or []:
-        _entry("knob", entry, lambda e: set_knob(topo, str(e["node"]), str(e["parameter"]),
-                                                number(e, "", "value")))
+    for entry in spec["knobs"]:
+        _entry("knob", entry, lambda e: set_knob(topo, *section(e, "", _KNOB).values()))
     return topo
 
 
 def _entry(kind: str, entry, parse):
-    """parse(entry), where a missing or malformed field of a topology or
-    state entry (or a knob its node cannot take) raises a TopologyError
-    naming the entry."""
+    """parse(entry), where a topology or state entry that is not a mapping,
+    a missing, unknown or malformed field (or a knob its node cannot take)
+    raises a TopologyError naming the entry."""
     if not isinstance(entry, dict):
         raise TopologyError(f"{kind} entry {entry!r} must be a mapping")
     try:
         return parse(entry)
-    except KeyError as exc:
-        raise TopologyError(f"{kind} entry {entry!r}: missing {exc}") from None
-    except (TypeError, ValueError, ConfigError, UnknownNodeError, CapacityError) as exc:
+    except (ConfigError, UnknownNodeError, CapacityError) as exc:
         raise TopologyError(f"{kind} entry {entry!r}: {exc}") from None
 
 
@@ -653,20 +641,22 @@ def serialize_state(state: Topology) -> str:
     return yaml.dump(doc, Dumper=_Dumper, sort_keys=True, default_flow_style=False)
 
 
+def _parse_allocation(entry: dict) -> tuple[str, str, str, ResourceVector]:
+    a = section(entry, "", _ALLOCATION)
+    return a["id"], a["owner"], a["target"], ResourceVector(*(a[c] for c in RESOURCE_COMPONENTS))
+
+
 def deserialize_state(text: str) -> Topology:
     """Inverse of serialize_state: rebuilds the topology, books the
     allocation table verbatim (original ids and owners) and sets the knobs,
     which reserves their backings again. A state that oversubscribes a node
     or link raises TopologyError; a link has no cpu and a node no bandwidth.
     A malformed allocation or knob entry raises TopologyError naming it."""
-    doc = load_yaml("state document", text)
-    topo = build_topology({k: doc.get(k) for k in ("nodes", "switches", "links")})
+    doc = section(load_yaml("state document", text), "", _STATE)
+    topo = build_topology({k: doc[k] for k in ("nodes", "switches", "links")})
     highest = 0
-    for entry in doc.get("allocations", []) or []:
-        alloc_id, owner, name, resources = _entry("allocation", entry, lambda e: (
-            str(e["id"]), str(e["owner"]), str(e["target"]),
-            ResourceVector(**{c: number(e, "allocation", c, 0, int)
-                              for c in RESOURCE_COMPONENTS})))
+    for entry in doc["allocations"]:
+        alloc_id, owner, name, resources = _entry("allocation", entry, _parse_allocation)
         if alloc_id in topo.allocations:
             raise TopologyError(f"duplicate allocation id {alloc_id!r}")
         target = name if name in topo.nodes else tuple(sorted(name.partition("--")[::2]))
@@ -681,9 +671,8 @@ def deserialize_state(text: str) -> Topology:
         if suffix.isdigit():
             highest = max(highest, int(suffix))
     topo._next_alloc = highest + 1
-    for entry in doc.get("knobs", []) or []:
-        node, parameter, value = _entry("knob", entry, lambda e: (
-            str(e["node"]), str(e["parameter"]), number(e, "knob", "value")))
+    for entry in doc["knobs"]:
+        node, parameter, value = _entry("knob", entry, lambda e: section(e, "", _KNOB).values())
         if node not in topo.nodes:
             raise TopologyError(f"knob targets unknown node {node!r}")
         try:

@@ -632,7 +632,6 @@ def test_catalog_refuses_a_malformed_entry_naming_it(entries, named):
 def test_chain_from_dict_roundtrip():
     chain = chain_from_dict({
         "id": "demo",
-        "category": "ott",
         "priority": 2,
         "tick_period_ms": 500,
         "source_domain": ["west"],

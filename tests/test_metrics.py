@@ -280,6 +280,18 @@ def test_csv_non_numeric_cell(tmp_path):
         import_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1], ids=["timestamp", "metric"])
+def test_csv_non_finite_cell_reports_line(tmp_path, cell, column):
+    # float() reads these cells, so they used to import silently.
+    row = ["1.0", "2.0"]
+    row[column] = cell
+    path = tmp_path / "inf.csv"
+    path.write_text("timestamp,a@x\n0.0,1.0\n" + ",".join(row) + "\n")
+    with pytest.raises(DatasetFormatError, match="non-finite cell at line 3"):
+        import_csv(path)
+
+
 def test_csv_width_mismatch(tmp_path):
     path = tmp_path / "narrow.csv"
     path.write_text("timestamp,a@x\n0.0,1.0\n")
