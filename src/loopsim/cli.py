@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDivergedError
 from . import sdi
 from .chain import EmbeddingError, embed_bruteforce, load_chain, validate_chain
-from .engines import TrainingDivergedError
-from .scenarios import SCENARIOS, check_loops, load_scenario_config, run_scenario
+from .scenarios import (SCENARIOS, check_loops, file_chain, load_scenario_config,
+                        read_scenario_config, run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,15 +82,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        cfg = load_scenario_config(args.config)
-        path = cfg.params.get("chain_file")
-        if path is not None:
-            report = validate_chain(load_chain(path))
+        cfg, inputs = read_scenario_config(args.config)
+        chain = file_chain(inputs.params)
+        if chain is not None:
+            path = inputs.params["chain_file"]
+            report = validate_chain(chain)
             if not report.ok:
                 raise ConfigError(f"{path}: " + "; ".join(report.errors))
             for warning in report.warnings:
                 print(f"warning: {path}: {warning}")
-        check_loops(cfg)
+        check_loops(cfg, inputs.params, chain)
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG

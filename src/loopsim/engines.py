@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, SimError
+from .errors import ConfigError, SimError, TrainingDivergedError
 
 MODEL_FORMAT = "loopsim-model"
 MODEL_VERSION = 2
@@ -40,12 +40,6 @@ MODEL_VERSION = 2
 # output matches inputs normalized to [0, 1].
 COMPRESSOR_WIDTHS = (111, 90, 85, 75, 90, 111)
 COMPRESSOR_ACTIVATIONS = ("elu", "elu", "linear", "elu", "sigmoid")
-
-
-class TrainingDivergedError(SimError):
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
-        self.epoch = epoch
 
 
 class DegenerateFitError(SimError):
@@ -353,6 +347,10 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+
+
+# A config's train section: TrainConfig's own defaults; the master seed gives the seed.
+TRAIN_TABLE = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
 
 
 class _Optimizer:

@@ -11,7 +11,7 @@ bit-identical series.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -233,6 +233,12 @@ WORKLOAD_PRESETS = {
     "bursty30min": _bursty30min,
     "periodic6h": _periodic6h,
 }
+
+# A config's workload section: a preset's name or WorkloadProfile's own
+# defaults, with its segments spelled out; the master seed gives the seed.
+WORKLOAD_TABLE = {"preset": str | None, **{f.name: f.default for f in fields(WorkloadProfile)
+                                           if f.name != "seed"},
+                  "segments": [{"start": float, "end": float, "shape": str, "amplitude": float}]}
 
 
 def preset_workload(name: str, seed: int) -> WorkloadProfile:

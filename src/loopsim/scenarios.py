@@ -6,6 +6,12 @@ randomness (workload, catalog, model init, training, planted noise) derives
 from that seed, so a rerun with the same config produces bit-identical
 output files. Wall-clock duration is reported on stdout only, never written
 into output files.
+
+The ML plane (numpy, engines, metrics and the traffic feed) is imported
+only by the code that learns or scrapes: the compress and adaptive-vnf
+runners, their seeds, knob levels and workload profile, and check_inputs
+for a scenario that trains. The conflict demo and every loop builder run
+without it.
 """
 
 from __future__ import annotations
@@ -15,19 +21,22 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .config import load_yaml, section
 from .errors import ConfigError
-from . import engines, metrics, sdi
+from . import sdi
 from .chain import (ActionCatalog, CatalogEntry, EmbeddingError, LoopChain, LoopStep,
                     QosRequirements, StepKind, load_chain)
 from .control import LoopInstance, Orchestrator, count_reversals, write_csv
-from .steps import TrafficFeed
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .engines import TrainConfig
+    from .metrics import WorkloadProfile
 
 OUT_DIR_ENV = "LOOPSIM_OUT"
 
@@ -62,10 +71,12 @@ class RunReport:
 
 
 class Scenario(NamedTuple):
-    """A runner, the builder of its loops (loops(orch, params) instantiates
-    them on orch, untrained and unticked; the runner builds them with it too)
+    """A runner, the builder of its loops (loops(orch, params, chain)
+    instantiates them on orch, untrained and unticked, chain being the parsed
+    chain file or None for the built-in loop; the runner builds them with it too)
     and its tables: each params key with its default, its TrainConfig
-    overrides and its default workload preset (None: it reads no such section)."""
+    overrides and its default workload preset (both None: it trains nothing,
+    reads neither section and loads no ML plane)."""
     run: Callable
     loops: Callable
     params: dict
@@ -75,15 +86,10 @@ class Scenario(NamedTuple):
 
 class Inputs(NamedTuple):  # a config's values; a runner seeds train and workload
     params: dict
-    train: engines.TrainConfig | None
-    workload: metrics.WorkloadProfile | None
+    train: TrainConfig | None
+    workload: WorkloadProfile | None
 
 
-# TrainConfig's and WorkloadProfile's own defaults; the master seed gives their seeds.
-_TRAIN = {f.name: f.default for f in fields(engines.TrainConfig) if f.name != "seed"}
-_WORKLOAD = {"preset": str | None, **{f.name: f.default for f in fields(metrics.WorkloadProfile)
-                                       if f.name != "seed"},
-             "segments": [{"start": float, "end": float, "shape": str, "amplitude": float}]}
 _CONFIG = {"scenario": str, "seed": int, "topology": "testbed", "out_dir": "out",
            "workload": {}, "train": {}, "params": {}}
 
@@ -91,43 +97,66 @@ _CONFIG = {"scenario": str, "seed": int, "topology": "testbed", "out_dir": "out"
 def check_inputs(cfg: ScenarioConfig, known_only: bool = False) -> Inputs:
     """cfg read by its scenario's tables; builds the TrainConfig and workload
     profile so their checks run too. known_only (a loaded file) refuses keys
-    outside the tables; run_scenario ignores them, so code may set others."""
+    outside the tables; run_scenario ignores them, so code may set others.
+    Only a scenario that trains loads the ML plane here."""
     scenario = SCENARIOS[cfg.scenario]
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    table = {} if scenario.train is None else {**_TRAIN, **scenario.train}
-    train = section(cfg.train, "train", table, known_only)
-    w = section(cfg.workload, "workload", {} if scenario.preset is None else _WORKLOAD, known_only)
+    if scenario.train is None:
+        section(cfg.train, "train", {}, known_only)
+        section(cfg.workload, "workload", {}, known_only)
+        return Inputs(section(cfg.params, "params", scenario.params, known_only), None, None)
+    from .engines import TRAIN_TABLE, TrainConfig
+    from .metrics import WORKLOAD_TABLE
+
+    train = section(cfg.train, "train", {**TRAIN_TABLE, **scenario.train}, known_only)
+    w = section(cfg.workload, "workload", WORKLOAD_TABLE, known_only)
     return Inputs(section(cfg.params, "params", scenario.params, known_only),
-                  engines.TrainConfig(**train) if table else None,
-                  _workload_profile(cfg.workload, w, scenario.preset) if w else None)
+                  TrainConfig(**train), _workload_profile(cfg.workload, w, scenario.preset))
 
 
 def load_scenario_config(path) -> ScenarioConfig:
+    return read_scenario_config(path)[0]
+
+
+def read_scenario_config(path) -> tuple[ScenarioConfig, Inputs]:
+    """The config at path and its inputs, checked once, keys outside the
+    tables refused; a chain or topology file it names is resolved relative
+    to it."""
     path = Path(path)
     cfg = ScenarioConfig(**section(load_yaml(path), "", _CONFIG))
-    check_inputs(cfg, known_only=True)
-    # Resolve a referenced chain file relative to the config file.
-    if cfg.params.get("chain_file") is not None:
-        cfg.params["chain_file"] = str((path.parent / cfg.params["chain_file"]).resolve())
+    inputs = check_inputs(cfg, known_only=True)
+    if inputs.params.get("chain_file") is not None:
+        cfg.params["chain_file"] = inputs.params["chain_file"] = str(
+            (path.parent / inputs.params["chain_file"]).resolve())
     if cfg.topology not in sdi.TOPOLOGY_PRESETS:
         topo_path = (path.parent / cfg.topology).resolve()
         if not topo_path.exists():
             raise ConfigError(
                 f"{path}: topology {cfg.topology!r} is neither a preset nor an existing file")
         cfg.topology = str(topo_path)
-    return cfg
+    return cfg, inputs
+
+
+def file_chain(params: dict) -> LoopChain | None:
+    """The chain file that params name, parsed; None if they name none."""
+    path = params.get("chain_file")
+    return None if path is None else load_chain(path)
 
 
 def _seeds(master: int, n: int = 6) -> list[int]:
     """Derived sub-seeds, one per randomness consumer, in a documented order:
     workload, metric catalog, model init, training, planted noise, spare."""
+    import numpy as np
+
     children = np.random.SeedSequence(master).spawn(n)
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _workload_profile(doc: dict, w: dict, default_preset: str) -> metrics.WorkloadProfile:
+def _workload_profile(doc: dict, w: dict, default_preset: str) -> WorkloadProfile:
     """The profile that workload doc, read as w, names or spells out."""
+    from . import metrics
+
     preset = w.pop("preset")
     if "preset" in doc and len(doc) > 1:
         raise ConfigError("workload.preset names a whole profile; other keys: "
@@ -191,9 +220,9 @@ def _node(p: dict, key: str) -> str:
 # Scenario 1: telemetry compression
 # ---------------------------------------------------------------------------
 
-def _compress_loop(orch: Orchestrator, p: dict) -> LoopInstance:
-    if p["chain_file"] is not None:
-        return _instantiate(orch, load_chain(p["chain_file"]))
+def _compress_loop(orch: Orchestrator, p: dict, chain: LoopChain | None) -> LoopInstance:
+    if chain is not None:
+        return _instantiate(orch, chain)
     region = p["region"]
     return _instantiate(orch, LoopChain(
         id="telemetry-compressor",
@@ -220,6 +249,10 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     """Scrape a correlated dataset from the modeled testbed, train the
     compressor, measure reconstruction fidelity on the validation split, then
     serve the model inside a monitor->compress->archive loop."""
+    import numpy as np
+
+    from . import engines, metrics
+
     seed_wl, seed_cat, seed_model, seed_train, _, _ = _seeds(cfg.seed)
     p, train_cfg = inputs.params, replace(inputs.train, seed=seed_train)
     state = sdi.load_topology(cfg.topology)
@@ -230,7 +263,7 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     # reservations, and before training, so a config that cannot place it
     # is refused first.
     orch = Orchestrator(state)
-    instance = _compress_loop(orch, p)
+    instance = _compress_loop(orch, p, file_chain(p))
 
     train, val = metrics.split_chronological(dataset, p["train_frac"])
     train01, scaler = metrics.normalize_minmax(train)
@@ -310,12 +343,12 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
 # Scenario 2: traffic-predictive VNF sizing
 # ---------------------------------------------------------------------------
 
-def _adaptive_loop(orch: Orchestrator, p: dict) -> LoopInstance:
+def _adaptive_loop(orch: Orchestrator, p: dict, chain: LoopChain | None) -> LoopInstance:
     firewall = _node(p, "firewall_node")
     if firewall not in orch.state.nodes:
         raise ConfigError(f"firewall node {firewall!r} not in topology")
-    if p["chain_file"] is not None:
-        return _instantiate(orch, load_chain(p["chain_file"]))
+    if chain is not None:
+        return _instantiate(orch, chain)
     return _instantiate(orch, LoopChain(
         id="vnf-autoscaler",
         steps=[
@@ -348,6 +381,8 @@ def _adaptive_loop(orch: Orchestrator, p: dict) -> LoopInstance:
 def _knob_levels(applies, minutes: int) -> np.ndarray:
     """Knob level at the start of each minute, rebuilt from the apply events:
     the running sum, in trace order, of the deltas applied up to then."""
+    import numpy as np
+
     levels = np.cumsum([0.0] + [e.delta for e in applies])
     return levels[np.searchsorted([e.t_ms for e in applies], np.arange(minutes) * 60_000,
                                   side="right")]
@@ -357,10 +392,16 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
     """Three phases: fit the planted traffic->CPU law, train the traffic
     forecaster, then run the loop that resizes the firewall's CPU knob ten
     minutes ahead of predicted traffic."""
+    import numpy as np
+
+    from . import engines, metrics
+    from .steps import TrafficFeed
+
     seed_wl, _, _, seed_train, seed_noise, _ = _seeds(cfg.seed)
     p, train_cfg = inputs.params, replace(inputs.train, seed=seed_train)
     orch = Orchestrator(sdi.load_topology(cfg.topology))
-    instance = _adaptive_loop(orch, p)  # placed before training: a bad config fails first
+    # Placed before training, so a bad config fails first.
+    instance = _adaptive_loop(orch, p, file_chain(p))
 
     workload = metrics.generate_workload(replace(inputs.workload, seed=seed_wl))
     per_min = metrics.resample_mean(workload, 60.0)
@@ -526,7 +567,8 @@ def opposing_pair(orch: Orchestrator, region: str, node: str, parameter: str,
                                               value, period))
 
 
-def _conflict_loops(orch: Orchestrator, p: dict) -> None:
+def _conflict_loops(orch: Orchestrator, p: dict, chain: None = None) -> None:
+    """The demo's opposing pair; its params name no chain file, so chain is None."""
     opposing_pair(orch, p["region"], _node(p, "node"), p["parameter"], p["initial"],
                   p["setpoint_high"], None if p["single_chain"] else p["setpoint_low"],
                   p["tick_period_ms"], ("cpu-booster", "cpu-saver"))
@@ -633,8 +675,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     return report
 
 
-def check_loops(cfg: ScenarioConfig) -> None:
+def check_loops(cfg: ScenarioConfig, params: dict, chain: LoopChain | None) -> None:
     """Instantiates cfg's loops on its topology, untrained and unticked, with
-    the scenario's own builder: what validate checks beyond the tables."""
-    SCENARIOS[cfg.scenario].loops(Orchestrator(sdi.load_topology(cfg.topology)),
-                                  check_inputs(cfg).params)
+    the scenario's own builder, from its checked params and parsed chain
+    file: what validate checks beyond the tables."""
+    SCENARIOS[cfg.scenario].loops(Orchestrator(sdi.load_topology(cfg.topology)), params, chain)

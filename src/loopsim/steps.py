@@ -5,16 +5,21 @@ functions read the world, analyze functions run a learner, plan functions
 emit ActionProposal lists, knowledge stores the tick record. Scenario
 services (models, feeds, catalogs) are bound per instance at instantiation.
 A context is reused from tick to tick, so a function reads it during its
-call only and does not mutate ctx.inputs.
+call only and does not mutate ctx.inputs. The ML plane (numpy, engines and
+metrics) is imported by the traffic feed and the three steps that scrape or
+run a model only, so set-point loops run without it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from . import engines, metrics, sdi
+from . import sdi
 from .chain import ActionProposal, AnalysisOutput, catalog_translate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TrafficFeed:
@@ -22,6 +27,8 @@ class TrafficFeed:
     advanced into them. t=0 corresponds to minute index `offset`."""
 
     def __init__(self, values, offset: int = 0):
+        import numpy as np
+
         self.values = np.asarray(getattr(values, "values", values), dtype=float)
         self.offset = offset
 
@@ -37,6 +44,8 @@ class TrafficFeed:
 
 def monitor_scrape_frame(ctx):
     """Scrape one metric frame; services: metric_catalog, workload (TimeSeries)."""
+    from . import metrics
+
     catalog = ctx.services["metric_catalog"]
     workload = ctx.services["workload"]
     idx = min(int(ctx.t_ms // 1000), len(workload.values) - 1)
@@ -55,6 +64,8 @@ def monitor_knob_value(ctx):
 
 def analyze_encode_frame(ctx):
     """Compress the monitored frame; services: compressor, scaler."""
+    from . import engines
+
     frame = next(iter(ctx.inputs.values()))
     net = ctx.services["compressor"]
     scaler = ctx.services["scaler"]
@@ -65,6 +76,8 @@ def analyze_forecast_traffic(ctx):
     """Forecast the horizon ahead and summarise it for planning; services:
     predictor. The aggregate defaults to the forecast max (provision for the
     worst upcoming minute)."""
+    from . import engines
+
     window = next(iter(ctx.inputs.values()))
     model = ctx.services["predictor"]
     forecast = engines.rnn_predict(model, window)

@@ -1,0 +1,118 @@
+"""The plane boundary: the control plane (config, sdi, chain, control, the
+set-point steps, the conflict demo and the CLI around it) imports no numpy;
+only the ML plane (engines, metrics, the traffic feed, the ML steps and the
+compress and adaptive-vnf runners) loads it. Each check runs in a fresh
+interpreter, since this one has numpy loaded already."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+
+# Any import of numpy in the child raises ImportError.
+BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+"""
+
+ML_MODULES = """
+ml = sorted(m for m in ("loopsim.engines", "loopsim.metrics") if m in sys.modules)
+assert not ml, ml
+"""
+
+
+def run_child(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def assert_ok(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "conflict-demo", "--config", str(CONFIGS / "conflict_demo.yaml"),
+     "--out", "out", "--strict"],
+    ["validate", "--config", str(CONFIGS / "conflict_demo.yaml")],
+], ids=["run-conflict-demo", "validate-conflict-demo"])
+def test_the_cli_runs_the_conflict_demo_without_numpy(tmp_path, argv):
+    assert_ok(run_child(BLOCKED + f"""
+from loopsim.cli import main
+status = main({argv!r})
+{ML_MODULES}
+sys.exit(status)
+""", tmp_path))
+
+
+def test_the_embedding_oracle_runs_without_numpy(tmp_path):
+    proc = run_child(BLOCKED + f"""
+import random
+import yaml
+from loopsim import sdi
+from loopsim.cli import main
+
+with open("ring.yaml", "w") as fh:
+    yaml.safe_dump(sdi.region_ring_spec(random.Random(7), 2, 2), fh)
+with open("chain.yaml", "w") as fh:
+    yaml.safe_dump({{"id": "watch", "source_domain": ["r1"], "steps": [
+        {{"name": "m", "kind": "monitor", "function": "monitor.knob_value",
+          "qos": {{"cpu": 100, "coverage": ["r1"]}}}},
+        {{"name": "k", "kind": "knowledge", "function": "knowledge.store"}}],
+        "edges": [["m", "k"]]}}, fh)
+status = main(["oracle", "embed", "--topology", "ring.yaml", "--chain", "chain.yaml"])
+{ML_MODULES}
+sys.exit(status)
+""", tmp_path)
+    assert_ok(proc)
+    assert proc.stdout.startswith("feasible: total latency ")
+
+
+def test_opposing_pairs_on_a_region_ring_run_arbitrated_without_numpy(tmp_path):
+    """conflict-scale's shape, small: set-point pairs on a generated ring,
+    arbitrated and dry-run in the sandbox, each knob held by its winner."""
+    assert_ok(run_child(BLOCKED + f"""
+import random
+from collections import Counter
+
+from loopsim import scenarios, sdi
+from loopsim.control import Orchestrator
+
+orch = Orchestrator(sdi.build_topology(sdi.region_ring_spec(random.Random(7), 3, 3)),
+                    arbitration=True, sandbox=True)
+nodes = ("r0-vm0", "r1-vm2", "r2-vm1")
+for k, node in enumerate(nodes):
+    scenarios.opposing_pair(orch, node.split("-")[0], node, f"vnf{{k}}.cpu.millicores", 2000.0,
+                            3000.0, 1000.0, 1000, (f"pair{{k}}-boost", f"pair{{k}}-save"))
+orch.run(duration_ms=20_000)
+orch.assert_capacity_invariant()
+kinds = Counter(e.kind for e in orch.trace.events)
+assert kinds["arbitration"] >= len(nodes) and kinds["sandbox"] >= 1, kinds
+assert [sdi.get_knob(orch.state, node, f"vnf{{k}}.cpu.millicores")
+        for k, node in enumerate(nodes)] == [3000.0] * len(nodes)
+{ML_MODULES}
+""", tmp_path))
+
+
+@pytest.mark.parametrize("config, loads_numpy", [
+    ("conflict_demo.yaml", False),
+    ("compress.yaml", True),
+    ("adaptive_vnf.yaml", True),
+])
+def test_only_a_scenario_that_trains_loads_numpy_with_its_config(tmp_path, config,
+                                                                  loads_numpy):
+    """Loading an ML scenario's config builds its TrainConfig and workload
+    profile, so numpy loads there, in set-up, not later in the run."""
+    proc = run_child(f"""
+import sys
+from loopsim.scenarios import load_scenario_config
+load_scenario_config({str(CONFIGS / config)!r})
+print("numpy" in sys.modules)
+""", tmp_path)
+    assert_ok(proc)
+    assert proc.stdout.split() == [str(loads_numpy)]

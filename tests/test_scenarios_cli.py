@@ -13,14 +13,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsim import metrics
+from loopsim import cli, metrics, scenarios
 from loopsim.cli import main
 from loopsim.control import KNOWLEDGE_WINDOW, TraceEvent
-from loopsim.engines import TrainConfig
+from loopsim.engines import TRAIN_TABLE as _TRAIN, TrainConfig
 from loopsim.errors import ConfigError
-from loopsim.scenarios import (_TRAIN, _WORKLOAD, SCENARIOS, RunReport, ScenarioConfig,
-                               _knob_levels, check_inputs, load_scenario_config,
-                               run_scenario)
+from loopsim.metrics import WORKLOAD_TABLE as _WORKLOAD
+from loopsim.scenarios import (SCENARIOS, RunReport, ScenarioConfig, _knob_levels, check_inputs,
+                               load_scenario_config, run_scenario)
 
 TINY_COMPRESS = dict(
     scenario="compress", seed=11, topology="testbed",
@@ -260,6 +260,29 @@ def test_cli_validate_checks_referenced_chain_file(tmp_path, capsys):
                edges=[["squash", "grab"], ["squash", "keep"]])
     chain_path.write_text(yaml.safe_dump(bad))
     assert main(["validate", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_validate_parses_the_chain_file_and_checks_the_inputs_once(tmp_path, monkeypatch,
+                                                                     capsys):
+    (tmp_path / "chain.yaml").write_text(yaml.safe_dump(CUSTOM_COMPRESS_CHAIN))
+    doc = dict(TINY_COMPRESS, params=dict(TINY_COMPRESS["params"], chain_file="chain.yaml"))
+    calls = {"load_chain": 0, "check_inputs": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (scenarios, cli):
+        counted(module, "load_chain")
+    counted(scenarios, "check_inputs")
+    assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 0
+    assert calls == {"load_chain": 1, "check_inputs": 1}
+    assert "warning: " in capsys.readouterr().out  # the chain has no plan step
 
 
 def test_cli_validate_refuses_a_fractional_chain_period(tmp_path, capsys):
