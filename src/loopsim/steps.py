@@ -5,41 +5,15 @@ functions read the world, analyze functions run a learner, plan functions
 emit ActionProposal lists, knowledge stores the tick record. Scenario
 services (models, feeds, catalogs) are bound per instance at instantiation.
 A context is reused from tick to tick, so a function reads it during its
-call only and does not mutate ctx.inputs. The ML plane (numpy, engines and
-metrics) is imported by the traffic feed and the three steps that scrape or
-run a model only, so set-point loops run without it.
+call only and does not mutate ctx.inputs. The scrape, encode and forecast
+steps import metrics or engines when called; they stay here, not in learning,
+where the benchmark's tracer and build_default_registry find them by name.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .errors import ConfigError
 from . import sdi
 from .chain import ActionProposal, AnalysisOutput, catalog_translate
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-class TrafficFeed:
-    """Per-minute traffic means plus how far the simulation clock has
-    advanced into them. t=0 corresponds to minute index `offset`."""
-
-    def __init__(self, values, offset: int = 0):
-        import numpy as np
-
-        self.values = np.asarray(getattr(values, "values", values), dtype=float)
-        self.offset = offset
-
-    def index_at(self, t_ms: int) -> int:
-        return min(self.offset + t_ms // 60_000, len(self.values))
-
-    def window_at(self, t_ms: int, window: int) -> np.ndarray:
-        end = self.index_at(t_ms)
-        if end < window:
-            raise ConfigError(f"feed has only {end} minutes, need a window of {window}")
-        return self.values[end - window:end]
 
 
 def monitor_scrape_frame(ctx):

@@ -5,7 +5,10 @@ draws the same examples, so a test cannot flake) that prints the blob to
 reproduce any failure; without it the default profile applies.
 """
 
+import importlib.util
 import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -22,3 +25,16 @@ def embed_agreement():
     instances, computed once per session: (feasibility agreements,
     disagreeing seeds, greedy/optimal latency ratios)."""
     return run_agreement(range(200))
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench(name) loads the benchmark's perfbench/<name>.py by path."""
+    def load(name: str):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+        spec.loader.exec_module(module)
+        return module
+    return load

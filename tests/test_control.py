@@ -20,8 +20,9 @@ from loopsim.control import (KNOWLEDGE_WINDOW, SANDBOX_HORIZON_TICKS, ConflictKi
                              detect_conflicts, write_csv)
 from loopsim.engines import linfit
 from loopsim.errors import ConfigError
+from loopsim.learning import TrafficFeed
 from loopsim.sdi import TIER_DEPTH, ResourceVector, Tier, build_topology, serialize_state
-from loopsim.steps import TrafficFeed, build_default_registry
+from loopsim.steps import build_default_registry
 
 
 def spec_3nodes():

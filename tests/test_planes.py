@@ -1,9 +1,10 @@
 """The plane boundary: the control plane (config, sdi, chain, control, the
 set-point steps, the conflict demo and the CLI around it) imports no numpy;
-only the ML plane (engines, metrics, the traffic feed, the ML steps and the
-compress and adaptive-vnf runners) loads it. Each check runs in a fresh
-interpreter, since this one has numpy loaded already."""
+only the ML plane (engines, metrics, learning and the ML steps) loads it.
+Each numpy check runs in a fresh interpreter, since this one has numpy
+loaded already. The benchmark's tracer still sees the ML plane's layers."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -21,7 +22,8 @@ sys.modules["numpy"] = None
 """
 
 ML_MODULES = """
-ml = sorted(m for m in ("loopsim.engines", "loopsim.metrics") if m in sys.modules)
+ml = sorted(m for m in ("loopsim.engines", "loopsim.metrics", "loopsim.learning")
+            if m in sys.modules)
 assert not ml, ml
 """
 
@@ -107,12 +109,37 @@ assert [sdi.get_knob(orch.state, node, f"vnf{{k}}.cpu.millicores")
 def test_only_a_scenario_that_trains_loads_numpy_with_its_config(tmp_path, config,
                                                                   loads_numpy):
     """Loading an ML scenario's config builds its TrainConfig and workload
-    profile, so numpy loads there, in set-up, not later in the run."""
+    profile, so numpy and learning load there, in set-up, not later in the run."""
     proc = run_child(f"""
 import sys
 from loopsim.scenarios import load_scenario_config
 load_scenario_config({str(CONFIGS / config)!r})
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "loopsim.learning" in sys.modules)
 """, tmp_path)
     assert_ok(proc)
-    assert proc.stdout.split() == [str(loads_numpy)]
+    assert proc.stdout.split() == [str(loads_numpy)] * 2
+
+
+@pytest.mark.parametrize("workload, spans", [
+    ("compress", ("engines.ae_train", "engines.encode", "metrics.scrape_series",
+                  "steps.monitor_scrape_frame", "steps.analyze_encode_frame")),
+    ("adaptive-vnf", ("engines.rnn_train", "engines.rnn_predict",
+                      "steps.monitor_traffic_window", "steps.analyze_forecast_traffic")),
+])
+def test_the_benchmarks_tracer_sees_the_ml_plane(tmp_path, perfbench, workload, spans):
+    """perfbench's tracer patches engines, metrics and the ML steps where it
+    finds them by name; a runner or registry that reached them another way
+    would leave those spans at 0 calls, and the benchmark's smoke check would
+    still pass."""
+    tracing, workloads = perfbench("tracer"), perfbench("workloads")
+    # Loaded before the patching, so a name it bound at import reads 0 calls.
+    importlib.import_module("loopsim.learning")
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        run, _ = workloads.prepare(workload, 7, tmp_path, tiny=True)
+        run()
+    finally:
+        tracer.uninstall()
+    layers = tracing.summarize(tracer)
+    assert [name for name in spans if not layers[f"{name}.calls"]] == []

@@ -18,8 +18,9 @@ from loopsim.cli import main
 from loopsim.control import KNOWLEDGE_WINDOW, TraceEvent
 from loopsim.engines import TRAIN_TABLE as _TRAIN, TrainConfig
 from loopsim.errors import ConfigError
+from loopsim.learning import _knob_levels
 from loopsim.metrics import WORKLOAD_TABLE as _WORKLOAD
-from loopsim.scenarios import (SCENARIOS, RunReport, ScenarioConfig, _knob_levels, check_inputs,
+from loopsim.scenarios import (SCENARIOS, RunReport, ScenarioConfig, check_inputs,
                                load_scenario_config, run_scenario)
 
 TINY_COMPRESS = dict(
@@ -584,6 +585,26 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_scenario(ScenarioConfig(**dict(doc, out_dir=str(tmp_path / "api"))))
     assert not (tmp_path / "out").exists() and not (tmp_path / "api").exists()
+
+
+def test_cli_misordered_chain_file_exits_2_with_one_message_before_the_scrape(
+        tmp_path, capsys, monkeypatch):
+    chain_path = tmp_path / "chain.yaml"
+    chain_path.write_text(yaml.safe_dump(dict(CUSTOM_COMPRESS_CHAIN,
+                                              edges=[["squash", "grab"], ["squash", "keep"]])))
+    path = write_config(tmp_path, with_section(TINY_COMPRESS, "params", chain_file="chain.yaml"))
+
+    def scrape_series(*args):
+        pytest.fail("run scraped before refusing the chain file")
+
+    monkeypatch.setattr(metrics, "scrape_series", scrape_series)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--scenario", "compress", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    message = (f"{chain_path.resolve()}: ordering violation: "
+               "analyze step 'squash' precedes monitor step 'grab'")
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_scenario_reads_only_its_tables_keys(tmp_path):

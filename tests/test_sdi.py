@@ -1,10 +1,7 @@
 """Infrastructure model: construction, conservation, paths, cloning."""
 
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,14 +620,10 @@ def test_roles_list_is_kept():
 
 
 @pytest.mark.parametrize("seed", [7, 3, 11])
-def test_region_ring_spec_draws_as_the_benchmark_ring(monkeypatch, seed):
+def test_region_ring_spec_draws_as_the_benchmark_ring(perfbench, seed):
     """region_ring_spec is the ring perfbench's conflict-scale builds: equal
     specs, and the rng left where the benchmark's own copy leaves it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = perfbench("workloads")
     ours, theirs = random.Random(seed), random.Random(seed)
     assert sdi.region_ring_spec(ours, 8, 8) == workloads._topology_spec(theirs, 8, 8)
     assert ours.getstate() == theirs.getstate()
