@@ -4,8 +4,9 @@ A loop chain is a DAG of monitor/analyze/plan/execute steps plus an optional
 knowledge store, each step carrying QoS requirements. Embedding assigns
 steps to compute nodes greedily in topological order (minimum added path
 latency, bounded backtracking) and reserves all resources atomically; an
-exhaustive embedder doubles as the test oracle. The action catalog turns
-analysis outputs into concrete knob proposals.
+exhaustive embedder doubles as the test oracle. The action catalog, which
+the scenario that uses one builds in code, turns analysis outputs into
+concrete knob proposals. chain_from_dict reads a chain file.
 """
 
 from __future__ import annotations
@@ -610,7 +611,7 @@ def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,
 
 
 # ---------------------------------------------------------------------------
-# File formats
+# Chain files
 # ---------------------------------------------------------------------------
 
 _QOS = {"max_latency_ms": math.inf, "min_bandwidth": 0, "cpu": 0, "storage": 0,
@@ -646,19 +647,3 @@ def chain_from_dict(doc: dict) -> LoopChain:
 def load_chain(path) -> LoopChain:
     return chain_from_dict(load_yaml(path))
 
-
-_ENTRY = {"kind": str, "target_role": str, "parameter": str, "scale": 1.0, "offset": 0.0,
-          "min": -math.inf, "max": math.inf}
-
-
-def catalog_from_dict(doc: dict) -> ActionCatalog:
-    """The catalog a parsed catalog file holds; a malformed entry raises
-    ConfigError naming it."""
-    return ActionCatalog(entries=tuple(
-        CatalogEntry(e["kind"], e["target_role"], e["parameter"], e["scale"], e["offset"],
-                     e["min"], e["max"])
-        for e in section(doc, "", {"entries": [_ENTRY]})["entries"]))
-
-
-def load_catalog(path) -> ActionCatalog:
-    return catalog_from_dict(load_yaml(path))

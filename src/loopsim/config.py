@@ -1,7 +1,7 @@
 """Reading outside input. Every document loopsim reads (scenario configs,
-topologies, states, chains and catalogs) goes through the YAML loader and
-section, which reads a mapping by a declared table, so a malformed document
-is refused alike (ConfigError, exit 2) in any file.
+topologies and chains) goes through the YAML loader and section, which reads
+a mapping by a declared table, so a malformed document is refused alike
+(ConfigError, exit 2) in any file.
 
 A table maps each key to its default, and the default's type is the kind:
 - a bool, int, float or str: a value of that kind, the default when the key
@@ -28,15 +28,13 @@ _ITEMS = {str: "strings", dict: "mappings", list: "lists", object: "items"}
 _KINDS = {bool: "true or false", str: "a string", dict: "a mapping"}
 
 
-def load_yaml(path, text: str | None = None) -> dict:
-    """The mapping that the YAML file at path holds, or that text holds when
-    given (path then only names it). An unreadable or non-UTF-8 file, a YAML
-    error or a document that is not a mapping raises ConfigError naming path."""
+def load_yaml(path) -> dict:
+    """The mapping that the YAML file at path holds. An unreadable or
+    non-UTF-8 file, a YAML error or a document that is not a mapping raises
+    ConfigError naming path."""
     try:
-        if text is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        doc = yaml.load(text, Loader=_Loader)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = yaml.load(fh.read(), Loader=_Loader)
     except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: bad UTF-8 or scalar
         raise ConfigError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):

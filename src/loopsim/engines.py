@@ -457,8 +457,8 @@ def relative_error_distribution(real, recon, threshold: float,
     |error| strictly below the threshold. The histogram clips errors into
     bin_range so the tails stay visible in the edge bins.
     """
-    real = np.asarray(getattr(real, "values", real), dtype=float)
-    recon = np.asarray(getattr(recon, "values", recon), dtype=float)
+    real = np.asarray(real, dtype=float)
+    recon = np.asarray(recon, dtype=float)
     if real.shape != recon.shape:
         raise ConfigError(f"length mismatch: {real.shape} vs {recon.shape}")
     keep = np.abs(real) >= eps
@@ -488,8 +488,8 @@ class LinearModel:
 
 def linfit(x, y) -> LinearModel:
     """Closed-form OLS of y on x."""
-    x = np.asarray(getattr(x, "values", x), dtype=float)
-    y = np.asarray(getattr(y, "values", y), dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ConfigError("linfit expects two 1-d series of equal length")
     if len(x) < 2:
@@ -730,7 +730,7 @@ def make_windows(series: np.ndarray, window: int, horizon: int):
 def rnn_train(series, window: int, horizon: int, config: TrainConfig,
               hidden_size: int = 16) -> RecurrentModel:
     """Fit the forecaster on a scalar series (raw units)."""
-    series = np.asarray(getattr(series, "values", series), dtype=float)
+    series = np.asarray(series, dtype=float)
     if len(series) <= window + horizon:
         raise InsufficientDataError(
             f"need more than window + horizon = {window + horizon} samples, got {len(series)}")
@@ -749,7 +749,7 @@ def rnn_train(series, window: int, horizon: int, config: TrainConfig,
 
 def rnn_predict(model: RecurrentModel, window_values) -> np.ndarray:
     """Forecast the next horizon values from one raw input window."""
-    window_values = np.asarray(getattr(window_values, "values", window_values), dtype=float)
+    window_values = np.asarray(window_values, dtype=float)
     if window_values.ndim != 1 or len(window_values) != model.window:
         raise ConfigError(f"expected a window of {model.window} values")
     if not np.all(np.isfinite(window_values)):

@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-import yaml
-
 from .config import load_yaml, section
 from .errors import ConfigError, SimError
 
@@ -250,15 +248,13 @@ _NODE = {"id": str, "region": "default", "tier": "edge", "cpu": 0, "mem": 0, "st
 _LINK = {"a": str, "b": str, "bandwidth": 0, "latency": 0.0, "reliability": 1.0}
 _KNOB = {"node": str, "parameter": str, "value": float}
 _TOPOLOGY = {"nodes": [object], "switches": [object], "links": [object], "knobs": [object]}
-_ALLOCATION = {"id": str, "owner": str, "target": str, **dict.fromkeys(RESOURCE_COMPONENTS, 0)}
-_STATE = {**_TOPOLOGY, "allocations": [object]}
 
 
 def _parse_node(entry: dict) -> ComputeNode:
     n = section(entry, "", _NODE)
     if "--" in n["id"]:
         raise TopologyError(f"node id {n['id']!r} must not contain '--' "
-                            "(reserved for link targets in state files)")
+                            "(messages name a link as a--b)")
     try:
         tier = Tier(n["tier"].lower())
     except ValueError:
@@ -328,7 +324,7 @@ def build_topology(spec) -> Topology:
 
 
 def _entry(kind: str, entry, parse):
-    """parse(entry), where a topology or state entry that is not a mapping,
+    """parse(entry), where a topology entry that is not a mapping,
     a missing, unknown or malformed field (or a knob its node cannot take)
     raises a TopologyError naming the entry."""
     if not isinstance(entry, dict):
@@ -387,18 +383,16 @@ def _insufficient(target: Target, component: str, requested: int, free: int) -> 
                                     f"(requested {requested}, free {free})")
 
 
-def _book(state: Topology, owner: str, resources: ResourceVector, target: Target,
-          alloc_id: str | None = None) -> Allocation:
+def _book(state: Topology, owner: str, resources: ResourceVector, target: Target) -> Allocation:
     """The one way an allocation enters a state: check it against the free
-    capacity of its target, then record it (under the next free id unless
-    alloc_id is given) and its usage."""
+    capacity of its target, then record it under the next free id, and its
+    usage."""
     residual = state.residual(target)
     short = residual.shortfall(resources)
     if short is not None:
         raise _insufficient(target, short, getattr(resources, short), getattr(residual, short))
-    if alloc_id is None:
-        alloc_id = f"alloc-{state._next_alloc:06d}"
-        state._next_alloc += 1
+    alloc_id = f"alloc-{state._next_alloc:06d}"
+    state._next_alloc += 1
     alloc = state.allocations[alloc_id] = Allocation(alloc_id, owner, resources, target)
     state._used[target] = state._used.get(target, ZERO) + resources
     return alloc
@@ -581,7 +575,7 @@ def path_latencies(state: Topology, src: str) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Cloning and serialization
+# Cloning
 # ---------------------------------------------------------------------------
 
 def clone_state(state: Topology) -> Topology:
@@ -595,91 +589,6 @@ def clone_state(state: Topology) -> Topology:
                      _next_alloc=state._next_alloc)
     clone._routes = state._routes
     return clone
-
-
-# libyaml where it is installed; its text equals the pure-Python emitter's.
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
-def serialize_state(state: Topology) -> str:
-    """Canonical YAML serialization (stable ordering), including allocations
-    and knobs; a knob's backing is implied by its value, so the allocations
-    section lists real allocations only. Byte-equal serializations mean
-    value-equal states."""
-    doc = {
-        "nodes": [
-            {
-                "id": n.id, "region": n.region, "tier": n.tier.value,
-                "cpu": n.cpu_capacity, "mem": n.mem_capacity,
-                "storage": n.storage_capacity, "reliability": n.reliability,
-                "roles": list(n.roles),
-            }
-            for n in (state.nodes[k] for k in sorted(state.nodes))
-        ],
-        "switches": sorted(state.switches),
-        "links": [
-            {
-                "a": l.key[0], "b": l.key[1], "bandwidth": l.bandwidth,
-                "latency": l.latency, "reliability": l.reliability,
-            }
-            for l in (state.links[k] for k in sorted(state.links))
-        ],
-        "allocations": [
-            {
-                "id": a.id, "owner": a.owner,
-                "target": "--".join(a.target) if isinstance(a.target, tuple) else a.target,
-                "cpu": a.resources.cpu, "mem": a.resources.mem,
-                "storage": a.resources.storage, "bandwidth": a.resources.bandwidth,
-            }
-            for a in (state.allocations[k] for k in sorted(state.allocations))
-        ],
-        "knobs": [
-            {"node": node, "parameter": param, "value": state.knobs[(node, param)]}
-            for node, param in sorted(state.knobs)
-        ],
-    }
-    return yaml.dump(doc, Dumper=_Dumper, sort_keys=True, default_flow_style=False)
-
-
-def _parse_allocation(entry: dict) -> tuple[str, str, str, ResourceVector]:
-    a = section(entry, "", _ALLOCATION)
-    return a["id"], a["owner"], a["target"], ResourceVector(*(a[c] for c in RESOURCE_COMPONENTS))
-
-
-def deserialize_state(text: str) -> Topology:
-    """Inverse of serialize_state: rebuilds the topology, books the
-    allocation table verbatim (original ids and owners) and sets the knobs,
-    which reserves their backings again. A state that oversubscribes a node
-    or link raises TopologyError; a link has no cpu and a node no bandwidth.
-    A malformed allocation or knob entry raises TopologyError naming it."""
-    doc = section(load_yaml("state document", text), "", _STATE)
-    topo = build_topology({k: doc[k] for k in ("nodes", "switches", "links")})
-    highest = 0
-    for entry in doc["allocations"]:
-        alloc_id, owner, name, resources = _entry("allocation", entry, _parse_allocation)
-        if alloc_id in topo.allocations:
-            raise TopologyError(f"duplicate allocation id {alloc_id!r}")
-        target = name if name in topo.nodes else tuple(sorted(name.partition("--")[::2]))
-        if target not in topo.links and target not in topo.nodes:
-            raise TopologyError(f"allocation {alloc_id} targets unknown {name!r}")
-        try:
-            _book(topo, owner, resources, target, alloc_id)
-        except CapacityError as exc:
-            raise TopologyError(f"allocation {alloc_id} oversubscribes "
-                                f"{target_label(target)}: {exc}") from None
-        suffix = alloc_id.rsplit("-", 1)[-1]
-        if suffix.isdigit():
-            highest = max(highest, int(suffix))
-    topo._next_alloc = highest + 1
-    for entry in doc["knobs"]:
-        node, parameter, value = _entry("knob", entry, lambda e: section(e, "", _KNOB).values())
-        if node not in topo.nodes:
-            raise TopologyError(f"knob targets unknown node {node!r}")
-        try:
-            set_knob(topo, node, parameter, value)
-        except CapacityError:
-            raise TopologyError(f"knob {parameter} oversubscribes node {node}") from None
-    return topo
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from loopsim.chain import (ActionCatalog, AnalysisOutput, CatalogEntry,
                            catalog_translate, chain_from_dict, embed, embed_bruteforce,
                            validate_chain)
 from loopsim.errors import ConfigError
-from loopsim.sdi import ResourceVector, build_topology, clone_state, serialize_state
+from loopsim.sdi import ResourceVector, build_topology, clone_state
+
+from conftest import snapshot
 
 
 def step(name, kind, cpu=0, storage=0, **qos):
@@ -147,18 +149,18 @@ def test_infeasible_names_cpu():
 def test_failed_embed_leaves_state_bitwise_identical():
     state = build_topology(two_node_spec())
     sdi.allocate(state, "na", ResourceVector(cpu=400), "other")
-    before = serialize_state(state)
+    before = snapshot(state)
     chain = LoopChain(id="fat", steps=[step("m", StepKind.MONITOR, cpu=100),
                                        step("a", StepKind.ANALYZE, cpu=99999)],
                       edges=[("m", "a")])
     with pytest.raises(InfeasibleError):
         embed(chain, state)
-    assert serialize_state(state) == before
+    assert snapshot(state) == before
 
 
 def test_embed_reserves_all_and_terminates_cleanly():
     state = build_topology(two_node_spec())
-    before = serialize_state(state)
+    before = snapshot(state)
     # Squeeze na so the two steps must split across the link.
     sdi.allocate(state, "na", ResourceVector(cpu=300), "squeeze")
     chain = LoopChain(
@@ -174,7 +176,7 @@ def test_embed_reserves_all_and_terminates_cleanly():
         sdi.release(state, aid)
     for aid in [a for a, alloc in state.allocations.items() if alloc.owner == "squeeze"]:
         sdi.release(state, aid)
-    assert serialize_state(state) == before
+    assert snapshot(state) == before
 
 
 def test_shared_link_bandwidth_accumulates():
@@ -228,7 +230,7 @@ def test_step_without_host_is_infeasible_not_exhausted(qos, constraint, n_steps)
     # No testbed node can host the knowledge step whatever the other steps
     # do, so the verdict is a proof, at any chain length.
     state = build_topology("testbed")
-    before = serialize_state(state)
+    before = snapshot(state)
     knowledge = LoopStep("k", StepKind.KNOWLEDGE, "fn.k",
                          QosRequirements(**{"storage": 256, **qos}))
     chain = canonical_chain()
@@ -239,7 +241,7 @@ def test_step_without_host_is_infeasible_not_exhausted(qos, constraint, n_steps)
     with pytest.raises(InfeasibleError) as exc:
         embed(chain, state)
     assert (exc.value.step, exc.value.constraint) == ("k", constraint)
-    assert serialize_state(state) == before
+    assert snapshot(state) == before
 
 
 def latency_dead_end_chain():
@@ -255,10 +257,10 @@ def latency_dead_end_chain():
 
 def test_latency_dead_end_exhausts_the_search_budget():
     state = build_topology("testbed")
-    before = serialize_state(state)
+    before = snapshot(state)
     with pytest.raises(SearchExhaustedError):
         embed(latency_dead_end_chain(), state)
-    assert serialize_state(state) == before
+    assert snapshot(state) == before
 
 
 def test_latency_budget_drives_colocation():
@@ -464,15 +466,16 @@ def embed_outcome(seed):
     try:
         emb = embed(chain, state)
     except EmbeddingError as exc:
-        return repr((type(exc).__name__, str(exc), serialize_state(state)))
+        return repr((type(exc).__name__, str(exc), snapshot(state)))
     return repr((sorted(emb.assignment.items()), sorted(emb.paths.items()),
-                 emb.total_latency_ms, emb.allocation_ids, serialize_state(state)))
+                 emb.total_latency_ms, emb.allocation_ids, snapshot(state)))
 
 
 # sha256 of embed_outcome over seeds 0-399 (246 embeddings, 154
-# InfeasibleError), as computed by the embedder before its search was
-# restructured; any change to what embed returns or reserves moves it.
-EMBED_OUTCOMES_SHA256 = "b942055e883aae52efe86c5f14a786f43d9300dda2862b76f49a01ff860ce54f"
+# InfeasibleError), computed with the embedder as it stood before the
+# state's YAML form was removed; any change to what embed returns or
+# reserves moves it.
+EMBED_OUTCOMES_SHA256 = "c7abdc85a5935c33e55beeaac1c521243321d4e38d423c01bff11add5e9cf008"
 
 
 def test_embed_results_pinned_on_400_seeded_instances():
@@ -600,34 +603,8 @@ def test_catalog_direction_against_current_knob(vnf_state):
 
 
 # ---------------------------------------------------------------------------
-# File format
+# Chain files
 # ---------------------------------------------------------------------------
-
-def test_catalog_file_loading(tmp_path):
-    import yaml
-
-    from loopsim.chain import load_catalog
-    path = tmp_path / "catalog.yaml"
-    path.write_text(yaml.safe_dump({
-        "entries": [{"kind": "traffic.forecast", "target_role": "firewall",
-                     "parameter": "vnf.cpu.millicores",
-                     "scale": 12.0, "offset": 200.0, "min": 100, "max": 6000}],
-    }))
-    catalog = load_catalog(path)
-    assert catalog.lookup("traffic.forecast")[0].hi == 6000.0
-    assert catalog.lookup("nothing") == []
-
-
-@pytest.mark.parametrize("entries, named", [
-    ([5], "entries[0] must be a mapping, got 5"),
-    ([{"kind": "k"}], "entries[0] {'kind': 'k'}: missing 'target_role'"),
-], ids=["not-a-mapping", "missing-field"])
-def test_catalog_refuses_a_malformed_entry_naming_it(entries, named):
-    from loopsim.chain import catalog_from_dict
-    with pytest.raises(ConfigError) as err:
-        catalog_from_dict({"entries": entries})
-    assert str(err.value) == named
-
 
 def test_chain_from_dict_roundtrip():
     chain = chain_from_dict({

@@ -1,28 +1,29 @@
 """Every outside document is read through one declared table: a misspelled
 key is refused with the known keys, a value of another kind is refused, and
-every document loopsim ships or writes still loads."""
+every document loopsim ships still loads."""
 
 import copy
+import importlib
 import random
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
 from loopsim import sdi
-from loopsim.chain import catalog_from_dict, chain_from_dict
+from loopsim.chain import chain_from_dict
 from loopsim.cli import main
 from loopsim.errors import ConfigError
-from loopsim.scenarios import (ScenarioConfig, _conflict_run, check_inputs,
-                               load_scenario_config)
+from loopsim.scenarios import load_scenario_config
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
 CHAIN = {"id": "demo", "steps": [{"name": "m", "kind": "monitor",
                                   "function": "monitor.scrape_frame", "qos": {"cpu": 100}}]}
 TOPOLOGY = {"nodes": [{"id": "a", "cpu": 1000}, {"id": "b", "cpu": 1000}],
             "links": [{"a": "a", "b": "b", "bandwidth": 100, "latency": 1.0}]}
-CATALOG = {"entries": [{"kind": "k", "target_role": "firewall", "parameter": "p"}]}
 CONFIG = {"scenario": "adaptive-vnf", "seed": 7,
           "workload": {"duration": 7200.0, "segments": [
               {"start": 0, "end": 1200, "shape": "ramp", "amplitude": 40}]}}
@@ -38,18 +39,10 @@ def edited(doc, path, key, value):
     return doc
 
 
-def load_state(doc, tmp_path):
-    return sdi.deserialize_state(yaml.safe_dump(doc))
-
-
 def load_config(doc, tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc))
     return load_scenario_config(path)
-
-
-def state_doc():
-    return yaml.safe_load(sdi.serialize_state(sdi.build_topology(TOPOLOGY)))
 
 
 MISSPELLED = [
@@ -69,12 +62,6 @@ MISSPELLED = [
     (lambda d, _: sdi.build_topology(d),
      edited(TOPOLOGY, ["links", 0], "latncy", 2.0),
      "unknown key latncy; known: a, b, bandwidth, latency, reliability"),
-    (lambda d, _: catalog_from_dict(d),
-     edited(CATALOG, ["entries", 0], "maximum", 6000),
-     "unknown key entries[0].maximum; known: kind, target_role, parameter, scale, offset, "
-     "min, max"),
-    (load_state, edited(state_doc(), [], "allocatons", []),
-     "unknown key allocatons; known: nodes, switches, links, knobs, allocations"),
     (load_config, edited(CONFIG, ["workload", "segments", 0], "amplitud", 40),
      "unknown key workload.segments[0].amplitud; known: start, end, shape, amplitude"),
 ]
@@ -89,7 +76,7 @@ MISSPELLED = [
     (lambda d, _: sdi.build_topology(d), edited(TOPOLOGY, ["links", 0], "a", 5),
      ": a must be a string, got 5"),
 ], ids=["qos-min_bandwith", "chain-tick_perod_ms", "chain-priorty", "node-cpu_capacity",
-        "link-latncy", "catalog-maximum", "state-allocatons", "segment-amplitud",
+        "link-latncy", "segment-amplitud",
         "chain-id-number", "step-name-number", "link-end-number"])
 def test_a_misspelled_key_or_a_non_string_is_refused(tmp_path, load, doc, message):
     with pytest.raises(ConfigError) as err:
@@ -107,16 +94,6 @@ def test_validate_exits_2_on_a_misspelled_key_in_a_referenced_chain(tmp_path, ca
     assert "unknown key steps[0].qos.min_bandwith" in capsys.readouterr().err
 
 
-def written_state_loads_back():
-    """A finished conflict-demo world, with its allocations and knob, reads
-    back into the state that wrote it."""
-    params = check_inputs(ScenarioConfig("conflict-demo", 7)).params
-    state = _conflict_run("testbed", params, arbitration=True).state
-    text = sdi.serialize_state(state)
-    assert state.allocations and state.knobs
-    return sdi.serialize_state(sdi.deserialize_state(text)) == text
-
-
 @pytest.mark.parametrize("load", [
     *(pytest.param(lambda path=path: load_scenario_config(path), id=path.name)
       for path in CONFIGS),
@@ -125,7 +102,19 @@ def written_state_loads_back():
     *(pytest.param(lambda seed=seed: sdi.build_topology(
         sdi.region_ring_spec(random.Random(seed), 8, 8)), id=f"region-ring-{seed}")
       for seed in (7, 3, 11)),
-    pytest.param(written_state_loads_back, id="conflict-demo-state"),
 ])
 def test_every_document_loopsim_ships_or_writes_loads(load):
     assert load()
+
+
+def test_readme_file_formats_table_names_real_code():
+    """Each `module.NAME` in the table column of README's "File formats"
+    table is an attribute of loopsim.module."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    formats = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in formats.splitlines() if line.startswith("| ")][1:]
+    names = [name for row in rows for name in re.findall(r"`(\w+)\.(\w+)`", row.split("|")[-2])]
+    assert len(names) >= 10
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"loopsim.{module}"), name)]
+    assert missing == []

@@ -21,8 +21,10 @@ from loopsim.control import (KNOWLEDGE_WINDOW, SANDBOX_HORIZON_TICKS, ConflictKi
 from loopsim.engines import linfit
 from loopsim.errors import ConfigError
 from loopsim.learning import TrafficFeed
-from loopsim.sdi import TIER_DEPTH, ResourceVector, Tier, build_topology, serialize_state
+from loopsim.sdi import TIER_DEPTH, ResourceVector, Tier, build_topology
 from loopsim.steps import build_default_registry
+
+from conftest import snapshot
 
 
 def spec_3nodes():
@@ -104,21 +106,21 @@ def test_terminate_then_scale_is_illegal():
 
 def test_instantiate_terminate_restores_state_bitwise():
     orch = make_orchestrator()
-    before = serialize_state(orch.state)
+    before = snapshot(orch.state)
     orch.instantiate(analysis_chain())
-    assert serialize_state(orch.state) != before
+    assert snapshot(orch.state) != before
     orch.terminate("watcher")
-    assert serialize_state(orch.state) == before
+    assert snapshot(orch.state) == before
 
 
 def test_instantiate_refuses_an_unregistered_step_function_before_booking():
     orch = make_orchestrator()
-    before = serialize_state(orch.state)
+    before = snapshot(orch.state)
     chain = analysis_chain()
     chain.steps[0] = replace(chain.steps[0], function_ref="monitor.nope")
     with pytest.raises(ConfigError, match="monitor.nope"):
         orch.instantiate(chain)
-    assert serialize_state(orch.state) == before
+    assert snapshot(orch.state) == before
     assert orch.instances == {} and orch.trace.events == []
 
 
@@ -127,10 +129,10 @@ def test_instantiate_refuses_an_unregistered_step_function_before_booking():
                          ids=["dangling-edge", "cycle"])
 def test_instantiate_refuses_an_invalid_chain_before_booking(edges):
     orch = make_orchestrator()
-    before = serialize_state(orch.state)
+    before = snapshot(orch.state)
     with pytest.raises(ChainValidationError):
         orch.instantiate(replace(analysis_chain(), edges=edges))
-    assert serialize_state(orch.state) == before
+    assert snapshot(orch.state) == before
     assert orch.instances == {} and orch.trace.events == []
 
 
@@ -184,11 +186,11 @@ def test_scale_in_place():
 def test_scale_infeasible_restores_and_raises():
     orch = make_orchestrator()
     orch.instantiate(analysis_chain())
-    before = serialize_state(orch.state)
+    before = snapshot(orch.state)
     with pytest.raises(InfeasibleError):
         orch.scale("watcher", 10_000.0)
     assert orch.query("watcher").state == InstanceState.RUNNING
-    assert serialize_state(orch.state) == before
+    assert snapshot(orch.state) == before
     orch.terminate("watcher")  # stale allocation ids would break here
 
 
@@ -655,17 +657,17 @@ def test_sandbox_opposing_loops_unstable():
 def test_sandbox_leaves_live_state_bitwise_identical():
     orch = make_orchestrator()
     opposing_pair(orch)
-    before = serialize_state(orch.state)
+    before = snapshot(orch.state)
     orch.sandbox_dryrun([proposal("up", value=3000.0, direction=1)])
-    assert serialize_state(orch.state) == before
+    assert snapshot(orch.state) == before
 
 
 def test_sandbox_empty_proposals_stable():
     orch = make_orchestrator()
-    before = serialize_state(orch.state)
+    before = snapshot(orch.state)
     result = orch.sandbox_dryrun([])
     assert result.verdict == "stable"
-    assert serialize_state(orch.state) == before
+    assert snapshot(orch.state) == before
 
 
 def test_count_reversals():

@@ -8,14 +8,11 @@ like a freshly built state, that dry-runs and failed scales leave the live
 world untouched, that replaying a tick's applies from the trace reproduces
 the live knobs, and that every instance's counters equal a plain one-pass
 count of its incarnation's trace events. The checks compare the state's
-tables directly rather than YAML serializations, which would make a failing
-example take minutes to shrink; test_sdi checks the YAML round trip on
-random mutation sequences.
+value snapshot plus its usage table and allocation id counter.
 """
 
 import copy
 import math
-import struct
 from collections import Counter
 
 from hypothesis import settings
@@ -30,6 +27,8 @@ from loopsim.control import InstanceState, Orchestrator
 from loopsim.sdi import RESOURCE_COMPONENTS, CapacityError, knob_backing_component
 from loopsim.steps import build_default_registry
 
+from conftest import bits, snapshot
+
 CHAIN_IDS = ("loop0", "loop1", "loop2", "loop3")
 KNOB = "vnf.cpu.millicores"
 TICK_MS = 1000
@@ -37,19 +36,9 @@ TICK_MS = 1000
 FAILING_FACTOR = 10_000.0
 
 
-def bits(x: float) -> bytes:
-    return struct.pack("<d", x)
-
-
-def world(state) -> dict:
-    """Copies of the state's tables: everything serialize_state writes
-    (knob values bitwise) plus the usage table and the allocation id
-    counter."""
-    return {"nodes": dict(state.nodes), "switches": set(state.switches),
-            "links": dict(state.links), "allocations": dict(state.allocations),
-            "knobs": {key: bits(v) for key, v in state.knobs.items()},
-            "used": dict(state._used),
-            "next_alloc": state._next_alloc}
+def world(state) -> tuple:
+    """The state's snapshot plus its usage table and allocation id counter."""
+    return (*snapshot(state), dict(state._used), state._next_alloc)
 
 
 @st.composite

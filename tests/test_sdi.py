@@ -13,7 +13,9 @@ from loopsim.errors import ConfigError
 from loopsim.sdi import (CapacityError, ResourceVector, Tier, TopologyError,
                          UnknownAllocationError, UnknownNodeError, UnreachableError,
                          allocate, build_topology, clone_state, path_metrics, release,
-                         reserve_bandwidth, serialize_state, set_knob)
+                         reserve_bandwidth, set_knob)
+
+from conftest import snapshot
 
 
 def small_spec(**overrides):
@@ -109,13 +111,13 @@ def test_allocate_over_capacity_names_component():
 
 def test_allocate_release_roundtrip_bit_identical():
     topo = build_topology(small_spec())
-    before = serialize_state(topo)
+    before = snapshot(topo)
     alloc = allocate(topo, "a", ResourceVector(cpu=500, mem=256, storage=128), "me")
-    assert serialize_state(topo) != before
+    assert snapshot(topo) != before
     release(topo, alloc.id)
     # Residuals return exactly; the allocation counter is internal state and
-    # is not serialized.
-    assert serialize_state(topo) == before
+    # is not in the snapshot.
+    assert snapshot(topo) == before
 
 
 def test_double_release_fails():
@@ -128,13 +130,13 @@ def test_double_release_fails():
 
 def test_release_all_restores_fresh_state():
     topo = build_topology(small_spec())
-    fresh = serialize_state(build_topology(small_spec()))
+    fresh = snapshot(build_topology(small_spec()))
     ids = [allocate(topo, n, ResourceVector(cpu=100), f"o{i}").id
            for i, n in enumerate(["a", "b", "c", "a"])]
     ids.append(reserve_bandwidth(topo, "a", "b", 10, "o9").id)
     for aid in ids:
         release(topo, aid)
-    assert serialize_state(topo) == fresh
+    assert snapshot(topo) == fresh
 
 
 def test_allocate_unknown_node():
@@ -323,12 +325,12 @@ def test_path_oracle_on_random_graphs_with_latency_ties(seed):
 def test_clone_then_mutate_leaves_original_untouched():
     topo = build_topology(small_spec())
     allocate(topo, "a", ResourceVector(cpu=100), "me")
-    before = serialize_state(topo)
+    before = snapshot(topo)
     clone = clone_state(topo)
     allocate(clone, "b", ResourceVector(cpu=999), "other")
     set_knob(clone, "a", "vnf.cpu.millicores", 123.0)
     release(clone, next(iter(clone.allocations)))
-    assert serialize_state(topo) == before
+    assert snapshot(topo) == before
 
 
 def test_clone_of_clone_equal_by_value():
@@ -336,7 +338,7 @@ def test_clone_of_clone_equal_by_value():
     allocate(topo, "b", ResourceVector(mem=64), "me")
     c1 = clone_state(topo)
     c2 = clone_state(c1)
-    assert serialize_state(c2) == serialize_state(topo)
+    assert snapshot(c2) == snapshot(topo)
 
 
 def test_clone_preserves_allocation_sums():
@@ -361,7 +363,7 @@ def test_clone_of_clone_isolated_from_mutations_on_either_side(mutate_original, 
     allocate(topo, "a", ResourceVector(cpu=100, storage=10), "me")
     reserve_bandwidth(topo, "a", "b", 30, "me")
     set_knob(topo, "b", "vnf.cpu.millicores", 250.0)
-    before = serialize_state(topo)
+    before = snapshot(topo)
     first = clone_state(topo)
     second = clone_state(first)
     target, untouched = (topo, first) if mutate_original else (first, topo)
@@ -377,9 +379,16 @@ def test_clone_of_clone_isolated_from_mutations_on_either_side(mutate_original, 
                 reserve_bandwidth(target, "b", "c", amount // 100, "x")
         except CapacityError:
             pass
-    assert serialize_state(second) == before
-    assert serialize_state(untouched) == before
-    fresh = sdi.deserialize_state(serialize_state(target))
+    assert snapshot(second) == before
+    assert snapshot(untouched) == before
+    fresh = build_topology(small_spec())
+    for alloc in target.allocations.values():
+        if isinstance(alloc.target, tuple):
+            reserve_bandwidth(fresh, *alloc.target, alloc.resources.bandwidth, alloc.owner)
+        else:
+            allocate(fresh, alloc.target, alloc.resources, alloc.owner)
+    for (node, parameter), value in target.knobs.items():
+        set_knob(fresh, node, parameter, value)
     for src in target.nodes:
         for dst in target.nodes:
             assert path_metrics(target, src, dst) == path_metrics(fresh, src, dst)
@@ -435,10 +444,10 @@ def test_refused_knob_leaves_state_bitwise_identical():
     topo = build_topology(small_spec())
     set_knob(topo, "c", "vnf.cpu.millicores", 800.0)
     allocate(topo, "c", ResourceVector(cpu=100), "other")
-    before = serialize_state(topo)
+    before = snapshot(topo)
     with pytest.raises(CapacityError, match=r"insufficient cpu \(requested 901, free 900\)"):
         set_knob(topo, "c", "vnf.cpu.millicores", 900.5)
-    assert serialize_state(topo) == before
+    assert snapshot(topo) == before
 
 
 def test_repeated_knob_sets_leave_allocation_table_alone():
@@ -458,122 +467,15 @@ def test_non_resource_knob_reserves_nothing():
     assert sdi.get_knob(topo, "a", "firewall.mode") == 2.0
 
 
-# ---------------------------------------------------------------------------
-# State round trip
-# ---------------------------------------------------------------------------
-
-def populated_state():
-    topo = build_topology("testbed")
-    allocate(topo, "toronto-vm2", ResourceVector(cpu=1200, mem=512), "loop-a")
-    allocate(topo, "waterloo-vm4", ResourceVector(cpu=700, storage=2048), "loop-b")
-    reserve_bandwidth(topo, "waterloo-vm4", "waterloo-sw1", 250, "loop-b")
-    set_knob(topo, "waterloo-vm4", "vnf.cpu.millicores", 1500.0)
-    set_knob(topo, "core-vm1", "lb.weight", 0.75)
-    return topo
-
-
-def test_state_serialization_roundtrip_bitwise():
-    topo = populated_state()
-    text = serialize_state(topo)
-    back = sdi.deserialize_state(text)
-    assert serialize_state(back) == text
-
-
-def test_loaded_state_keeps_accounting_live():
-    topo = populated_state()
-    back = sdi.deserialize_state(serialize_state(topo))
-    assert back.residual("waterloo-vm4") == topo.residual("waterloo-vm4")
-    assert back.residual(("waterloo-sw1", "waterloo-vm4")).bandwidth == 750
-    # Allocation ids continue past the restored ones.
-    fresh = allocate(back, "calgary-vm2", ResourceVector(cpu=10), "x")
-    assert fresh.id not in serialize_state(topo)
-    release(back, fresh.id)
-    # Knob adjustments keep working against the restored backing.
-    set_knob(back, "waterloo-vm4", "vnf.cpu.millicores", 500.0)
-    assert back.residual("waterloo-vm4").cpu == \
-        topo.residual("waterloo-vm4").cpu + 1000
-
-
-def test_save_and_load_state_files(tmp_path):
-    topo = populated_state()
-    path = tmp_path / "state.yaml"
-    path.write_text(serialize_state(topo), encoding="utf-8")
-    back = sdi.deserialize_state(path.read_text(encoding="utf-8"))
-    assert serialize_state(back) == serialize_state(topo)
-
-
-def test_deserialize_rejects_oversubscribed_allocations():
-    import yaml
-    merged = yaml.safe_load(serialize_state(build_topology(small_spec())))
-    merged["allocations"] = [{"id": "alloc-990000", "owner": "evil", "target": "c",
-                              "cpu": 99999, "mem": 0, "storage": 0, "bandwidth": 0}]
-    with pytest.raises(TopologyError, match="oversubscribes"):
-        sdi.deserialize_state(yaml.safe_dump(merged))
-
-
-def test_deserialize_rejects_oversubscribing_knob():
-    import yaml
-    topo = build_topology(small_spec())
-    allocate(topo, "c", ResourceVector(cpu=300), "other")
-    doc = yaml.safe_load(serialize_state(topo))
-    doc["knobs"] = [{"node": "c", "parameter": "vnf.cpu.millicores", "value": 700.5}]
-    with pytest.raises(TopologyError, match="oversubscribes node c"):
-        sdi.deserialize_state(yaml.safe_dump(doc))
-    doc["knobs"][0]["value"] = 700.0
-    back = sdi.deserialize_state(yaml.safe_dump(doc))
-    assert back.residual("c").cpu == 0 and len(back.allocations) == 1
-
-
-def _state_with_allocation(**entry):
-    import yaml
-    doc = yaml.safe_load(serialize_state(build_topology(small_spec())))
-    doc["allocations"] = [dict({"id": "alloc-000001", "owner": "x", "cpu": 0, "mem": 0,
-                                "storage": 0, "bandwidth": 0}, **entry)]
-    return yaml.safe_dump(doc)
-
-
-def test_deserialize_refuses_compute_on_a_link():
-    """Nothing reserves cpu on a link, so a state that claims some is refused."""
-    text = _state_with_allocation(target="a--b", cpu=500, bandwidth=10)
-    with pytest.raises(TopologyError, match=r"oversubscribes link a--b: .*insufficient cpu"):
-        sdi.deserialize_state(text)
-    back = sdi.deserialize_state(_state_with_allocation(target="b--a", bandwidth=10))
-    assert back.allocations["alloc-000001"].target == ("a", "b")
-    assert back.residual(("a", "b")).bandwidth == 90
-
-
-def test_deserialize_refuses_bandwidth_on_a_node():
-    text = _state_with_allocation(target="a", cpu=100, bandwidth=5)
-    with pytest.raises(TopologyError,
-                       match=r"oversubscribes node a: .*insufficient bandwidth"):
-        sdi.deserialize_state(text)
-
-
-@pytest.mark.parametrize("section, entry, problem", [
-    ("allocations", 5, " must be a mapping"),
-    ("allocations", {"cpu": 1, "id": "alloc-000001", "owner": "x"}, ": missing 'target'"),
-    ("knobs", 5, " must be a mapping"),
-    ("knobs", {"node": "a", "value": 1.0}, ": missing 'parameter'"),
-], ids=["allocation-not-a-mapping", "allocation-without-target", "knob-not-a-mapping",
-        "knob-without-parameter"])
-def test_deserialize_refuses_a_malformed_entry_naming_it(section, entry, problem):
-    import yaml
-    doc = yaml.safe_load(serialize_state(build_topology(small_spec())))
-    doc[section] = [entry]
-    with pytest.raises(TopologyError) as err:
-        sdi.deserialize_state(yaml.safe_dump(doc, sort_keys=False))
-    assert str(err.value) == f"{section[:-1]} entry {entry!r}{problem}"
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("parameter", ["vnf.cpu.millicores", "firewall.mode"])
 def test_set_knob_refuses_non_finite_values(parameter, value):
     topo = build_topology(small_spec())
     set_knob(topo, "a", parameter, 1000.0)
-    text, used = serialize_state(topo), dict(topo._used)
+    before, used = snapshot(topo), dict(topo._used)
     with pytest.raises(ConfigError, match="finite"):
         set_knob(topo, "a", parameter, value)
-    assert serialize_state(topo) == text and topo._used == used
+    assert snapshot(topo) == before and topo._used == used
     assert sdi.get_knob(topo, "a", parameter) == 1000.0
 
 
@@ -583,13 +485,6 @@ def test_topology_spec_knob_must_be_finite():
         "[{node: a, parameter: vnf.cpu.millicores, value: .inf}]"))
     with pytest.raises(ConfigError, match="finite"):
         build_topology(spec)
-
-
-def test_state_text_matches_the_pure_python_emitter():
-    import yaml
-    text = serialize_state(populated_state())
-    assert yaml.safe_dump(yaml.safe_load(text), sort_keys=True,
-                          default_flow_style=False) == text
 
 
 def test_integral_floats_count_as_integers():
