@@ -1,7 +1,9 @@
 """Reading outside input. Every document loopsim reads (scenario configs,
-topologies and chains) goes through the YAML loader and section, which reads
-a mapping by a declared table, so a malformed document is refused alike
-(ConfigError, exit 2) in any file.
+topologies and chains) goes through load_yaml and section, which reads a
+mapping by a declared table, so a malformed document is refused alike
+(ConfigError, exit 2) in any file. load_yaml loads the YAML parser on the
+first document read, so a control plane built in code never loads it, and
+refuses a mapping that repeats a key.
 
 A table maps each key to its default, and the default's type is the kind:
 - a bool, int, float or str: a value of that kind, the default when the key
@@ -14,32 +16,59 @@ A table maps each key to its default, and the default's type is the kind:
 An absent or null mapping or list reads as an empty one.
 """
 
+import functools
 import sys
 from types import UnionType
 
-import yaml
-
 from .errors import ConfigError
-
-# libyaml where it is installed; it builds the same documents, faster.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _ITEMS = {str: "strings", dict: "mappings", list: "lists", object: "items"}
 _KINDS = {bool: "true or false", str: "a string", dict: "a mapping"}
+_MERGE = "tag:yaml.org,2002:merge"  # the tag of a merge key, <<
 
 
 def load_yaml(path) -> dict:
     """The mapping that the YAML file at path holds. An unreadable or
-    non-UTF-8 file, a YAML error or a document that is not a mapping raises
-    ConfigError naming path."""
+    non-UTF-8 file, a YAML error, a repeated key or a document that is not a
+    mapping raises ConfigError naming path."""
+    import yaml  # here, so that a control plane built in code never loads it
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.load(fh.read(), Loader=_Loader)
+            doc = yaml.load(fh.read(), Loader=_loader())
     except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: bad UTF-8 or scalar
         raise ConfigError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must hold a mapping, got {doc!r:.40}")
     return doc
+
+
+@functools.cache
+def _loader():
+    """libyaml's safe loader where it is installed (it builds the same
+    documents, faster), refusing a key that a mapping repeats; a merge key
+    (<<) is no repeat."""
+    import yaml
+
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.checked = set()
+
+        def flatten_mapping(self, node):
+            # Merging adds pairs to node.value, so a node's own keys are checked first, once.
+            if node not in self.checked:
+                self.checked.add(node)
+                seen = set()
+                for key_node, _ in node.value:
+                    if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                        key = self.construct_object(key_node)
+                        if key in seen:
+                            raise yaml.constructor.ConstructorError(
+                                None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                        seen.add(key)
+            super().flatten_mapping(node)
+
+    return Loader
 
 
 def section(doc, where: str, table: dict, known_only: bool = True) -> dict:

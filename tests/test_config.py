@@ -1,6 +1,6 @@
 """Every outside document is read through one declared table: a misspelled
-key is refused with the known keys, a value of another kind is refused, and
-every document loopsim ships still loads."""
+key is refused with the known keys, a value of another kind or a repeated key
+is refused, and every document loopsim ships still loads."""
 
 import copy
 import importlib
@@ -12,8 +12,9 @@ import pytest
 import yaml
 
 from loopsim import sdi
-from loopsim.chain import chain_from_dict
+from loopsim.chain import chain_from_dict, load_chain
 from loopsim.cli import main
+from loopsim.config import load_yaml
 from loopsim.errors import ConfigError
 from loopsim.scenarios import load_scenario_config
 
@@ -92,6 +93,38 @@ def test_validate_exits_2_on_a_misspelled_key_in_a_referenced_chain(tmp_path, ca
                                     "params": {"chain_file": "chain.yaml"}}))
     assert main(["validate", "--config", str(path)]) == 2
     assert "unknown key steps[0].qos.min_bandwith" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("load, text, key, line", [
+    (load_scenario_config, "scenario: conflict-demo\nseed: 7\nseed: 8\n", "'seed'", 3),
+    (load_scenario_config,
+     "scenario: conflict-demo\nseed: 7\nparams:\n  ticks: 3\n  region: waterloo\n  ticks: 5\n",
+     "'ticks'", 6),
+    (load_chain, "id: demo\nsteps:\n  - name: m\n    kind: monitor\n"
+     "    function: monitor.scrape_frame\n    qos: {cpu: 100, cpu: 50}\n", "'cpu'", 6),
+    (sdi.load_topology, "nodes:\n  - {id: a, cpu: 1000}\n  - {id: b, cpu: 1000, cpu: 9000}\n"
+     "links:\n  - {a: a, b: b, bandwidth: 100, latency: 1.0}\n", "'cpu'", 3),
+], ids=["config-top-level", "config-nested", "chain-qos", "topology-node"])
+def test_a_repeated_key_is_refused_naming_the_key_and_its_line(tmp_path, load, text, key,
+                                                                line):
+    """A repeated key used to be read as its last value."""
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load(path)
+    assert f"found duplicate key {key}" in str(err.value)
+    assert f"line {line}," in str(err.value)
+
+
+def test_a_merge_key_is_no_repeat(tmp_path):
+    """<< merges a mapping in; a key beside it overrides the merged one."""
+    path = tmp_path / "topo.yaml"
+    path.write_text("nodes:\n  - &a {id: a, cpu: 1000}\n  - {<<: *a, id: b}\n"
+                    "links:\n  - {a: a, b: b, bandwidth: 100, latency: 1.0}\n")
+    assert sorted(sdi.load_topology(path).nodes) == ["a", "b"]
+    # The root merges a in before a is read itself; a's pairs then hold its merged x too.
+    path.write_text("a: &a {<<: {x: 1}, x: 2}\n<<: *a\n")
+    assert load_yaml(path) == {"a": {"x": 2}, "x": 2}
 
 
 @pytest.mark.parametrize("load", [

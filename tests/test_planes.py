@@ -1,8 +1,10 @@
 """The plane boundary: the control plane (config, sdi, chain, control, the
 set-point steps, the conflict demo and the CLI around it) imports no numpy;
 only the ML plane (engines, metrics, learning and the ML steps) loads it.
-Each numpy check runs in a fresh interpreter, since this one has numpy
-loaded already. The benchmark's tracer still sees the ML plane's layers."""
+The YAML parser loads on the first document read, so a control plane built
+in code loads neither numpy nor yaml. Each check runs in a fresh
+interpreter, since this one has both loaded already. The benchmark's tracer
+still sees the ML plane's layers."""
 
 import importlib
 import os
@@ -77,13 +79,19 @@ sys.exit(status)
 
 def test_opposing_pairs_on_a_region_ring_run_arbitrated_without_numpy(tmp_path):
     """conflict-scale's shape, small: set-point pairs on a generated ring,
-    arbitrated and dry-run in the sandbox, each knob held by its winner."""
+    arbitrated and dry-run in the sandbox, each knob held by its winner.
+    Built in code, it reads no document: its modules load no yaml, and it
+    runs with yaml blocked too."""
     assert_ok(run_child(BLOCKED + f"""
 import random
 from collections import Counter
 
-from loopsim import scenarios, sdi
+from loopsim import chain, control, scenarios, sdi, steps
 from loopsim.control import Orchestrator
+
+yaml = sorted(m for m in sys.modules if m.split(".")[0] in ("yaml", "_yaml"))
+assert not yaml, yaml
+sys.modules["yaml"] = None  # any import of yaml now fails
 
 orch = Orchestrator(sdi.build_topology(sdi.region_ring_spec(random.Random(7), 3, 3)),
                     arbitration=True, sandbox=True)

@@ -299,8 +299,9 @@ def test_cli_validate_refuses_a_fractional_chain_period(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def write_config(tmp_path, doc, name="cfg.yaml"):
+    """doc, a mapping or the YAML text of one, written as a config file."""
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
     return path
 
 
@@ -517,8 +518,9 @@ def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
     ("topo.yaml", b"\xff\xfe not UTF-8\n"),
     ("topo.yaml", b"- a list, not a mapping\n"),
     ("topo.yaml", b"built: 2001-13-01\n"),
+    ("topo.yaml", b"[nodes]: []\n"),
 ], ids=["config-yaml-error", "topology-yaml-error", "topology-not-utf8", "topology-list",
-        "topology-bad-date"])
+        "topology-bad-date", "topology-list-key"])
 def test_cli_unreadable_input_file_exits_2(tmp_path, capsys, name, body):
     (tmp_path / "topo.yaml").write_text(yaml.safe_dump(small_topology(("knobs",), [])))
     path = write_config(tmp_path, dict(TINY_CONFLICT, topology="topo.yaml"))
@@ -566,22 +568,28 @@ def with_section(doc, section, **values):
      "conflict-demo node 'nowhere' not in topology"),
     (with_section(TINY_CONFLICT, "params", initial=90000.0),
      "initial knob value does not fit on waterloo-vm4: "),
+    # A repeated key used to be read as its last value.
+    ("scenario: conflict-demo\nseed: 7\nseed: 8\nparams: {ticks: 3}\n",
+     "found duplicate key 'seed'\n  in \"<unicode string>\", line 3, column 1"),
+    ("scenario: conflict-demo\nseed: 7\nparams: {ticks: 3, ticks: 5}\n",
+     "found duplicate key 'ticks'\n  in \"<unicode string>\", line 3, column 20"),
 ], ids=["tick-period-fraction", "ticks-fraction", "epochs-zero", "optimizer-adamw",
         "params-key-typo", "section-typo", "params-list", "train-number", "workload-list",
         "chain-file-number", "region-number", "workload-duration-string", "unknown-preset",
         "conflict-train-key", "conflict-workload-key", "negative-seed", "preset-sibling-key",
         "compress-unplaceable-region", "adaptive-unknown-firewall", "conflict-unknown-node",
-        "conflict-initial-too-big"])
+        "conflict-initial-too-big", "repeated-top-level-key", "repeated-params-key"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
     """validate refuses every config that run refuses, with the same message.
     run_scenario, handed the config in code, refuses the same values; only a
-    file's keys are checked against the tables."""
+    file's keys are checked against the tables, or for repeats."""
     path = write_config(tmp_path, doc)
+    scenario = re.search(r"scenario: (\S+)", doc)[1] if isinstance(doc, str) else doc["scenario"]
     assert main(["validate", "--config", str(path)]) == 2
-    assert main(["run", "--scenario", doc["scenario"], "--config", str(path),
+    assert main(["run", "--scenario", scenario, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.count(message) == 2
-    if not message.startswith("unknown key"):
+    if isinstance(doc, dict) and not message.startswith("unknown key"):
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_scenario(ScenarioConfig(**dict(doc, out_dir=str(tmp_path / "api"))))
     assert not (tmp_path / "out").exists() and not (tmp_path / "api").exists()
