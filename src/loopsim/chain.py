@@ -237,7 +237,6 @@ def validate_chain(chain: LoopChain) -> ValidationReport:
 
 @dataclass
 class Embedding:
-    chain_id: str
     assignment: dict[str, str]  # step name -> node id
     paths: dict[tuple[str, str], tuple[str, ...]]  # edge -> node path
     total_latency_ms: float
@@ -449,8 +448,7 @@ def embed(chain: LoopChain, state: Topology) -> Embedding:
             alloc_ids.extend(sdi.reserve_bandwidth(state, *key, mbps, chain.id).id
                              for key in pm.links)
     total = sum((pm.latency_ms for pm in achieved.values()), 0.0)
-    return Embedding(chain_id=chain.id, assignment=best,
-                     paths={edge: pm.path for edge, pm in achieved.items()},
+    return Embedding(assignment=best, paths={edge: pm.path for edge, pm in achieved.items()},
                      total_latency_ms=total, allocation_ids=tuple(alloc_ids))
 
 
@@ -508,8 +506,7 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
     if best is None:
         raise InfeasibleError("*", "exhausted")
     total, assignment, paths = best
-    return Embedding(chain_id=chain.id, assignment=assignment, paths=paths,
-                     total_latency_ms=total)
+    return Embedding(assignment=assignment, paths=paths, total_latency_ms=total)
 
 
 # ---------------------------------------------------------------------------
@@ -553,60 +550,45 @@ class _ProposalFields(NamedTuple):
     target: str
     parameter: str
     value: float
-    direction: int
     issued_by: str
-    timestamp: int  # ms
-    clamped: bool = False
 
 
 class ActionProposal(_ProposalFields):
-    """One Plan-step output: set `parameter` on `target` to `value`.
-    Direction is the sign of the change against the value current when the
-    proposal was issued (0 when unknown or unchanged). A non-finite value
-    raises ConfigError; `_replace` skips that check, so only `issued_by` and
-    `timestamp` are re-stamped with it."""
+    """One Plan-step output: chain `issued_by` asks to set `parameter` on
+    `target` to `value`. Whether it raises or lowers the knob is read against
+    the knob's current value where it is judged (see
+    control.detect_conflicts), and the issuer is stamped by the tick that
+    collects it (see control.Orchestrator.tick). A non-finite value raises
+    ConfigError; `_replace` skips that check, so only `issued_by` is re-stamped
+    with it."""
 
     __slots__ = ()
 
-    def __new__(cls, target: str, parameter: str, value: float, direction: int,
-                issued_by: str, timestamp: int, clamped: bool = False):
+    def __new__(cls, target: str, parameter: str, value: float, issued_by: str = ""):
         if not math.isfinite(value):
             raise ConfigError(f"proposal for {target}:{parameter} must have a "
                               f"finite value, got {value!r}")
-        return tuple.__new__(cls, (target, parameter, value, direction, issued_by,
-                                   timestamp, clamped))
+        return tuple.__new__(cls, (target, parameter, value, issued_by))
 
 
 def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,
-                      destination_domain: frozenset[str], state: Topology,
-                      issued_by: str = "", timestamp: int = 0) -> list[ActionProposal]:
+                      destination_domain: frozenset[str], state: Topology) -> list[ActionProposal]:
     """Expand an analysis output into one proposal per matched target node.
 
     Targets are the compute nodes inside the destination domain that carry
     the entry's role. Values are the affine map scale*value + offset, clamped
-    into [lo, hi] with the clamp flagged. Direction compares against the
-    node's current knob value.
+    into [lo, hi]. The proposals carry no issuer; the tick stamps it.
     """
     entries = catalog.lookup(output.kind)
     if not entries:
         raise CatalogLookupError(f"no catalog entry for analysis output kind {output.kind!r}")
     proposals: list[ActionProposal] = []
     for entry in entries:
+        value = min(max(entry.scale * output.value + entry.offset, entry.lo), entry.hi)
         for node_id in state.compute_nodes():
             node = state.nodes[node_id]
-            if entry.target_role not in node.roles:
-                continue
-            if not _in_domain(node, destination_domain):
-                continue
-            raw = entry.scale * output.value + entry.offset
-            value = min(max(raw, entry.lo), entry.hi)
-            current = sdi.get_knob(state, node_id, entry.parameter)
-            delta = value - current
-            proposals.append(ActionProposal(
-                target=node_id, parameter=entry.parameter, value=value,
-                direction=0 if delta == 0 else (1 if delta > 0 else -1),
-                issued_by=issued_by, timestamp=timestamp, clamped=(value != raw),
-            ))
+            if entry.target_role in node.roles and _in_domain(node, destination_domain):
+                proposals.append(ActionProposal(node_id, entry.parameter, value))
     return proposals
 
 

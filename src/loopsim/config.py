@@ -34,7 +34,7 @@ def load_yaml(path) -> dict:
     import yaml  # here, so that a control plane built in code never loads it
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.load(fh.read(), Loader=_loader())
+            doc = yaml.load(fh, Loader=_loader())  # a mark then names the file
     except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: bad UTF-8 or scalar
         raise ConfigError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):

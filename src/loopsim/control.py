@@ -143,16 +143,14 @@ class ConflictPair:
 class ConflictReport:
     pairs: tuple[ConflictPair, ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.pairs
-
 
 def detect_conflicts(proposals, state: Topology) -> ConflictReport:
     """Pairwise interference between proposals of different chains:
 
-    - same-knob-opposing: same (target, parameter) with opposite nonzero
-      directions;
+    - same-knob-opposing: same (target, parameter), one value above the
+      knob's current value and the other below it. The current value is the
+      one both issuers saw: nothing is applied between a slot's ticks and
+      this check, so this is the one place a proposal's sign is read;
     - shared-resource-oversubscription: resource-backed proposals on the same
       node whose combined requested backing exceeds the node's capacity for
       that component.
@@ -172,9 +170,11 @@ def detect_conflicts(proposals, state: Topology) -> ConflictReport:
         for b in same_target:
             if a.issued_by == b.issued_by:
                 continue
-            if a.parameter == b.parameter and a.direction * b.direction < 0:
-                pairs.append(ConflictPair(a, b, ConflictKind.SAME_KNOB_OPPOSING))
-                continue
+            if a.parameter == b.parameter:
+                current = sdi.get_knob(state, a.target, a.parameter)
+                if (a.value - current) * (b.value - current) < 0:
+                    pairs.append(ConflictPair(a, b, ConflictKind.SAME_KNOB_OPPOSING))
+                    continue
             if a.target in state.nodes:
                 comp_a = sdi.knob_backing_component(a.parameter)
                 comp_b = sdi.knob_backing_component(b.parameter)
@@ -267,13 +267,9 @@ SANDBOX_MAX_REVERSALS = 2
 
 @dataclass(frozen=True)
 class SandboxResult:
-    oscillations: dict[tuple[str, str], int]  # knob -> reversals (see count_reversals)
+    max_reversals: int  # the most any one knob had (see count_reversals)
     violation_count: int
     verdict: str  # stable | unstable
-
-    @property
-    def max_oscillation(self) -> int:
-        return max(self.oscillations.values(), default=0)
 
 
 def count_reversals(changes) -> int:
@@ -580,8 +576,10 @@ class Orchestrator:
     def tick(self, instance_id: str, t_ms: int) -> list[ActionProposal]:
         """Run Monitor -> Analyze -> Plan (skipping Execute: applying actions
         is the orchestrator's decision), feed the Knowledge step and trace
-        the tick with its proposal count. A step fault aborts the tick,
-        traces the exception type and message, and yields no proposals."""
+        the tick with its proposal count. Every proposal leaves issued by the
+        ticking chain, whatever issuer its plan step wrote. A step fault
+        aborts the tick, traces the exception type and message, and yields
+        no proposals."""
         instance = self._get(instance_id)
         if instance.state is not _RUNNING:
             raise LifecycleError(
@@ -610,8 +608,8 @@ class Orchestrator:
             outputs[step.name] = result
             if is_plan and result:
                 for p in result:
-                    if p.issued_by == "" or p.timestamp != t_ms:
-                        p = p._replace(issued_by=p.issued_by or chain.id, timestamp=t_ms)
+                    if p.issued_by != chain.id:
+                        p = p._replace(issued_by=chain.id)
                     proposals.append(p)
         n = len(proposals)
         self.trace.events.append(TraceEvent(
@@ -677,11 +675,11 @@ class Orchestrator:
         replica._apply(proposals, self.clock_ms)
         start = ((self.clock_ms // fastest) + 1) * fastest
         replica.run(duration_ms=SANDBOX_HORIZON_TICKS * fastest, start_ms=start)
-        oscillations = {knob: count_reversals(changes) for knob, changes
-                        in sorted(replica.trace.applied_knob_deltas().items())}
+        reversals = max(map(count_reversals, replica.trace.applied_knob_deltas().values()),
+                        default=0)
         violations = sum(1 for e in replica.trace.events if e.capacity is not None)
-        stable = max(oscillations.values(), default=0) <= SANDBOX_MAX_REVERSALS and not violations
-        return SandboxResult(oscillations=oscillations, violation_count=violations,
+        stable = reversals <= SANDBOX_MAX_REVERSALS and not violations
+        return SandboxResult(max_reversals=reversals, violation_count=violations,
                              verdict="stable" if stable else "unstable")
 
     def _clone_for_sandbox(self) -> "Orchestrator":
@@ -749,7 +747,7 @@ class Orchestrator:
         if approved and self.sandbox_enabled:
             result = self.sandbox_dryrun(approved)
             self.trace.add(t, "-", "-", "sandbox",
-                           f"max_reversals={result.max_oscillation}"
+                           f"max_reversals={result.max_reversals}"
                            f" violations={result.violation_count}", result.verdict)
             if result.verdict == "unstable":
                 for proposal in approved:

@@ -444,7 +444,6 @@ class ErrorDistribution:
     bin_edges: np.ndarray
     included: int
     excluded: int  # samples with |real| < eps, reported separately
-    threshold: float
 
 
 def relative_error_distribution(real, recon, threshold: float,
@@ -467,10 +466,8 @@ def relative_error_distribution(real, recon, threshold: float,
     fraction = float(np.mean(np.abs(eta) < threshold)) if included else 0.0
     clipped = np.clip(eta, bin_range[0], bin_range[1])
     hist, edges = np.histogram(clipped, bins=bins, range=bin_range)
-    return ErrorDistribution(
-        fraction_below=fraction, histogram=hist, bin_edges=edges,
-        included=included, excluded=int(real.size - included), threshold=threshold,
-    )
+    return ErrorDistribution(fraction_below=fraction, histogram=hist, bin_edges=edges,
+                             included=included, excluded=int(real.size - included))
 
 
 # ---------------------------------------------------------------------------

@@ -67,26 +67,19 @@ def plan_catalog_translate(ctx):
     if output is None:
         return []
     catalog = ctx.services["action_catalog"]
-    return catalog_translate(catalog, output, ctx.instance.chain.destination_domain,
-                             ctx.state, issued_by=ctx.instance.chain.id,
-                             timestamp=ctx.t_ms)
+    return catalog_translate(catalog, output, ctx.instance.chain.destination_domain, ctx.state)
 
 
 def plan_knob_setpoint(ctx):
     """Propose a fixed set-point for one knob (params: node, parameter,
-    value). Emits nothing when the knob already sits at the set-point."""
+    value), issued by the instance's own chain. Emits nothing when the knob
+    already sits at the set-point."""
     node = ctx.params["node"]
     parameter = ctx.params["parameter"]
     value = float(ctx.params["value"])
-    current = sdi.get_knob(ctx.state, node, parameter)
-    delta = value - current
-    if delta == 0:
+    if value == sdi.get_knob(ctx.state, node, parameter):
         return []
-    return [ActionProposal(
-        target=node, parameter=parameter, value=value,
-        direction=1 if delta > 0 else -1,
-        issued_by=ctx.instance.chain.id, timestamp=ctx.t_ms,
-    )]
+    return [ActionProposal(node, parameter, value, ctx.instance.chain.id)]
 
 
 def knowledge_store(ctx):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from loopsim import sdi
-from loopsim.chain import (ActionCatalog, AnalysisOutput, CatalogEntry,
+from loopsim.chain import (ActionCatalog, ActionProposal, AnalysisOutput, CatalogEntry,
                            CatalogLookupError, ChainValidationError, EmbeddingError,
                            InfeasibleError, InstanceTooLargeError, LoopChain, LoopStep,
                            QosRequirements, SearchExhaustedError, StepKind,
@@ -564,14 +564,8 @@ CATALOG = ActionCatalog(entries=(CatalogEntry(
 
 def test_catalog_linear_translation(vnf_state):
     proposals = catalog_translate(CATALOG, AnalysisOutput("traffic.forecast", 50.0),
-                                  frozenset({"west"}), vnf_state,
-                                  issued_by="loop", timestamp=7)
-    assert len(proposals) == 1
-    p = proposals[0]
-    assert p.target == "fw1"
-    assert p.value == 12.0 * 50.0 + 200.0
-    assert p.direction == 1  # knob starts at 0
-    assert not p.clamped
+                                  frozenset({"west"}), vnf_state)
+    assert proposals == [ActionProposal("fw1", "vnf.cpu.millicores", 12.0 * 50.0 + 200.0)]
 
 
 def test_catalog_unknown_kind(vnf_state):
@@ -580,11 +574,11 @@ def test_catalog_unknown_kind(vnf_state):
                           frozenset(), vnf_state)
 
 
-def test_catalog_clamps_and_flags(vnf_state):
+def test_catalog_clamps_into_bounds(vnf_state):
     proposals = catalog_translate(CATALOG, AnalysisOutput("traffic.forecast", 1e6),
                                   frozenset(), vnf_state)
     assert {p.target for p in proposals} == {"fw1", "fw2"}
-    assert all(p.value == 6000.0 and p.clamped for p in proposals)
+    assert all(p.value == 6000.0 for p in proposals)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -593,13 +587,6 @@ def test_analysis_output_refuses_a_non_finite_value(value):
     never clamps it into a plausible set-point."""
     with pytest.raises(ConfigError, match="must have a finite value"):
         AnalysisOutput("traffic.forecast", value)
-
-
-def test_catalog_direction_against_current_knob(vnf_state):
-    sdi.set_knob(vnf_state, "fw1", "vnf.cpu.millicores", 5000.0)
-    proposals = catalog_translate(CATALOG, AnalysisOutput("traffic.forecast", 50.0),
-                                  frozenset({"west"}), vnf_state)
-    assert proposals[0].direction == -1
 
 
 # ---------------------------------------------------------------------------

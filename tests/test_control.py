@@ -22,7 +22,7 @@ from loopsim.engines import linfit
 from loopsim.errors import ConfigError
 from loopsim.learning import TrafficFeed
 from loopsim.sdi import TIER_DEPTH, ResourceVector, Tier, build_topology
-from loopsim.steps import build_default_registry
+from loopsim.steps import build_default_registry, plan_knob_setpoint
 
 from conftest import snapshot
 
@@ -318,8 +318,7 @@ def test_a_sandbox_replica_copies_only_the_window():
     replicas = []
     clone = orch._clone_for_sandbox
     orch._clone_for_sandbox = lambda: replicas.append(clone()) or replicas[-1]
-    orch.sandbox_dryrun([ActionProposal("n1", "vnf.cpu.millicores", 1500.0, 1, "watcher",
-                                        orch.clock_ms)])
+    orch.sandbox_dryrun([ActionProposal("n1", "vnf.cpu.millicores", 1500.0, "watcher")])
     [replica] = replicas
     copied = replica.instances["watcher"].knowledge
     assert copied is not live
@@ -350,13 +349,13 @@ def test_a_reinstantiated_chain_ticks_with_fresh_contexts():
 def test_tick_restamps_a_proposal_as_a_proposal():
     orch = make_orchestrator()
     orch.registry.register("plan.unsigned", lambda ctx: [
-        ActionProposal("n1", "vnf.cpu.millicores", 1500.0, 1, "", 0)])
+        ActionProposal("n1", "vnf.cpu.millicores", 1500.0)])
     chain = setpoint_chain("up", 1, 3000.0)
     chain.steps[1] = LoopStep("push", StepKind.PLAN, "plan.unsigned", QosRequirements(cpu=50))
     orch.instantiate(chain)
     [p] = orch.tick("up", 1000)
     assert type(p) is ActionProposal
-    assert p == ActionProposal("n1", "vnf.cpu.millicores", 1500.0, 1, "up", 1000)
+    assert p == ActionProposal("n1", "vnf.cpu.millicores", 1500.0, "up")
 
 
 def test_tick_under_rising_traffic_raises_cpu_knob():
@@ -401,7 +400,6 @@ def test_tick_under_rising_traffic_raises_cpu_knob():
     assert len(proposals) == 1
     assert proposals[0].parameter == "vnf.cpu.millicores"
     assert proposals[0].value > 500.0
-    assert proposals[0].direction == 1
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
@@ -477,51 +475,75 @@ def test_tick_requires_running():
 # Conflicts
 # ---------------------------------------------------------------------------
 
-def proposal(chain_id, target="n1", parameter="vnf.cpu.millicores", value=1000.0,
-             direction=1, t=0):
-    return ActionProposal(target=target, parameter=parameter, value=value,
-                          direction=direction, issued_by=chain_id, timestamp=t)
+def proposal(chain_id, target="n1", parameter="vnf.cpu.millicores", value=1000.0):
+    return ActionProposal(target=target, parameter=parameter, value=value, issued_by=chain_id)
+
+
+def topology_with_knob(value, nodes=("n1",)):
+    """spec_3nodes with the CPU knob of each of nodes at value."""
+    state = build_topology(spec_3nodes())
+    for node in nodes:
+        sdi.set_knob(state, node, "vnf.cpu.millicores", value)
+    return state
 
 
 def test_opposing_directions_same_knob_conflict():
-    state = build_topology(spec_3nodes())
-    report = detect_conflicts([proposal("a", direction=1, value=2500.0),
-                               proposal("b", direction=-1, value=2200.0)], state)
+    state = topology_with_knob(2300.0)
+    report = detect_conflicts([proposal("a", value=2500.0),
+                               proposal("b", value=2200.0)], state)
     assert len(report.pairs) == 1
     assert report.pairs[0].kind == ConflictKind.SAME_KNOB_OPPOSING
+
+
+def test_opposition_is_read_against_the_current_knob_value():
+    """Two values oppose when one lies above the knob's current value and the
+    other below it; two on one side, or one at the current value, do not."""
+    state = build_topology(spec_3nodes())
+    sdi.set_knob(state, "n1", "lb.weight", 20.0)  # unbacked: no capacity check
+
+    def pairs(a, b):
+        report = detect_conflicts([proposal("a", parameter="lb.weight", value=a),
+                                   proposal("b", parameter="lb.weight", value=b)], state)
+        return [pair.kind for pair in report.pairs]
+
+    assert pairs(30.0, 10.0) == pairs(10.0, 30.0) == [ConflictKind.SAME_KNOB_OPPOSING]
+    assert pairs(30.0, 25.0) == pairs(5.0, 10.0) == []
+    assert pairs(20.0, 10.0) == pairs(30.0, 20.0) == pairs(20.0, 20.0) == []
 
 
 def test_disjoint_knobs_no_conflict():
     state = build_topology(spec_3nodes())
     report = detect_conflicts([proposal("a", target="n1", value=100.0),
                                proposal("b", target="n2", value=100.0)], state)
-    assert report.empty
+    assert not report.pairs
 
 
 def test_same_chain_never_conflicts():
-    state = build_topology(spec_3nodes())
-    report = detect_conflicts([proposal("a", direction=1), proposal("a", direction=-1)], state)
-    assert report.empty
+    state = topology_with_knob(1500.0)
+    report = detect_conflicts([proposal("a", value=2000.0), proposal("a", value=1000.0)], state)
+    assert not report.pairs
 
 
 def test_joint_oversubscription_detected():
     state = build_topology(spec_3nodes())  # n1 cpu capacity 4000
-    report = detect_conflicts([proposal("a", value=2500.0, direction=1),
-                               proposal("b", value=2000.0, direction=1)], state)
+    report = detect_conflicts([proposal("a", value=2500.0),
+                               proposal("b", value=2000.0)], state)
     assert len(report.pairs) == 1
     assert report.pairs[0].kind == ConflictKind.SHARED_RESOURCE_OVERSUBSCRIPTION
 
 
 def oracle_pairwise_conflicts(proposals, state):
     """Independent O(n^2) recheck of the conflict predicate, as (i, j, kind)
-    in the order of the double loop."""
+    in the order of the double loop; each proposal's sign is read against
+    the knob's value in state."""
     found = []
     for i, a in enumerate(proposals):
         for j, b in enumerate(proposals):
             if j <= i or a.issued_by == b.issued_by:
                 continue
+            current = state.knobs.get((a.target, a.parameter), 0.0)
             if (a.target == b.target and a.parameter == b.parameter
-                    and a.direction * b.direction < 0):
+                    and np.sign(a.value - current) * np.sign(b.value - current) < 0):
                 found.append((i, j, "same-knob-opposing"))
                 continue
             if a.target == b.target and a.target in state.nodes:
@@ -548,24 +570,28 @@ def spec_6nodes():
 def test_conflict_report_matches_pairwise_oracle_on_random_sets():
     # Pools of 2-9 on 3 nodes, then of 2-40 over 6 nodes and a target that
     # is no node, so that a target's group of proposals takes many sizes.
+    # Each node's knobs start apart and values fall below, at or above them.
     # Conflicts are traced in report order, so the order is compared too.
     rng = np.random.Generator(np.random.PCG64(77))
+    parameters = ["vnf.cpu.millicores", "firewall.mode"]
     for spec, targets, chains, max_pool in (
             (spec_3nodes(), ["n1", "n2", "n3"], ["c1", "c2", "c3"], 10),
             (spec_6nodes(), ["n1", "n2", "n3", "n4", "n5", "n6", "lb"],
              ["c1", "c2", "c3", "c4", "c5"], 41)):
         state = build_topology(spec)
+        for node in state.nodes:
+            for parameter in parameters:
+                sdi.set_knob(state, node, parameter, float(rng.integers(0, 1000)))
         for trial in range(100):
             n = int(rng.integers(2, max_pool))
             proposals = []
             for k in range(n):
+                target, parameter = str(rng.choice(targets)), str(rng.choice(parameters))
+                offset = int(rng.choice([-1, 0, 1])) * int(rng.integers(1, 2500))
                 proposals.append(ActionProposal(
-                    target=str(rng.choice(targets)),
-                    parameter=str(rng.choice(["vnf.cpu.millicores", "firewall.mode"])),
-                    value=float(rng.integers(0, 5000)),
-                    direction=int(rng.choice([-1, 0, 1])),
+                    target=target, parameter=parameter,
+                    value=sdi.get_knob(state, target, parameter) + offset,
                     issued_by=str(rng.choice(chains)),
-                    timestamp=int(rng.integers(0, 3)) * 1000,
                 ))
             report = detect_conflicts(proposals, state)
             index = {id(p): i for i, p in enumerate(proposals)}
@@ -578,8 +604,8 @@ def test_conflict_report_matches_pairwise_oracle_on_random_sets():
 # ---------------------------------------------------------------------------
 
 def test_arbitrate_priority_wins():
-    state = build_topology(spec_3nodes())
-    pool = [proposal("hi", direction=1), proposal("lo", direction=-1)]
+    state = topology_with_knob(1500.0)
+    pool = [proposal("hi", value=2000.0), proposal("lo", value=1000.0)]
     report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, {"hi": 1, "lo": 2})
     assert [p.issued_by for p in outcome.approved] == ["hi"]
@@ -588,8 +614,8 @@ def test_arbitrate_priority_wins():
 
 
 def test_arbitrate_tie_breaks_lexicographically():
-    state = build_topology(spec_3nodes())
-    pool = [proposal("zeta", direction=1), proposal("alpha", direction=-1)]
+    state = topology_with_knob(1500.0)
+    pool = [proposal("zeta", value=2000.0), proposal("alpha", value=1000.0)]
     report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, {"zeta": 5, "alpha": 5})
     assert [p.issued_by for p in outcome.approved] == ["alpha"]
@@ -613,9 +639,9 @@ def test_sandbox_single_loop_constant_target_stable():
     orch = make_orchestrator()
     sdi.set_knob(orch.state, "n1", "vnf.cpu.millicores", 1000.0)
     orch.instantiate(setpoint_chain("steady", 1, 1800.0))
-    result = orch.sandbox_dryrun([proposal("steady", value=1800.0, direction=1)])
+    result = orch.sandbox_dryrun([proposal("steady", value=1800.0)])
     assert result.verdict == "stable"
-    assert result.max_oscillation == 0
+    assert result.max_reversals == 0
 
 
 def test_sandbox_single_loop_alternating_setpoint_stable():
@@ -627,16 +653,15 @@ def test_sandbox_single_loop_alternating_setpoint_stable():
     def flip(ctx):
         current = sdi.get_knob(ctx.state, "n1", "vnf.cpu.millicores")
         value = 1000.0 if current > 1500.0 else 2000.0
-        return [ActionProposal("n1", "vnf.cpu.millicores", value,
-                               1 if value > current else -1, "", ctx.t_ms)]
+        return [ActionProposal("n1", "vnf.cpu.millicores", value)]
 
     orch.registry.register("plan.flip", flip)
     tracker = setpoint_chain("tracker", 1, 0.0)
     tracker.steps[1] = LoopStep("push", StepKind.PLAN, "plan.flip", QosRequirements(cpu=50))
     orch.instantiate(tracker)
-    result = orch.sandbox_dryrun([proposal("tracker", value=2000.0, direction=1)])
+    result = orch.sandbox_dryrun([proposal("tracker", value=2000.0)])
     assert result.verdict == "stable"
-    assert result.max_oscillation == 0
+    assert result.max_reversals == 0
     # Live, with the gate on, every reversal the loop asks for is applied.
     trace = orch.run(duration_ms=4000)
     deltas = [d for _, d in trace.applied_knob_deltas()[("n1", "vnf.cpu.millicores")]]
@@ -648,17 +673,16 @@ def test_sandbox_opposing_loops_unstable():
     orch = make_orchestrator(arbitration=False, sandbox=False)
     opposing_pair(orch)
     result = orch.sandbox_dryrun(
-        [proposal("up", value=3000.0, direction=1),
-         proposal("down", value=1000.0, direction=-1)])
+        [proposal("up", value=3000.0), proposal("down", value=1000.0)])
     assert result.verdict == "unstable"
-    assert result.max_oscillation >= SANDBOX_HORIZON_TICKS / 2
+    assert result.max_reversals >= SANDBOX_HORIZON_TICKS / 2
 
 
 def test_sandbox_leaves_live_state_bitwise_identical():
     orch = make_orchestrator()
     opposing_pair(orch)
     before = snapshot(orch.state)
-    orch.sandbox_dryrun([proposal("up", value=3000.0, direction=1)])
+    orch.sandbox_dryrun([proposal("up", value=3000.0)])
     assert snapshot(orch.state) == before
 
 
@@ -695,7 +719,7 @@ def test_count_reversals_bounds(changes):
 def test_arbitrate_partitions_every_proposal(data):
     """Totality: arbitration approves or rejects each proposal exactly once,
     and never approves two opposing proposals on the same knob."""
-    state = build_topology(spec_3nodes())
+    state = topology_with_knob(1500.0, nodes=("n1", "n2"))
     n = data.draw(st.integers(2, 8))
     pool = []
     for k in range(n):
@@ -703,9 +727,7 @@ def test_arbitrate_partitions_every_proposal(data):
             target=data.draw(st.sampled_from(["n1", "n2"])),
             parameter="vnf.cpu.millicores",
             value=float(data.draw(st.integers(0, 3000))),
-            direction=data.draw(st.sampled_from([-1, 0, 1])),
-            issued_by=data.draw(st.sampled_from(["c1", "c2", "c3"])),
-            timestamp=0))
+            issued_by=data.draw(st.sampled_from(["c1", "c2", "c3"]))))
     priorities = {"c1": 1, "c2": 2, "c3": 2}
     report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, priorities)
@@ -716,7 +738,8 @@ def test_arbitrate_partitions_every_proposal(data):
         for b in outcome.approved[i + 1:]:
             if (a.target, a.parameter) == (b.target, b.parameter) \
                     and a.issued_by != b.issued_by:
-                assert a.direction * b.direction >= 0
+                current = sdi.get_knob(state, a.target, a.parameter)
+                assert (a.value - current) * (b.value - current) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +842,7 @@ def test_run_withholds_on_unstable_sandbox():
 
 def test_held_knob_rejects_lower_ranked_proposals_naming_the_holder():
     held = {("n1", "vnf.cpu.millicores"): "hi"}
-    pool = [proposal("lo", direction=-1), proposal("top", direction=-1)]
+    pool = [proposal("lo"), proposal("top")]
     outcome = arbitrate(detect_conflicts(pool, build_topology(spec_3nodes())), pool,
                         {"top": 0, "hi": 1, "lo": 2}, held)
     assert [p.issued_by for p in outcome.approved] == ["top"]
@@ -833,6 +856,32 @@ def test_held_knob_rejects_lower_ranked_proposals_naming_the_holder():
         (0, "down", "conflict lost to up"),
         (1000, "down", "knob held by up"), (2000, "down", "knob held by up")]
     assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 3000.0
+
+
+def test_a_plan_step_cannot_issue_for_another_loop():
+    """A priority-9 loop whose plan step signs its proposals as the
+    priority-1 loop is traced, arbitrated and held under its own id: it
+    loses the first slot's conflict and cannot move the knob it lost."""
+    orch = make_orchestrator(arbitration=True, sandbox=True)
+    scenarios.opposing_pair(orch, "west", "n1", "vnf.cpu.millicores", 2000.0, 3000.0, None,
+                            1000, ("up", "down"))
+    orch.registry.register("plan.impersonate", lambda ctx: [
+        p._replace(issued_by="up") for p in plan_knob_setpoint(ctx)])
+    rogue = setpoint_chain("rogue", 9, 500.0)
+    rogue.steps[1] = replace(rogue.steps[1], function_ref="plan.impersonate")
+    orch.instantiate(rogue)
+    trace = orch.run(duration_ms=3000)
+    actions = [(e.t_ms, e.kind, e.chain, e.proposal.value) for e in trace.events
+               if e.proposal is not None]
+    assert actions == [(0, "reject", "rogue", 500.0), (0, "apply", "up", 3000.0),
+                       (1000, "reject", "rogue", 500.0), (2000, "reject", "rogue", 500.0)]
+    assert [(e.t_ms, e.chain) for e in trace.events if e.kind == "conflict"] == [
+        (0, "rogue|up")]
+    assert [e.summary for e in trace.events if e.kind == "arbitration"] == [
+        "conflict set {rogue, up}: winner up priority=1"]
+    assert orch.holders == {("n1", "vnf.cpu.millicores"): "up"}
+    assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 3000.0
+    assert (orch.query("rogue").actions_rejected, orch.query("up").fcaps.performance) == (3, 1)
 
 
 def test_terminate_releases_the_holders_knobs():
@@ -852,8 +901,8 @@ def test_sandbox_seeded_apply_takes_the_hold():
     so the running loser cannot move it back during the replay."""
     orch = make_orchestrator(arbitration=True, sandbox=True)
     opposing_pair(orch)
-    result = orch.sandbox_dryrun([proposal("up", value=3000.0, direction=1)])
-    assert (result.verdict, result.max_oscillation, result.violation_count) == ("stable", 0, 0)
+    result = orch.sandbox_dryrun([proposal("up", value=3000.0)])
+    assert (result.verdict, result.max_reversals, result.violation_count) == ("stable", 0, 0)
     assert orch.holders == {}  # the live table is untouched
 
 
@@ -925,12 +974,12 @@ def test_non_finite_setpoints_are_step_faults():
 
 def test_proposal_value_must_be_finite():
     with pytest.raises(ConfigError, match="finite"):
-        ActionProposal("n1", "vnf.cpu.millicores", float("inf"), 1, "up", 0)
+        ActionProposal("n1", "vnf.cpu.millicores", float("inf"), "up")
     with pytest.raises(ConfigError, match="finite"):
-        ActionProposal(target="n1", parameter="p", value=math.nan, direction=0,
-                       issued_by="up", timestamp=0)
-    restamped = ActionProposal("n1", "p", 1.0, 1, "", 0)._replace(timestamp=5)
-    assert type(restamped) is ActionProposal and restamped.timestamp == 5
+        ActionProposal(target="n1", parameter="p", value=math.nan, issued_by="up")
+    restamped = ActionProposal("n1", "p", 1.0)._replace(issued_by="up")
+    assert type(restamped) is ActionProposal and restamped.issued_by == "up"
+    assert ActionProposal._fields == ("target", "parameter", "value", "issued_by")
 
 
 def test_every_lifecycle_operation_is_traced():
@@ -983,7 +1032,7 @@ def test_trace_csv_fields_read_back_exactly(tmp_path):
     orch.instantiate(analysis_chain())
     orch.run(duration_ms=3000)
     orch.trace.add(3000, "edge", "watcher", "reject", verdict='says "no", then stops',
-                   proposal=ActionProposal("n1", "a,b", 1.5, 1, "watcher", 3000))
+                   proposal=ActionProposal("n1", "a,b", 1.5, "watcher"))
     assert any("," in e.summary for e in orch.trace.events[:-1])
     path = tmp_path / "trace.csv"
     orch.trace.to_csv(path)
@@ -1030,7 +1079,7 @@ def trace_events(draw):
             events.append(TraceEvent(t_ms, draw(words), draw(words), draw(words), draw(words),
                                      draw(words)))
         else:
-            proposal = ActionProposal(draw(words), draw(words), draw(floats), 1, "", 0)
+            proposal = ActionProposal(draw(words), draw(words), draw(floats))
             events.append(TraceEvent(t_ms, draw(words), draw(words),
                                      draw(st.sampled_from(["apply", "reject"])), "",
                                      draw(words), proposal, draw(st.none() | floats)))

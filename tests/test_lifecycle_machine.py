@@ -185,10 +185,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         for chain_id in data.draw(st.lists(st.sampled_from(CHAIN_IDS), unique=True)):
             node = data.draw(st.sampled_from(self.compute))
             value = data.draw(st.sampled_from([0.0, 400.0, 3000.0]))
-            current = sdi.get_knob(self.orch.state, node, KNOB)
-            direction = 0 if value == current else (1 if value > current else -1)
-            proposals.append(ActionProposal(node, KNOB, value, direction, chain_id,
-                                            self.orch.clock_ms))
+            proposals.append(ActionProposal(node, KNOB, value, chain_id))
         before = self.snapshot()
         self.orch.sandbox_dryrun(proposals)
         assert self.snapshot() == before
