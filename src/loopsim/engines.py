@@ -6,8 +6,8 @@ multi-horizon readout. Gradients are hand-derived reverse mode; the test
 suite checks them against central finite differences.
 
 The train step runs on preallocated memory: each model keeps its kernel's
-working arrays per batch shape (_DenseWork, _LstmWork), and the optimizer
-updates through reused scratch vectors; a warm dense or LSTM step allocates
+working arrays per batch shape (_DenseWork, _LstmWork), and Adam updates
+through a reused scratch vector and the spent gradient; a warm step allocates
 little more than the gradient vector it returns. The LSTM step does the work
 that does not depend on the recurrence once per window, not once per
 timestep: the backward factors 1 - sigmoid (input, forget and output gates),
@@ -337,16 +337,12 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
-    optimizer: str = "adam"  # adam | sgd
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 # A config's train section: TrainConfig's own defaults; the master seed gives the seed.
@@ -354,26 +350,21 @@ TRAIN_TABLE = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed
 
 
 class _Optimizer:
-    """Applies sgd or adam (beta1=0.9, beta2=0.999, eps=1e-8) updates to a
-    flat parameter vector, in place, through reused scratch vectors."""
+    """Applies Adam (beta1=0.9, beta2=0.999, eps=1e-8) updates to a flat
+    parameter vector, in place, through one reused scratch vector."""
 
     def __init__(self, params: np.ndarray, config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
-        self.kind = config.optimizer
         self.step_buf = np.empty_like(params)
-        if self.kind == "adam":
-            self.m = np.zeros_like(params)
-            self.v = np.zeros_like(params)
-            self.denom = np.empty_like(params)
-            self.t = 0
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.t = 0
 
     def step(self, grad: np.ndarray) -> None:
+        """One update from grad, which it consumes: grad holds sqrt(v) + eps
+        afterwards."""
         step = self.step_buf
-        if self.kind == "sgd":
-            np.multiply(self.lr, grad, out=step)
-            self.params -= step
-            return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         correction = math.sqrt(1.0 - b2 ** self.t) / (1.0 - b1 ** self.t)
@@ -388,9 +379,9 @@ class _Optimizer:
         step *= grad
         self.v += step
         np.multiply(self.lr * correction, self.m, out=step)
-        np.sqrt(self.v, out=self.denom)
-        self.denom += eps
-        step /= self.denom
+        np.sqrt(self.v, out=grad)
+        grad += eps
+        step /= grad
         self.params -= step
 
 
@@ -405,7 +396,7 @@ def _fit(params: np.ndarray, loss_and_grads, x: np.ndarray, y: np.ndarray,
     for epoch in range(config.epochs):
         sse = 0.0
         count = 0
-        order = rng.permutation(len(x)) if config.shuffle else np.arange(len(x))
+        order = rng.permutation(len(x))
         for start in range(0, len(x), config.batch_size):
             idx = order[start:start + config.batch_size]
             batch = x[idx]
@@ -443,29 +434,33 @@ class ErrorDistribution:
     histogram: np.ndarray
     bin_edges: np.ndarray
     included: int
-    excluded: int  # samples with |real| < eps, reported separately
+    excluded: int  # samples with |real| < ERROR_EPS, reported separately
 
 
-def relative_error_distribution(real, recon, threshold: float,
-                                eps: float = 1e-6, bins: int = 40,
-                                bin_range: tuple[float, float] = (-2.0, 2.0)) -> ErrorDistribution:
+ERROR_EPS = 1e-6  # samples with |real| below this have no relative error
+ERROR_BINS = 40
+ERROR_RANGE = (-2.0, 2.0)
+
+
+def relative_error_distribution(real, recon, threshold: float) -> ErrorDistribution:
     """Per-sample relative error (real - recon) / real.
 
-    Samples with |real| < eps are excluded from the fraction and counted
-    separately. fraction_below is the share of included samples with
-    |error| strictly below the threshold. The histogram clips errors into
-    bin_range so the tails stay visible in the edge bins.
+    Samples with |real| < ERROR_EPS are excluded from the fraction and
+    counted separately. fraction_below is the share of included samples with
+    |error| strictly below the threshold. The histogram has ERROR_BINS bins
+    and clips errors into ERROR_RANGE so the tails stay visible in the edge
+    bins.
     """
     real = np.asarray(real, dtype=float)
     recon = np.asarray(recon, dtype=float)
     if real.shape != recon.shape:
         raise ConfigError(f"length mismatch: {real.shape} vs {recon.shape}")
-    keep = np.abs(real) >= eps
+    keep = np.abs(real) >= ERROR_EPS
     eta = (real[keep] - recon[keep]) / real[keep]
     included = int(keep.sum())
     fraction = float(np.mean(np.abs(eta) < threshold)) if included else 0.0
-    clipped = np.clip(eta, bin_range[0], bin_range[1])
-    hist, edges = np.histogram(clipped, bins=bins, range=bin_range)
+    clipped = np.clip(eta, *ERROR_RANGE)
+    hist, edges = np.histogram(clipped, bins=ERROR_BINS, range=ERROR_RANGE)
     return ErrorDistribution(fraction_below=fraction, histogram=hist, bin_edges=edges,
                              included=included, excluded=int(real.size - included))
 

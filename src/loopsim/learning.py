@@ -146,7 +146,7 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
                       if isinstance(v, np.ndarray)]
             codes.extend(arrays[:1])
 
-    recon_ds = metrics.Dataset(dataset.names, val.t, recon, split="validation")
+    recon_ds = metrics.Dataset(dataset.names, val.t, recon)
     files = {
         "dataset": _artifact(out, "dataset.csv", lambda path: metrics.export_csv(dataset, path)),
         "reconstruction": _artifact(out, "reconstruction_val.csv",
@@ -242,8 +242,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
     instance = _adaptive_loop(orch, p, file_chain(p))
 
     workload = metrics.generate_workload(replace(inputs.workload, seed=seed_wl))
-    per_min = metrics.resample_mean(workload, 60.0)
-    series = per_min.values
+    series = metrics.resample_mean(workload, 60.0)
     window, horizon = p["window"], p["horizon"]
     cut = int(round(len(series) * p["train_frac"]))
     if cut <= window + horizon or len(series) - cut < window + horizon:

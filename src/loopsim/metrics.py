@@ -56,28 +56,12 @@ class MetricFrame:
 
 
 @dataclass
-class TimeSeries:
-    metric: MetricName
-    t: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.t.shape != self.values.shape:
-            raise ConfigError("time series t/values length mismatch")
-        if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
-            raise ConfigError("time series timestamps must be strictly increasing")
-
-
-@dataclass
 class Dataset:
     """Rows are frames over time, columns follow the catalog order."""
 
     names: tuple[str, ...]
     t: np.ndarray
     values: np.ndarray
-    split: str | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -131,7 +115,6 @@ class WorkloadProfile:
     from the profile seed; samples clamp at zero.
     """
 
-    name: str = "custom"
     duration: float = 1800.0
     base_rate: float = 0.0
     segments: tuple[WorkloadSegment, ...] = ()
@@ -168,8 +151,9 @@ def _segment_contribution(seg: WorkloadSegment, t: np.ndarray) -> np.ndarray:
     return np.where(inside, seg.amplitude * np.sin(np.pi * phase) ** 2, 0.0)
 
 
-def generate_workload(profile: WorkloadProfile) -> TimeSeries:
-    """Deterministic request-rate series, one sample per scrape interval."""
+def generate_workload(profile: WorkloadProfile) -> np.ndarray:
+    """Deterministic request rates, one per scrape interval: sample i is
+    the rate at time i * SCRAPE_INTERVAL_S."""
     n = int(round(profile.duration / SCRAPE_INTERVAL_S))
     t = np.arange(n, dtype=float) * SCRAPE_INTERVAL_S
     values = np.full(n, profile.base_rate, dtype=float)
@@ -179,8 +163,7 @@ def generate_workload(profile: WorkloadProfile) -> TimeSeries:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(profile.seed)))
         u = rng.uniform(-1.0, 1.0, size=n)
         values = values * (1.0 + profile.noise * u)
-    values = np.maximum(values, 0.0)
-    return TimeSeries(MetricName("workload.requests", profile.name), t, values)
+    return np.maximum(values, 0.0)
 
 
 def _bursty30min(seed: int) -> WorkloadProfile:
@@ -188,7 +171,6 @@ def _bursty30min(seed: int) -> WorkloadProfile:
     ramp, then a steady tail (the tail doubles as the validation window)."""
     seg = WorkloadSegment
     return WorkloadProfile(
-        name="bursty30min",
         duration=1800.0,
         base_rate=60.0,
         segments=(
@@ -220,7 +202,6 @@ def _periodic6h(seed: int) -> WorkloadProfile:
         start = 2000.0 + k * 5400.0
         segments.append(WorkloadSegment(start, start + 300.0, "burst", 50.0))
     return WorkloadProfile(
-        name="periodic6h",
         duration=21600.0,
         base_rate=80.0,
         segments=tuple(segments),
@@ -248,18 +229,17 @@ def preset_workload(name: str, seed: int) -> WorkloadProfile:
         raise ConfigError(f"unknown workload preset {name!r}; known: {sorted(WORKLOAD_PRESETS)}") from None
 
 
-def resample_mean(ts: TimeSeries, bucket_s: float) -> TimeSeries:
-    """Bucketed means (e.g. per-minute traffic from per-second samples).
-    Trailing samples that do not fill a bucket are dropped."""
+def resample_mean(rates: np.ndarray, bucket_s: float) -> np.ndarray:
+    """Bucketed means of per-scrape rates (e.g. per-minute traffic from
+    per-second samples). Trailing samples that do not fill a bucket are
+    dropped."""
     if bucket_s <= 0:
         raise ConfigError("bucket must be > 0 seconds")
     per = int(round(bucket_s / SCRAPE_INTERVAL_S))
-    n = (len(ts.values) // per) * per
+    n = (len(rates) // per) * per
     if n == 0:
         raise EmptyDatasetError("series shorter than one bucket")
-    values = ts.values[:n].reshape(-1, per).mean(axis=1)
-    t = ts.t[:n:per]
-    return TimeSeries(ts.metric, t, values)
+    return rates[:n].reshape(-1, per).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +396,16 @@ def scrape(state: Topology, workload_value: float, catalog: MetricCatalog,
     return MetricFrame(timestamp=float(t), values=values)
 
 
-def scrape_series(state: Topology, workload: TimeSeries, catalog: MetricCatalog) -> Dataset:
-    """Scrape one frame per workload sample into a dataset. The state does
-    not change within the series, so its allocation fractions are read once."""
+def scrape_series(state: Topology, workload: np.ndarray, catalog: MetricCatalog) -> Dataset:
+    """Scrape one frame per workload rate, frame i at i * SCRAPE_INTERVAL_S,
+    into a dataset. The state does not change within the series, so its
+    allocation fractions are read once."""
     alloc_frac = _alloc_fraction(state, catalog)
-    rows = np.empty((len(workload.values), catalog.width))
-    for i, (t, w) in enumerate(zip(workload.t, workload.values)):
-        rows[i] = _frame_values(alloc_frac, w, catalog, t)
-    return Dataset(names=catalog.names, t=workload.t.copy(), values=rows)
+    t = np.arange(len(workload), dtype=float) * SCRAPE_INTERVAL_S
+    rows = np.empty((len(workload), catalog.width))
+    for i, w in enumerate(workload):
+        rows[i] = _frame_values(alloc_frac, w, catalog, t[i])
+    return Dataset(names=catalog.names, t=t, values=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +448,8 @@ def split_chronological(dataset: Dataset, train_frac: float = 0.8) -> tuple[Data
     cut = int(round(len(dataset.t) * train_frac))
     if cut == 0 or cut == len(dataset.t):
         raise EmptyDatasetError("split would leave an empty part")
-    train = Dataset(dataset.names, dataset.t[:cut], dataset.values[:cut], split="training")
-    val = Dataset(dataset.names, dataset.t[cut:], dataset.values[cut:], split="validation")
+    train = Dataset(dataset.names, dataset.t[:cut], dataset.values[:cut])
+    val = Dataset(dataset.names, dataset.t[cut:], dataset.values[cut:])
     return train, val
 
 

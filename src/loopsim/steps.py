@@ -17,13 +17,14 @@ from .chain import ActionProposal, AnalysisOutput, catalog_translate
 
 
 def monitor_scrape_frame(ctx):
-    """Scrape one metric frame; services: metric_catalog, workload (TimeSeries)."""
+    """Scrape one metric frame; services: metric_catalog, workload (the
+    rates of metrics.generate_workload, rate i at i * SCRAPE_INTERVAL_S)."""
     from . import metrics
 
     catalog = ctx.services["metric_catalog"]
     workload = ctx.services["workload"]
-    idx = min(int(ctx.t_ms // 1000), len(workload.values) - 1)
-    return metrics.scrape(ctx.state, workload.values[idx], catalog, workload.t[idx])
+    idx = min(int(ctx.t_ms // 1000), len(workload) - 1)
+    return metrics.scrape(ctx.state, workload[idx], catalog, idx * metrics.SCRAPE_INTERVAL_S)
 
 
 def monitor_traffic_window(ctx):

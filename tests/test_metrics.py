@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from loopsim import metrics, sdi
+from loopsim import sdi
 from loopsim.errors import ConfigError
-from loopsim.metrics import (Dataset, DatasetFormatError, EmptyDatasetError, MetricName,
-                             WorkloadProfile, WorkloadSegment, build_metric_catalog,
-                             export_csv, generate_workload, import_csv, normalize_minmax,
-                             preset_workload, resample_mean, scrape, scrape_series,
-                             split_chronological)
+from loopsim.metrics import (Dataset, DatasetFormatError, EmptyDatasetError, WorkloadProfile,
+                             WorkloadSegment, build_metric_catalog, export_csv,
+                             generate_workload, import_csv, normalize_minmax, preset_workload,
+                             resample_mean, scrape, scrape_series, split_chronological)
 
 
 @pytest.fixture(scope="module")
@@ -31,47 +30,47 @@ def catalog(testbed):
 
 def test_constant_profile_zero_noise():
     profile = WorkloadProfile(duration=60.0, base_rate=10.0)
-    ts = generate_workload(profile)
-    assert len(ts.values) == 60
-    assert np.all(ts.values == 10.0)
+    rates = generate_workload(profile)
+    assert len(rates) == 60
+    assert np.all(rates == 10.0)
 
 
 def test_ramp_is_linear():
     profile = WorkloadProfile(duration=100.0, base_rate=0.0,
                               segments=(WorkloadSegment(0.0, 100.0, "ramp", 100.0),))
-    ts = generate_workload(profile)
-    assert ts.values[50] == 50.0
-    assert ts.values[0] == 0.0
-    assert ts.values[99] == 99.0
+    rates = generate_workload(profile)
+    assert rates[50] == 50.0
+    assert rates[0] == 0.0
+    assert rates[99] == 99.0
 
 
 def test_ramp_holds_level_after_end():
     profile = WorkloadProfile(duration=20.0, base_rate=5.0,
                               segments=(WorkloadSegment(0.0, 10.0, "ramp", 10.0),))
-    ts = generate_workload(profile)
-    assert np.all(ts.values[10:] == 15.0)
+    rates = generate_workload(profile)
+    assert np.all(rates[10:] == 15.0)
 
 
 def test_burst_is_zero_outside_window():
     profile = WorkloadProfile(duration=30.0, base_rate=1.0,
                               segments=(WorkloadSegment(10.0, 20.0, "burst", 8.0),))
-    ts = generate_workload(profile)
-    assert np.all(ts.values[:10] == 1.0)
-    assert np.all(ts.values[20:] == 1.0)
-    assert ts.values[15] == pytest.approx(9.0)  # sin^2 peak
+    rates = generate_workload(profile)
+    assert np.all(rates[:10] == 1.0)
+    assert np.all(rates[20:] == 1.0)
+    assert rates[15] == pytest.approx(9.0)  # sin^2 peak
 
 
 def test_preset_determinism_bit_identical():
     a = generate_workload(preset_workload("bursty30min", seed=7))
     b = generate_workload(preset_workload("bursty30min", seed=7))
-    assert a.values.tobytes() == b.values.tobytes()
-    assert len(a.values) == 1800
+    assert a.tobytes() == b.tobytes()
+    assert len(a) == 1800
 
 
 def test_different_seed_changes_noise():
     a = generate_workload(preset_workload("bursty30min", seed=7))
     b = generate_workload(preset_workload("bursty30min", seed=8))
-    assert a.values.tobytes() != b.values.tobytes()
+    assert a.tobytes() != b.tobytes()
 
 
 def test_overlapping_constant_segments_rejected():
@@ -89,11 +88,9 @@ def test_segment_outside_duration_rejected():
 
 
 def test_resample_mean():
-    ts = metrics.TimeSeries(MetricName("workload.requests", "x"),
-                            np.arange(120.0), np.arange(120.0))
-    per_min = resample_mean(ts, 60.0)
-    assert len(per_min.values) == 2
-    assert per_min.values[0] == pytest.approx(np.mean(np.arange(60)))
+    per_min = resample_mean(np.arange(120.0), 60.0)
+    assert len(per_min) == 2
+    assert per_min[0] == pytest.approx(np.mean(np.arange(60)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,8 @@ def test_scrape_series_matches_pointwise(testbed, catalog):
     wl = generate_workload(WorkloadProfile(duration=5.0, base_rate=30.0))
     ds = scrape_series(testbed, wl, catalog)
     assert ds.values.shape == (5, 111)
-    again = scrape(testbed, wl.values[3], catalog, wl.t[3])
+    assert ds.t.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    again = scrape(testbed, wl[3], catalog, 3.0)
     assert ds.values[3].tobytes() == again.values.tobytes()
 
 
@@ -213,7 +211,6 @@ def test_roundtrip_on_scraped_111(testbed, catalog):
 def test_split_chronological():
     ds = Dataset(("m@x",), np.arange(10.0), np.arange(10.0)[:, None])
     train, val = split_chronological(ds, 0.8)
-    assert train.split == "training" and val.split == "validation"
     assert len(train.t) == 8 and len(val.t) == 2
     assert val.values[0, 0] == 8.0
 
@@ -243,7 +240,7 @@ def test_csv_roundtrip_quotes_metric_names(tmp_path):
     catalog = build_metric_catalog(topo, seed=5)
     assert any("a,b" in name for name in catalog.names)
     ds = scrape_series(topo, generate_workload(
-        WorkloadProfile("flat", 5.0, 40.0, (), noise=0.0, seed=1)), catalog)
+        WorkloadProfile(5.0, 40.0, (), noise=0.0, seed=1)), catalog)
     path = tmp_path / "ds.csv"
     assert export_csv(ds, path) == len(ds.t)
     back = import_csv(path, expected_width=catalog.width)

@@ -237,5 +237,5 @@ def test_bursty30min_scrape_series_on_testbed(benchmark):
     workload = metrics.generate_workload(metrics.preset_workload("bursty30min", seed=7))
     data = benchmark.pedantic(metrics.scrape_series, args=(testbed, workload, catalog),
                               rounds=5)
-    assert data.values.shape == (len(workload.values), catalog.width)
+    assert data.values.shape == (len(workload), catalog.width)
     assert np.all(np.isfinite(data.values))

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsim import cli, metrics, scenarios
+from loopsim import cli, engines, metrics, scenarios
 from loopsim.cli import main
 from loopsim.control import KNOWLEDGE_WINDOW, TraceEvent
 from loopsim.engines import TRAIN_TABLE as _TRAIN, TrainConfig
@@ -25,7 +25,7 @@ from loopsim.scenarios import (SCENARIOS, RunReport, ScenarioConfig, check_input
 
 TINY_COMPRESS = dict(
     scenario="compress", seed=11, topology="testbed",
-    workload={"name": "tiny", "duration": 150.0, "base_rate": 50.0,
+    workload={"duration": 150.0, "base_rate": 50.0,
               "segments": [{"start": 0, "end": 60, "shape": "ramp", "amplitude": 30},
                            {"start": 80, "end": 110, "shape": "burst", "amplitude": 60}],
               "noise": 0.03},
@@ -35,7 +35,7 @@ TINY_COMPRESS = dict(
 
 TINY_ADAPTIVE = dict(
     scenario="adaptive-vnf", seed=11, topology="testbed",
-    workload={"name": "tiny2h", "duration": 7200.0, "base_rate": 70.0,
+    workload={"duration": 7200.0, "base_rate": 70.0,
               "segments": [{"start": 0, "end": 1200, "shape": "ramp", "amplitude": 40},
                            {"start": 1200, "end": 2400, "shape": "ramp", "amplitude": -40},
                            {"start": 2400, "end": 3600, "shape": "ramp", "amplitude": 40},
@@ -385,13 +385,13 @@ OLD_DEFAULTS = {
     "compress": (
         dict(region="waterloo", chain_file=None, train_frac=0.8, error_threshold=0.1,
              cpu_metric="node.cpu@waterloo-vm6", loop_ticks=60, min_fraction_below=0.80),
-        dict(learning_rate=1e-3, epochs=150, batch_size=32, optimizer="adam", shuffle=True),
+        dict(learning_rate=1e-3, epochs=150, batch_size=32),
         "bursty30min"),
     "adaptive-vnf": (
         dict(region="waterloo", firewall_node=None, chain_file=None, window=30, horizon=10,
              train_frac=0.75, planted_slope=0.7, planted_intercept=0.1, planted_noise=1e-3,
              cpu_scale=4000.0, hidden_size=16, headroom=1.05, knob_min=200.0, knob_max=6000.0),
-        dict(learning_rate=5e-3, epochs=300, batch_size=32, optimizer="adam", shuffle=True),
+        dict(learning_rate=5e-3, epochs=300, batch_size=32),
         "periodic6h"),
     "conflict-demo": (
         dict(region="waterloo", node=None, parameter="vnf.cpu.millicores", initial=2000.0,
@@ -410,6 +410,49 @@ def test_a_bare_config_reads_the_old_defaults(tmp_path, scenario):
     assert {k: type(v) for k, v in inputs.params.items()} == {k: type(v) for k, v in params.items()}
     assert inputs.train == (train and TrainConfig(**train))
     assert inputs.workload == (preset and metrics.preset_workload(preset, 0))
+
+
+# One value per train and workload key, other than the key's default (and,
+# for the workload, than BASE_WORKLOAD's).
+KEY_VARIANTS = {
+    "train": {"learning_rate": 1e-2, "epochs": 3, "batch_size": 8},
+    "workload": {"preset": "bursty30min", "duration": 90.0, "base_rate": 60.0,
+                 "segments": [{"start": 0, "end": 30, "shape": "burst", "amplitude": 20}],
+                 "noise": 0.1},
+}
+BASE_WORKLOAD = {"duration": 120.0, "base_rate": 50.0, "noise": 0.03,
+                 "segments": [{"start": 0, "end": 60, "shape": "ramp", "amplitude": 30}]}
+
+
+def test_every_train_and_workload_key_changes_a_run():
+    """A key that a config may set changes the training history of a tiny
+    compressor or the generated rates; a key that changes neither is dead."""
+    data = np.random.Generator(np.random.PCG64(8)).uniform(0, 1, size=(40, 8))
+
+    def run(train, workload):
+        inputs = check_inputs(ScenarioConfig("compress", 7, train=train, workload=workload),
+                              known_only=True)
+        net = engines.net_init((8, 5, 3, 5, 8), ("elu", "linear", "elu", "sigmoid"), seed=1)
+        _, history = engines.ae_train(net, data, inputs.train)
+        return history, metrics.generate_workload(inputs.workload).tolist()
+
+    base_history, base_rates = run({"epochs": 2}, BASE_WORKLOAD)
+    assert set(KEY_VARIANTS["train"]) == set(_TRAIN)
+    assert set(KEY_VARIANTS["workload"]) == set(_WORKLOAD)
+    dead = []
+    for key, value in KEY_VARIANTS["train"].items():
+        assert value != _TRAIN[key]
+        history, _ = run({"epochs": 2, key: value}, BASE_WORKLOAD)
+        if history == base_history:
+            dead.append(f"train.{key}")
+    for key, value in KEY_VARIANTS["workload"].items():
+        assert value != _WORKLOAD[key] and value != BASE_WORKLOAD.get(key)
+        # A preset names a whole profile, so it replaces the spelled-out one.
+        doc = {key: value} if key == "preset" else dict(BASE_WORKLOAD, **{key: value})
+        _, rates = run({"epochs": 2}, doc)
+        if rates == base_rates:
+            dead.append(f"workload.{key}")
+    assert not dead
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +587,16 @@ def with_section(doc, section, **values):
      "params.tick_period_ms must be an integer, got 1500.7"),
     (with_section(TINY_CONFLICT, "params", ticks=1.5), "params.ticks must be an integer, got 1.5"),
     (with_section(TINY_ADAPTIVE, "train", epochs=0), "epochs and batch_size must be >= 1"),
-    (with_section(TINY_COMPRESS, "train", optimizer="adamw"), "unknown optimizer 'adamw'"),
+    (with_section(TINY_COMPRESS, "train", learning_rate=-1), "learning_rate must be >= 0"),
+    # Training is always Adam over shuffled batches; the keys that chose are refused.
+    (with_section(TINY_COMPRESS, "train", optimizer="adamw"),
+     "unknown key train.optimizer; known: learning_rate, epochs, batch_size"),
+    (with_section(TINY_COMPRESS, "train", optimizer="adam"),
+     "unknown key train.optimizer; known: learning_rate, epochs, batch_size"),
+    (with_section(TINY_ADAPTIVE, "train", shuffle=True),
+     "unknown key train.shuffle; known: learning_rate, epochs, batch_size"),
+    (with_section(TINY_ADAPTIVE, "workload", name="x"),
+     "unknown key workload.name; known: preset, duration, base_rate, segments, noise"),
     (with_section(TINY_CONFLICT, "params", tickz=3), "unknown key params.tickz; known: region,"),
     (dict(TINY_CONFLICT, paramz={"ticks": 3}), "unknown key paramz; known: scenario,"),
     (dict(TINY_CONFLICT, params=[1, 2]), "params must be a mapping, got [1, 2]"),
@@ -577,7 +629,8 @@ def with_section(doc, section, **values):
      "found duplicate key 'seed'\n  in \"<path>\", line 3, column 1"),
     ("scenario: conflict-demo\nseed: 7\nparams: {ticks: 3, ticks: 5}\n",
      "found duplicate key 'ticks'\n  in \"<path>\", line 3, column 20"),
-], ids=["tick-period-fraction", "ticks-fraction", "epochs-zero", "optimizer-adamw",
+], ids=["tick-period-fraction", "ticks-fraction", "epochs-zero", "learning-rate-negative",
+        "optimizer-adamw", "optimizer-adam", "shuffle-true", "workload-name",
         "params-key-typo", "section-typo", "params-list", "train-number", "workload-list",
         "chain-file-number", "region-number", "workload-duration-string", "unknown-preset",
         "conflict-train-key", "conflict-workload-key", "negative-seed", "preset-sibling-key",
@@ -638,10 +691,9 @@ def test_cli_run_infeasible_embedding_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, section, key, value", [
-    (TINY_COMPRESS, "train", "shuffle", "false"),
     (TINY_CONFLICT, "params", "single_chain", "no"),
     (TINY_CONFLICT, "params", "single_chain", 1),
-], ids=["shuffle-quoted-false", "single-chain-quoted-no", "single-chain-one"])
+], ids=["single-chain-quoted-no", "single-chain-one"])
 def test_cli_switch_that_is_not_a_bool_exits_2(tmp_path, capsys, doc, section, key, value):
     # bool() used to read both quoted texts as true.
     doc = dict(doc, **{section: dict(doc[section], **{key: value})})
@@ -710,8 +762,7 @@ def test_cli_strict_threshold_miss_exits_4(tmp_path):
 
 def test_cli_training_divergence_exits_3(tmp_path):
     doc = dict(TINY_ADAPTIVE,
-               train={"epochs": 60, "learning_rate": 1e9, "batch_size": 32,
-                      "optimizer": "sgd"})
+               train={"epochs": 60, "learning_rate": 1e300, "batch_size": 32})
     path = write_config(tmp_path, doc)
     code = main(["run", "--scenario", "adaptive-vnf", "--config", str(path),
                  "--out", str(tmp_path / "out")])
