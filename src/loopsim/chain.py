@@ -558,9 +558,9 @@ class ActionProposal(_ProposalFields):
     `target` to `value`. Whether it raises or lowers the knob is read against
     the knob's current value where it is judged (see
     control.detect_conflicts), and the issuer is stamped by the tick that
-    collects it (see control.Orchestrator.tick). A non-finite value raises
-    ConfigError; `_replace` skips that check, so only `issued_by` is re-stamped
-    with it."""
+    collects it (see control.Orchestrator.tick). The value is kept as a
+    float, and a non-finite one raises ConfigError; `_replace` skips both, so
+    only `issued_by` is re-stamped with it."""
 
     __slots__ = ()
 
@@ -568,7 +568,7 @@ class ActionProposal(_ProposalFields):
         if not math.isfinite(value):
             raise ConfigError(f"proposal for {target}:{parameter} must have a "
                               f"finite value, got {value!r}")
-        return tuple.__new__(cls, (target, parameter, value, issued_by))
+        return tuple.__new__(cls, (target, parameter, float(value), issued_by))
 
 
 def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,

@@ -132,15 +132,13 @@ class ConflictKind(Enum):
     SHARED_RESOURCE_OVERSUBSCRIPTION = "shared-resource-oversubscription"
 
 
-@dataclass(frozen=True)
-class ConflictPair:
+class ConflictPair(NamedTuple):
     a: ActionProposal
     b: ActionProposal
     kind: ConflictKind
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     pairs: tuple[ConflictPair, ...]
 
 
@@ -186,30 +184,37 @@ def detect_conflicts(proposals, state: Topology) -> ConflictReport:
     return ConflictReport(pairs=tuple(pairs))
 
 
-@dataclass(frozen=True)
-class ArbitrationOutcome:
+class Rejection(NamedTuple):
+    proposal: ActionProposal
+    verdict: str  # "conflict-lost" to the winner or "held" by the holder
+    loop: str  # the winner or the holder
+
+
+class ArbitrationOutcome(NamedTuple):
     approved: tuple[ActionProposal, ...]
-    rejected: tuple[tuple[ActionProposal, str], ...]  # proposal, reason
-    decisions: tuple[str, ...]
+    rejected: tuple[Rejection, ...]
+    decisions: tuple[TraceEvent, ...]  # one arbitration event per conflict set
 
 
 def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int],
-              holders: dict[tuple[str, str], str] | None = None) -> ArbitrationOutcome:
+              holders: dict[tuple[str, str], str] | None = None,
+              t_ms: int = 0) -> ArbitrationOutcome:
     """Within each connected conflict set only the highest-priority chain's
     proposals survive (lower number wins; ties break to the lexicographically
     smaller chain id). A proposal on a knob that holders gives to a
-    better-ranked other chain is rejected. Other proposals pass through."""
+    better-ranked other chain is rejected. Other proposals pass through.
+    Each set's decision is returned as its arbitration event at t_ms."""
     proposals = list(proposals)
     holders = holders or {}
 
     def rank(chain_id: str):
         return (priorities.get(chain_id, math.inf), chain_id)
 
-    drop: dict[int, str] = {}
+    drop: dict[int, Rejection] = {}
     for i, p in enumerate(proposals):
         holder = holders.get((p.target, p.parameter))
         if holder is not None and rank(holder) < rank(p.issued_by):
-            drop[i] = f"knob held by {holder}"
+            drop[i] = Rejection(p, "held", holder)
 
     index = {id(p): i for i, p in enumerate(proposals)}
     parent = list(range(len(proposals)))
@@ -231,28 +236,22 @@ def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int],
     for i in in_conflict:
         groups.setdefault(find(i), []).append(i)
 
-    approved: list[ActionProposal] = []
-    rejected: list[tuple[ActionProposal, str]] = []
-    decisions: list[str] = []
+    decisions: list[TraceEvent] = []
     for root in sorted(groups):
         members = sorted(groups[root])
-        chains = sorted({proposals[i].issued_by for i in members})
+        chains = tuple(sorted({proposals[i].issued_by for i in members}))
         ranked = sorted(chains, key=rank)
         winner = ranked[0]
         tie = len(ranked) > 1 and priorities.get(ranked[0]) == priorities.get(ranked[1])
-        note = " (tie-break by chain id)" if tie else ""
-        decisions.append(
-            f"conflict set {{{', '.join(chains)}}}: winner {winner}"
-            f" priority={priorities.get(winner)}{note}")
+        decisions.append(TraceEvent(t_ms, "-", winner, "arbitration",
+                                    value=priorities.get(winner), loops=chains,
+                                    verdict="tie-break" if tie else "priority"))
         for i in members:
             if proposals[i].issued_by != winner:
-                drop.setdefault(i, f"conflict lost to {winner}{note}")
-    for i, p in enumerate(proposals):
-        if i in drop:
-            rejected.append((p, drop[i]))
-        else:
-            approved.append(p)
-    return ArbitrationOutcome(tuple(approved), tuple(rejected), tuple(decisions))
+                drop.setdefault(i, Rejection(proposals[i], "conflict-lost", winner))
+    approved = tuple(p for i, p in enumerate(proposals) if i not in drop)
+    rejected = tuple(drop[i] for i in sorted(drop))
+    return ArbitrationOutcome(approved, rejected, tuple(decisions))
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +262,6 @@ def arbitrate(report: ConflictReport, proposals, priorities: dict[str, int],
 # the proposals unstable past this many reversals on any knob.
 SANDBOX_HORIZON_TICKS = 10
 SANDBOX_MAX_REVERSALS = 2
-
-
-@dataclass(frozen=True)
-class SandboxResult:
-    max_reversals: int  # the most any one knob had (see count_reversals)
-    violation_count: int
-    verdict: str  # stable | unstable
 
 
 def count_reversals(changes) -> int:
@@ -302,19 +294,35 @@ def write_csv(path, header, rows) -> int:
     return count
 
 
+def _record(values: tuple) -> str:
+    """Several values as one cell: a nested CSV record, which
+    next(csv.reader([cell]), []) reads back."""
+    rendered = io.StringIO()
+    csv.writer(rendered).writerow(values)  # its "\r\n" end quotes \r and \n
+    return rendered.getvalue()[:-2]
+
+
 class TraceEvent(NamedTuple):
-    """One event of a run. Action events (apply, reject, withhold) carry the
-    proposal in place of a summary; the other kinds carry free text."""
+    """One event of a run; its fields are the trace CSV's columns (t_ms is
+    time_ms, kind is event). Each kind fills its own (see README's event
+    table); value and delta have one type per kind and verdict."""
 
     t_ms: int
     tier: str
     chain: str
     kind: str
-    summary: str = ""
     verdict: str = ""
-    proposal: ActionProposal | None = None
+    value: float | None = None  # action: proposed value; tick: proposal count
     delta: float | None = None  # apply: new value minus previous value
-    capacity: str | None = None  # reject: the component a capacity refusal ran short of
+    target: str = ""
+    parameter: str = ""
+    loops: tuple[str, ...] = ()
+    detail: str = ""  # fault or error: the exception text
+    step: str = ""  # fault: the step that failed
+    placement: tuple[str, ...] = ()  # instantiated: step, node, step, node, ...
+    period_ms: int | None = None  # updated: the tick period
+    max_reversals: int | None = None  # sandbox: the most any knob had (see count_reversals)
+    violation_count: int | None = None  # sandbox: the replay's capacity refusals
 
 
 @dataclass
@@ -325,35 +333,28 @@ class EventTrace:
         self.events.append(TraceEvent(*args, **kwargs))
 
     def to_csv(self, path) -> int:
-        """One row per event, in write_csv's format; returns the row count. An
-        action event's summary is rendered here as target|parameter|x: the
-        applied delta of an apply, else the value.
+        """One row per event, in write_csv's format; returns the row count.
 
         A run repeats the same few rows at different times, so each distinct
-        (tier, chain, event, summary, verdict) tail is quoted once and the
-        lines are streamed to the file as time_ms,tail."""
+        tail (every field but the time, a tuple as one nested record) is
+        quoted once and each line is written as time_ms,tail. A zero value
+        or delta is keyed by its text too: 0, 0.0 and -0.0 hash alike but print apart."""
         rendered = io.StringIO()
         render = _csv_writer(rendered).writerow
         tails: dict[tuple, str] = {}
-
-        def line(e: TraceEvent) -> str:
-            summary = e.summary
-            if e.proposal is not None:
-                p = e.proposal
-                x = p.value if e.delta is None else e.delta
-                summary = f"{p.target}|{p.parameter}|{x!r}"
-            key = (e.tier, e.chain, e.kind, summary, e.verdict)
-            tail = tails.get(key)
-            if tail is None:
-                rendered.seek(0)
-                rendered.truncate()
-                render(key)
-                tail = tails[key] = rendered.getvalue()
-            return f"{e.t_ms},{tail}"
-
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            _csv_writer(fh).writerow(("time_ms", "tier", "chain", "event", "summary", "verdict"))
-            fh.writelines(map(line, self.events))
+            _csv_writer(fh).writerow(("time_ms", "tier", "chain", "event", *TraceEvent._fields[4:]))
+            for e in self.events:
+                key = e[1:]
+                if e.value == 0 or e.delta == 0:
+                    key = (key, repr(e.value), repr(e.delta))
+                tail = tails.get(key)
+                if tail is None:
+                    rendered.seek(0)
+                    rendered.truncate()
+                    render([_record(f) if type(f) is tuple else f for f in e[1:]])
+                    tail = tails[key] = rendered.getvalue()
+                fh.write(f"{e.t_ms},{tail}")
         return len(self.events)
 
     def applied_knob_deltas(self) -> dict[tuple[str, str], list[tuple[str, float]]]:
@@ -361,8 +362,7 @@ class EventTrace:
         out: dict[tuple[str, str], list[tuple[str, float]]] = {}
         for e in self.events:
             if e.kind == "apply":
-                p = e.proposal
-                out.setdefault((p.target, p.parameter), []).append((p.issued_by, e.delta))
+                out.setdefault((e.target, e.parameter), []).append((e.chain, e.delta))
         return out
 
 
@@ -423,10 +423,6 @@ class FunctionRegistry:
             raise ConfigError(f"no registered step function {name!r}") from None
 
 
-# A tick's summary text for the counts most ticks have, made once.
-_FEW_PROPOSALS = ("0 proposal(s)", "1 proposal(s)")
-
-
 def _tick_order(instance: LoopInstance) -> tuple[int, str]:
     """Within a slot, deeper tiers tick first, then by chain id."""
     return (-TIER_DEPTH[instance.tier], instance.id)
@@ -471,8 +467,9 @@ class Orchestrator:
         self.instances[chain.id] = instance
         # An instance's tier and id never change, so only a new one moves it.
         self.instances = {i.id: i for i in sorted(self.instances.values(), key=_tick_order)}
+        placement = tuple(x for pair in sorted(embedding.assignment.items()) for x in pair)
         self.trace.add(self.clock_ms, instance.tier_label, chain.id, "lifecycle",
-                       f"instantiated on {sorted(embedding.assignment.items())}", "ok")
+                       verdict="instantiated", placement=placement)
         return instance
 
     def _get(self, instance_id: str) -> LoopInstance:
@@ -493,8 +490,8 @@ class Orchestrator:
                 raise ConfigError(error)
             instance.tick_period_ms = tick_period_ms
         self.trace.add(self.clock_ms, instance.tier_label, instance.id, "lifecycle",
-                       f"updated: priority {instance.chain.priority}, "
-                       f"period {instance.tick_period_ms} ms", "ok")
+                       value=instance.chain.priority, verdict="updated",
+                       period_ms=instance.tick_period_ms)
         return instance
 
     def query(self, instance_id: str) -> InstanceSnapshot:
@@ -557,7 +554,7 @@ class Orchestrator:
         instance.chain = scaled
         instance.embedding = embedding
         self.trace.add(self.clock_ms, instance.tier_label, chain.id, "lifecycle",
-                       f"scaled by {factor}", "ok")
+                       value=float(factor), verdict="scaled")
         return instance
 
     def terminate(self, instance_id: str) -> None:
@@ -569,7 +566,7 @@ class Orchestrator:
         instance.state = InstanceState.TERMINATED
         self.holders = {knob: c for knob, c in self.holders.items() if c != instance.id}
         self.trace.add(self.clock_ms, instance.tier_label, instance.id, "lifecycle",
-                       "terminated", "ok")
+                       verdict="terminated")
 
     # -- one loop turn -------------------------------------------------------
 
@@ -601,8 +598,8 @@ class Orchestrator:
                 result = fn(ctx)
             except Exception as exc:
                 self.trace.events.append(TraceEvent(
-                    t_ms, instance.tier_label, chain.id, "fault",
-                    f"step {step.name} failed: {type(exc).__name__}: {exc}", "fault"))
+                    t_ms, instance.tier_label, chain.id, "fault", verdict="fault",
+                    detail=f"{type(exc).__name__}: {exc}", step=step.name))
                 proposals = []
                 break
             outputs[step.name] = result
@@ -611,10 +608,8 @@ class Orchestrator:
                     if p.issued_by != chain.id:
                         p = p._replace(issued_by=chain.id)
                     proposals.append(p)
-        n = len(proposals)
-        self.trace.events.append(TraceEvent(
-            t_ms, instance.tier_label, chain.id, "tick",
-            _FEW_PROPOSALS[n] if n < len(_FEW_PROPOSALS) else f"{n} proposal(s)", "ok"))
+        self.trace.events.append(TraceEvent(t_ms, instance.tier_label, chain.id, "tick", "ok",
+                                            len(proposals)))
         return proposals
 
     # -- conflict pipeline ---------------------------------------------------
@@ -622,18 +617,18 @@ class Orchestrator:
     def _priorities(self) -> dict[str, int]:
         return {i.chain.id: i.chain.priority for i in self.instances.values()}
 
-    def apply_proposal(self, proposal: ActionProposal) -> tuple[bool, float | None, str, str | None]:
+    def apply_proposal(self, proposal: ActionProposal) -> tuple[bool, float | None, str, str]:
         """Apply one approved proposal to the live state. Returns (ok, delta,
-        verdict, capacity); a capacity miss rejects the proposal rather than
-        violating safety and names the component that ran short."""
+        verdict, detail); a capacity miss rejects the proposal ("capacity")
+        rather than violating safety, and any other refusal is an "error"."""
         try:
             previous = sdi.set_knob(self.state, proposal.target, proposal.parameter,
                                     proposal.value)
-        except CapacityError as exc:
-            return False, None, f"capacity:{exc.component}", exc.component
+        except CapacityError:
+            return False, None, "capacity", ""
         except SimError as exc:
-            return False, None, f"error:{exc}", None
-        return True, proposal.value - previous, "ok", None
+            return False, None, "error", str(exc)
+        return True, proposal.value - previous, "ok", ""
 
     def assert_capacity_invariant(self) -> None:
         """Recompute reservations by target from the allocation table and the
@@ -658,13 +653,13 @@ class Orchestrator:
                 raise SafetyViolationError(f"{sdi.target_label(target)} oversubscribed: "
                                            f"{ResourceVector(cpu, mem, storage, bandwidth)}")
 
-    def sandbox_dryrun(self, proposals) -> SandboxResult:
+    def sandbox_dryrun(self, proposals) -> TraceEvent:
         """The live pipeline on a clone: the replica applies the proposals
         through the one apply path at the current clock, then runs every
         running loop for the horizon. The verdict is read from the replica's
         trace alone: knob reversals (count_reversals over its applied
-        changes) and its capacity refusals, seeded or replayed. The live
-        state is untouched."""
+        changes) and its capacity refusals, seeded or replayed. Returns the
+        sandbox event that a slot traces; the live state is untouched."""
         proposals = list(proposals)
         # The horizon is counted in ticks of the fastest involved chain.
         involved = {p.issued_by for p in proposals}
@@ -677,10 +672,11 @@ class Orchestrator:
         replica.run(duration_ms=SANDBOX_HORIZON_TICKS * fastest, start_ms=start)
         reversals = max(map(count_reversals, replica.trace.applied_knob_deltas().values()),
                         default=0)
-        violations = sum(1 for e in replica.trace.events if e.capacity is not None)
+        violations = sum(1 for e in replica.trace.events if e.verdict == "capacity")
         stable = reversals <= SANDBOX_MAX_REVERSALS and not violations
-        return SandboxResult(max_reversals=reversals, violation_count=violations,
-                             verdict="stable" if stable else "unstable")
+        return TraceEvent(self.clock_ms, "-", "-", "sandbox", loops=tuple(sorted(involved)),
+                          verdict="stable" if stable else "unstable",
+                          max_reversals=reversals, violation_count=violations)
 
     def _clone_for_sandbox(self) -> "Orchestrator":
         replica = Orchestrator(sdi.clone_state(self.state), self.registry,
@@ -732,26 +728,23 @@ class Orchestrator:
 
     def _process_slot(self, t: int, pool: list[ActionProposal]) -> None:
         report = detect_conflicts(pool, self.state)
-        for pair in report.pairs:
-            self.trace.add(t, "-", f"{pair.a.issued_by}|{pair.b.issued_by}", "conflict",
-                           f"{pair.kind.value} on {pair.a.target}:{pair.a.parameter}", "")
+        for a, b, kind in report.pairs:
+            self.trace.add(t, "-", "-", "conflict", kind.value, target=a.target,
+                           parameter=a.parameter, loops=(a.issued_by, b.issued_by))
         if self.arbitration_enabled:
-            outcome = arbitrate(report, pool, self._priorities(), self.holders)
-            for decision in outcome.decisions:
-                self.trace.add(t, "-", "-", "arbitration", decision, "")
-            for proposal, reason in outcome.rejected:
-                self._log_action(proposal, t, "reject", reason)
+            outcome = arbitrate(report, pool, self._priorities(), self.holders, t)
+            self.trace.events.extend(outcome.decisions)
+            for proposal, verdict, loop in outcome.rejected:
+                self._log_action(proposal, t, "reject", verdict, loops=(loop,))
             approved = list(outcome.approved)
         else:
             approved = pool
         if approved and self.sandbox_enabled:
-            result = self.sandbox_dryrun(approved)
-            self.trace.add(t, "-", "-", "sandbox",
-                           f"max_reversals={result.max_reversals}"
-                           f" violations={result.violation_count}", result.verdict)
+            result = self.sandbox_dryrun(approved)  # at self.clock_ms, which is t
+            self.trace.events.append(result)
             if result.verdict == "unstable":
                 for proposal in approved:
-                    self._log_action(proposal, t, "withhold", "withheld: sandbox unstable")
+                    self._log_action(proposal, t, "withhold", "sandbox-unstable")
                 return
         self._apply(approved, t)
 
@@ -760,17 +753,18 @@ class Orchestrator:
         proposal in order and trace it as an apply or a reject. With
         arbitration on, an apply makes its issuer the knob's holder."""
         for proposal in proposals:
-            ok, delta, verdict, capacity = self.apply_proposal(proposal)
+            ok, delta, verdict, detail = self.apply_proposal(proposal)
             if ok and self.arbitration_enabled:
                 self.holders[(proposal.target, proposal.parameter)] = proposal.issued_by
-            self._log_action(proposal, t, "apply" if ok else "reject", verdict, delta, capacity)
+            self._log_action(proposal, t, "apply" if ok else "reject", verdict, delta, detail)
 
     def _log_action(self, proposal: ActionProposal, t: int, kind: str, verdict: str,
-                    delta: float | None = None, capacity: str | None = None) -> None:
-        instance = self.instances.get(proposal.issued_by)
+                    delta: float | None = None, detail: str = "", loops: tuple = ()) -> None:
+        target, parameter, value, issuer = proposal
+        instance = self.instances.get(issuer)
         tier = "-" if instance is None else instance.tier_label
-        self.trace.events.append(TraceEvent(t, tier, proposal.issued_by, kind, "", verdict,
-                                            proposal, delta, capacity))
+        self.trace.events.append(TraceEvent(t, tier, issuer, kind, verdict, value, delta,
+                                            target, parameter, loops, detail))
 
     def export_fcaps_csv(self, path) -> int:
         """One row of FCAPS counters per instance, by id; returns the row count."""

@@ -41,8 +41,11 @@ def check_inputs(cfg: ScenarioConfig, scenario: Scenario, known_only: bool) -> I
     TrainConfig and workload profile too, so their checks run."""
     train = section(cfg.train, "train", {**engines.TRAIN_TABLE, **scenario.train}, known_only)
     w = section(cfg.workload, "workload", metrics.WORKLOAD_TABLE, known_only)
-    return Inputs(section(cfg.params, "params", scenario.params, known_only),
-                  engines.TrainConfig(**train), _workload_profile(cfg.workload, w, scenario.preset))
+    p = section(cfg.params, "params", scenario.params, known_only)
+    if "knob_min" in p and p["knob_min"] > p["knob_max"]:
+        raise ConfigError(f"params.knob_min {p['knob_min']} > params.knob_max {p['knob_max']}")
+    return Inputs(p, engines.TrainConfig(**train),
+                  _workload_profile(cfg.workload, w, scenario.preset))
 
 
 def _seeds(master: int, n: int = 6) -> list[int]:

@@ -216,7 +216,8 @@ def opposing_pair(orch: Orchestrator, region: str, node: str, parameter: str,
     """Sets node's knob parameter to initial and instantiates two set-point
     loops on it from region: ids[0] pushes high at priority 1 and, unless
     low is None, ids[1] pushes low at priority 2. An unknown node, an initial
-    value the node cannot back or a loop that cannot be placed is a ConfigError."""
+    value the node cannot back, a set-point the knob refuses or a loop that
+    cannot be placed is a ConfigError."""
     if node not in orch.state.nodes:
         raise ConfigError(f"conflict-demo node {node!r} not in topology")
     try:
@@ -225,6 +226,7 @@ def opposing_pair(orch: Orchestrator, region: str, node: str, parameter: str,
         raise ConfigError(f"initial knob value does not fit on {node}: {exc}") from None
     for chain_id, priority, value in zip(ids, (1, 2), (high, low)):
         if value is not None:
+            sdi.check_knob_value(parameter, value)
             _instantiate(orch, setpoint_chain(chain_id, priority, region, node, parameter,
                                               value, period))
 
@@ -256,24 +258,20 @@ def run_conflict_demo(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[d
     reversals_off = sum(count_reversals(changes)
                         for changes in off.trace.applied_knob_deltas().values())
     decisions = [e for e in on.trace.events if e.kind == "arbitration"]
-    first_decision_ms = decisions[0].t_ms if decisions else None
-    applied_after = []
-    if first_decision_ms is not None:
-        for e in on.trace.events:
-            if e.kind == "apply" and e.t_ms > first_decision_ms:
-                applied_after.append((e.chain, e.delta))
-    reversals_after = count_reversals(applied_after)
+    first_decision_ms = decisions[0].t_ms if decisions else -1
+    applies = [e for e in on.trace.events if e.kind == "apply"]
+    reversals_after = count_reversals((e.chain, e.delta) for e in applies
+                                      if decisions and e.t_ms > first_decision_ms)
     kinds_off = Counter(e.kind for e in off.trace.events)
     kinds_on = Counter(e.kind for e in on.trace.events)
     conflicts_off, conflicts_on = kinds_off["conflict"], kinds_on["conflict"]
     withheld = kinds_on["withhold"]
     # The knob moves only by applies, so it sits at the high set-point from
     # the first apply on when every apply sets it there.
-    applies = [e for e in on.trace.events if e.kind == "apply"]
     final_knob = sdi.get_knob(on.state, _node(p, "node"), p["parameter"])
     high = p["setpoint_high"]
     winner_holds = (bool(applies) and final_knob == high
-                    and all(e.proposal.value == high for e in applies))
+                    and all(e.value == high for e in applies))
 
     files = {
         "trace_unarbitrated": _artifact(out, "trace_unarbitrated.csv", off.trace.to_csv),
@@ -291,7 +289,7 @@ def run_conflict_demo(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[d
         "proposals_withheld_by_sandbox": withheld,
         "arbitrated_applies": len(applies),
         "arbitrated_final_knob": final_knob,
-        "first_decision_ms": -1 if first_decision_ms is None else first_decision_ms,
+        "first_decision_ms": first_decision_ms,
         "single_chain": p["single_chain"],
     }
     checks = (

@@ -424,24 +424,29 @@ def knob_backing_component(parameter: str) -> str | None:
     return None
 
 
+def check_knob_value(parameter: str, value: float) -> None:
+    """A knob value is finite, and >= 0 on a resource-backed knob; else ConfigError."""
+    if not math.isfinite(value):
+        raise ConfigError(f"knob {parameter} must be finite, got {value!r}")
+    if value < 0 and knob_backing_component(parameter) is not None:
+        raise ConfigError(f"knob {parameter} must be >= 0")
+
+
 def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> float:
     """Set a named knob on a node; returns the previous value.
 
     A resource-backed knob (parameter ending in .cpu.millicores /
     .mem.mebibytes / .storage.mebibytes) holds ceil(value) of that component
-    in the node's usage table, with no allocation. A non-finite value raises
-    ConfigError, and raising a backed knob past the free capacity raises
-    CapacityError; either leaves the state untouched.
+    in the node's usage table, with no allocation. A value check_knob_value
+    refuses raises ConfigError, and raising a backed knob past the free
+    capacity raises CapacityError; either leaves the state untouched.
     """
     node = state._node(node_id)
-    if not math.isfinite(value):
-        raise ConfigError(f"knob {parameter} must be finite, got {value!r}")
+    check_knob_value(parameter, value)
     key = (node_id, parameter)
     previous = state.knobs.get(key, 0.0)
     component = knob_backing_component(parameter)
     if component is not None:
-        if value < 0:
-            raise ConfigError(f"knob {parameter} must be >= 0")
         amount = int(math.ceil(value))
         held = int(math.ceil(previous))
         if amount != held:

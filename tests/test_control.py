@@ -2,12 +2,13 @@
 
 import csv
 import gc
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopsim import scenarios, sdi
@@ -231,10 +232,11 @@ def test_direct_tick_is_traced_and_counted():
     first = len(orch.trace.events)
     assert len(orch.tick("up", 0)) == 1
     assert orch.tick("down", 1000) == []
-    assert [(e.t_ms, e.chain, e.kind, e.summary) for e in orch.trace.events[first:]] == [
-        (0, "up", "tick", "1 proposal(s)"),
-        (1000, "down", "fault", "step push failed: KeyError: 'node'"),
-        (1000, "down", "tick", "0 proposal(s)"),
+    assert [(e.t_ms, e.chain, e.kind, e.value, e.step, e.detail)
+            for e in orch.trace.events[first:]] == [
+        (0, "up", "tick", 1, "", ""),
+        (1000, "down", "fault", None, "push", "KeyError: 'node'"),
+        (1000, "down", "tick", 0, "", ""),
     ]
     assert orch.query("up").fcaps == (0, 1, 1, 0)  # fault, config, accounting, performance
     assert orch.query("down").fcaps == (1, 1, 1, 0)
@@ -287,9 +289,8 @@ def tracked_objects() -> int:
 
 def test_knowledge_store_stays_bounded_over_a_long_run():
     """Two opposing set-point pairs, un-arbitrated: past the window, 4,500
-    more slots add only the trace's own objects, one per new event plus the
-    proposal an action event carries, and each store holds its newest
-    KNOWLEDGE_WINDOW records."""
+    more slots add only the trace's own objects, one per new event, and each
+    store holds its newest KNOWLEDGE_WINDOW records."""
     orch = make_orchestrator(arbitration=False, sandbox=False)
     for node in ("n1", "n2"):
         orch.instantiate(setpoint_chain(f"{node}-up", 1, 3000.0, node=node))
@@ -300,7 +301,7 @@ def test_knowledge_store_stays_bounded_over_a_long_run():
     orch.run(duration_ms=4_500_000, start_ms=500_000)
     grown = tracked_objects() - before
     new = orch.trace.events[seen:]
-    assert grown == len(new) + sum(e.proposal is not None for e in new)
+    assert grown == len(new)
     newest = list(range(5_000_000 - KNOWLEDGE_WINDOW * 1000, 5_000_000, 1000))
     for instance in orch.instances.values():
         assert len(instance.knowledge) == KNOWLEDGE_WINDOW
@@ -425,8 +426,8 @@ def test_infinite_forecast_is_a_traced_fault_not_a_clamped_proposal(value):
         parameter="vnf.cpu.millicores", scale=12.0, offset=200.0, lo=200.0, hi=4000.0),))
     orch.instantiate(chain, services={"action_catalog": catalog})
     assert orch.tick("scaler", 0) == []
-    faults = [(e.summary, e.verdict) for e in orch.trace.events if e.kind == "fault"]
-    assert faults == [("step forecast failed: ConfigError: analysis output "
+    faults = [(e.step, e.detail, e.verdict) for e in orch.trace.events if e.kind == "fault"]
+    assert faults == [("forecast", "ConfigError: analysis output "
                        f"'traffic.forecast' must have a finite value, got {value!r}", "fault")]
     assert orch.query("scaler").fcaps.fault == 1
 
@@ -451,8 +452,8 @@ def test_tick_fault_traces_exception_type():
     chain.steps[1] = LoopStep("push", StepKind.PLAN, "plan.broken", QosRequirements(cpu=50))
     orch.instantiate(chain)
     assert orch.tick("up", 0) == []
-    faults = [(e.summary, e.verdict) for e in orch.trace.events if e.kind == "fault"]
-    assert faults == [("step push failed: KeyError: 'node'", "fault")]
+    faults = [(e.step, e.detail, e.verdict) for e in orch.trace.events if e.kind == "fault"]
+    assert faults == [("push", "KeyError: 'node'", "fault")]
     assert orch.query("up").fcaps.fault == 1
 
 
@@ -610,7 +611,7 @@ def test_arbitrate_priority_wins():
     outcome = arbitrate(report, pool, {"hi": 1, "lo": 2})
     assert [p.issued_by for p in outcome.approved] == ["hi"]
     assert outcome.rejected[0][0].issued_by == "lo"
-    assert "hi" in outcome.rejected[0][1]
+    assert outcome.rejected[0][1:] == ("conflict-lost", "hi")
 
 
 def test_arbitrate_tie_breaks_lexicographically():
@@ -619,7 +620,8 @@ def test_arbitrate_tie_breaks_lexicographically():
     report = detect_conflicts(pool, state)
     outcome = arbitrate(report, pool, {"zeta": 5, "alpha": 5})
     assert [p.issued_by for p in outcome.approved] == ["alpha"]
-    assert any("tie-break" in d for d in outcome.decisions)
+    assert [(d.chain, d.value, d.loops, d.verdict) for d in outcome.decisions] == [
+        ("alpha", 5, ("alpha", "zeta"), "tie-break")]
 
 
 def test_arbitrate_without_conflicts_approves_all():
@@ -846,15 +848,17 @@ def test_held_knob_rejects_lower_ranked_proposals_naming_the_holder():
     outcome = arbitrate(detect_conflicts(pool, build_topology(spec_3nodes())), pool,
                         {"top": 0, "hi": 1, "lo": 2}, held)
     assert [p.issued_by for p in outcome.approved] == ["top"]
-    assert [(p.issued_by, why) for p, why in outcome.rejected] == [("lo", "knob held by hi")]
+    assert [(p.issued_by, verdict, loop) for p, verdict, loop in outcome.rejected] == [
+        ("lo", "held", "hi")]
 
     orch = make_orchestrator(arbitration=True, sandbox=False)
     opposing_pair(orch)
     trace = orch.run(duration_ms=3000)
     assert orch.holders == {("n1", "vnf.cpu.millicores"): "up"}
-    assert [(e.t_ms, e.chain, e.verdict) for e in trace.events if e.kind == "reject"] == [
-        (0, "down", "conflict lost to up"),
-        (1000, "down", "knob held by up"), (2000, "down", "knob held by up")]
+    assert [(e.t_ms, e.chain, e.verdict, e.loops) for e in trace.events
+            if e.kind == "reject"] == [
+        (0, "down", "conflict-lost", ("up",)),
+        (1000, "down", "held", ("up",)), (2000, "down", "held", ("up",))]
     assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 3000.0
 
 
@@ -871,14 +875,14 @@ def test_a_plan_step_cannot_issue_for_another_loop():
     rogue.steps[1] = replace(rogue.steps[1], function_ref="plan.impersonate")
     orch.instantiate(rogue)
     trace = orch.run(duration_ms=3000)
-    actions = [(e.t_ms, e.kind, e.chain, e.proposal.value) for e in trace.events
-               if e.proposal is not None]
+    actions = [(e.t_ms, e.kind, e.chain, e.value) for e in trace.events
+               if e.kind in ("apply", "reject", "withhold")]
     assert actions == [(0, "reject", "rogue", 500.0), (0, "apply", "up", 3000.0),
                        (1000, "reject", "rogue", 500.0), (2000, "reject", "rogue", 500.0)]
-    assert [(e.t_ms, e.chain) for e in trace.events if e.kind == "conflict"] == [
-        (0, "rogue|up")]
-    assert [e.summary for e in trace.events if e.kind == "arbitration"] == [
-        "conflict set {rogue, up}: winner up priority=1"]
+    assert [(e.t_ms, e.loops) for e in trace.events if e.kind == "conflict"] == [
+        (0, ("rogue", "up"))]
+    assert [(e.chain, e.value, e.loops, e.verdict) for e in trace.events
+            if e.kind == "arbitration"] == [("up", 1, ("rogue", "up"), "priority")]
     assert orch.holders == {("n1", "vnf.cpu.millicores"): "up"}
     assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 3000.0
     assert (orch.query("rogue").actions_rejected, orch.query("up").fcaps.performance) == (3, 1)
@@ -922,7 +926,7 @@ def test_sandbox_counts_only_capacity_refusals_as_violations():
     trace = orch.run(duration_ms=1000)
     sandbox, reject = [e for e in trace.events if e.kind in ("sandbox", "reject")]
     assert sandbox.verdict == "stable"
-    assert reject.verdict == "error:unknown node 'n9'" and reject.capacity is None
+    assert (reject.verdict, reject.detail) == ("error", "unknown node 'n9'")
 
 
 def test_unarbitrated_opposing_loops_thrash():
@@ -965,7 +969,7 @@ def test_non_finite_setpoints_are_step_faults():
     trace = orch.run(duration_ms=5000)
     faults = [e for e in trace.events if e.kind == "fault"]
     assert len(faults) == 10
-    assert all("push failed: ConfigError" in e.summary for e in faults)
+    assert all(e.step == "push" and e.detail.startswith("ConfigError: ") for e in faults)
     assert not any(e.kind in ("apply", "reject", "withhold") for e in trace.events)
     assert sdi.get_knob(orch.state, "n1", "vnf.cpu.millicores") == 2000.0
     assert orch.query("up").fcaps.fault == 5
@@ -989,7 +993,8 @@ def test_every_lifecycle_operation_is_traced():
     orch.scale("watcher", 2.0)
     rows = [e for e in orch.trace.events if e.kind == "lifecycle" and e.chain == "watcher"]
     assert len(rows) == orch.query("watcher").fcaps.config == 3
-    assert "priority 3" in rows[1].summary and "period 500 ms" in rows[1].summary
+    assert [(e.verdict, e.value, e.period_ms) for e in rows] == [
+        ("instantiated", None, None), ("updated", 3, 500), ("scaled", 2.0, None)]
 
 
 def test_fcaps_export(tmp_path):
@@ -1016,6 +1021,16 @@ def test_fcaps_csv_quotes_ids(tmp_path):
     assert written == 1
 
 
+TRACE_HEADER = ("time_ms", "tier", "chain", "event", "verdict", "value", "delta", "target",
+                "parameter", "loops", "detail", "step", "placement", "period_ms", "max_reversals",
+                "violation_count")
+
+
+def nested_values(cell: str) -> list[str]:
+    """The values of a cell that holds a nested CSV record."""
+    return next(csv.reader([cell]), [])
+
+
 def test_trace_csv_roundtrip_shape(tmp_path):
     orch = make_orchestrator(sandbox=False)
     orch.instantiate(analysis_chain())
@@ -1023,7 +1038,7 @@ def test_trace_csv_roundtrip_shape(tmp_path):
     path = tmp_path / "trace.csv"
     orch.trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time_ms,tier,chain,event,summary,verdict"
+    assert lines[0] == ",".join(TRACE_HEADER)
     assert len(lines) == len(orch.trace.events) + 1
 
 
@@ -1031,33 +1046,40 @@ def test_trace_csv_fields_read_back_exactly(tmp_path):
     orch = make_orchestrator(sandbox=False)
     orch.instantiate(analysis_chain())
     orch.run(duration_ms=3000)
-    orch.trace.add(3000, "edge", "watcher", "reject", verdict='says "no", then stops',
-                   proposal=ActionProposal("n1", "a,b", 1.5, "watcher"))
-    assert any("," in e.summary for e in orch.trace.events[:-1])
+    orch.trace.add(3000, "edge", "watcher", "reject", "error", 1.5, target="n1",
+                   parameter="a,b", loops=('saver, "eco"', "two\nlines"),
+                   detail='says "no", then stops')
     path = tmp_path / "trace.csv"
     orch.trace.to_csv(path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["time_ms", "tier", "chain", "event", "summary", "verdict"]
-    assert rows[1:-1] == [[str(e.t_ms), e.tier, e.chain, e.kind, e.summary, e.verdict]
-                          for e in orch.trace.events[:-1]]
-    assert rows[-1] == ["3000", "edge", "watcher", "reject", "n1|a,b|1.5",
-                        'says "no", then stops']
+    assert rows[0] == list(TRACE_HEADER)
+    assert any("," in cell for row in rows[1:-1] for cell in row)
+    for row, e in zip(rows[1:], orch.trace.events, strict=True):
+        assert [tuple(nested_values(cell)) if isinstance(f, tuple) else cell
+                for cell, f in zip(row, e, strict=True)] == [
+            f if isinstance(f, tuple) else "" if f is None else str(f) for f in e]
+    placement = nested_values(rows[1][TRACE_HEADER.index("placement")])
+    assert dict(zip(placement[::2], placement[1::2])) == orch.query("watcher").assignment
+    assert rows[-1] == ["3000", "edge", "watcher", "reject", "error", "1.5", "", "n1", "a,b",
+                        '"saver, ""eco""","two\nlines"', 'says "no", then stops',
+                        "", "", "", "", ""]
+
+
+def nested_record(values) -> str:
+    """values as one cell: a nested CSV record with its row end cut off."""
+    rendered = io.StringIO()
+    csv.writer(rendered).writerow(values)
+    return rendered.getvalue().removesuffix("\r\n")
 
 
 def reference_trace_csv(events, path) -> int:
     """The trace rendered row by row through write_csv: the bytes to_csv
     must write."""
     def row(e: TraceEvent) -> tuple:
-        summary = e.summary
-        if e.proposal is not None:
-            p = e.proposal
-            x = p.value if e.delta is None else e.delta
-            summary = f"{p.target}|{p.parameter}|{x!r}"
-        return (e.t_ms, e.tier, e.chain, e.kind, summary, e.verdict)
+        return tuple(nested_record(f) if isinstance(f, tuple) else f for f in e)
 
-    return write_csv(path, ("time_ms", "tier", "chain", "event", "summary", "verdict"),
-                     map(row, events))
+    return write_csv(path, TRACE_HEADER, map(row, events))
 
 
 csv_text = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", 'a,"b"', " x ", "é",
@@ -1067,27 +1089,43 @@ csv_text = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", 'a,"b"',
 
 @st.composite
 def trace_events(draw):
-    """Events whose fields are drawn from a few texts and floats, so that
-    rows recur at different times and near-copies differ in one field."""
+    """Events of every kind, each filling its kind's fields, drawn from a
+    few texts and numbers, so that rows recur at different times and
+    near-copies differ in one field."""
     words = st.sampled_from(draw(st.lists(csv_text, min_size=1, max_size=3)))
+    loops = st.lists(st.sampled_from(["up", "a,b", 'say "x"', "two\nlines", ""]),
+                     max_size=3).map(tuple)
     # -0.0 and 0.0 compare equal but print apart; the others print long.
     floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e22,
                               draw(st.floats(allow_nan=False, allow_infinity=False))])
+    counts = st.integers(0, 2)
+    action = dict(target=words, parameter=words, value=floats)
+    shapes = [
+        ("tick", dict(value=counts, verdict=st.just("ok"))),
+        ("apply", dict(action, delta=floats, verdict=st.just("ok"))),
+        ("reject", dict(action, loops=loops, verdict=words, detail=words)),
+        ("withhold", dict(action, verdict=words)),
+        ("conflict", dict(target=words, parameter=words, loops=loops, verdict=words)),
+        ("arbitration", dict(value=counts | st.none(), loops=loops, verdict=words)),
+        ("sandbox", dict(loops=loops, verdict=words, max_reversals=counts,
+                         violation_count=counts)),
+        ("lifecycle", dict(placement=loops, verdict=st.just("instantiated"))),
+        ("lifecycle", dict(value=counts, period_ms=counts, verdict=st.just("updated"))),
+        ("lifecycle", dict(value=floats, verdict=st.just("scaled"))),
+        ("fault", dict(step=words, detail=words, verdict=st.just("fault"))),
+    ]
     events = []
     for t_ms in draw(st.lists(st.integers(0, 10 ** 7), max_size=20)):
-        if draw(st.booleans()):
-            events.append(TraceEvent(t_ms, draw(words), draw(words), draw(words), draw(words),
-                                     draw(words)))
-        else:
-            proposal = ActionProposal(draw(words), draw(words), draw(floats))
-            events.append(TraceEvent(t_ms, draw(words), draw(words),
-                                     draw(st.sampled_from(["apply", "reject"])), "",
-                                     draw(words), proposal, draw(st.none() | floats)))
+        kind, fields = draw(st.sampled_from(shapes))
+        events.append(TraceEvent(t_ms, draw(words), draw(words), kind,
+                                 **{name: draw(field) for name, field in fields.items()}))
     return events
 
 
 @settings(max_examples=80, deadline=None)
 @given(events=trace_events())
+@example(events=[TraceEvent(t, "edge", "up", "apply", "ok", x, x, "n1", "p")
+                 for t, x in enumerate([0.0, -0.0, 0.0])])
 def test_trace_csv_bytes_equal_the_row_by_row_rendering(tmp_path_factory, events):
     trace, base = EventTrace(events), tmp_path_factory.mktemp("trace-csv")
     assert trace.to_csv(base / "fast.csv") == reference_trace_csv(events, base / "ref.csv")
@@ -1095,26 +1133,26 @@ def test_trace_csv_bytes_equal_the_row_by_row_rendering(tmp_path_factory, events
 
 
 PINNED_TRACE = """\
-time_ms,tier,chain,event,summary,verdict
-0,edge,down,lifecycle,"instantiated on [('push', 'n1'), ('record', 'n1'), ('watch', 'n1')]",ok
-0,edge,big,lifecycle,"instantiated on [('push', 'n1'), ('record', 'n1'), ('watch', 'n1')]",ok
-0,edge,big,tick,1 proposal(s),ok
-0,edge,down,tick,1 proposal(s),ok
-0,-,big|down,conflict,same-knob-opposing on n1:vnf.cpu.millicores,
-0,-,-,arbitration,"conflict set {big, down}: winner down priority=1",
-0,edge,big,reject,n1|vnf.cpu.millicores|9000.0,conflict lost to down
-0,edge,down,apply,n1|vnf.cpu.millicores|-1000.0,ok
-1000,edge,down,lifecycle,terminated,ok
-1000,edge,down,lifecycle,"instantiated on [('push', 'n1'), ('record', 'n1'), ('watch', 'n1')]",ok
-1000,edge,big,tick,1 proposal(s),ok
-1000,edge,down,fault,step push failed: KeyError: 'node',fault
-1000,edge,down,tick,0 proposal(s),ok
-1000,edge,big,reject,n1|vnf.cpu.millicores|9000.0,capacity:cpu
-2000,edge,big,tick,1 proposal(s),ok
-2000,edge,down,fault,step push failed: KeyError: 'node',fault
-2000,edge,down,tick,0 proposal(s),ok
-2000,-,-,sandbox,max_reversals=0 violations=11,unstable
-2000,edge,big,withhold,n1|vnf.cpu.millicores|9000.0,withheld: sandbox unstable
+time_ms,tier,chain,event,verdict,value,delta,target,parameter,loops,detail,step,placement,period_ms,max_reversals,violation_count
+0,edge,down,lifecycle,instantiated,,,,,,,,"push,n1,record,n1,watch,n1",,,
+0,edge,big,lifecycle,instantiated,,,,,,,,"push,n1,record,n1,watch,n1",,,
+0,edge,big,tick,ok,1,,,,,,,,,,
+0,edge,down,tick,ok,1,,,,,,,,,,
+0,-,-,conflict,same-knob-opposing,,,n1,vnf.cpu.millicores,"big,down",,,,,,
+0,-,down,arbitration,priority,1,,,,"big,down",,,,,,
+0,edge,big,reject,conflict-lost,9000.0,,n1,vnf.cpu.millicores,down,,,,,,
+0,edge,down,apply,ok,1000.0,-1000.0,n1,vnf.cpu.millicores,,,,,,,
+1000,edge,down,lifecycle,terminated,,,,,,,,,,,
+1000,edge,down,lifecycle,instantiated,,,,,,,,"push,n1,record,n1,watch,n1",,,
+1000,edge,big,tick,ok,1,,,,,,,,,,
+1000,edge,down,fault,fault,,,,,,KeyError: 'node',push,,,,
+1000,edge,down,tick,ok,0,,,,,,,,,,
+1000,edge,big,reject,capacity,9000.0,,n1,vnf.cpu.millicores,,,,,,,
+2000,edge,big,tick,ok,1,,,,,,,,,,
+2000,edge,down,fault,fault,,,,,,KeyError: 'node',push,,,,
+2000,edge,down,tick,ok,0,,,,,,,,,,
+2000,-,-,sandbox,unstable,,,,,big,,,,,0,11
+2000,edge,big,withhold,sandbox-unstable,9000.0,,n1,vnf.cpu.millicores,,,,,,,
 """
 
 

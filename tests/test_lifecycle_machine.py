@@ -171,10 +171,9 @@ class LifecycleMachine(RuleBasedStateMachine):
         # every recorded delta and the live knobs, bitwise.
         for event in self.orch.trace.events[first:]:
             if event.kind == "apply":
-                p = event.proposal
-                key = (p.target, p.parameter)
-                assert bits(event.delta) == bits(p.value - knobs.get(key, 0.0))
-                knobs[key] = float(p.value)
+                key = (event.target, event.parameter)
+                assert bits(event.delta) == bits(event.value - knobs.get(key, 0.0))
+                knobs[key] = float(event.value)
         assert knobs.keys() == self.orch.state.knobs.keys()
         for (node, parameter), value in knobs.items():
             assert bits(sdi.get_knob(self.orch.state, node, parameter)) == bits(value)

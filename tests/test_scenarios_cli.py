@@ -355,11 +355,39 @@ def test_conflict_demo_trace_replays_to_the_knob(tmp_path):
         with open(tmp_path / "out" / f"trace_{label}.csv", encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
                 if row["event"] == "apply":
-                    value += float(row["summary"].rsplit("|", 1)[1])
+                    value += float(row["delta"])
                     applies += 1
                     assert value in setpoints
         assert applies
     assert value == report.metrics["arbitrated_final_knob"]
+
+
+def test_conflict_demo_trace_alone_explains_each_reject(tmp_path):
+    """Read with csv alone, the seed-7 demo's arbitrated trace names the loop
+    each reject lost to: for a conflict-lost reject the winner of its slot's
+    arbitration row, and for a held one the loop of the latest earlier apply
+    on its knob."""
+    cfg = load_scenario_config(Path(__file__).resolve().parents[1] / "configs"
+                               / "conflict_demo.yaml")
+    cfg.out_dir = str(tmp_path / "out")
+    run_scenario(cfg)
+    winners, holders, verdicts = {}, {}, []
+    with open(tmp_path / "out" / "trace_arbitrated.csv", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            knob = (row["target"], row["parameter"])
+            if row["event"] == "arbitration":
+                winners[row["time_ms"]] = row["chain"]
+            elif row["event"] == "apply":
+                holders[knob] = row["chain"]
+            elif row["event"] == "reject":
+                loops = next(csv.reader([row["loops"]]), [])
+                verdicts.append(row["verdict"])
+                if row["verdict"] == "conflict-lost":
+                    assert loops == [winners[row["time_ms"]]]
+                else:
+                    assert row["verdict"] == "held" and loops == [holders[knob]]
+    assert verdicts == ["conflict-lost"] + ["held"] * 99
+    assert set(winners.values()) == {"cpu-booster"}
 
 
 def test_shipped_configs_load():
@@ -623,6 +651,13 @@ def with_section(doc, section, **values):
      "conflict-demo node 'nowhere' not in topology"),
     (with_section(TINY_CONFLICT, "params", initial=90000.0),
      "initial knob value does not fit on waterloo-vm4: "),
+    # Both used to pass validate: a negative set-point was refused at every
+    # apply of the run instead, and knob_min above knob_max pinned the knob
+    # at knob_max.
+    (with_section(TINY_CONFLICT, "params", setpoint_high=-5.0),
+     "knob vnf.cpu.millicores must be >= 0"),
+    (with_section(TINY_ADAPTIVE, "params", knob_min=7000.0),
+     "params.knob_min 7000.0 > params.knob_max 6000.0"),
     # A repeated key used to be read as its last value. Its mark names the
     # file (<path> stands for the config's path).
     ("scenario: conflict-demo\nseed: 7\nseed: 8\nparams: {ticks: 3}\n",
@@ -635,7 +670,8 @@ def with_section(doc, section, **values):
         "chain-file-number", "region-number", "workload-duration-string", "unknown-preset",
         "conflict-train-key", "conflict-workload-key", "negative-seed", "preset-sibling-key",
         "compress-unplaceable-region", "adaptive-unknown-firewall", "conflict-unknown-node",
-        "conflict-initial-too-big", "repeated-top-level-key", "repeated-params-key"])
+        "conflict-initial-too-big", "conflict-negative-setpoint",
+        "adaptive-knob-min-above-max", "repeated-top-level-key", "repeated-params-key"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
     """validate refuses every config that run refuses, with the same message.
     run_scenario, handed the config in code, refuses the same values; only a
