@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, SimError
 from . import sdi
@@ -277,29 +277,24 @@ def count_reversals(changes) -> int:
 # Event trace
 # ---------------------------------------------------------------------------
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _record(values) -> str:
+    """values as one CSV record without its row end: a row's text, or a cell
+    of several values, which next(csv.reader([cell]), []) reads back."""
+    rendered = io.StringIO()
+    csv.writer(rendered).writerow(values)  # its "\r\n" end quotes \r and \n
+    return rendered.getvalue()[:-2]
 
 
 def write_csv(path, header, rows) -> int:
     """The one CSV format of run artifacts: UTF-8, "\n" row ends, RFC 4180
-    quoting, and floats (numpy's too) as their shortest round-trip text.
-    Returns the number of data rows written."""
+    quoting (a cell holding \r or \n is quoted), and floats (numpy's too) as
+    their shortest round-trip text. Returns the number of data rows written."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(header)
+        fh.write(_record(header) + "\n")
         for count, row in enumerate(rows, 1):
-            writer.writerow(row)
+            fh.write(_record(row) + "\n")
     return count
-
-
-def _record(values: tuple) -> str:
-    """Several values as one cell: a nested CSV record, which
-    next(csv.reader([cell]), []) reads back."""
-    rendered = io.StringIO()
-    csv.writer(rendered).writerow(values)  # its "\r\n" end quotes \r and \n
-    return rendered.getvalue()[:-2]
 
 
 class TraceEvent(NamedTuple):
@@ -325,44 +320,80 @@ class TraceEvent(NamedTuple):
     violation_count: int | None = None  # sandbox: the replay's capacity refusals
 
 
-@dataclass
-class EventTrace:
-    events: list[TraceEvent] = field(default_factory=list)
+_Body = namedtuple("_Body", TraceEvent._fields[1:],
+                   defaults=tuple(TraceEvent._field_defaults.values()))
 
-    def add(self, *args, **kwargs) -> None:
-        self.events.append(TraceEvent(*args, **kwargs))
+
+class _EventView(Sequence):
+    """A trace's events, read-only: each TraceEvent is built when it is read."""
+
+    def __init__(self, trace: EventTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.times)
+
+    def __getitem__(self, i):
+        times, bodies = self._trace.times[i], self._trace.bodies[i]
+        return list(map(_event, times, bodies)) if isinstance(i, slice) else _event(times, bodies)
+
+    def __iter__(self):
+        return map(_event, self._trace.times, self._trace.bodies)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
+def _event(t_ms: int, body: _Body) -> TraceEvent:
+    return TraceEvent(t_ms, *body)
+
+
+class EventTrace:
+    """A run's events in order, as two lists: `times` (each event's t_ms) and
+    `bodies` (its other fields), equal bodies being one shared tuple, so an
+    event costs two list slots. `events` reads them back as TraceEvents."""
+
+    def __init__(self, events=()):
+        self.times: list[int] = []
+        self.bodies: list[_Body] = []
+        self._interned: dict[tuple, _Body] = {}
+        for event in events:
+            self.append(event)
+
+    @property
+    def events(self) -> Sequence[TraceEvent]:
+        return _EventView(self)
+
+    def append(self, event: TraceEvent) -> None:
+        self.add(*event)
+
+    def add(self, t_ms: int, *fields, **named) -> None:
+        """Trace the event at t_ms with TraceEvent's other fields, by position or
+        name. Equal bodies are stored once; a zero value or delta is keyed by
+        its text too, since 0, 0.0 and -0.0 hash alike but print apart."""
+        body = _Body(*fields, **named)
+        zero = body.value == 0 or body.delta == 0
+        key = (body, repr(body.value), repr(body.delta)) if zero else body
+        self.times.append(t_ms)
+        self.bodies.append(self._interned.setdefault(key, body))
 
     def to_csv(self, path) -> int:
         """One row per event, in write_csv's format; returns the row count.
-
-        A run repeats the same few rows at different times, so each distinct
-        tail (every field but the time, a tuple as one nested record) is
-        quoted once and each line is written as time_ms,tail. A zero value
-        or delta is keyed by its text too: 0, 0.0 and -0.0 hash alike but print apart."""
-        rendered = io.StringIO()
-        render = _csv_writer(rendered).writerow
-        tails: dict[tuple, str] = {}
+        Each distinct body (a tuple field as one nested record) is rendered once."""
+        header = ("time_ms", "tier", "chain", "event", *TraceEvent._fields[4:])
+        tails = {id(b): _record([_record(f) if type(f) is tuple else f for f in b]) + "\n"
+                 for b in self._interned.values()}
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            _csv_writer(fh).writerow(("time_ms", "tier", "chain", "event", *TraceEvent._fields[4:]))
-            for e in self.events:
-                key = e[1:]
-                if e.value == 0 or e.delta == 0:
-                    key = (key, repr(e.value), repr(e.delta))
-                tail = tails.get(key)
-                if tail is None:
-                    rendered.seek(0)
-                    rendered.truncate()
-                    render([_record(f) if type(f) is tuple else f for f in e[1:]])
-                    tail = tails[key] = rendered.getvalue()
-                fh.write(f"{e.t_ms},{tail}")
-        return len(self.events)
+            fh.write(_record(header) + "\n")
+            fh.writelines(f"{t_ms},{tails[id(b)]}" for t_ms, b in zip(self.times, self.bodies))
+        return len(self.times)
 
     def applied_knob_deltas(self) -> dict[tuple[str, str], list[tuple[str, float]]]:
         """Per-knob sequence of applied (issuer, delta) changes, in trace order."""
         out: dict[tuple[str, str], list[tuple[str, float]]] = {}
-        for e in self.events:
-            if e.kind == "apply":
-                out.setdefault((e.target, e.parameter), []).append((e.chain, e.delta))
+        for b in self.bodies:
+            if b.kind == "apply":
+                out.setdefault((b.target, b.parameter), []).append((b.chain, b.delta))
         return out
 
 
@@ -461,7 +492,7 @@ class Orchestrator:
         instance = LoopInstance(
             id=chain.id, chain=chain, embedding=embedding,
             state=InstanceState.RUNNING, tick_period_ms=period, tier=tier,
-            schedule=schedule, first_event=len(self.trace.events),
+            schedule=schedule, first_event=len(self.trace.times),
             services=dict(services or {}),
         )
         self.instances[chain.id] = instance
@@ -512,11 +543,11 @@ class Orchestrator:
         counted by (chain, kind), then the events before each instance's
         first event (its earlier incarnations) are taken off again."""
         first = {iid: i.first_event for iid, i in self.instances.items()}
-        events = self.trace.events
-        n = Counter(zip(map(attrgetter("chain"), events), map(attrgetter("kind"), events)))
-        n.subtract((e.chain, e.kind)
-                   for k, e in enumerate(events[:max(first.values(), default=0)])
-                   if k < first.get(e.chain, 0))
+        bodies = self.trace.bodies
+        n = Counter(zip(map(attrgetter("chain"), bodies), map(attrgetter("kind"), bodies)))
+        n.subtract((b.chain, b.kind)
+                   for k, b in enumerate(bodies[:max(first.values(), default=0)])
+                   if k < first.get(b.chain, 0))
         return {iid: (FcapsCounters(n[iid, "fault"], n[iid, "lifecycle"], n[iid, "tick"],
                                     n[iid, "apply"]), n[iid, "reject"] + n[iid, "withhold"])
                 for iid in first}
@@ -597,9 +628,8 @@ class Orchestrator:
             try:
                 result = fn(ctx)
             except Exception as exc:
-                self.trace.events.append(TraceEvent(
-                    t_ms, instance.tier_label, chain.id, "fault", verdict="fault",
-                    detail=f"{type(exc).__name__}: {exc}", step=step.name))
+                self.trace.add(t_ms, instance.tier_label, chain.id, "fault", verdict="fault",
+                               detail=f"{type(exc).__name__}: {exc}", step=step.name)
                 proposals = []
                 break
             outputs[step.name] = result
@@ -608,8 +638,7 @@ class Orchestrator:
                     if p.issued_by != chain.id:
                         p = p._replace(issued_by=chain.id)
                     proposals.append(p)
-        self.trace.events.append(TraceEvent(t_ms, instance.tier_label, chain.id, "tick", "ok",
-                                            len(proposals)))
+        self.trace.add(t_ms, instance.tier_label, chain.id, "tick", "ok", len(proposals))
         return proposals
 
     # -- conflict pipeline ---------------------------------------------------
@@ -672,7 +701,7 @@ class Orchestrator:
         replica.run(duration_ms=SANDBOX_HORIZON_TICKS * fastest, start_ms=start)
         reversals = max(map(count_reversals, replica.trace.applied_knob_deltas().values()),
                         default=0)
-        violations = sum(1 for e in replica.trace.events if e.verdict == "capacity")
+        violations = sum(b.verdict == "capacity" for b in replica.trace.bodies)
         stable = reversals <= SANDBOX_MAX_REVERSALS and not violations
         return TraceEvent(self.clock_ms, "-", "-", "sandbox", loops=tuple(sorted(involved)),
                           verdict="stable" if stable else "unstable",
@@ -733,7 +762,8 @@ class Orchestrator:
                            parameter=a.parameter, loops=(a.issued_by, b.issued_by))
         if self.arbitration_enabled:
             outcome = arbitrate(report, pool, self._priorities(), self.holders, t)
-            self.trace.events.extend(outcome.decisions)
+            for decision in outcome.decisions:
+                self.trace.append(decision)
             for proposal, verdict, loop in outcome.rejected:
                 self._log_action(proposal, t, "reject", verdict, loops=(loop,))
             approved = list(outcome.approved)
@@ -741,7 +771,7 @@ class Orchestrator:
             approved = pool
         if approved and self.sandbox_enabled:
             result = self.sandbox_dryrun(approved)  # at self.clock_ms, which is t
-            self.trace.events.append(result)
+            self.trace.append(result)
             if result.verdict == "unstable":
                 for proposal in approved:
                     self._log_action(proposal, t, "withhold", "sandbox-unstable")
@@ -763,8 +793,8 @@ class Orchestrator:
         target, parameter, value, issuer = proposal
         instance = self.instances.get(issuer)
         tier = "-" if instance is None else instance.tier_label
-        self.trace.events.append(TraceEvent(t, tier, issuer, kind, verdict, value, delta,
-                                            target, parameter, loops, detail))
+        self.trace.add(t, tier, issuer, kind, verdict, value, delta, target, parameter, loops,
+                       detail)
 
     def export_fcaps_csv(self, path) -> int:
         """One row of FCAPS counters per instance, by id; returns the row count."""

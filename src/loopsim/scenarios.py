@@ -78,6 +78,9 @@ class Inputs(NamedTuple):  # a config's values; a runner seeds train and workloa
     workload: object  # a metrics.WorkloadProfile; None unless the scenario trains
 
 
+# Params that count ticks, minutes or units, each of which must be at least 1.
+_COUNTS = ("ticks", "loop_ticks", "window", "horizon", "hidden_size")
+
 _CONFIG = {"scenario": str, "seed": int, "topology": "testbed", "out_dir": "out",
            "workload": {}, "train": {}, "params": {}}
 
@@ -91,10 +94,15 @@ def check_inputs(cfg: ScenarioConfig, known_only: bool = False) -> Inputs:
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if scenario.train is not None:
-        return _ml("check_inputs")(cfg, scenario, known_only)
-    section(cfg.train, "train", {}, known_only)
-    section(cfg.workload, "workload", {}, known_only)
-    return Inputs(section(cfg.params, "params", scenario.params, known_only), None, None)
+        inputs = _ml("check_inputs")(cfg, scenario, known_only)
+    else:
+        section(cfg.train, "train", {}, known_only)
+        section(cfg.workload, "workload", {}, known_only)
+        inputs = Inputs(section(cfg.params, "params", scenario.params, known_only), None, None)
+    for key in _COUNTS:
+        if inputs.params.get(key, 1) < 1:
+            raise ConfigError(f"params.{key} must be >= 1, got {inputs.params[key]}")
+    return inputs
 
 
 def load_scenario_config(path) -> ScenarioConfig:

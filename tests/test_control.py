@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -287,25 +288,47 @@ def tracked_objects() -> int:
         last = count
 
 
-def test_knowledge_store_stays_bounded_over_a_long_run():
-    """Two opposing set-point pairs, un-arbitrated: past the window, 4,500
-    more slots add only the trace's own objects, one per new event, and each
-    store holds its newest KNOWLEDGE_WINDOW records."""
+def long_run() -> Orchestrator:
+    """Two opposing set-point pairs, un-arbitrated, run past the window."""
     orch = make_orchestrator(arbitration=False, sandbox=False)
     for node in ("n1", "n2"):
         orch.instantiate(setpoint_chain(f"{node}-up", 1, 3000.0, node=node))
         orch.instantiate(setpoint_chain(f"{node}-down", 2, 1000.0, node=node))
     orch.run(duration_ms=500_000)
-    seen = len(orch.trace.events)
+    return orch
+
+
+def test_knowledge_store_stays_bounded_over_a_long_run():
+    """Past the window, 4,500 more slots add no GC-tracked object: each new
+    event's body is one the trace already holds, and each store holds its
+    newest KNOWLEDGE_WINDOW records."""
+    orch = long_run()
     before = tracked_objects()
     orch.run(duration_ms=4_500_000, start_ms=500_000)
-    grown = tracked_objects() - before
-    new = orch.trace.events[seen:]
-    assert grown == len(new)
+    assert tracked_objects() - before == 0
     newest = list(range(5_000_000 - KNOWLEDGE_WINDOW * 1000, 5_000_000, 1000))
     for instance in orch.instances.values():
         assert len(instance.knowledge) == KNOWLEDGE_WINDOW
         assert [r["t_ms"] for r in instance.knowledge] == newest
+
+
+def test_a_long_run_costs_the_trace_a_few_bytes_an_event():
+    """Past the window, the trace's growth is its two list slots an event
+    and the slot times those events share."""
+    orch = long_run()
+    seen = len(orch.trace.events)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        orch.run(duration_ms=4_500_000, start_ms=500_000)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    new = len(orch.trace.events) - seen
+    assert new == 27_000
+    assert grown <= 40 * new
 
 
 def test_a_sandbox_replica_copies_only_the_window():
@@ -1066,6 +1089,30 @@ def test_trace_csv_fields_read_back_exactly(tmp_path):
                         "", "", "", "", ""]
 
 
+def test_a_carriage_return_in_a_cell_reads_back(tmp_path):
+    """A cell holding a bare \\r is quoted as one holding \\n is, so the trace
+    and the FCAPS file read back with one row per event or instance."""
+    def broken(ctx):
+        raise ValueError("one\rtwo")
+
+    orch = make_orchestrator(sandbox=False)
+    orch.registry.register("plan.broken", broken)
+    chain = setpoint_chain("a\rb", 1, 3000.0)
+    chain.steps[1] = LoopStep("push", StepKind.PLAN, "plan.broken", QosRequirements(cpu=50))
+    orch.instantiate(chain)
+    orch.run(duration_ms=3000)
+    orch.trace.to_csv(tmp_path / "trace.csv")
+    orch.export_fcaps_csv(tmp_path / "fcaps.csv")
+    with open(tmp_path / "trace.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(TRACE_HEADER)
+    assert [row[2] for row in rows[1:]] == ["a\rb"] * len(orch.trace.events) == ["a\rb"] * 7
+    assert [row[10] for row in rows[1:] if row[3] == "fault"] == ["ValueError: one\rtwo"] * 3
+    with open(tmp_path / "fcaps.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["instance", "state", "fault", "config", "accounting",
+                                         "performance"], ["a\rb", "running", "3", "1", "3", "0"]]
+
+
 def nested_record(values) -> str:
     """values as one cell: a nested CSV record with its row end cut off."""
     rendered = io.StringIO()
@@ -1130,6 +1177,19 @@ def test_trace_csv_bytes_equal_the_row_by_row_rendering(tmp_path_factory, events
     trace, base = EventTrace(events), tmp_path_factory.mktemp("trace-csv")
     assert trace.to_csv(base / "fast.csv") == reference_trace_csv(events, base / "ref.csv")
     assert (base / "fast.csv").read_bytes() == (base / "ref.csv").read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(events=trace_events())
+@example(events=[TraceEvent(t, "edge", "up", "apply", "ok", x, x, "n1", "p")
+                 for t, x in enumerate([0.0, -0.0, 0, 0.0])])
+def test_a_trace_reads_back_the_events_it_holds(events):
+    """Equal bodies are stored once, yet each event reads back as it was
+    given: repr tells -0.0 from 0.0 (and 0 from both)."""
+    trace = EventTrace(events)
+    assert [repr(e) for e in trace.events] == [repr(e) for e in events]
+    assert [repr(e) for e in trace.events[1::2]] == [repr(e) for e in events[1::2]]
+    assert len(trace.events) == len(events) and trace.events == events
 
 
 PINNED_TRACE = """\

@@ -658,6 +658,14 @@ def with_section(doc, section, **values):
      "knob vnf.cpu.millicores must be >= 0"),
     (with_section(TINY_ADAPTIVE, "params", knob_min=7000.0),
      "params.knob_min 7000.0 > params.knob_max 6000.0"),
+    # Each count below 1 used to pass validate: run refused it later, or
+    # (compress loop_ticks) wrote a codes.csv of its header alone.
+    (with_section(TINY_CONFLICT, "params", ticks=0), "params.ticks must be >= 1, got 0"),
+    (with_section(TINY_ADAPTIVE, "params", window=0), "params.window must be >= 1, got 0"),
+    (with_section(TINY_ADAPTIVE, "params", horizon=0), "params.horizon must be >= 1, got 0"),
+    (with_section(TINY_ADAPTIVE, "params", hidden_size=0),
+     "params.hidden_size must be >= 1, got 0"),
+    (with_section(TINY_COMPRESS, "params", loop_ticks=0), "params.loop_ticks must be >= 1, got 0"),
     # A repeated key used to be read as its last value. Its mark names the
     # file (<path> stands for the config's path).
     ("scenario: conflict-demo\nseed: 7\nseed: 8\nparams: {ticks: 3}\n",
@@ -671,7 +679,9 @@ def with_section(doc, section, **values):
         "conflict-train-key", "conflict-workload-key", "negative-seed", "preset-sibling-key",
         "compress-unplaceable-region", "adaptive-unknown-firewall", "conflict-unknown-node",
         "conflict-initial-too-big", "conflict-negative-setpoint",
-        "adaptive-knob-min-above-max", "repeated-top-level-key", "repeated-params-key"])
+        "adaptive-knob-min-above-max", "conflict-zero-ticks", "adaptive-zero-window",
+        "adaptive-zero-horizon", "adaptive-zero-hidden-size", "compress-zero-loop-ticks",
+        "repeated-top-level-key", "repeated-params-key"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
     """validate refuses every config that run refuses, with the same message.
     run_scenario, handed the config in code, refuses the same values; only a
