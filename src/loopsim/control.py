@@ -369,11 +369,13 @@ class EventTrace:
 
     def add(self, t_ms: int, *fields, **named) -> None:
         """Trace the event at t_ms with TraceEvent's other fields, by position or
-        name. Equal bodies are stored once; a zero value or delta is keyed by
-        its text too, since 0, 0.0 and -0.0 hash alike but print apart."""
+        name. Equal bodies are stored once. A value or delta is keyed by its
+        type too, since 1 and 1.0 hash alike but print apart, and a zero by
+        its text, which tells 0.0 from -0.0."""
         body = _Body(*fields, **named)
-        zero = body.value == 0 or body.delta == 0
-        key = (body, repr(body.value), repr(body.delta)) if zero else body
+        value, delta = body.value, body.delta
+        key = ((body, repr(value), repr(delta)) if value == 0 or delta == 0
+               else (body, type(value), type(delta)))
         self.times.append(t_ms)
         self.bodies.append(self._interned.setdefault(key, body))
 

@@ -759,21 +759,45 @@ def rnn_predict(model: RecurrentModel, window_values) -> np.ndarray:
 _MODEL_KINDS = {"dense": DenseNet, "lstm": RecurrentModel, "linear": LinearModel}
 
 
+_CHUNK = 256  # params rendered per write
+
+
 def save_model(model, path, train_config: TrainConfig | None = None) -> None:
     """Versioned JSON container: the model kind, its STORED fields (shape
     fields, then the flat params vector in layout order) and the training
-    config used."""
+    config used. The file is what json.dump(doc, sort_keys=True, indent=1)
+    writes of it, then a newline; the params vector is written a chunk at a
+    time, never as one list."""
     kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
     doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind,
-           "train_config": None if train_config is None else asdict(train_config)}
-    for name in model.STORED:
-        value = getattr(model, name)
-        doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
+           "train_config": None if train_config is None else asdict(train_config),
+           **{name: getattr(model, name) for name in model.STORED}}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        for i, key in enumerate(sorted(doc)):
+            fh.write(f"{',' if i else '{'}\n {json.dumps(key)}: ")
+            value = doc[key]
+            if isinstance(value, np.ndarray):
+                _write_json_list(fh, value)
+            else:  # json escapes every newline inside a string
+                fh.write(json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n "))
+        fh.write("\n}\n")
+
+
+def _write_json_list(fh, values: np.ndarray) -> None:
+    """A 1-D array as json.dump(indent=1) writes its list one level deep."""
+    if values.size == 0:
+        fh.write("[]")
+        return
+    sep = ",\n  "
+    fh.write("[\n  ")
+    for start in range(0, values.size, _CHUNK):
+        chunk = json.dumps(values[start:start + _CHUNK].tolist(), separators=(sep, ": "))
+        if start:
+            fh.write(sep)
+        fh.write(chunk[1:-1])
+    fh.write("\n ]")
 
 
 def load_model(path):

@@ -114,7 +114,11 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     instance = _compress_loop(orch, p, chain)
 
     train, val = metrics.split_chronological(dataset, p["train_frac"])
-    train01, scaler = metrics.normalize_minmax(train)
+    # The training rows are a view into the dataset, so it is written as
+    # scraped before they are scaled in place.
+    files = {"dataset": _artifact(out, "dataset.csv",
+                                  lambda path: metrics.export_csv(dataset, path))}
+    scaler = metrics.normalize_minmax(train)
     val01_values = scaler.transform(val.values)
 
     # Keep the canonical width ratios (90/111, 85/111, 75/111) around the
@@ -122,7 +126,7 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     w = dataset.width
     a, b, c = (max(2, int(round(f * w))) for f in (90 / 111, 85 / 111, 75 / 111))
     net = engines.net_init((w, a, b, c, a, w), engines.COMPRESSOR_ACTIVATIONS, seed_model)
-    net, losses = engines.ae_train(net, train01.values, train_cfg)
+    net, losses = engines.ae_train(net, train.values, train_cfg)
 
     recon01 = engines.ae_forward(net, val01_values)
     recon = scaler.inverse(recon01)
@@ -131,7 +135,9 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     dist = engines.relative_error_distribution(val.column(cpu_metric),
                                                recon[:, dataset.names.index(cpu_metric)],
                                                threshold)
-    val_mse = float(np.mean((recon01 - val01_values) ** 2))
+    sq_err = recon01 - val01_values
+    sq_err **= 2
+    val_mse = float(np.mean(sq_err))
     ratio = net.code_width / net.input_width
 
     # Serve the trained model inside the running loop for a short window.
@@ -150,8 +156,7 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
             codes.extend(arrays[:1])
 
     recon_ds = metrics.Dataset(dataset.names, val.t, recon)
-    files = {
-        "dataset": _artifact(out, "dataset.csv", lambda path: metrics.export_csv(dataset, path)),
+    files.update({
         "reconstruction": _artifact(out, "reconstruction_val.csv",
                                     lambda path: metrics.export_csv(recon_ds, path)),
         "loss_history": _artifact(out, "loss_history.csv", write_csv, ("epoch", "train_mse"),
@@ -164,7 +169,7 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
         "model": {"path": "compressor.json", "rows": len(net.layers)},
         "trace": _artifact(out, "trace.csv", orch.trace.to_csv),
         "fcaps": _artifact(out, "fcaps.csv", orch.export_fcaps_csv),
-    }
+    })
     engines.save_model(net, out / "compressor.json", train_cfg)
 
     run_metrics = {

@@ -11,7 +11,7 @@ bit-identical series.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -420,25 +420,31 @@ class Scaler:
     lo: np.ndarray
     hi: np.ndarray
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
+    def transform(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Frames or one frame scaled column by column, into out if given (it
+        may be values itself), else into one new array."""
         span = self.hi - self.lo
-        safe = np.where(span == 0, 1.0, span)
-        out = (values - self.lo) / safe
-        return np.where(span == 0, 0.5, out)
+        out = np.subtract(values, self.lo, out=out)
+        out /= np.where(span == 0, 1.0, span)
+        out[..., span == 0] = 0.5
+        return out
 
     def inverse(self, values01: np.ndarray) -> np.ndarray:
-        values01 = np.asarray(values01, dtype=float)
         span = self.hi - self.lo
-        return np.where(span == 0, self.lo, values01 * span + self.lo)
+        out = np.multiply(values01, span)
+        out += self.lo
+        out[..., span == 0] = self.lo[span == 0]
+        return out
 
 
-def normalize_minmax(dataset: Dataset) -> tuple[Dataset, Scaler]:
-    """Fit a min-max scaler on the dataset and return the scaled copy."""
+def normalize_minmax(dataset: Dataset) -> Scaler:
+    """Fit a min-max scaler on the dataset and scale its values in place;
+    a view into a larger dataset scales those rows of it."""
     if dataset.values.size == 0:
         raise EmptyDatasetError("cannot normalize an empty dataset")
     scaler = Scaler(lo=dataset.values.min(axis=0), hi=dataset.values.max(axis=0))
-    return replace(dataset, values=scaler.transform(dataset.values)), scaler
+    scaler.transform(dataset.values, out=dataset.values)
+    return scaler
 
 
 def split_chronological(dataset: Dataset, train_frac: float = 0.8) -> tuple[Dataset, Dataset]:

@@ -102,6 +102,8 @@ def check_inputs(cfg: ScenarioConfig, known_only: bool = False) -> Inputs:
     for key in _COUNTS:
         if inputs.params.get(key, 1) < 1:
             raise ConfigError(f"params.{key} must be >= 1, got {inputs.params[key]}")
+    if not 0 < inputs.params.get("train_frac", 0.5) < 1:
+        raise ConfigError(f"params.train_frac must be in (0, 1), got {inputs.params['train_frac']}")
     return inputs
 
 

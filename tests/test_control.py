@@ -1142,8 +1142,9 @@ def trace_events(draw):
     words = st.sampled_from(draw(st.lists(csv_text, min_size=1, max_size=3)))
     loops = st.lists(st.sampled_from(["up", "a,b", 'say "x"', "two\nlines", ""]),
                      max_size=3).map(tuple)
-    # -0.0 and 0.0 compare equal but print apart; the others print long.
-    floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e22,
+    # -0.0 and 0.0, or 1 and 1.0, compare equal but print apart; the others
+    # print long.
+    floats = st.sampled_from([-0.0, 0.0, 1, 1.0, 5e-324, 1e22,
                               draw(st.floats(allow_nan=False, allow_infinity=False))])
     counts = st.integers(0, 2)
     action = dict(target=words, parameter=words, value=floats)
@@ -1183,9 +1184,12 @@ def test_trace_csv_bytes_equal_the_row_by_row_rendering(tmp_path_factory, events
 @given(events=trace_events())
 @example(events=[TraceEvent(t, "edge", "up", "apply", "ok", x, x, "n1", "p")
                  for t, x in enumerate([0.0, -0.0, 0, 0.0])])
+@example(events=[TraceEvent(t, "edge", "c", "lifecycle", "updated", x, period_ms=1000)
+                 for t, x in enumerate([1, 1.0, True, 1])])
 def test_a_trace_reads_back_the_events_it_holds(events):
     """Equal bodies are stored once, yet each event reads back as it was
-    given: repr tells -0.0 from 0.0 (and 0 from both)."""
+    given: repr tells -0.0 from 0.0 (and 0 from both), and 1, 1.0 and True
+    are kept apart."""
     trace = EventTrace(events)
     assert [repr(e) for e in trace.events] == [repr(e) for e in events]
     assert [repr(e) for e in trace.events[1::2]] == [repr(e) for e in events[1::2]]

@@ -1,5 +1,6 @@
 """Learners: forward oracles, finite-difference gradients, planted fits."""
 
+import json
 import math
 import tracemalloc
 
@@ -846,6 +847,29 @@ def test_model_roundtrip_is_bitwise(tmp_path, make):
     for name in model.STORED:
         if name != "params":
             assert getattr(back, name) == getattr(model, name)
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda: ae_init(21), "dense"),
+    (lambda: rnn_init(4, 6, 2, seed=4), "lstm"),
+    (lambda: LinearModel(0.25, -3.0, 1e-6), "linear"),
+], ids=["dense", "lstm", "linear"])
+def test_model_file_is_the_json_dump_of_the_all_lists_document(tmp_path, make, kind):
+    """save_model writes the params a chunk at a time; the bytes are still
+    json.dump's of the document that holds them as one list, non-finite
+    values spelled NaN and Infinity as json spells them."""
+    model = make()
+    if kind != "linear":
+        model.params[[0, 7, 1500 % model.params.size]] = [np.nan, np.inf, -np.inf]
+    config = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16)
+    doc = {"format": engines.MODEL_FORMAT, "version": engines.MODEL_VERSION, "kind": kind,
+           "train_config": {"learning_rate": 1e-3, "epochs": 2, "batch_size": 16, "seed": 0}}
+    for name in model.STORED:
+        value = getattr(model, name)
+        doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    save_model(model, tmp_path / "model.json", config)
+    want = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert (tmp_path / "model.json").read_bytes() == want.encode()
 
 
 def test_version_1_model_file_refused(tmp_path):

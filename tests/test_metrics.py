@@ -166,17 +166,18 @@ def test_frame_sequence_bit_identical_for_equal_inputs(testbed):
 # ---------------------------------------------------------------------------
 
 def test_normalize_simple_column():
-    ds = Dataset(("m@x",), np.arange(3.0), np.array([[0.0], [5.0], [10.0]]))
-    ds01, scaler = normalize_minmax(ds)
-    assert np.allclose(ds01.values[:, 0], [0.0, 0.5, 1.0])
-    assert np.allclose(scaler.inverse(ds01.values), ds.values)
+    values = np.array([[0.0], [5.0], [10.0]])
+    ds = Dataset(("m@x",), np.arange(3.0), values.copy())
+    scaler = normalize_minmax(ds)
+    assert np.allclose(ds.values[:, 0], [0.0, 0.5, 1.0])
+    assert np.allclose(scaler.inverse(ds.values), values)
 
 
 def test_normalize_constant_column_maps_to_half():
     ds = Dataset(("m@x",), np.arange(3.0), np.array([[3.0], [3.0], [3.0]]))
-    ds01, scaler = normalize_minmax(ds)
-    assert np.all(ds01.values == 0.5)
-    assert np.allclose(scaler.inverse(ds01.values), 3.0)
+    scaler = normalize_minmax(ds)
+    assert np.all(ds.values == 0.5)
+    assert np.allclose(scaler.inverse(ds.values), 3.0)
 
 
 def test_normalize_empty_rejected():
@@ -189,10 +190,10 @@ def test_normalize_empty_rejected():
 @given(values=arrays(np.float64, (7, 5),
                      elements=st.floats(-1e6, 1e6, allow_nan=False)))
 def test_normalize_roundtrip_property(values):
-    ds = Dataset(tuple(f"m.v@{i}" for i in range(5)), np.arange(7.0), values)
-    ds01, scaler = normalize_minmax(ds)
-    assert np.all(ds01.values >= 0.0) and np.all(ds01.values <= 1.0)
-    back = scaler.inverse(ds01.values)
+    ds = Dataset(tuple(f"m.v@{i}" for i in range(5)), np.arange(7.0), values.copy())
+    scaler = normalize_minmax(ds)
+    assert np.all(ds.values >= 0.0) and np.all(ds.values <= 1.0)
+    back = scaler.inverse(ds.values)
     # 1e-12 relative to the data scale (column span or element magnitude).
     span = (scaler.hi - scaler.lo)[None, :]
     scale = np.maximum(np.maximum(np.abs(values), span), 1.0)
@@ -202,10 +203,40 @@ def test_normalize_roundtrip_property(values):
 def test_roundtrip_on_scraped_111(testbed, catalog):
     wl = generate_workload(preset_workload("bursty30min", seed=3))
     ds = scrape_series(testbed, wl, catalog)
-    ds01, scaler = normalize_minmax(ds)
-    back = scaler.inverse(ds01.values)
-    scale = np.maximum(np.abs(ds.values), 1.0)
-    assert np.max(np.abs(back - ds.values) / scale) < 1e-12
+    values = ds.values.copy()
+    scaler = normalize_minmax(ds)
+    back = scaler.inverse(ds.values)
+    scale = np.maximum(np.abs(values), 1.0)
+    assert np.max(np.abs(back - values) / scale) < 1e-12
+
+
+def test_scaler_is_bitwise_the_where_formulas_on_frames_and_one_frame():
+    """transform and inverse build one array each; their bits are those of the
+    three-temporary np.where formulas, on 2-D frames and on a 1-D frame, with
+    a constant column. Normalizing a chronological split's training rows
+    scales those rows of the dataset; the validation rows are left as read."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    values = rng.normal(0.0, 1e3, size=(40, 6))
+    values[:, 2] = 7.25
+    ds = Dataset(tuple(f"m.v@{i}" for i in range(6)), np.arange(40.0), values.copy())
+    train, val = split_chronological(ds, 0.75)
+    scaler = normalize_minmax(train)
+    lo, hi = values[:30].min(axis=0), values[:30].max(axis=0)
+    span = hi - lo
+    assert scaler.lo.tobytes() == lo.tobytes() and scaler.hi.tobytes() == hi.tobytes()
+
+    def where_transform(v):
+        return np.where(span == 0, 0.5, (v - lo) / np.where(span == 0, 1.0, span))
+
+    def where_inverse(v01):
+        return np.where(span == 0, lo, v01 * span + lo)
+
+    assert ds.values[:30].tobytes() == where_transform(values[:30]).tobytes()
+    assert ds.values[30:].tobytes() == val.values.tobytes() == values[30:].tobytes()
+    for v in (values, values[33], rng.uniform(-0.5, 1.5, size=(5, 6)), rng.uniform(size=6)):
+        for fn, ref in ((scaler.transform, where_transform), (scaler.inverse, where_inverse)):
+            got, want = fn(v), ref(v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_split_chronological():
