@@ -536,6 +536,10 @@ class CatalogEntry:
     lo: float = -math.inf
     hi: float = math.inf
 
+    def value(self, x: float) -> float:
+        """The knob value for analysis value x: scale * x + offset, clamped into [lo, hi]."""
+        return min(max(self.scale * x + self.offset, self.lo), self.hi)
+
 
 @dataclass(frozen=True)
 class ActionCatalog:
@@ -576,15 +580,15 @@ def catalog_translate(catalog: ActionCatalog, output: AnalysisOutput,
     """Expand an analysis output into one proposal per matched target node.
 
     Targets are the compute nodes inside the destination domain that carry
-    the entry's role. Values are the affine map scale*value + offset, clamped
-    into [lo, hi]. The proposals carry no issuer; the tick stamps it.
+    the entry's role. Each value is the entry's value of the output (see
+    CatalogEntry.value). The proposals carry no issuer; the tick stamps it.
     """
     entries = catalog.lookup(output.kind)
     if not entries:
         raise CatalogLookupError(f"no catalog entry for analysis output kind {output.kind!r}")
     proposals: list[ActionProposal] = []
     for entry in entries:
-        value = min(max(entry.scale * output.value + entry.offset, entry.lo), entry.hi)
+        value = entry.value(output.value)
         for node_id in state.compute_nodes():
             node = state.nodes[node_id]
             if entry.target_role in node.roles and _in_domain(node, destination_domain):

@@ -6,8 +6,7 @@
 
 Exit codes: 0 success, 2 invalid configuration (a chain that cannot be
 embedded too), 3 training divergence, 4 a --strict threshold check missed.
-LOOPSIM_OUT overrides the output directory; everything else lives in the
-config file.
+Everything else lives in the config file.
 """
 
 from __future__ import annotations

@@ -324,34 +324,14 @@ _Body = namedtuple("_Body", TraceEvent._fields[1:],
                    defaults=tuple(TraceEvent._field_defaults.values()))
 
 
-class _EventView(Sequence):
-    """A trace's events, read-only: each TraceEvent is built when it is read."""
-
-    def __init__(self, trace: EventTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.times)
-
-    def __getitem__(self, i):
-        times, bodies = self._trace.times[i], self._trace.bodies[i]
-        return list(map(_event, times, bodies)) if isinstance(i, slice) else _event(times, bodies)
-
-    def __iter__(self):
-        return map(_event, self._trace.times, self._trace.bodies)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-
 def _event(t_ms: int, body: _Body) -> TraceEvent:
     return TraceEvent(t_ms, *body)
 
 
-class EventTrace:
-    """A run's events in order, as two lists: `times` (each event's t_ms) and
-    `bodies` (its other fields), equal bodies being one shared tuple, so an
-    event costs two list slots. `events` reads them back as TraceEvents."""
+class EventTrace(Sequence):
+    """A run's events in order, a read-only Sequence of TraceEvents built as they
+    are read from two lists: `times` (each event's t_ms) and `bodies` (its other
+    fields), equal bodies being one shared tuple, so an event costs two list slots."""
 
     def __init__(self, events=()):
         self.times: list[int] = []
@@ -360,9 +340,23 @@ class EventTrace:
         for event in events:
             self.append(event)
 
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i):
+        times, bodies = self.times[i], self.bodies[i]
+        return list(map(_event, times, bodies)) if isinstance(i, slice) else _event(times, bodies)
+
+    def __iter__(self):
+        return map(_event, self.times, self.bodies)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
     @property
-    def events(self) -> Sequence[TraceEvent]:
-        return _EventView(self)
+    def events(self) -> EventTrace:
+        """The trace itself, for readers that name its events."""
+        return self
 
     def append(self, event: TraceEvent) -> None:
         self.add(*event)

@@ -30,23 +30,17 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, SimError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError
 
 MODEL_FORMAT = "loopsim-model"
 MODEL_VERSION = 2
 
-# The telemetry compressor: widths and activations of the five dense layers.
-# Encoder is layers 1-3 (code width 75), decoder layers 4-5; the sigmoid
-# output matches inputs normalized to [0, 1].
-COMPRESSOR_WIDTHS = (111, 90, 85, 75, 90, 111)
-COMPRESSOR_ACTIVATIONS = ("elu", "elu", "linear", "elu", "sigmoid")
 
-
-class DegenerateFitError(SimError):
+class DegenerateFitError(ConfigError):
     pass
 
 
-class InsufficientDataError(SimError):
+class InsufficientDataError(ConfigError):
     pass
 
 
@@ -213,56 +207,43 @@ def net_init(widths, activations, seed: int) -> DenseNet:
     return net
 
 
-def ae_init(seed: int) -> DenseNet:
-    """The 111 -> 90 -> 85 -> 75 -> 90 -> 111 telemetry compressor."""
-    return net_init(COMPRESSOR_WIDTHS, COMPRESSOR_ACTIVATIONS, seed)
+def ae_init(seed: int, width: int = 111) -> DenseNet:
+    """The telemetry compressor for frames of a width: 111 -> 90 -> 85 -> 75 -> 90 -> 111
+    at the testbed's 111, the same ratios (inner widths at least 2) at another. The
+    encoder is layers 1-3; the sigmoid output matches inputs normalized to [0, 1]."""
+    a, b, c = (max(2, int(round(f * width))) for f in (90 / 111, 85 / 111, 75 / 111))
+    return net_init((width, a, b, c, a, width), ("elu", "elu", "linear", "elu", "sigmoid"), seed)
 
 
-def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != net.input_width:
-        raise ConfigError(f"input width {x.shape[-1]} != model width {net.input_width}")
-    if not np.all(np.isfinite(x)):
-        raise ConfigError("non-finite input")
-    return x
-
-
-def _apply_layers(layers, x: np.ndarray) -> np.ndarray:
-    h = x
-    for layer in layers:
+def _forward(net: DenseNet, x, start: int, stop: int) -> np.ndarray:
+    """Layers start..stop-1 of net on x, one vector or a batch of rows: the model's
+    input when start is 0, else its code. Another width or a non-finite value is refused."""
+    arr = np.asarray(x, dtype=float)
+    h = arr[None, :] if arr.ndim == 1 else arr
+    what, model = ("input", "model") if start == 0 else ("code", "model code")
+    if h.ndim != 2 or h.shape[1] != net.widths[start]:
+        raise ConfigError(f"{what} width {h.shape[-1]} != {model} width {net.widths[start]}")
+    if not np.all(np.isfinite(h)):
+        raise ConfigError(f"non-finite {what}")
+    for layer in net.layers[start:stop]:
         z = h @ layer.weights.T
         z += layer.bias
         _ACTIVATIONS[layer.activation][0](z, np.empty_like(z))
         h = z
-    return h
+    return h[0] if arr.ndim == 1 else h
 
 
 def ae_forward(net: DenseNet, x) -> np.ndarray:
     """Full reconstruction pass; accepts one vector or a batch."""
-    arr = np.asarray(x, dtype=float)
-    squeeze = arr.ndim == 1
-    out = _apply_layers(net.layers, _check_input(net, arr))
-    return out[0] if squeeze else out
+    return _forward(net, x, 0, len(net.layers))
 
 
 def encode(net: DenseNet, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    squeeze = arr.ndim == 1
-    out = _apply_layers(net.layers[: net.encoder_layers], _check_input(net, arr))
-    return out[0] if squeeze else out
+    return _forward(net, x, 0, net.encoder_layers)
 
 
 def decode(net: DenseNet, code) -> np.ndarray:
-    code = np.asarray(code, dtype=float)
-    squeeze = code.ndim == 1
-    if squeeze:
-        code = code[None, :]
-    if code.shape[1] != net.code_width:
-        raise ConfigError(f"code width {code.shape[1]} != model code width {net.code_width}")
-    out = _apply_layers(net.layers[net.encoder_layers:], code)
-    return out[0] if squeeze else out
+    return _forward(net, code, net.encoder_layers, len(net.layers))
 
 
 class _DenseWork:

@@ -48,6 +48,22 @@ def check_inputs(cfg: ScenarioConfig, scenario: Scenario, known_only: bool) -> I
                   _workload_profile(cfg.workload, w, scenario.preset))
 
 
+def check_split(p: dict, profile: metrics.WorkloadProfile) -> None:
+    """Refuses a train_frac that leaves a part of the run's split too short,
+    from the profile's length alone: compress's frames, neither part empty, or
+    adaptive-vnf's minutes (it has a window), more than window + horizon of
+    them before the cut and that many after."""
+    n, unit, need = metrics.frame_count(profile.duration), "frames", 0
+    if "window" in p:
+        n, unit, need = n // metrics.frame_count(60.0), "minutes", p["window"] + p["horizon"]
+    cut = metrics.chronological_cut(n, p["train_frac"])
+    if cut <= need or n - cut < max(need, 1):
+        rule = (f"params.window + params.horizon = {need} needs more than {need} before the "
+                f"cut and {need} after it" if need else "neither part may be empty")
+        raise ConfigError(f"params.train_frac {p['train_frac']} splits the {n} {unit} "
+                          f"into {cut} and {n - cut}; {rule}")
+
+
 def _seeds(master: int, n: int = 6) -> list[int]:
     """Derived sub-seeds, one per randomness consumer, in a documented order:
     workload, metric catalog, model init, training, planted noise, spare."""
@@ -121,11 +137,7 @@ def run_compress(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[dict, 
     scaler = metrics.normalize_minmax(train)
     val01_values = scaler.transform(val.values)
 
-    # Keep the canonical width ratios (90/111, 85/111, 75/111) around the
-    # dataset's width; at the testbed's 111 they give COMPRESSOR_WIDTHS.
-    w = dataset.width
-    a, b, c = (max(2, int(round(f * w))) for f in (90 / 111, 85 / 111, 75 / 111))
-    net = engines.net_init((w, a, b, c, a, w), engines.COMPRESSOR_ACTIVATIONS, seed_model)
+    net = engines.ae_init(seed_model, dataset.width)
     net, losses = engines.ae_train(net, train.values, train_cfg)
 
     recon01 = engines.ae_forward(net, val01_values)
@@ -252,9 +264,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
     workload = metrics.generate_workload(replace(inputs.workload, seed=seed_wl))
     series = metrics.resample_mean(workload, 60.0)
     window, horizon = p["window"], p["horizon"]
-    cut = int(round(len(series) * p["train_frac"]))
-    if cut <= window + horizon or len(series) - cut < window + horizon:
-        raise ConfigError("traffic series too short for the window/horizon/split")
+    cut = metrics.chronological_cut(len(series), p["train_frac"])
 
     # Phase 1: planted linear CPU law in normalized space, observed with noise.
     slope_true, intercept_true = p["planted_slope"], p["planted_intercept"]
@@ -292,10 +302,10 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
     headroom, knob_lo, knob_hi = p["headroom"], p["knob_min"], p["knob_max"]
     scale = headroom * cpu_scale * fit.slope / span
     offset = headroom * cpu_scale * (fit.intercept - fit.slope * lo / span)
-    catalog = ActionCatalog(entries=(CatalogEntry(
-        kind="traffic.forecast", target_role="firewall",
-        parameter="vnf.cpu.millicores", scale=scale, offset=offset,
-        lo=knob_lo, hi=knob_hi),))
+    entry = CatalogEntry(kind="traffic.forecast", target_role="firewall",
+                         parameter="vnf.cpu.millicores", scale=scale, offset=offset,
+                         lo=knob_lo, hi=knob_hi)
+    catalog = ActionCatalog(entries=(entry,))
 
     instance.services.update(traffic_feed=TrafficFeed(series, offset=cut),
                              predictor=predictor, action_catalog=catalog)
@@ -306,7 +316,7 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
     level_series = _knob_levels(applies, eval_minutes)
     need = cpu_scale * (slope_true * x01[cut:] + intercept_true)
     adaptive_mean = float(level_series.mean())
-    static_peak = float(min(max(scale * series.max() + offset, knob_lo), knob_hi))
+    static_peak = float(entry.value(series.max()))
     adaptive_over = float(np.mean(level_series - need))
     static_over = float(np.mean(static_peak - need))
     under_frac = float(np.mean(level_series < need))

@@ -151,10 +151,15 @@ def _segment_contribution(seg: WorkloadSegment, t: np.ndarray) -> np.ndarray:
     return np.where(inside, seg.amplitude * np.sin(np.pi * phase) ** 2, 0.0)
 
 
+def frame_count(seconds: float) -> int:
+    """Scrape intervals in a span of seconds, to the nearest whole one."""
+    return int(round(seconds / SCRAPE_INTERVAL_S))
+
+
 def generate_workload(profile: WorkloadProfile) -> np.ndarray:
     """Deterministic request rates, one per scrape interval: sample i is
     the rate at time i * SCRAPE_INTERVAL_S."""
-    n = int(round(profile.duration / SCRAPE_INTERVAL_S))
+    n = frame_count(profile.duration)
     t = np.arange(n, dtype=float) * SCRAPE_INTERVAL_S
     values = np.full(n, profile.base_rate, dtype=float)
     for seg in profile.segments:
@@ -235,7 +240,7 @@ def resample_mean(rates: np.ndarray, bucket_s: float) -> np.ndarray:
     dropped."""
     if bucket_s <= 0:
         raise ConfigError("bucket must be > 0 seconds")
-    per = int(round(bucket_s / SCRAPE_INTERVAL_S))
+    per = frame_count(bucket_s)
     n = (len(rates) // per) * per
     if n == 0:
         raise EmptyDatasetError("series shorter than one bucket")
@@ -447,11 +452,16 @@ def normalize_minmax(dataset: Dataset) -> Scaler:
     return scaler
 
 
+def chronological_cut(n: int, train_frac: float) -> int:
+    """How many of n time-ordered rows a split gives its training part."""
+    return int(round(n * train_frac))
+
+
 def split_chronological(dataset: Dataset, train_frac: float = 0.8) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive chronological split into training / validation."""
     if not 0.0 < train_frac < 1.0:
         raise ConfigError("train fraction must be in (0, 1)")
-    cut = int(round(len(dataset.t) * train_frac))
+    cut = chronological_cut(len(dataset.t), train_frac)
     if cut == 0 or cut == len(dataset.t):
         raise EmptyDatasetError("split would leave an empty part")
     train = Dataset(dataset.names, dataset.t[:cut], dataset.values[:cut])

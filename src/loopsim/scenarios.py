@@ -12,7 +12,6 @@ into output files.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,8 +24,6 @@ from . import sdi
 from .chain import (EmbeddingError, LoopChain, LoopStep, QosRequirements, StepKind,
                     load_chain, validate_chain)
 from .control import LoopInstance, Orchestrator, count_reversals
-
-OUT_DIR_ENV = "LOOPSIM_OUT"
 
 
 @dataclass
@@ -104,6 +101,8 @@ def check_inputs(cfg: ScenarioConfig, known_only: bool = False) -> Inputs:
             raise ConfigError(f"params.{key} must be >= 1, got {inputs.params[key]}")
     if not 0 < inputs.params.get("train_frac", 0.5) < 1:
         raise ConfigError(f"params.train_frac must be in (0, 1), got {inputs.params['train_frac']}")
+    if scenario.train is not None:
+        _ml("check_split")(inputs.params, inputs.workload)
     return inputs
 
 
@@ -346,7 +345,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     and returns (metrics, checks, files); report.json and summary.txt follow."""
     t0 = time.perf_counter()
     inputs = check_inputs(cfg)
-    out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)  # set but empty counts as unset
+    out = Path(cfg.out_dir)
     run_metrics, checks, files = SCENARIOS[cfg.scenario].run(cfg, inputs, out)
     report = RunReport(cfg.scenario, cfg.seed, run_metrics, checks, files,
                        wall_clock_s=time.perf_counter() - t0)

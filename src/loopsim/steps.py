@@ -23,7 +23,7 @@ def monitor_scrape_frame(ctx):
 
     catalog = ctx.services["metric_catalog"]
     workload = ctx.services["workload"]
-    idx = min(int(ctx.t_ms // 1000), len(workload) - 1)
+    idx = min(int(ctx.t_ms // (1000 * metrics.SCRAPE_INTERVAL_S)), len(workload) - 1)
     return metrics.scrape(ctx.state, workload[idx], catalog, idx * metrics.SCRAPE_INTERVAL_S)
 
 

@@ -568,6 +568,14 @@ def test_catalog_linear_translation(vnf_state):
     assert proposals == [ActionProposal("fw1", "vnf.cpu.millicores", 12.0 * 50.0 + 200.0)]
 
 
+def test_catalog_entry_value_is_the_clamped_affine_map():
+    """The plan policy's one rule, which catalog_translate and adaptive-vnf's
+    static peak both read."""
+    entry = CATALOG.entries[0]
+    assert entry.value(50.0) == 12.0 * 50.0 + 200.0
+    assert entry.value(1e6) == 6000.0 and entry.value(-1e6) == 100.0
+
+
 def test_catalog_unknown_kind(vnf_state):
     with pytest.raises(CatalogLookupError):
         catalog_translate(CATALOG, AnalysisOutput("mystery.output", 1.0),

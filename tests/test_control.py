@@ -1,5 +1,6 @@
 """Orchestrator: lifecycle, ticking, conflicts, arbitration, sandbox, runs."""
 
+import collections.abc
 import csv
 import gc
 import io
@@ -1194,6 +1195,17 @@ def test_a_trace_reads_back_the_events_it_holds(events):
     assert [repr(e) for e in trace.events] == [repr(e) for e in events]
     assert [repr(e) for e in trace.events[1::2]] == [repr(e) for e in events[1::2]]
     assert len(trace.events) == len(events) and trace.events == events
+
+
+def test_a_trace_is_the_sequence_of_its_events():
+    """No view object stands between a trace and its events: the trace is
+    the read-only Sequence, and trace.events is the trace itself."""
+    events = [TraceEvent(0, "edge", "a", "tick", "ok", 1),
+              TraceEvent(5, "-", "-", "conflict", "same-knob-opposing", loops=("a", "b"))]
+    trace = EventTrace(events)
+    assert isinstance(trace, collections.abc.Sequence) and trace.events is trace
+    assert list(trace) == events and trace[-1] == events[-1] and trace[::-1] == events[::-1]
+    assert trace.index(events[1]) == 1 and events[0] in trace and not EventTrace()
 
 
 PINNED_TRACE = """\

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,15 @@ def test_compressor_layer_dims():
     assert [l.activation for l in net.layers] == ["elu", "elu", "linear", "elu", "sigmoid"]
     assert net.encoder_layers == 3
     assert net.code_width == 75
+
+
+def test_compressor_keeps_its_ratios_at_another_width():
+    """90/111, 85/111 and 75/111 of the input width, rounded: the layers a
+    dataset of 50 metrics trains, initialized as net_init initializes them."""
+    net = ae_init(3, width=50)
+    assert net.widths == (50, 41, 38, 34, 41, 50) and net.code_width == 34
+    reference = net_init((50, 41, 38, 34, 41, 50), ("elu", "elu", "linear", "elu", "sigmoid"), 3)
+    assert net.params.tobytes() == reference.params.tobytes()
 
 
 def test_same_seed_bit_identical():
@@ -154,6 +164,33 @@ def test_encode_decode_equals_forward_bitwise():
     x = rng.uniform(0, 1, size=(4, 111))
     via_code = decode(net, encode(net, x))
     assert via_code.tobytes() == ae_forward(net, x).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_refuses_a_non_finite_code(bad):
+    """decode refuses a non-finite code, as ae_forward and encode refuse a
+    non-finite input, one vector or a batch, instead of decoding it."""
+    net = ae_init(0)
+    code = np.zeros(75)
+    code[4] = bad
+    with pytest.raises(ConfigError, match="non-finite code"):
+        decode(net, code)
+    with pytest.raises(ConfigError, match="non-finite code"):
+        decode(net, np.stack([np.zeros(75), code]))
+
+
+def test_forward_passes_name_the_width_they_expected():
+    net = ae_init(0)
+    with pytest.raises(ConfigError, match=re.escape("input width 7 != model width 111")):
+        ae_forward(net, np.zeros(7))
+    with pytest.raises(ConfigError, match=re.escape("input width 7 != model width 111")):
+        encode(net, np.zeros((2, 7)))
+    with pytest.raises(ConfigError, match=re.escape("code width 74 != model code width 75")):
+        decode(net, np.zeros(74))
+    bad = np.zeros(111)
+    bad[0] = np.inf
+    with pytest.raises(ConfigError, match="non-finite input"):
+        encode(net, bad)
 
 
 def test_zero_weight_code_equals_bottleneck_bias():

@@ -1,12 +1,14 @@
 """Monitoring plane: workload shapes, scrape responses, scaling, CSV I/O."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from loopsim import sdi
+from loopsim import metrics, sdi, steps
 from loopsim.errors import ConfigError
 from loopsim.metrics import (Dataset, DatasetFormatError, EmptyDatasetError, WorkloadProfile,
                              WorkloadSegment, build_metric_catalog, export_csv,
@@ -107,6 +109,19 @@ def test_catalog_width_is_111_on_testbed(catalog):
 def test_scrape_frame_width(testbed, catalog):
     frame = scrape(testbed, 50.0, catalog, 3.0)
     assert frame.values.shape == (111,)
+
+
+def test_scrape_frame_step_reads_the_rate_at_the_clock(testbed, catalog, monkeypatch):
+    """monitor.scrape_frame maps the clock to a frame through SCRAPE_INTERVAL_S,
+    as generate_workload lays its rates out: at 2 s a frame, t = 5 s is rate 2."""
+    monkeypatch.setattr(metrics, "SCRAPE_INTERVAL_S", 2.0)
+    ctx = SimpleNamespace(t_ms=5000, state=testbed, services={
+        "metric_catalog": catalog, "workload": np.array([10.0, 20.0, 30.0, 40.0])})
+    frame = steps.monitor_scrape_frame(ctx)
+    assert frame.timestamp == 4.0
+    assert frame.values.tobytes() == scrape(testbed, 30.0, catalog, 4.0).values.tobytes()
+    ctx.t_ms = 60_000  # past the last rate: the last frame
+    assert steps.monitor_scrape_frame(ctx).timestamp == 6.0
 
 
 def test_scrape_purity(testbed, catalog):

@@ -184,21 +184,15 @@ def test_conflict_single_chain_variant(tmp_path):
     assert report.checks == {"no_conflicts_single_chain": True}
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
+def test_outputs_land_in_the_configured_directory_whatever_the_environment(tmp_path,
+                                                                           monkeypatch):
+    """No environment variable redirects a run, so runs that share an
+    environment never share a directory: with LOOPSIM_OUT set, the files
+    go to out_dir."""
     monkeypatch.setenv("LOOPSIM_OUT", str(tmp_path / "env-out"))
-    run_scenario(make_cfg(TINY_CONFLICT, tmp_path / "ignored"))
-    assert (tmp_path / "env-out" / "report.json").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
-def test_empty_out_dir_env_is_unset(tmp_path, monkeypatch):
-    cwd = tmp_path / "cwd"
-    cwd.mkdir()
-    monkeypatch.chdir(cwd)
-    monkeypatch.setenv("LOOPSIM_OUT", "")
     run_scenario(make_cfg(TINY_CONFLICT, tmp_path / "configured"))
     assert (tmp_path / "configured" / "report.json").exists()
-    assert list(cwd.iterdir()) == []
+    assert not (tmp_path / "env-out").exists()
 
 
 def test_compress_emits_a_code_per_tick_past_the_knowledge_window(tmp_path):
@@ -707,6 +701,17 @@ def with_section(doc, section, **values):
      "params.train_frac must be in (0, 1), got 1.5"),
     (with_section(TINY_ADAPTIVE, "params", train_frac=1.0),
      "params.train_frac must be in (0, 1), got 1.0"),
+    # Each used to pass validate: compress's run refused the empty split after
+    # the scrape, adaptive-vnf's as a too-short series, naming no key.
+    (with_section(TINY_COMPRESS, "params", train_frac=0.0001),
+     "params.train_frac 0.0001 splits the 150 frames into 0 and 150; "
+     "neither part may be empty"),
+    (with_section(TINY_ADAPTIVE, "params", train_frac=0.05),
+     "params.train_frac 0.05 splits the 120 minutes into 6 and 114; params.window + "
+     "params.horizon = 20 needs more than 20 before the cut and 20 after it"),
+    (with_section(TINY_ADAPTIVE, "params", window=200),
+     "params.train_frac 0.7 splits the 120 minutes into 84 and 36; params.window + "
+     "params.horizon = 205 needs more than 205 before the cut and 205 after it"),
     # A repeated key used to be read as its last value. Its mark names the
     # file (<path> stands for the config's path).
     ("scenario: conflict-demo\nseed: 7\nseed: 8\nparams: {ticks: 3}\n",
@@ -723,6 +728,8 @@ def with_section(doc, section, **values):
         "adaptive-knob-min-above-max", "conflict-zero-ticks", "adaptive-zero-window",
         "adaptive-zero-horizon", "adaptive-zero-hidden-size", "compress-zero-loop-ticks",
         "compress-train-frac-above-one", "adaptive-train-frac-one",
+        "compress-train-frac-empty-split", "adaptive-train-frac-short-training",
+        "adaptive-window-longer-than-validation",
         "repeated-top-level-key", "repeated-params-key"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
     """validate refuses every config that run refuses, with the same message.
@@ -739,6 +746,35 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, doc, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_scenario(ScenarioConfig(**dict(doc, out_dir=str(tmp_path / "api"))))
     assert not (tmp_path / "out").exists() and not (tmp_path / "api").exists()
+
+
+@pytest.mark.parametrize("doc", [with_section(TINY_COMPRESS, "params", train_frac=0.0001),
+                                 with_section(TINY_ADAPTIVE, "params", window=200)],
+                         ids=["compress", "adaptive-vnf"])
+def test_a_split_too_short_is_refused_before_the_workload_is_generated(tmp_path, monkeypatch,
+                                                                       doc):
+    def generate_workload(*args):
+        pytest.fail("run generated the workload before refusing the split")
+
+    monkeypatch.setattr(metrics, "generate_workload", generate_workload)
+    assert main(["run", "--scenario", doc["scenario"], "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_constant_traffic_exits_2_with_one_message_and_no_output(tmp_path, capsys):
+    """Traffic with no segments and no noise leaves the planted CPU law
+    nothing to fit: the fit's DegenerateFitError is a config error, refused
+    with exit 2 and no traceback before the first artifact. validate cannot
+    tell without generating the traffic."""
+    doc = {"scenario": "adaptive-vnf", "seed": 7, "train": {"epochs": 2},
+           "workload": {"duration": 21600, "base_rate": 80}}
+    path = write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", "adaptive-vnf", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "invalid config: x is constant\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_misordered_chain_file_exits_2_with_one_message_before_the_scrape(
