@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -67,49 +66,70 @@ class StepKind(Enum):
 _KIND_RANK = {StepKind.MONITOR: 0, StepKind.ANALYZE: 1, StepKind.PLAN: 2, StepKind.EXECUTE: 3}
 
 
-@dataclass(frozen=True)
-class QosRequirements:
+# NamedTuple forbids overriding __new__, so a record that checks its fields
+# does it in __new__ on a subclass of its fields (see sdi.ResourceVector).
+class _QosFields(NamedTuple):
+    max_latency_ms: float
+    min_bandwidth: int
+    cpu: int
+    storage: int
+    min_reliability: float
+    coverage: frozenset[str]
+
+
+class QosRequirements(_QosFields):
     """Per-step service requirements. Latency/bandwidth/reliability bound the
     inbound inter-step paths; cpu/storage are reserved on the hosting node;
     coverage restricts hosting to a region set (empty = anywhere)."""
 
-    max_latency_ms: float = math.inf
-    min_bandwidth: int = 0
-    cpu: int = 0
-    storage: int = 0
-    min_reliability: float = 0.0
-    coverage: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if self.max_latency_ms < 0 or self.min_bandwidth < 0 or self.cpu < 0 or self.storage < 0:
+    def __new__(cls, max_latency_ms: float = math.inf, min_bandwidth: int = 0, cpu: int = 0,
+                storage: int = 0, min_reliability: float = 0.0,
+                coverage: frozenset[str] = frozenset()):
+        if max_latency_ms < 0 or min_bandwidth < 0 or cpu < 0 or storage < 0:
             raise ConfigError("QoS requirements must be non-negative")
-        if not 0.0 <= self.min_reliability <= 1.0:
+        if not 0.0 <= min_reliability <= 1.0:
             raise ConfigError("min_reliability must be in [0, 1]")
+        return tuple.__new__(cls, (max_latency_ms, min_bandwidth, cpu, storage,
+                                   min_reliability, coverage))
 
     @cached_property
     def demand(self) -> ResourceVector:
-        """The node reservation, built (and validated) once per value."""
+        """The node reservation, built (and validated) once per value, in the
+        instance dict."""
         return ResourceVector(cpu=self.cpu, storage=self.storage)
 
 
-@dataclass(frozen=True)
-class LoopStep:
+class _StepFields(NamedTuple):
     name: str
     kind: StepKind
     function_ref: str
-    qos: QosRequirements = QosRequirements()
-    params: dict = field(default_factory=dict, hash=False)
+    qos: QosRequirements
+    params: dict
 
 
-@dataclass
+class LoopStep(_StepFields):
+    """One step of a chain; each step gets its own params dict by default."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: StepKind, function_ref: str,
+                qos: QosRequirements = QosRequirements(), params: dict | None = None):
+        return tuple.__new__(cls, (name, kind, function_ref, qos,
+                                   {} if params is None else params))
+
+
 class LoopChain:
-    id: str
-    steps: list[LoopStep]
-    edges: list[tuple[str, str]]
-    source_domain: frozenset[str] = frozenset()
-    destination_domain: frozenset[str] = frozenset()
-    priority: int = 10  # lower wins
-    tick_period_ms: int | None = None
+    def __init__(self, id: str, steps: list[LoopStep], edges: list[tuple[str, str]],
+                 source_domain: frozenset[str] = frozenset(),
+                 destination_domain: frozenset[str] = frozenset(),
+                 priority: int = 10, tick_period_ms: int | None = None):
+        self.id = id
+        self.steps = steps
+        self.edges = edges
+        self.source_domain = source_domain
+        self.destination_domain = destination_domain
+        self.priority = priority  # lower wins
+        self.tick_period_ms = tick_period_ms
 
     def step(self, name: str) -> LoopStep:
         for s in self.steps:
@@ -121,8 +141,7 @@ class LoopChain:
         return [a for a, b in self.edges if b == name]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 
@@ -235,12 +254,14 @@ def validate_chain(chain: LoopChain) -> ValidationReport:
 # Embedding
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Embedding:
-    assignment: dict[str, str]  # step name -> node id
-    paths: dict[tuple[str, str], tuple[str, ...]]  # edge -> node path
-    total_latency_ms: float
-    allocation_ids: tuple[str, ...] = ()
+    def __init__(self, assignment: dict[str, str],
+                 paths: dict[tuple[str, str], tuple[str, ...]], total_latency_ms: float,
+                 allocation_ids: tuple[str, ...] = ()):
+        self.assignment = assignment  # step name -> node id
+        self.paths = paths  # edge -> node path
+        self.total_latency_ms = total_latency_ms
+        self.allocation_ids = allocation_ids
 
 
 def _in_domain(node, domain: frozenset[str]) -> bool:
@@ -513,21 +534,24 @@ def embed_bruteforce(chain: LoopChain, state: Topology,
 # Action catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisOutput:
-    """What an Analyze step hands to Plan: a kind tag plus a finite scalar."""
-
+class _OutputFields(NamedTuple):
     kind: str
     value: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ConfigError(f"analysis output {self.kind!r} must have a finite value, "
-                              f"got {self.value!r}")
+
+class AnalysisOutput(_OutputFields):
+    """What an Analyze step hands to Plan: a kind tag plus a finite scalar."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, value: float):
+        if not math.isfinite(value):
+            raise ConfigError(f"analysis output {kind!r} must have a finite value, "
+                              f"got {value!r}")
+        return tuple.__new__(cls, (kind, value))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     kind: str
     target_role: str
     parameter: str
@@ -541,15 +565,13 @@ class CatalogEntry:
         return min(max(self.scale * x + self.offset, self.lo), self.hi)
 
 
-@dataclass(frozen=True)
-class ActionCatalog:
+class ActionCatalog(NamedTuple):
     entries: tuple[CatalogEntry, ...]
 
     def lookup(self, kind: str) -> list[CatalogEntry]:
         return [e for e in self.entries if e.kind == kind]
 
 
-# NamedTuple forbids overriding __new__, so the check lives on a subclass.
 class _ProposalFields(NamedTuple):
     target: str
     parameter: str

@@ -17,16 +17,14 @@ import csv
 import io
 import math
 from collections import Counter, defaultdict, deque, namedtuple
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, SimError
 from . import sdi
-from .chain import (ActionProposal, Embedding, LoopChain, LoopStep, StepKind,
-                    _topological_order, embed, tick_period_error)
+from .chain import (ActionProposal, Embedding, LoopChain, LoopStep, QosRequirements,
+                    StepKind, _topological_order, embed, tick_period_error)
 from .sdi import TIER_DEPTH, CapacityError, ResourceVector, Tier, Topology
 
 
@@ -74,38 +72,34 @@ class FcapsCounters(NamedTuple):
 KNOWLEDGE_WINDOW = 64
 
 
-@dataclass
 class LoopInstance:
-    id: str
-    chain: LoopChain
-    embedding: Embedding
-    state: InstanceState
-    tick_period_ms: int
-    tier: Tier
-    # What a tick runs, with the step functions bound at instantiation (see
-    # _schedule).
-    schedule: tuple[ScheduledStep, ...]
-    # Trace index of this incarnation's `instantiated` event: its counts are
-    # read from the trace from there on.
-    first_event: int
-    services: dict = field(default_factory=dict)
-    # Records held, at most KNOWLEDGE_WINDOW, oldest first (see
-    # steps.knowledge_store).
-    knowledge: deque = field(default_factory=lambda: deque(maxlen=KNOWLEDGE_WINDOW))
-    # One context per scheduled step, bound to the ticking orchestrator on
-    # the instance's first tick there (see Orchestrator.tick); a copy made
-    # with replace() starts unbound.
-    contexts: tuple[StepContext, ...] = field(default=(), init=False, repr=False,
-                                              compare=False)
-
-    @cached_property
-    def tier_label(self) -> str:
-        """The tier's value as trace events carry it, read once."""
-        return self.tier.value
+    def __init__(self, id: str, chain: LoopChain, embedding: Embedding, state: InstanceState,
+                 tick_period_ms: int, tier: Tier, schedule: tuple[ScheduledStep, ...],
+                 first_event: int, services: dict | None = None, knowledge: deque | None = None):
+        self.id = id
+        self.chain = chain
+        self.embedding = embedding
+        self.state = state
+        self.tick_period_ms = tick_period_ms
+        self.tier = tier
+        self.tier_label = tier.value  # as trace events carry it, read once
+        # What a tick runs, with the step functions bound at instantiation
+        # (see _schedule).
+        self.schedule = schedule
+        # Trace index of this incarnation's `instantiated` event: its counts
+        # are read from the trace from there on.
+        self.first_event = first_event
+        self.services = {} if services is None else services
+        # Records held, at most KNOWLEDGE_WINDOW, oldest first (see
+        # steps.knowledge_store).
+        self.knowledge = deque(maxlen=KNOWLEDGE_WINDOW) if knowledge is None else knowledge
+        # One context per scheduled step, bound to the ticking orchestrator
+        # on the instance's first tick there (see Orchestrator.tick); a new
+        # instance starts unbound.
+        self.contexts: tuple[StepContext, ...] = ()
 
 
-@dataclass(frozen=True)
-class InstanceSnapshot:
+class InstanceSnapshot(NamedTuple):
     id: str
     chain_id: str
     state: InstanceState
@@ -419,7 +413,6 @@ def _schedule(chain: LoopChain, order: list[str] | None,
                  for step in steps if step.kind != StepKind.EXECUTE)
 
 
-@dataclass(slots=True)
 class StepContext:
     """What a step function sees: the shared clock, read access to the live
     state, its own instance, predecessor outputs and bound services.
@@ -428,12 +421,16 @@ class StepContext:
     refreshed every tick: t_ms is reset and inputs is a fresh dict. A step
     must not keep its context past the call, nor mutate ctx.inputs."""
 
-    t_ms: int
-    state: Topology
-    instance: LoopInstance
-    inputs: dict
-    params: dict
-    services: dict
+    __slots__ = ("t_ms", "state", "instance", "inputs", "params", "services")
+
+    def __init__(self, t_ms: int, state: Topology, instance: LoopInstance, inputs: dict,
+                 params: dict, services: dict):
+        self.t_ms = t_ms
+        self.state = state
+        self.instance = instance
+        self.inputs = inputs
+        self.params = params
+        self.services = services
 
 
 class FunctionRegistry:
@@ -561,12 +558,16 @@ class Orchestrator:
         scaled_steps = []
         for step in chain.steps:
             if step.kind in (StepKind.ANALYZE, StepKind.EXECUTE):
-                qos = replace(step.qos, cpu=int(math.ceil(step.qos.cpu * factor)),
-                              storage=int(math.ceil(step.qos.storage * factor)))
-                scaled_steps.append(replace(step, qos=qos))
+                # Through the constructor, which checks the new QoS; _replace
+                # would skip that.
+                qos = QosRequirements(*step.qos._replace(
+                    cpu=int(math.ceil(step.qos.cpu * factor)),
+                    storage=int(math.ceil(step.qos.storage * factor))))
+                scaled_steps.append(step._replace(qos=qos))
             else:
                 scaled_steps.append(step)
-        scaled = replace(chain, steps=scaled_steps, edges=list(chain.edges))
+        scaled = LoopChain(chain.id, scaled_steps, list(chain.edges), chain.source_domain,
+                           chain.destination_domain, chain.priority, chain.tick_period_ms)
         # Probe on a clone first so a failed scale leaves the live state
         # bitwise untouched; the live replay below cannot fail after that.
         probe = sdi.clone_state(self.state)
@@ -695,6 +696,8 @@ class Orchestrator:
         replica._apply(proposals, self.clock_ms)
         start = ((self.clock_ms // fastest) + 1) * fastest
         replica.run(duration_ms=SANDBOX_HORIZON_TICKS * fastest, start_ms=start)
+        for instance in replica.instances.values():
+            instance.contexts = ()  # each refers back to its instance: free the replica now
         reversals = max(map(count_reversals, replica.trace.applied_knob_deltas().values()),
                         default=0)
         violations = sum(b.verdict == "capacity" for b in replica.trace.bodies)
@@ -716,7 +719,9 @@ class Orchestrator:
         # copies start with unbound contexts and bind their own on their
         # first tick, to the replica's state. A store's copy keeps its
         # window, so a replica holds at most KNOWLEDGE_WINDOW records a loop.
-        replica.instances = {iid: replace(i, knowledge=i.knowledge.copy())
+        replica.instances = {iid: LoopInstance(i.id, i.chain, i.embedding, i.state,
+                                               i.tick_period_ms, i.tier, i.schedule,
+                                               i.first_event, i.services, i.knowledge.copy())
                              for iid, i in self.instances.items()}
         return replica
 

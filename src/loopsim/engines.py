@@ -212,7 +212,9 @@ def ae_init(seed: int, width: int = 111) -> DenseNet:
     at the testbed's 111, the same ratios (inner widths at least 2) at another. The
     encoder is layers 1-3; the sigmoid output matches inputs normalized to [0, 1]."""
     a, b, c = (max(2, int(round(f * width))) for f in (90 / 111, 85 / 111, 75 / 111))
-    return net_init((width, a, b, c, a, width), ("elu", "elu", "linear", "elu", "sigmoid"), seed)
+    net = net_init((width, a, b, c, a, width), ("elu", "elu", "linear", "elu", "sigmoid"), seed)
+    net.encoder_layers = 3  # the c-wide layer, also where the rounded widths tie
+    return net
 
 
 def _forward(net: DenseNet, x, start: int, stop: int) -> np.ndarray:

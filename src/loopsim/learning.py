@@ -270,7 +270,10 @@ def run_adaptive_vnf(cfg: ScenarioConfig, inputs: Inputs, out: Path) -> tuple[di
     slope_true, intercept_true = p["planted_slope"], p["planted_intercept"]
     sigma, cpu_scale = p["planted_noise"], p["cpu_scale"]
     lo, hi = float(series[:cut].min()), float(series[:cut].max())
-    span = (hi - lo) or 1.0
+    if hi == lo:
+        raise ConfigError(f"workload traffic is constant ({lo:g}) over the {cut} training "
+                          "minutes, so the CPU law has nothing to fit")
+    span = hi - lo
     x01 = (series - lo) / span
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_noise)))
     y01_obs = slope_true * x01 + intercept_true + rng.normal(0.0, sigma, size=len(x01))

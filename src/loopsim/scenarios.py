@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,29 +25,30 @@ from .chain import (EmbeddingError, LoopChain, LoopStep, QosRequirements, StepKi
 from .control import LoopInstance, Orchestrator, count_reversals
 
 
-@dataclass
 class ScenarioConfig:
-    scenario: str
-    seed: int
-    topology: str = "testbed"
-    out_dir: str = "out"
-    workload: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    def __init__(self, scenario: str, seed: int, topology: str = "testbed",
+                 out_dir: str = "out", workload: dict | None = None, train: dict | None = None,
+                 params: dict | None = None):
+        if scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {scenario!r}; known: {list(SCENARIOS)}")
+        self.scenario = scenario
+        self.seed = seed
+        self.topology = topology
+        self.out_dir = out_dir
+        self.workload = {} if workload is None else workload
+        self.train = {} if train is None else train
+        self.params = {} if params is None else params
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; known: {list(SCENARIOS)}")
 
-
-@dataclass
 class RunReport:
-    scenario: str
-    seed: int
-    metrics: dict
-    checks: dict  # threshold checks backing --strict
-    files: dict  # name -> {path, rows}
-    wall_clock_s: float  # console-only; excluded from written reports
+    def __init__(self, scenario: str, seed: int, metrics: dict, checks: dict, files: dict,
+                 wall_clock_s: float):
+        self.scenario = scenario
+        self.seed = seed
+        self.metrics = metrics
+        self.checks = checks  # threshold checks backing --strict
+        self.files = files  # name -> {path, rows}
+        self.wall_clock_s = wall_clock_s  # console-only; excluded from written reports
 
     @property
     def strict_ok(self) -> bool:

@@ -21,8 +21,8 @@ import functools
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .config import load_yaml, section
 from .errors import ConfigError, SimError
@@ -64,23 +64,30 @@ TIER_DEPTH = {Tier.CORE: 0, Tier.EDGE: 1, Tier.ACCESS: 2}
 RESOURCE_COMPONENTS = ("cpu", "mem", "storage", "bandwidth")
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+# NamedTuple forbids overriding __new__, so a record that checks its fields
+# or derives a value does it in __new__ on a subclass of its fields. A
+# derived value lives in the instance dict, outside the fields, so repr,
+# equality and iteration see the fields alone.
+class _Resources(NamedTuple):
+    cpu: int
+    mem: int
+    storage: int
+    bandwidth: int
+
+
+class ResourceVector(_Resources):
     """Component-wise resource bundle. cpu in millicores, mem/storage in MiB,
     bandwidth in Mb/s."""
 
-    cpu: int = 0
-    mem: int = 0
-    storage: int = 0
-    bandwidth: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in RESOURCE_COMPONENTS:
-            v = getattr(self, name)
+    def __new__(cls, cpu: int = 0, mem: int = 0, storage: int = 0, bandwidth: int = 0):
+        for name, v in zip(RESOURCE_COMPONENTS, (cpu, mem, storage, bandwidth)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"resource {name} must be an integer, got {v!r}")
             if v < 0:
                 raise ConfigError(f"resource {name} must be >= 0, got {v}")
+        return tuple.__new__(cls, (cpu, mem, storage, bandwidth))
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return _vector(self.cpu + other.cpu, self.mem + other.mem,
@@ -98,68 +105,76 @@ class ResourceVector:
 
     def shortfall(self, other: "ResourceVector") -> str | None:
         """Name of the first component where self < other, or None."""
-        for c in RESOURCE_COMPONENTS:
-            if getattr(self, c) < getattr(other, c):
+        for c, mine, theirs in zip(RESOURCE_COMPONENTS, self, other):
+            if mine < theirs:
                 return c
         return None
 
     def is_zero(self) -> bool:
-        return all(getattr(self, c) == 0 for c in RESOURCE_COMPONENTS)
+        return not any(self)
 
 
 def _vector(cpu: int, mem: int, storage: int, bandwidth: int) -> ResourceVector:
     """ResourceVector without the per-field validation, for results of
     arithmetic on already valid vectors (non-negative ints in, non-negative
-    ints out). A frozen dataclass keeps its fields in the instance dict."""
-    rv = object.__new__(ResourceVector)
-    rv.__dict__.update(cpu=cpu, mem=mem, storage=storage, bandwidth=bandwidth)
-    return rv
+    ints out)."""
+    return tuple.__new__(ResourceVector, (cpu, mem, storage, bandwidth))
 
 
-ZERO = ResourceVector()  # shared: frozen, so it never changes
+ZERO = ResourceVector()  # shared: immutable, so it never changes
 
 
-@dataclass(frozen=True)
-class ComputeNode:
+class _NodeFields(NamedTuple):
     id: str
     region: str
     tier: Tier
-    cpu_capacity: int = 0
-    mem_capacity: int = 0
-    storage_capacity: int = 0
-    reliability: float = 1.0
-    roles: tuple[str, ...] = ()
-    capacity: ResourceVector = field(init=False, repr=False, compare=False)
+    cpu_capacity: int
+    mem_capacity: int
+    storage_capacity: int
+    reliability: float
+    roles: tuple[str, ...]
 
-    def __post_init__(self):
+
+class ComputeNode(_NodeFields):
+    """A node; `capacity` is its capacity vector (bandwidth 0), derived once."""
+
+    def __new__(cls, id: str, region: str, tier: Tier, cpu_capacity: int = 0,
+                mem_capacity: int = 0, storage_capacity: int = 0, reliability: float = 1.0,
+                roles: tuple[str, ...] = ()):
+        node = tuple.__new__(cls, (id, region, tier, cpu_capacity, mem_capacity,
+                                   storage_capacity, reliability, roles))
         for name in ("cpu_capacity", "mem_capacity", "storage_capacity"):
-            if getattr(self, name) < 0:
-                raise TopologyError(f"node {self.id}: {name} must be >= 0")
-        if not 0.0 <= self.reliability <= 1.0:
-            raise TopologyError(f"node {self.id}: reliability must be in [0, 1]")
-        object.__setattr__(self, "capacity", _vector(
-            self.cpu_capacity, self.mem_capacity, self.storage_capacity, 0))
+            if getattr(node, name) < 0:
+                raise TopologyError(f"node {id}: {name} must be >= 0")
+        if not 0.0 <= reliability <= 1.0:
+            raise TopologyError(f"node {id}: reliability must be in [0, 1]")
+        node.capacity = _vector(cpu_capacity, mem_capacity, storage_capacity, 0)
+        return node
 
 
-@dataclass(frozen=True)
-class Link:
+class _LinkFields(NamedTuple):
     a: str
     b: str
     bandwidth: int  # Mb/s
     latency: float  # ms
-    reliability: float = 1.0
-    capacity: ResourceVector = field(init=False, repr=False, compare=False)
+    reliability: float
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise TopologyError(f"link {self.a}--{self.b}: endpoints must be distinct")
-        if self.bandwidth <= 0:
-            raise TopologyError(f"link {self.a}--{self.b}: bandwidth must be > 0")
-        if self.latency < 0:
-            raise TopologyError(f"link {self.a}--{self.b}: latency must be >= 0")
-        if not 0.0 <= self.reliability <= 1.0:
-            raise TopologyError(f"link {self.a}--{self.b}: reliability must be in [0, 1]")
-        object.__setattr__(self, "capacity", _vector(0, 0, 0, self.bandwidth))
+
+class Link(_LinkFields):
+    """A link; `capacity` is its capacity vector (bandwidth only), derived once."""
+
+    def __new__(cls, a: str, b: str, bandwidth: int, latency: float, reliability: float = 1.0):
+        if a == b:
+            raise TopologyError(f"link {a}--{b}: endpoints must be distinct")
+        if bandwidth <= 0:
+            raise TopologyError(f"link {a}--{b}: bandwidth must be > 0")
+        if latency < 0:
+            raise TopologyError(f"link {a}--{b}: latency must be >= 0")
+        if not 0.0 <= reliability <= 1.0:
+            raise TopologyError(f"link {a}--{b}: reliability must be in [0, 1]")
+        link = tuple.__new__(cls, (a, b, bandwidth, latency, reliability))
+        link.capacity = _vector(0, 0, 0, bandwidth)
+        return link
 
     @property
     def key(self) -> tuple[str, str]:
@@ -175,8 +190,7 @@ def target_label(target: Target) -> str:
     return f"link {'--'.join(target)}" if isinstance(target, tuple) else f"node {target}"
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """A recorded reservation: compute resources on a node, or bandwidth on a link."""
 
     id: str
@@ -185,7 +199,6 @@ class Allocation:
     target: Target
 
 
-@dataclass
 class Topology:
     """Topology plus mutable allocation/knob state. Single-writer: callers
     mutate one Topology from one logical owner at a time; clones are
@@ -193,15 +206,18 @@ class Topology:
     residual bandwidth changes), so a topology and its clones share one
     route table."""
 
-    nodes: dict[str, ComputeNode]
-    links: dict[tuple[str, str], Link]
-    switches: set[str]
-    allocations: dict[str, Allocation] = field(default_factory=dict)
-    knobs: dict[tuple[str, str], float] = field(default_factory=dict)
-    _used: dict[Target, ResourceVector] = field(default_factory=dict)
-    _next_alloc: int = 1
-    _routes: "_RouteTable" = field(default_factory=lambda: _RouteTable(), init=False,
-                                   repr=False, compare=False)
+    def __init__(self, nodes: dict[str, ComputeNode], links: dict[tuple[str, str], Link],
+                 switches: set[str], allocations: dict[str, Allocation] | None = None,
+                 knobs: dict[tuple[str, str], float] | None = None,
+                 _used: dict[Target, ResourceVector] | None = None, _next_alloc: int = 1):
+        self.nodes = nodes
+        self.links = links
+        self.switches = switches
+        self.allocations = {} if allocations is None else allocations
+        self.knobs = {} if knobs is None else knobs
+        self._used = {} if _used is None else _used
+        self._next_alloc = _next_alloc
+        self._routes = _RouteTable()
 
     def capacity(self, target: Target) -> ResourceVector:
         """Capacity vector of a node id or a link key."""
@@ -228,8 +244,7 @@ class Topology:
             raise UnknownNodeError(f"unknown node {node_id!r}") from None
 
 
-@dataclass(frozen=True)
-class PathMetrics:
+class PathMetrics(NamedTuple):
     """Aggregate metrics of one concrete node path."""
 
     latency_ms: float
@@ -454,9 +469,8 @@ def set_knob(state: Topology, node_id: str, parameter: str, value: float) -> flo
             free = getattr(node.capacity, component) - getattr(used, component) + held
             if amount > free:
                 raise _insufficient(node_id, component, amount, free)
-            fields = dict(used.__dict__)
-            fields[component] += amount - held
-            state._used[node_id] = _vector(**fields)
+            state._used[node_id] = used._replace(
+                **{component: getattr(used, component) + amount - held})
     state.knobs[key] = float(value)
     return previous
 
@@ -586,7 +600,7 @@ def path_latencies(state: Topology, src: str) -> dict[str, float]:
 def clone_state(state: Topology) -> Topology:
     """Mutation-isolated copy of the full state. The mutable containers
     (nodes, links, switches, allocations, knobs, usage table) are copied;
-    the frozen node, link, allocation and resource values inside them and
+    the immutable node, link, allocation and resource values inside them and
     the route table are shared."""
     clone = Topology(nodes=dict(state.nodes), links=dict(state.links),
                      switches=set(state.switches), allocations=dict(state.allocations),

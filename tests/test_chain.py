@@ -589,12 +589,24 @@ def test_catalog_clamps_into_bounds(vnf_state):
     assert all(p.value == 6000.0 for p in proposals)
 
 
+def test_steps_derive_their_demand_and_own_their_params():
+    """A step's node reservation is its QoS cpu and storage, built once; a
+    step built without params gets a dict of its own."""
+    qos = QosRequirements(max_latency_ms=5.0, min_bandwidth=10, cpu=300, storage=64)
+    assert qos.demand == ResourceVector(cpu=300, storage=64) and qos.demand is qos.demand
+    a, b = LoopStep("a", StepKind.MONITOR, "f"), LoopStep("b", StepKind.MONITOR, "f")
+    assert a.params == {} and a.params is not b.params and a.qos == QosRequirements()
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_analysis_output_refuses_a_non_finite_value(value):
     """A diverged forecast is refused where it is made, so catalog_translate
     never clamps it into a plausible set-point."""
-    with pytest.raises(ConfigError, match="must have a finite value"):
+    with pytest.raises(ConfigError) as raised:
         AnalysisOutput("traffic.forecast", value)
+    assert type(raised.value) is ConfigError
+    assert str(raised.value) == ("analysis output 'traffic.forecast' must have a finite value, "
+                                 f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +653,10 @@ def test_chain_from_dict_refuses_a_period_that_is_not_a_positive_integer(period)
      "steps[0].qos.max_latency_ms must be a finite number, got nan"),
     ("steps: [{name: m, kind: monitor, qos: {coverage: west}}]",
      "steps[0].qos.coverage must be a list of strings, got 'west'"),
+    ("steps: [{name: m, kind: monitor, qos: {storage: -1}}]",
+     "QoS requirements must be non-negative"),
+    ("steps: [{name: m, kind: monitor, qos: {min_reliability: 1.5}}]",
+     "min_reliability must be in [0, 1]"),
     ("priority: 1.5", "priority must be an integer, got 1.5"),
     ("edges: [ab]", "edges must be a list of lists, got ['ab']"),
     ("edges: [[m, m, m]]", "edges must be two-item lists, got [['m', 'm', 'm']]"),
@@ -648,7 +664,8 @@ def test_chain_from_dict_refuses_a_period_that_is_not_a_positive_integer(period)
     ("destination_domain: [waterloo-vm4, 4]",
      "destination_domain must be a list of strings, got ['waterloo-vm4', 4]"),
 ], ids=["step-string", "steps-number", "qos-number", "qos-cpu-fraction",
-        "qos-bandwidth-bool", "qos-latency-nan", "qos-coverage-string", "priority-fraction",
+        "qos-bandwidth-bool", "qos-latency-nan", "qos-coverage-string", "qos-negative",
+        "qos-reliability-range", "priority-fraction",
         "edge-string", "edge-three-items", "source-domain-string", "destination-domain-number"])
 def test_chain_file_refuses_a_malformed_field(tmp_path, field, message):
     # Each of these used to crash, be cut to an integer, or read a string

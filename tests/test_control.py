@@ -6,7 +6,6 @@ import gc
 import io
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,7 +119,7 @@ def test_instantiate_refuses_an_unregistered_step_function_before_booking():
     orch = make_orchestrator()
     before = snapshot(orch.state)
     chain = analysis_chain()
-    chain.steps[0] = replace(chain.steps[0], function_ref="monitor.nope")
+    chain.steps[0] = chain.steps[0]._replace(function_ref="monitor.nope")
     with pytest.raises(ConfigError, match="monitor.nope"):
         orch.instantiate(chain)
     assert snapshot(orch.state) == before
@@ -132,9 +131,11 @@ def test_instantiate_refuses_an_unregistered_step_function_before_booking():
                          ids=["dangling-edge", "cycle"])
 def test_instantiate_refuses_an_invalid_chain_before_booking(edges):
     orch = make_orchestrator()
+    chain = analysis_chain()
+    chain.edges = edges
     before = snapshot(orch.state)
     with pytest.raises(ChainValidationError):
-        orch.instantiate(replace(analysis_chain(), edges=edges))
+        orch.instantiate(chain)
     assert snapshot(orch.state) == before
     assert orch.instances == {} and orch.trace.events == []
 
@@ -330,6 +331,22 @@ def test_a_long_run_costs_the_trace_a_few_bytes_an_event():
     new = len(orch.trace.events) - seen
     assert new == 27_000
     assert grown <= 40 * new
+
+
+def test_a_dry_run_leaves_no_garbage_cycle():
+    """A replica's bound contexts refer back to their instances; dropped when
+    the dry-run ends, they leave the cloned world to reference counting, not
+    to wait for the collector."""
+    orch = make_orchestrator()
+    orch.instantiate(setpoint_chain("n1-up", 1, 3000.0))
+    orch.instantiate(setpoint_chain("n1-down", 2, 1000.0))
+    gc.collect()
+    gc.disable()
+    try:
+        orch.sandbox_dryrun([ActionProposal("n1", "vnf.cpu.millicores", 3000.0, "n1-up")])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_sandbox_replica_copies_only_the_window():
@@ -806,6 +823,8 @@ def test_run_orders_deeper_tiers_first():
     orch.instantiate(edge)
     assert orch.instances["core-loop"].tier == Tier.CORE
     assert orch.instances["edge-loop"].tier == Tier.EDGE
+    # The tier as trace events carry it, read once per instance.
+    assert [i.tier_label for i in orch.instances.values()] == ["edge", "core"]
     trace = orch.run(duration_ms=100)
     ticks = [e.chain for e in trace.events if e.kind == "tick"]
     assert ticks == ["edge-loop", "core-loop"]  # deeper tier first
@@ -814,8 +833,8 @@ def test_run_orders_deeper_tiers_first():
 def core_analysis_chain(chain_id, period=1000):
     """analysis_chain, monitored from the east region, so it runs on core n3."""
     chain = analysis_chain(chain_id, period)
-    chain.steps[0] = replace(chain.steps[0],
-                             qos=QosRequirements(cpu=100, coverage=frozenset({"east"})))
+    chain.steps[0] = chain.steps[0]._replace(
+        qos=QosRequirements(cpu=100, coverage=frozenset({"east"})))
     return chain
 
 
@@ -896,7 +915,7 @@ def test_a_plan_step_cannot_issue_for_another_loop():
     orch.registry.register("plan.impersonate", lambda ctx: [
         p._replace(issued_by="up") for p in plan_knob_setpoint(ctx)])
     rogue = setpoint_chain("rogue", 9, 500.0)
-    rogue.steps[1] = replace(rogue.steps[1], function_ref="plan.impersonate")
+    rogue.steps[1] = rogue.steps[1]._replace(function_ref="plan.impersonate")
     orch.instantiate(rogue)
     trace = orch.run(duration_ms=3000)
     actions = [(e.t_ms, e.kind, e.chain, e.value) for e in trace.events

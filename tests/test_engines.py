@@ -43,6 +43,14 @@ def test_compressor_keeps_its_ratios_at_another_width():
     assert net.params.tobytes() == reference.params.tobytes()
 
 
+def test_compressor_code_is_its_third_layer_at_every_width():
+    """The encoder is layers 1-3 even where the rounded inner widths tie
+    (7 gives 6, 5, 5; 2-4 give three equal ones), so the code is the 75/111 layer."""
+    for width in range(2, 112):
+        net = ae_init(0, width)
+        assert net.encoder_layers == 3 and net.code_width == net.widths[3], width
+
+
 def test_same_seed_bit_identical():
     a, b = ae_init(3), ae_init(3)
     for la, lb in zip(a.layers, b.layers):

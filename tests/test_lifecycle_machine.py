@@ -115,7 +115,7 @@ class LifecycleMachine(RuleBasedStateMachine):
     def snapshot(self):
         """Everything a dry-run or a failed scale must leave as it was."""
         return (world(self.orch.state), len(self.orch.trace.events),
-                {i: (copy.deepcopy((inst.chain, inst.embedding, inst.knowledge)),
+                {i: (copy.deepcopy((vars(inst.chain), vars(inst.embedding), inst.knowledge)),
                      self.orch.query(i))
                  for i, inst in self.orch.instances.items()})
 

@@ -2,7 +2,8 @@
 set-point steps, the conflict demo and the CLI around it) imports no numpy;
 only the ML plane (engines, metrics, learning and the ML steps) loads it.
 The YAML parser loads on the first document read, so a control plane built
-in code loads neither numpy nor yaml. Each check runs in a fresh
+in code loads neither numpy nor yaml, and the control plane defines its
+records without dataclasses. Each check runs in a fresh
 interpreter, since this one has both loaded already. The benchmark's tracer
 still sees the ML plane's layers."""
 
@@ -81,8 +82,10 @@ def test_opposing_pairs_on_a_region_ring_run_arbitrated_without_numpy(tmp_path):
     """conflict-scale's shape, small: set-point pairs on a generated ring,
     arbitrated and dry-run in the sandbox, each knob held by its winner.
     Built in code, it reads no document: its modules load no yaml, and it
-    runs with yaml blocked too."""
+    runs with yaml blocked too. Its records are NamedTuples and its state
+    plain classes, so it runs with dataclasses blocked as well."""
     assert_ok(run_child(BLOCKED + f"""
+sys.modules["dataclasses"] = None  # any import of dataclasses now fails
 import random
 from collections import Counter
 

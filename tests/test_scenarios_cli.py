@@ -342,8 +342,17 @@ def test_load_scenario_config_requires_seed(tmp_path):
 
 def test_load_scenario_config_unknown_scenario(tmp_path):
     path = write_config(tmp_path, {"scenario": "wat", "seed": 1})
-    with pytest.raises(Exception, match="unknown scenario"):
+    message = "^unknown scenario 'wat'; known: \\['compress', 'adaptive-vnf', 'conflict-demo'\\]$"
+    with pytest.raises(ConfigError, match=message):
         load_scenario_config(path)
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig("wat", 1)
+
+
+def test_scenario_configs_get_their_own_sections():
+    a, b = ScenarioConfig("conflict-demo", 7), ScenarioConfig("conflict-demo", 7)
+    assert (a.topology, a.out_dir, a.workload, a.train, a.params) == ("testbed", "out", {}, {}, {})
+    assert a.workload is not b.workload and a.train is not b.train and a.params is not b.params
 
 
 def test_load_scenario_config_missing_topology_file(tmp_path):
@@ -589,6 +598,8 @@ def small_topology(field, value):
     (("nodes", 0, "cpu"), 1500.5, "cpu must be an integer, got 1500.5"),
     # The node and link checks and the topology-wide ones.
     (("nodes", 0, "cpu"), -1, "node a: cpu_capacity must be >= 0"),
+    (("nodes", 0, "mem"), -1, "node a: mem_capacity must be >= 0"),
+    (("nodes", 0, "storage"), -1, "node a: storage_capacity must be >= 0"),
     (("nodes", 0, "reliability"), 1.5, "node a: reliability must be in [0, 1]"),
     (("links", 0, "b"), "a", "link a--a: endpoints must be distinct"),
     (("links", 0, "bandwidth"), 0, "link a--b: bandwidth must be > 0"),
@@ -600,7 +611,8 @@ def small_topology(field, value):
 ], ids=["node-reliability", "link-latency", "knob-value", "link-without-b", "knob-node",
         "knob-past-capacity", "node-roles-string", "node-reliability-string",
         "link-latency-nan", "link-latency-past-float-range", "knob-value-bool",
-        "node-cpu-bool", "node-cpu-fraction", "node-cpu-negative", "node-reliability-range",
+        "node-cpu-bool", "node-cpu-fraction", "node-cpu-negative", "node-mem-negative",
+        "node-storage-negative", "node-reliability-range",
         "link-self-loop", "link-bandwidth-zero", "link-latency-negative",
         "link-reliability-range", "duplicate-link", "undeclared-switch", "no-nodes"])
 def test_cli_malformed_topology_exits_2(tmp_path, capsys, field, value, named):
@@ -763,9 +775,10 @@ def test_a_split_too_short_is_refused_before_the_workload_is_generated(tmp_path,
 
 def test_constant_traffic_exits_2_with_one_message_and_no_output(tmp_path, capsys):
     """Traffic with no segments and no noise leaves the planted CPU law
-    nothing to fit: the fit's DegenerateFitError is a config error, refused
-    with exit 2 and no traceback before the first artifact. validate cannot
-    tell without generating the traffic."""
+    nothing to fit: the runner refuses it as a config error naming the
+    constant traffic and the training minutes, with exit 2 and no traceback
+    before the first artifact. validate cannot tell without generating the
+    traffic."""
     doc = {"scenario": "adaptive-vnf", "seed": 7, "train": {"epochs": 2},
            "workload": {"duration": 21600, "base_rate": 80}}
     path = write_config(tmp_path, doc)
@@ -773,7 +786,9 @@ def test_constant_traffic_exits_2_with_one_message_and_no_output(tmp_path, capsy
     capsys.readouterr()
     assert main(["run", "--scenario", "adaptive-vnf", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "invalid config: x is constant\n"
+    assert capsys.readouterr().err == ("invalid config: workload traffic is constant (80) over "
+                                       "the 270 training minutes, so the CPU law has nothing "
+                                       "to fit\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -419,6 +419,33 @@ def test_vector_arithmetic_matches_validated_constructor(a, b):
             a - b
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"cpu": 1.5}, "resource cpu must be an integer, got 1.5"),
+    ({"mem": True}, "resource mem must be an integer, got True"),
+    ({"storage": "5"}, "resource storage must be an integer, got '5'"),
+    ({"cpu": 1, "bandwidth": -1}, "resource bandwidth must be >= 0, got -1"),
+], ids=["fraction", "bool", "string", "negative"])
+def test_resource_vector_refuses_a_component_that_is_no_count(fields, message):
+    with pytest.raises(ConfigError) as raised:
+        ResourceVector(**fields)
+    assert type(raised.value) is ConfigError and str(raised.value) == message
+
+
+def test_nodes_and_links_derive_their_capacity_outside_their_fields():
+    """The capacity vector is derived once, and kept out of each record's
+    fields: repr and equality read the fields alone, as the state's
+    snapshots hash them."""
+    node = sdi.ComputeNode("a", "r", Tier.EDGE, 4000, 8192, 1024, 0.99, ("firewall",))
+    link = sdi.Link("b", "a", 100, 1.5)
+    assert node.capacity == ResourceVector(4000, 8192, 1024, 0)
+    assert link.capacity == ResourceVector(bandwidth=100) and link.key == ("a", "b")
+    assert repr(node) == ("ComputeNode(id='a', region='r', tier=<Tier.EDGE: 'edge'>, "
+                          "cpu_capacity=4000, mem_capacity=8192, storage_capacity=1024, "
+                          "reliability=0.99, roles=('firewall',))")
+    assert repr(link) == "Link(a='b', b='a', bandwidth=100, latency=1.5, reliability=1.0)"
+    assert node == sdi.ComputeNode("a", "r", Tier.EDGE, 4000, 8192, 1024, 0.99, ("firewall",))
+
+
 # ---------------------------------------------------------------------------
 # knobs
 # ---------------------------------------------------------------------------
